@@ -21,7 +21,7 @@ from .spectral import (  # noqa: F401
 )
 from .dynamics import FlowState, PhysicalParams  # noqa: F401
 from .monitor import MonitorConfig, StoppingEvent  # noqa: F401
-from .stepping import NoiseModel, StepperConfig, simulate, simulate_replay  # noqa: F401
+from .stepping import NoiseModel, StepperConfig, simulate  # noqa: F401
 from .experiments import (  # noqa: F401
     inequality_suite,
     refinement_study,

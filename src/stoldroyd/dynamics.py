@@ -7,9 +7,10 @@ explicit: transport, relaxation, the bilinear rotation/slip form Q, the
 deformation forcing, and the Ito correction coming from the Stratonovich
 stress noise.
 
-Quadratic terms are evaluated with dealiased physical-space products and then
-cut to the spectral ball (in that order); the cutoff is the grid's truncation
-radius.
+`drift` evaluates all three quadratic terms in one physical-space pass: v,
+grad v, tau and grad tau are transformed once, the products are formed
+pointwise on real samples, and one forward transform followed by one
+dealias-and-ball mask brings them back.
 """
 from __future__ import annotations
 
@@ -20,12 +21,13 @@ import numpy as np
 from .spectral import (
     TensorField,
     VectorField,
-    convect_tensor,
     convect_vector,
     divergence_tensor,
     gradient_vector,
     leray_project,
-    tensor_matmul,
+    pointwise_matmul,
+    pointwise_transport,
+    real_samples,
     truncate,
 )
 
@@ -36,10 +38,7 @@ __all__ = [
     "vorticity",
     "q_form",
     "advect_vector",
-    "advect_tensor",
-    "VelocityDrift",
-    "velocity_drift",
-    "stress_drift",
+    "drift",
 ]
 
 
@@ -82,9 +81,6 @@ class FlowState:
     v: VectorField
     tau: TensorField
 
-    def with_fields(self, v: VectorField, tau: TensorField, t: float | None = None) -> "FlowState":
-        return FlowState(self.t if t is None else t, v, tau)
-
 
 def deformation(v: VectorField) -> TensorField:
     """Symmetric velocity-gradient part D(v) = (grad v + grad v^T)/2.
@@ -104,20 +100,26 @@ def vorticity(v: VectorField) -> TensorField:
     return TensorField(v.grid, c, symmetric=False)
 
 
-def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
-    """Rotation/slip bilinear form Q = tau W - W tau - b (D tau + tau D).
+def _q_pointwise(tau: np.ndarray, grad_v: np.ndarray, b: float) -> np.ndarray:
+    """Q = tau W - W tau - b (D tau + tau D) on physical samples.
 
-    For symmetric tau, W tau = -(tau W)^T and D tau = (tau D)^T, so both
-    groups are assembled as an explicit symmetrization P + P^T — the result
-    carries zero symmetry defect by construction.  Products are dealiased.
+    For symmetric tau, W tau = -(tau W)^T and D tau = (tau D)^T, so
+    Q = P + P^T with P = tau (W - b D): one matrix product, and the explicit
+    symmetrization gives zero symmetry defect by construction.  `grad_v` is
+    laid out as in `gradient_vector`: grad_v[a, c] = d_c v_a.
     """
-    w = vorticity(v)
-    d = deformation(v)
-    tw = tensor_matmul(tau, w).coeffs
-    rotation = tw + np.swapaxes(tw, 0, 1)
-    td = tensor_matmul(tau, d).coeffs
-    slip = td + np.swapaxes(td, 0, 1)
-    return TensorField(v.grid, rotation - b * slip, symmetric=True)
+    grad_t = np.swapaxes(grad_v, 0, 1)
+    p = pointwise_matmul(tau, 0.5 * ((1.0 - b) * grad_v - (1.0 + b) * grad_t))
+    return p + np.swapaxes(p, 0, 1)
+
+
+def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
+    """Rotation/slip bilinear form Q(tau, grad v), dealiased; see `_q_pointwise`."""
+    grid = v.grid
+    ptau = real_samples(grid, tau.coeffs)
+    pgrad = real_samples(grid, gradient_vector(v).coeffs)
+    c = np.fft.fftn(_q_pointwise(ptau, pgrad, b), axes=grid.grid_axes, norm="forward")
+    return TensorField(grid, c * grid.dealias_mask, symmetric=True)
 
 
 def advect_vector(v: VectorField, u: VectorField) -> VectorField:
@@ -125,60 +127,44 @@ def advect_vector(v: VectorField, u: VectorField) -> VectorField:
     return truncate(convect_vector(v, u), v.grid.truncation_radius)
 
 
-def advect_tensor(v: VectorField, tau: TensorField) -> TensorField:
-    """Truncated transport (v . grad) tau."""
-    return truncate(convect_tensor(v, tau), v.grid.truncation_radius)
+def drift(
+    state: FlowState, params: PhysicalParams, stress_noise=None
+) -> tuple[VectorField, TensorField]:
+    """Nonstiff velocity drift and stress drift at the current state.
 
-
-@dataclass(frozen=True)
-class VelocityDrift:
-    """Velocity drift split for the semi-implicit scheme.
-
-    `nonstiff` is Leray-projected and truncated: -(v.grad)v + mu1 div(tau).
-    `viscous` is nu * Laplacian(v), returned separately so the integrator can
-    treat it implicitly; `total` recombines them for diagnostics.
-    """
-
-    nonstiff: VectorField
-    viscous: VectorField
-
-    @property
-    def total(self) -> VectorField:
-        return VectorField(
-            self.nonstiff.grid,
-            self.nonstiff.coeffs + self.viscous.coeffs,
-            div_free=True,
-        )
-
-
-def velocity_drift(state: FlowState, params: PhysicalParams) -> VelocityDrift:
-    """Assemble the velocity drift at the current state."""
-    grid = state.v.grid
-    coeffs = params.mu1 * divergence_tensor(state.tau).coeffs
-    if params.nonlinear:
-        coeffs = coeffs - advect_vector(state.v, state.v).coeffs
-    nonstiff = leray_project(VectorField(grid, coeffs))
-    viscous = VectorField(grid, -params.nu * grid.xi_sq * state.v.coeffs, div_free=state.v.div_free)
-    return VelocityDrift(nonstiff=nonstiff, viscous=viscous)
-
-
-def stress_drift(state: FlowState, params: PhysicalParams, stress_noise=None) -> TensorField:
-    """Assemble the stress drift at the current state.
-
-    -(v.grad)tau - a tau - Q(tau, grad v) + mu2 D(v), plus the Ito correction
-    (1/2) S^2(tau) when a stress-noise instance is supplied (S is its linear
-    action; the correction converts the Stratonovich product to Ito form).
-    Quadratic pieces are truncated to the spectral ball.
+    Velocity: Leray projection of -(v.grad)v + mu1 div(tau); the viscous
+    part nu Laplacian(v) is left to the integrator's implicit solve.
+    Stress: -(v.grad)tau - a tau - Q(tau, grad v) + mu2 D(v), plus the Ito
+    correction (1/2) S^2(tau) when a stress-noise instance is supplied (S is
+    its linear action; the correction converts the Stratonovich product to
+    Ito form).  Quadratic terms and the correction are cut to the spectral
+    ball.
     """
     grid = state.v.grid
-    n = grid.truncation_radius
-    coeffs = -params.a * state.tau.coeffs + params.mu2 * deformation(state.v).coeffs
+    d = grid.dim
+    axes = grid.grid_axes
+    vel = params.mu1 * divergence_tensor(state.tau).coeffs
+    stress = -params.a * state.tau.coeffs + params.mu2 * deformation(state.v).coeffs
     if params.nonlinear:
-        coeffs = coeffs - advect_tensor(state.v, state.tau).coeffs
-        coeffs = coeffs - truncate(q_form(state.tau, state.v, params.b), n).coeffs
+        # rows 0..d-1 hold v, the rest tau flattened; both are transformed in
+        # place, so the largest transient of the step is not held twice
+        fields = np.concatenate([state.v.coeffs, state.tau.coeffs.reshape((d * d,) + grid.shape)])
+        grad = 1j * grid.xi[np.newaxis] * fields[:, np.newaxis]
+        np.fft.ifftn(grad, axes=axes, norm="forward", out=grad)
+        np.fft.ifftn(fields, axes=axes, norm="forward", out=fields)
+        phys, pgrad = fields.real, grad.real
+        out = pointwise_transport(phys[:d], pgrad)
+        # transport of tau is added to the already symmetrized Q, keeping symmetry exact
+        q = _q_pointwise(phys[d:].reshape((d, d) + grid.shape), pgrad[:d], params.b)
+        out[d:] += q.reshape((d * d,) + grid.shape)
+        nl = out.astype(np.complex128)
+        np.fft.fftn(nl, axes=axes, norm="forward", out=nl)
+        nl *= grid.dealias_mask & grid.ball_mask
+        vel = vel - nl[:d]
+        stress = stress - nl[d:].reshape((d, d) + grid.shape)
     symmetric = state.tau.symmetric
     if stress_noise is not None:
         correction = stress_noise.s_squared(state.tau)
-        coeffs = coeffs + 0.5 * truncate(correction, n).coeffs
-        symmetric = symmetric and getattr(stress_noise, "preserves_symmetry", False)
-    return TensorField(grid, coeffs, symmetric=symmetric)
+        stress = stress + 0.5 * truncate(correction, grid.truncation_radius).coeffs
+        symmetric = symmetric and stress_noise.preserves_symmetry
+    return leray_project(VectorField(grid, vel)), TensorField(grid, stress, symmetric=symmetric)

@@ -3,7 +3,7 @@
 * Velocity: a Q-Wiener process expanded over a fixed catalogue of low-mode,
   divergence-free, unit-RMS trigonometric fields e_j with trace-class weights
   lambda_j = lambda0 * j^(-decay), acted on by an affine diffusion
-  sigma(t, v) e_j = c0 * psi_j + c1 * (phi_j * v).  Affinity keeps the growth
+  sigma(v) e_j = c0 * psi_j + c1 * (phi_j * v).  Affinity keeps the growth
   and Lipschitz constants analytic instead of assumed.
 * Stress: a single scalar Brownian motion multiplying S(tau) = h tau
   (pointwise matrix product).  The Stratonovich-to-Ito correction
@@ -31,7 +31,8 @@ from .spectral import (
     VectorField,
     dealiased_product,
     leray_project,
-    tensor_matmul,
+    pointwise_matmul,
+    real_samples,
     truncate,
 )
 
@@ -228,13 +229,12 @@ class VelocityNoiseBasis:
 # ---------------------------------------------------------------------------
 
 class SigmaInstance:
-    """sigma(t, v) e_j = c0 * e_j + c1 * (phi_j * v), truncated and projected.
+    """sigma(v) e_j = c0 * e_j + c1 * (phi_j * v), truncated and projected.
 
-    Affine in v: the full increment sum_j sqrt(lambda_j) dW_j sigma(t, v) e_j
+    Affine in v: the full increment sum_j sqrt(lambda_j) dW_j sigma(v) e_j
     is assembled with one dealiased product via bilinearity — the profile sum
     Phi = sum_j sqrt(lambda_j) dW_j phi_j is built first, then multiplied by v
-    once.  The t argument is kept in the interface for forward compatibility;
-    these instances are time-independent.
+    once.
     """
 
     def __init__(self, grid: SpectralGrid, wiener: WienerQConfig, c0: float, c1: float):
@@ -245,8 +245,8 @@ class SigmaInstance:
         self.basis = VelocityNoiseBasis(grid, wiener.J)
         self._sqrt_lambda = np.sqrt(wiener.eigenvalues)
 
-    def apply(self, t: float, v: VectorField, dw1: np.ndarray) -> VectorField:
-        """Full noise increment sum_j sqrt(lambda_j) dW_j sigma(t,v) e_j."""
+    def apply(self, v: VectorField, dw1: np.ndarray) -> VectorField:
+        """Full noise increment sum_j sqrt(lambda_j) dW_j sigma(v) e_j."""
         weights = self._sqrt_lambda * np.asarray(dw1)
         coeffs = np.zeros((self.grid.dim,) + self.grid.shape, dtype=np.complex128)
         if self.c0 != 0.0:
@@ -309,6 +309,8 @@ class StressNoiseInstance:
             phys = self.c_h * np.einsum("ab,...->ab...", ones, profile)
             c = np.fft.fftn(phys, axes=grid.grid_axes, norm="forward") * grid.dealias_mask
             self.h = TensorField(grid, c, symmetric=True)
+            # physical samples of the dealiased profile, the left factor of every product
+            self._h_samples = real_samples(grid, c)
         else:
             c = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
             for a in range(grid.dim):
@@ -318,7 +320,9 @@ class StressNoiseInstance:
     def s_apply(self, tau: TensorField) -> TensorField:
         if self.h_kind == "identity":
             return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
-        return tensor_matmul(self.h, tau)
+        ptau = real_samples(self.grid, tau.coeffs)
+        c = np.fft.fftn(pointwise_matmul(self._h_samples, ptau), axes=self.grid.grid_axes, norm="forward")
+        return TensorField(self.grid, c * self.grid.dealias_mask)
 
     def s_squared(self, tau: TensorField) -> TensorField:
         """S(S(tau)) — the composition, matching how the increment is applied."""
@@ -328,8 +332,8 @@ class StressNoiseInstance:
         """sup_x of the spectral (operator) norm of the matrix h(x)."""
         if self.h_kind == "identity":
             return abs(self.c_h)
-        phys = np.real(np.fft.ifftn(self.h.coeffs, axes=self.grid.grid_axes, norm="forward"))
-        mats = np.moveaxis(phys, (0, 1), (-2, -1)).reshape(-1, self.grid.dim, self.grid.dim)
+        d = self.grid.dim
+        mats = np.moveaxis(self._h_samples, (0, 1), (-2, -1)).reshape(-1, d, d)
         return float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max())
 
 
@@ -463,10 +467,11 @@ class NoisePath:
         return self.dw1.shape[0]
 
     def step_noise(self, i: int) -> StepNoise:
-        sel = self.jump_step == i
+        # jump_step is nondecreasing (record writes it in step order; load checks it)
+        lo, hi = np.searchsorted(self.jump_step, (i, i + 1))
         jumps = tuple(
             (float(t), float(z))
-            for t, z in zip(self.jump_offset[sel], self.jump_mark[sel])
+            for t, z in zip(self.jump_offset[lo:hi], self.jump_mark[lo:hi])
         )
         return StepNoise(dw1=self.dw1[i], dw2=float(self.dw2[i]), jumps=jumps)
 
@@ -520,7 +525,7 @@ def load_noise_path(filename) -> NoisePath:
             raise ValueError(
                 f"noise path version {version} not supported (expected {NOISE_PATH_VERSION})"
             )
-        return NoisePath(
+        path = NoisePath(
             dt=float(data["dt"]),
             signature=(int(data["dim"]), float(data["box_length"]), int(data["J"])),
             dw1=data["dw1"].copy(),
@@ -529,3 +534,25 @@ def load_noise_path(filename) -> NoisePath:
             jump_offset=data["jump_offset"].copy(),
             jump_mark=data["jump_mark"].copy(),
         )
+    # a file from outside may hold arrays that disagree; step_noise would zip them short
+    n_steps = path.dw1.shape[0] if path.dw1.ndim else -1
+    expected = {
+        "dw1": (n_steps, path.signature[2]),
+        "dw2": (n_steps,),
+        "jump_offset": path.jump_step.shape,
+        "jump_mark": path.jump_step.shape,
+    }
+    for name, shape in expected.items():
+        if getattr(path, name).shape != shape:
+            raise ValueError(
+                f"noise path {name} has shape {getattr(path, name).shape}, expected {shape}"
+            )
+    # step_noise looks jumps up by bisection, which needs sorted in-range steps
+    steps = path.jump_step
+    if steps.ndim != 1:
+        raise ValueError("noise path jump_step must be one-dimensional")
+    if not np.all(np.diff(steps) >= 0):
+        raise ValueError("noise path jump_step must be nondecreasing")
+    if not np.all((steps >= 0) & (steps < path.n_steps)):
+        raise ValueError(f"noise path jump_step must lie in [0, {path.n_steps})")
+    return path

@@ -26,7 +26,7 @@ __all__ = [
     "TensorField",
     "make_grid",
     "to_physical",
-    "from_physical",
+    "real_samples",
     "hs_norm",
     "hs_inner",
     "l2_inner",
@@ -42,9 +42,9 @@ __all__ = [
     "hermitian_defect",
     "symmetry_defect",
     "dealiased_product",
-    "tensor_matmul",
+    "pointwise_matmul",
+    "pointwise_transport",
     "convect_vector",
-    "convect_tensor",
     "commutator_bessel_product",
     "random_field",
 ]
@@ -211,12 +211,6 @@ def _like(f: Field, coeffs: np.ndarray, **flags) -> Field:
     return TensorField(f.grid, coeffs, symmetric=flags.get("symmetric", f.symmetric))
 
 
-def zeros_like_kind(grid: SpectralGrid, rank: int) -> Field:
-    shape = (grid.dim,) * rank + grid.shape
-    c = np.zeros(shape, dtype=np.complex128)
-    return (ScalarField, VectorField, TensorField)[rank](grid, c)
-
-
 def _check_same_grid(f: Field, g: Field) -> None:
     if f.grid is not g.grid and not f.grid.same_layout(g.grid):
         raise ValueError("fields live on different grids")
@@ -232,10 +226,12 @@ def to_physical(f: Field) -> np.ndarray:
     return np.fft.ifftn(f.coeffs, axes=f.grid.grid_axes, norm="forward")
 
 
-def from_physical(grid: SpectralGrid, values: np.ndarray, rank: int = 0, **flags) -> Field:
-    """Forward transform of physical samples into a field of the given rank."""
-    c = np.fft.fftn(np.asarray(values, dtype=np.complex128), axes=grid.grid_axes, norm="forward")
-    return (ScalarField, VectorField, TensorField)[rank](grid, c, **flags) if rank else ScalarField(grid, c)
+def real_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Physical samples of the real field(s) with coefficients `coeffs`.
+
+    Leading component axes are kept; the imaginary dust is dropped.
+    """
+    return np.fft.ifftn(coeffs, axes=grid.grid_axes, norm="forward").real
 
 
 # ---------------------------------------------------------------------------
@@ -404,39 +400,32 @@ def dealiased_product(f: Field, g: Field) -> Field:
     return _like(g, _dealias(grid, c))
 
 
-def tensor_matmul(a: TensorField, b: TensorField) -> TensorField:
-    """Pointwise matrix product (a b)_{ij} = sum_k a_{ik} b_{kj}, dealiased."""
-    _check_same_grid(a, b)
-    grid = a.grid
-    pa = np.moveaxis(to_physical(a), (0, 1), (-2, -1))
-    pb = np.moveaxis(to_physical(b), (0, 1), (-2, -1))
-    prod = np.moveaxis(pa @ pb, (-2, -1), (0, 1))
-    c = np.fft.fftn(prod, axes=grid.grid_axes, norm="forward")
-    return TensorField(grid, _dealias(grid, c))
+def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product (a b)_ij = sum_k a_ik b_kj at every grid point.
+
+    `a` and `b` are physical samples with the two matrix axes leading.
+    """
+    return np.einsum("ik...,kj...->ij...", a, b)
+
+
+def pointwise_transport(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Transport (v . grad) f = sum_c v_c d_c f at every grid point.
+
+    `v` holds physical velocity samples (dim, *grid); `grad` holds the
+    samples of every component's gradient, (components, dim, *grid), in the
+    layout of `gradient_vector` (derivative axis last among the components).
+    """
+    return np.einsum("c...,nc...->n...", v, grad)
 
 
 def convect_vector(v: VectorField, u: VectorField) -> VectorField:
     """(v . grad) u, componentwise, dealiased (no spectral-ball cutoff here)."""
     _check_same_grid(v, u)
     grid = v.grid
-    pv = to_physical(v)
-    grad_u = gradient_vector(u)  # (a, b) = d_b u_a
-    pgrad = to_physical(grad_u)
-    prod = np.einsum("b...,ab...->a...", pv, pgrad)
-    c = np.fft.fftn(prod, axes=grid.grid_axes, norm="forward")
+    pv = real_samples(grid, v.coeffs)
+    pgrad = real_samples(grid, gradient_vector(u).coeffs)
+    c = np.fft.fftn(pointwise_transport(pv, pgrad), axes=grid.grid_axes, norm="forward")
     return VectorField(grid, _dealias(grid, c))
-
-
-def convect_tensor(v: VectorField, tau: TensorField) -> TensorField:
-    """(v . grad) tau, componentwise, dealiased."""
-    _check_same_grid(v, tau)
-    grid = v.grid
-    pv = to_physical(v)
-    grad_tau = 1j * grid.xi[np.newaxis, np.newaxis, :] * tau.coeffs[:, :, np.newaxis]
-    pgrad = np.fft.ifftn(grad_tau, axes=grid.grid_axes, norm="forward")
-    prod = np.einsum("c...,abc...->ab...", pv, pgrad)
-    c = np.fft.fftn(prod, axes=grid.grid_axes, norm="forward")
-    return TensorField(grid, _dealias(grid, c), symmetric=False)
 
 
 def commutator_bessel_product(f: ScalarField, g: ScalarField, s: float) -> ScalarField:

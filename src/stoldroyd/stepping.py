@@ -3,7 +3,7 @@
 One step, in order:
 
 1. explicit velocity update: v* = v + dt * (nonstiff drift - jump
-   compensator) + Wiener increment sigma(t, v) dW1;
+   compensator) + Wiener increment sigma(v) dW1;
 2. per-mode implicit viscous solve v* <- v* / (1 + nu dt |xi|^2), which is
    unconditionally contractive (and the identity when nu = 0);
 3. jumps from (t, t+dt] applied sequentially in time order to the
@@ -18,13 +18,12 @@ path can drive runs at different spectral cutoffs.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowState, PhysicalParams, stress_drift, velocity_drift
+from .dynamics import FlowState, PhysicalParams, drift
 from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, detect_stop, energy
 from .noise import (
     JumpConfig,
@@ -36,7 +35,7 @@ from .noise import (
     StressNoiseInstance,
     WienerQConfig,
 )
-from .spectral import SpectralGrid, TensorField, VectorField, leray_project, make_grid, truncate
+from .spectral import SpectralGrid, TensorField, VectorField, leray_project, truncate
 
 __all__ = [
     "StepperConfig",
@@ -44,13 +43,7 @@ __all__ = [
     "SimulationResult",
     "step",
     "simulate",
-    "simulate_replay",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
-
-SCHEME = "semi_implicit_euler_maruyama"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,6 @@ class StepperConfig:
 
     dt: float
     horizon: float
-    scheme: str = SCHEME
     record_noise: bool = False
 
     def __post_init__(self):
@@ -67,8 +59,6 @@ class StepperConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if self.scheme != SCHEME:
-            raise ValueError(f"unknown scheme {self.scheme!r} (only {SCHEME!r} is implemented)")
 
     @property
     def n_steps(self) -> int:
@@ -112,12 +102,12 @@ def step(
     grid = state.v.grid
     n = grid.truncation_radius
     with np.errstate(over="ignore", invalid="ignore"):
-        vd = velocity_drift(state, params)
-        v_star = state.v.coeffs + dt * vd.nonstiff.coeffs
+        vd, sd = drift(state, params, noise.stress)
+        v_star = state.v.coeffs + dt * vd.coeffs
         if noise.jump is not None:
             v_star = v_star - dt * noise.jump.compensator(state.v).coeffs
         if noise.sigma is not None:
-            v_star = v_star + noise.sigma.apply(state.t, state.v, sn.dw1).coeffs
+            v_star = v_star + noise.sigma.apply(state.v, sn.dw1).coeffs
         v_star = v_star / (1.0 + params.nu * dt * grid.xi_sq)
         v_new = VectorField(grid, v_star)
         if noise.jump is not None:
@@ -126,7 +116,6 @@ def step(
                 v_new = VectorField(grid, v_new.coeffs + inc.coeffs)
         v_new = leray_project(truncate(v_new, n))
 
-        sd = stress_drift(state, params, noise.stress)
         tau_c = state.tau.coeffs + dt * sd.coeffs
         symmetric = state.tau.symmetric and sd.symmetric
         if noise.stress is not None:
@@ -169,14 +158,13 @@ def simulate(
     monitor: MonitorConfig,
     rng: np.random.Generator | None = None,
     noise_path: NoisePath | None = None,
-    observer=None,
 ) -> SimulationResult:
     """Run until the horizon, a threshold crossing, or divergence.
 
     Noise comes from `rng` (fresh sampling) or from `noise_path` (replay of a
-    recorded run; dt, basis, and length are validated).  `observer(i, state)`
-    is called after every accepted step.  Deterministic: (initial, configs,
-    seed) fixes the trajectory bitwise.
+    recorded run; dt, basis, and length are validated; the path may come from
+    a run at another spectral cutoff, since the basis is cutoff-independent).
+    Deterministic: (initial, configs, seed) fixes the trajectory bitwise.
     """
     grid = initial.v.grid
     signature = noise.signature(grid)
@@ -202,8 +190,6 @@ def simulate(
             state = step(state, params, noise, sn, stepper.dt)
             rec = energy(state, monitor.s, params, cum_diss)
             records.append(rec)
-            if observer is not None:
-                observer(i + 1, state)
             event = detect_stop(records[-1:], monitor.threshold)
             if event is not None:
                 break
@@ -214,66 +200,3 @@ def simulate(
     if recorded_steps is not None:
         path = NoisePath.record(stepper.dt, signature, recorded_steps)
     return SimulationResult(records=records, event=event, final_state=state, noise_path=path)
-
-
-def simulate_replay(
-    initial: FlowState,
-    params: PhysicalParams,
-    noise: NoiseModel,
-    stepper: StepperConfig,
-    monitor: MonitorConfig,
-    noise_path: NoisePath,
-    observer=None,
-) -> SimulationResult:
-    """Drive a run from recorded increments (possibly at a different spectral
-    cutoff than the recording run — the basis is cutoff-independent)."""
-    return simulate(
-        initial, params, noise, stepper, monitor, rng=None, noise_path=noise_path, observer=observer
-    )
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(filename, state: FlowState, rng: np.random.Generator, step_index: int) -> None:
-    """Full spectral state plus RNG state, enough to resume a run exactly."""
-    grid = state.v.grid
-    np.savez(
-        filename,
-        version=np.int64(CHECKPOINT_VERSION),
-        t=np.float64(state.t),
-        step_index=np.int64(step_index),
-        dim=np.int64(grid.dim),
-        modes_per_axis=np.int64(grid.modes_per_axis),
-        box_length=np.float64(grid.box_length),
-        truncation_radius=np.float64(grid.truncation_radius),
-        dealias_fraction=np.float64(grid.dealias_fraction),
-        v=state.v.coeffs,
-        tau=state.tau.coeffs,
-        tau_symmetric=np.bool_(state.tau.symmetric),
-        rng_state=np.bytes_(json.dumps(rng.bit_generator.state).encode()),
-    )
-
-
-def load_checkpoint(filename) -> tuple[FlowState, np.random.Generator, int]:
-    with np.load(filename) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"checkpoint version {version} not supported (expected {CHECKPOINT_VERSION})"
-            )
-        grid = make_grid(
-            int(data["dim"]),
-            int(data["modes_per_axis"]),
-            float(data["box_length"]),
-            float(data["truncation_radius"]),
-            float(data["dealias_fraction"]),
-        )
-        v = VectorField(grid, data["v"].copy(), div_free=True)
-        tau = TensorField(grid, data["tau"].copy(), symmetric=bool(data["tau_symmetric"]))
-        state = FlowState(float(data["t"]), v, tau)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = json.loads(bytes(data["rng_state"]).decode())
-        step_index = int(data["step_index"])
-    return state, rng, step_index

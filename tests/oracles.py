@@ -51,6 +51,42 @@ def double_divergence_single_mode(xi: np.ndarray, tau_hat: np.ndarray) -> comple
     return complex(-xi @ np.asarray(tau_hat) @ xi)
 
 
+def oldroyd_quadratic_terms(xi, v_hat, tau_hat, b: float, keep):
+    """(v.grad)v, (v.grad)tau and Q = tau W - W tau - b (D tau + tau D), one
+    component at a time.
+
+    `xi` holds the wavevectors (d, *grid); `v_hat` (d, *grid) and `tau_hat`
+    (d, d, *grid) are forward-normalized Fourier coefficients.  Every factor
+    is brought to physical space on its own, products are summed by hand
+    (complex samples, the full four-product Q), and each result is
+    transformed back and multiplied by the boolean mode mask `keep`.
+    """
+    d = xi.shape[0]
+    axes = tuple(range(-d, 0))
+
+    def phys(c):
+        return np.fft.ifftn(c, axes=axes, norm="forward")
+
+    def back(p):
+        return np.fft.fftn(p, axes=axes, norm="forward") * keep
+
+    def matmul(x, y):
+        return np.einsum("ik...,kj...->ij...", x, y)
+
+    v = [phys(v_hat[c]) for c in range(d)]
+    grad_v = np.array([[phys(1j * xi[c] * v_hat[a]) for c in range(d)] for a in range(d)])
+    adv_v = np.array([back(sum(v[c] * grad_v[a, c] for c in range(d))) for a in range(d)])
+    adv_tau = np.array([
+        [back(sum(v[c] * phys(1j * xi[c] * tau_hat[i, j]) for c in range(d))) for j in range(d)]
+        for i in range(d)
+    ])
+    tau = np.array([[phys(tau_hat[i, j]) for j in range(d)] for i in range(d)])
+    w = 0.5 * (grad_v - grad_v.swapaxes(0, 1))
+    dd = 0.5 * (grad_v + grad_v.swapaxes(0, 1))
+    q = back(matmul(tau, w) - matmul(w, tau) - b * (matmul(dd, tau) + matmul(tau, dd)))
+    return adv_v, adv_tau, q
+
+
 def wilson_interval(successes: int, n: int, z: float = Z_95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n == 0:

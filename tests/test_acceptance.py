@@ -38,7 +38,7 @@ from stoldroyd.spectral import (
     random_field,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, StepperConfig, simulate, simulate_replay
+from stoldroyd.stepping import NoiseModel, StepperConfig, simulate
 
 import oracles
 
@@ -348,7 +348,7 @@ def test_criterion_8_reproducibility(tmp_path):
                                     0.6, 2.0))
     stepper = StepperConfig(dt=1e-3, horizon=0.05, record_noise=True)
     first = simulate(initial, params, noise, stepper, MON, rng=rng_for_run(9, 0))
-    again = simulate_replay(initial, params, noise, stepper, MON, first.noise_path)
+    again = simulate(initial, params, noise, stepper, MON, noise_path=first.noise_path)
     assert np.array_equal(first.final_state.v.coeffs, again.final_state.v.coeffs)
     assert np.array_equal(first.final_state.tau.coeffs, again.final_state.tau.coeffs)
     assert first.records == again.records

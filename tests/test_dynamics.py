@@ -7,12 +7,10 @@ import pytest
 from stoldroyd.dynamics import (
     FlowState,
     PhysicalParams,
-    advect_tensor,
     advect_vector,
     deformation,
+    drift,
     q_form,
-    stress_drift,
-    velocity_drift,
     vorticity,
 )
 from stoldroyd.spectral import (
@@ -181,35 +179,45 @@ class TestAdvection:
         assert np.max(np.abs(adv.coeffs - div_form.coeffs)) <= 1e-10 * scale
 
     def test_tensor_transport_preserves_symmetry(self):
+        """Transport plus Q leave a symmetric stress drift exactly symmetric."""
         v = ball_field("vector", 13)
         tau = ball_field("tensor", 14)
-        out = advect_tensor(v, tau)
-        assert symmetry_defect(out) == 0.0
+        params = PhysicalParams(nu=0.1, a=0.0, b=0.3, mu1=0.0, mu2=0.0)
+        _, sd = drift(FlowState(0.0, v, tau), params)
+        assert symmetry_defect(sd) == 0.0
+        assert sd.symmetric
 
 
 class TestVelocityDrift:
     def test_rest_state(self):
-        d = velocity_drift(zero_state(), PARAMS)
-        assert np.all(d.total.coeffs == 0)
+        vd, sd = drift(zero_state(), PARAMS)
+        assert np.all(vd.coeffs == 0)
+        assert np.all(sd.coeffs == 0)
 
     def test_single_mode_viscous_decay_only(self):
-        """Perpendicular single mode has no self-interaction: drift = -nu |xi|^2 v."""
+        """A perpendicular single mode has no self-interaction, so only the
+        viscous decay (left to the implicit solve) acts on it."""
+        tau = zero_state().tau
+        # shear mode v = (v_0(x_1), 0): every product term is an exact zero
+        c = np.zeros((2,) + GRID.shape, dtype=complex)
+        c[0][0, 4] = c[0][0, -4] = -4.0
+        vd, _ = drift(FlowState(0.0, VectorField(GRID, c, div_free=True), tau), PARAMS)
+        assert np.all(vd.coeffs == 0)
+        # oblique mode: (v.grad)v cancels to rounding, far below the viscous term
         k = (3, 4)
         c = np.zeros((2,) + GRID.shape, dtype=complex)
         c[0][k] = -4.0
         c[1][k] = 3.0
         c[0][-k[0], -k[1]] = -4.0  # Hermitian partner
         c[1][-k[0], -k[1]] = 3.0
-        v = VectorField(GRID, c, div_free=True)
-        tau = zero_state().tau
-        d = velocity_drift(FlowState(0.0, v, tau), PARAMS)
-        want = -PARAMS.nu * 25.0 * c
-        assert np.max(np.abs(d.total.coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+        vd, _ = drift(FlowState(0.0, VectorField(GRID, c, div_free=True), tau), PARAMS)
+        viscous = PARAMS.nu * 25.0 * c
+        assert np.max(np.abs(vd.coeffs)) <= 1e-12 * np.max(np.abs(viscous))
 
     def test_output_divergence_free(self):
         st = FlowState(0.0, ball_field("vector", 15), ball_field("tensor", 16))
-        d = velocity_drift(st, PARAMS)
-        assert divergence_defect(d.nonstiff) <= 1e-12
+        vd, _ = drift(st, PARAMS)
+        assert divergence_defect(vd) <= 1e-12
 
     def test_coupling_cancellation(self):
         """(div tau, v) + (D(v), tau) = 0: the coupling does no net work."""
@@ -225,13 +233,13 @@ class TestStressDrift:
     def test_pure_relaxation(self):
         tau = ball_field("tensor", 17)
         st = FlowState(0.0, zero_state().v, tau)
-        d = stress_drift(st, PARAMS)
+        _, d = drift(st, PARAMS)
         assert np.array_equal(d.coeffs, -PARAMS.a * tau.coeffs)
 
     def test_pure_deformation_forcing(self):
         v = ball_field("vector", 18)
         st = FlowState(0.0, v, zero_state().tau)
-        d = stress_drift(st, PARAMS)
+        _, d = drift(st, PARAMS)
         assert np.array_equal(d.coeffs, PARAMS.mu2 * deformation(v).coeffs)
 
     def test_one_mode_against_direct_convolution(self):
@@ -242,7 +250,7 @@ class TestStressDrift:
         tau = truncate(random_field(grid, 5.0, "tensor", seed=20), 4)
         st = FlowState(0.0, v, tau)
         params = PhysicalParams(nu=0.2, a=0.4, b=0.6, mu1=0.0, mu2=0.8)
-        drift = stress_drift(st, params)
+        _, sd = drift(st, params)
 
         k = (2, 1)
         kmax = grid.dealias_kmax
@@ -271,7 +279,7 @@ class TestStressDrift:
             - q
             + params.mu2 * 0.5 * (gv_k + gv_k.T)
         )
-        got = drift.coeffs[:, :, k[0], k[1]]
+        got = sd.coeffs[:, :, k[0], k[1]]
         assert np.allclose(got, want, rtol=1e-10, atol=1e-14)
 
     def test_stokes_mode_drops_quadratic_terms(self):
@@ -279,11 +287,27 @@ class TestStressDrift:
         tau = ball_field("tensor", 22)
         st = FlowState(0.0, v, tau)
         linear = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
-        d = stress_drift(st, linear)
+        dv, d = drift(st, linear)
         want = -linear.a * tau.coeffs + linear.mu2 * deformation(v).coeffs
         assert np.array_equal(d.coeffs, want)
-        dv = velocity_drift(st, linear)
         want_v = leray_project(
             VectorField(GRID, linear.mu1 * divergence_tensor(tau).coeffs)
         ).coeffs
-        assert np.array_equal(dv.nonstiff.coeffs, want_v)
+        assert np.array_equal(dv.coeffs, want_v)
+
+    def test_quadratic_terms_match_per_component_reference(self):
+        """All three quadratic terms against the slow oracle, on random ball fields."""
+        b = 0.3
+        params = PhysicalParams(nu=0.1, a=0.0, b=b, mu1=0.0, mu2=0.0)
+        keep = GRID.dealias_mask & GRID.ball_mask
+        for seed in range(3):
+            v = ball_field("vector", seed + 600)
+            tau = ball_field("tensor", seed + 700)
+            vd, sd = drift(FlowState(0.0, v, tau), params)
+            adv_v, adv_tau, q = oracles.oldroyd_quadratic_terms(
+                GRID.xi, v.coeffs, tau.coeffs, b, keep
+            )
+            want_v = leray_project(VectorField(GRID, -adv_v)).coeffs
+            want_tau = -(adv_tau + q)
+            assert np.max(np.abs(vd.coeffs - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+            assert np.max(np.abs(sd.coeffs - want_tau)) <= 1e-12 * np.max(np.abs(want_tau))

@@ -149,20 +149,20 @@ class TestSigmaInstance:
     def test_zero_amplitudes_zero_output(self):
         sigma = SigmaInstance(GRID, WIENER, c0=0.0, c1=0.0)
         v = ball_vector(1)
-        out = sigma.apply(0.0, v, np.ones(WIENER.J))
+        out = sigma.apply(v, np.ones(WIENER.J))
         assert np.all(out.coeffs == 0)
 
     def test_additive_only_ignores_velocity(self):
         sigma = SigmaInstance(GRID, WIENER, c0=0.7, c1=0.0)
         dw = rng_for_run(2, 0).standard_normal(WIENER.J)
-        out1 = sigma.apply(0.0, ball_vector(2), dw)
-        out2 = sigma.apply(0.0, ball_vector(3), dw)
+        out1 = sigma.apply(ball_vector(2), dw)
+        out2 = sigma.apply(ball_vector(3), dw)
         assert np.array_equal(out1.coeffs, out2.coeffs)
 
     def test_output_divergence_free_and_truncated(self):
         sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
         dw = rng_for_run(4, 0).standard_normal(WIENER.J)
-        out = sigma.apply(0.0, ball_vector(5), dw)
+        out = sigma.apply(ball_vector(5), dw)
         assert divergence_defect(out) <= 1e-12
         assert np.all(out.coeffs[~np.broadcast_to(GRID.ball_mask, out.coeffs.shape)] == 0)
 
@@ -171,7 +171,7 @@ class TestSigmaInstance:
         sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
         dw = rng_for_run(6, 0).standard_normal(WIENER.J)
         v1, v2 = ball_vector(6), ball_vector(7)
-        lhs = sigma.apply(0.0, v1, dw).coeffs - sigma.apply(0.0, v2, dw).coeffs
+        lhs = sigma.apply(v1, dw).coeffs - sigma.apply(v2, dw).coeffs
         diff = VectorField(GRID, v1.coeffs - v2.coeffs)
         from stoldroyd.spectral import leray_project
 
@@ -247,6 +247,17 @@ class TestStressNoise:
         out = sn.s_apply(tau)
         assert not out.symmetric
         assert symmetry_defect(out) > 1e-3  # genuinely asymmetric, not dust
+
+    def test_bump_is_dealiased_pointwise_product(self):
+        """S(tau) = h tau matches the product of physical samples, dealiased."""
+        sn = StressNoiseInstance(GRID, "bump", c_h=0.7)
+        tau = truncate(random_field(GRID, 4.0, "tensor", seed=16), 16)
+        ph = np.fft.ifftn(sn.h.coeffs, axes=(-2, -1), norm="forward")
+        pt = np.fft.ifftn(tau.coeffs, axes=(-2, -1), norm="forward")
+        want = np.fft.fftn(np.einsum("ik...,kj...->ij...", ph, pt), axes=(-2, -1),
+                           norm="forward") * GRID.dealias_mask
+        got = sn.s_apply(tau).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="h_kind"):
@@ -328,4 +339,42 @@ class TestNoisePathRoundTrip:
             jump_offset=np.zeros(0), jump_mark=np.zeros(0),
         )
         with pytest.raises(ValueError, match="version"):
+            load_noise_path(f)
+
+    def test_step_noise_returns_each_steps_jumps(self):
+        sampler = NoiseSampler(2, JumpConfig(rate=100.0, gamma0=1.0), rng_for_run(31, 0))
+        steps = [sampler.sample_step(1e-2) for _ in range(30)]
+        path = NoisePath.record(1e-2, (2, 2 * math.pi, 2), steps)
+        assert any(len(s.jumps) > 1 for s in steps)
+        assert any(not s.jumps for s in steps)
+        for i, s in enumerate(steps):
+            assert path.step_noise(i).jumps == s.jumps
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("jump_step", {"jump_step": [1, 0]}),
+            ("jump_step", {"jump_step": [0, 2]}),
+            ("jump_step", {"jump_step": [-1, 0]}),
+            ("jump_step", {"jump_step": [[0, 1]], "jump_offset": [[0.0, 0.0]],
+                           "jump_mark": [[0.0, 0.0]]}),
+            ("jump_offset", {"jump_offset": np.zeros(1)}),
+            ("jump_mark", {"jump_mark": np.zeros(3)}),
+            ("dw1", {"dw1": np.zeros((2, 5))}),
+            ("dw1", {"dw1": np.zeros(2)}),
+            ("dw2", {"dw2": np.zeros(3)}),
+        ],
+    )
+    def test_bad_jump_steps_rejected(self, tmp_path, field, bad):
+        f = tmp_path / "bad.npz"
+        arrays = dict(
+            dw1=np.zeros((2, 2)), dw2=np.zeros(2), jump_step=np.array([0, 1], dtype=np.int64),
+            jump_offset=np.zeros(2), jump_mark=np.zeros(2),
+        )
+        arrays.update({k: np.asarray(v) for k, v in bad.items()})
+        np.savez(
+            f, version=np.int64(1), dt=np.float64(0.1), dim=np.int64(2),
+            box_length=np.float64(1.0), J=np.int64(2), **arrays,
+        )
+        with pytest.raises(ValueError, match=field):
             load_noise_path(f)

@@ -1,9 +1,10 @@
-"""Integrator: closed forms, determinism, jump ordering, replay, checkpoints."""
+"""Integrator: closed forms, determinism, jump ordering, replay, FFT budget."""
 import math
 
 import numpy as np
 import pytest
 
+from stoldroyd.config import materialize, parse_config
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.monitor import MonitorConfig
 from stoldroyd.noise import (
@@ -28,10 +29,7 @@ from stoldroyd.spectral import (
 from stoldroyd.stepping import (
     NoiseModel,
     StepperConfig,
-    load_checkpoint,
-    save_checkpoint,
     simulate,
-    simulate_replay,
     step,
 )
 
@@ -83,8 +81,6 @@ class TestStepperConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="dt"):
             StepperConfig(dt=0.0, horizon=1.0)
-        with pytest.raises(ValueError, match="scheme"):
-            StepperConfig(dt=0.1, horizon=1.0, scheme="milstein")
 
 
 class TestClosedForms:
@@ -212,9 +208,9 @@ class TestDeterminismAndReplay:
         first = simulate(FlowState(0.0, v0, tau0), params, noise, stepper, MON,
                          rng=rng_for_run(43, 0))
         assert first.noise_path is not None
-        second = simulate_replay(FlowState(0.0, v0, tau0), params, noise,
-                                 StepperConfig(dt=1e-3, horizon=0.05), MON,
-                                 noise_path=first.noise_path)
+        second = simulate(FlowState(0.0, v0, tau0), params, noise,
+                          StepperConfig(dt=1e-3, horizon=0.05), MON,
+                          noise_path=first.noise_path)
         assert np.array_equal(first.final_state.v.coeffs, second.final_state.v.coeffs)
         assert np.array_equal(first.final_state.tau.coeffs, second.final_state.tau.coeffs)
         assert first.records == second.records
@@ -228,16 +224,16 @@ class TestDeterminismAndReplay:
                        MON, rng=rng_for_run(44, 0))
         path = rec.noise_path
         with pytest.raises(ValueError, match="dt"):
-            simulate_replay(FlowState(0.0, v0, tau0), params, noise,
-                            StepperConfig(dt=2e-3, horizon=0.01), MON, noise_path=path)
+            simulate(FlowState(0.0, v0, tau0), params, noise,
+                     StepperConfig(dt=2e-3, horizon=0.01), MON, noise_path=path)
         with pytest.raises(ValueError, match="holds 10 steps"):
-            simulate_replay(FlowState(0.0, v0, tau0), params, noise,
-                            StepperConfig(dt=1e-3, horizon=0.05), MON, noise_path=path)
+            simulate(FlowState(0.0, v0, tau0), params, noise,
+                     StepperConfig(dt=1e-3, horizon=0.05), MON, noise_path=path)
         other = NoiseModel(wiener=WienerQConfig(lambda0=0.05, J=3),
                            sigma=SigmaInstance(GRID, WienerQConfig(lambda0=0.05, J=3), 0.1, 0.0))
         with pytest.raises(ValueError, match="basis"):
-            simulate_replay(FlowState(0.0, v0, tau0), params, other,
-                            StepperConfig(dt=1e-3, horizon=0.01), MON, noise_path=path)
+            simulate(FlowState(0.0, v0, tau0), params, other,
+                     StepperConfig(dt=1e-3, horizon=0.01), MON, noise_path=path)
 
     def test_zero_horizon_returns_initial_diagnostics(self):
         v0 = truncate(random_field(GRID, 4.0, "vector", seed=12), 16)
@@ -290,30 +286,59 @@ class TestStoppingIntegration:
         assert res.event.kind == "divergence"
 
 
-class TestCheckpoints:
-    def test_round_trip_resumes_identically(self, tmp_path):
-        v0 = truncate(random_field(GRID, 4.0, "vector", seed=17), 16)
-        tau0 = truncate(random_field(GRID, 4.0, "tensor", seed=18), 16)
-        rng = rng_for_run(49, 0)
-        rng.standard_normal(100)  # advance the stream
-        f = tmp_path / "ckpt.npz"
-        save_checkpoint(f, FlowState(0.375, v0, tau0), rng, step_index=375)
-        state, rng2, idx = load_checkpoint(f)
-        assert idx == 375
-        assert state.t == 0.375
-        assert np.array_equal(state.v.coeffs, v0.coeffs)
-        assert np.array_equal(state.tau.coeffs, tau0.coeffs)
-        assert state.tau.symmetric
-        assert np.array_equal(rng.standard_normal(10), rng2.standard_normal(10))
+# the minimal configuration printed in README.md: 2D, 64 modes, cutoff 16,
+# all three noise channels on
+README_DESK = """
+[grid]
+dim = 2
+modes_per_axis = 64
+truncation_radius = 16
 
-    def test_version_guard(self, tmp_path):
-        v0, tau0 = zero_fields()
-        f = tmp_path / "ckpt.npz"
-        save_checkpoint(f, FlowState(0.0, v0, tau0), rng_for_run(50, 0), 0)
-        import numpy as np2
+[params]
+nu = 0.5
+a = 0.2
+b = 0.5
+mu1 = 1.0
+mu2 = 1.0
 
-        data = dict(np2.load(f, allow_pickle=False))
-        data["version"] = np2.int64(12)
-        np2.savez(f, **data)
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(f)
+[noise]
+lambda0 = 0.1
+j_modes = 8
+c0 = 0.5
+c1 = 0.2
+c_h = 0.3
+jump_rate = 2.0
+gamma0 = 0.1
+
+[initial]
+v_scale = 0.6
+tau_scale = 0.6
+
+[stepper]
+dt = 0.001
+horizon = 0.12
+
+[monitor]
+threshold = 1.6
+
+[seeds]
+master_seed = 424242
+"""
+
+
+class TestTransformBudget:
+    def test_desk_step_makes_at_most_eight_transforms(self, monkeypatch):
+        """One physical-space pass per step: at most 8 n-d FFT calls."""
+        run = materialize(parse_config(README_DESK))
+        calls = []
+        for name in ("fftn", "ifftn"):
+            def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        sn = StepNoise(dw1=np.full(run.noise.J, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
+        out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)
+        assert all(ch is not None for ch in (run.noise.sigma, run.noise.stress, run.noise.jump))
+        assert np.all(np.isfinite(out.v.coeffs))
+        assert len(calls) <= 8
