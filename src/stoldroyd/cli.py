@@ -192,6 +192,10 @@ def cmd_refine(args) -> int:
     _write_json(os.path.join(args.out, "refine.json"), payload)
     for (low, high), sup_v, sup_tau in zip(result.pairs, result.sup_v, result.sup_tau):
         print(f"pair ({low:g}, {high:g}): sup|dv|={sup_v:.6e} sup|dtau|={sup_tau:.6e}")
+    for i in range(1, len(result.pairs)):
+        (a, b), (c, d) = result.pairs[i - 1], result.pairs[i]
+        ratio = result.sup_v[i] / result.sup_v[i - 1] if result.sup_v[i - 1] else float("nan")
+        print(f"ratio ({a:g}, {b:g}) -> ({c:g}, {d:g}): sup|dv| {ratio:.4f}")
     rate = "n/a" if result.decay_rate is None else f"{result.decay_rate:.3f}"
     print(f"fitted decay rate: {rate}")
     print(f"wrote {os.path.join(args.out, 'refine.json')}")

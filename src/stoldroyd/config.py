@@ -157,47 +157,12 @@ class RunConfig:
     refine_n_paths: int
 
 
-_FIELD_OF = {
-    ("grid", "dim"): "grid_dim",
-    ("grid", "modes_per_axis"): "grid_modes_per_axis",
-    ("grid", "box_length"): "grid_box_length",
-    ("grid", "truncation_radius"): "grid_truncation_radius",
-    ("grid", "dealias_fraction"): "grid_dealias_fraction",
-    ("params", "nu"): "nu",
-    ("params", "a"): "a",
-    ("params", "b"): "b",
-    ("params", "mu1"): "mu1",
-    ("params", "mu2"): "mu2",
-    ("params", "s"): "s",
-    ("params", "nonlinear"): "nonlinear",
-    ("noise", "lambda0"): "lambda0",
-    ("noise", "j_modes"): "j_modes",
-    ("noise", "decay"): "decay",
-    ("noise", "c0"): "c0",
-    ("noise", "c1"): "c1",
-    ("noise", "h_kind"): "h_kind",
-    ("noise", "c_h"): "c_h",
-    ("noise", "bump_width"): "bump_width",
-    ("noise", "jump_rate"): "jump_rate",
-    ("noise", "gamma_kind"): "gamma_kind",
-    ("noise", "gamma0"): "gamma0",
-    ("noise", "z_min"): "z_min",
-    ("noise", "z_max"): "z_max",
-    ("initial", "alpha"): "init_alpha",
-    ("initial", "v_scale"): "init_v_scale",
-    ("initial", "tau_scale"): "init_tau_scale",
-    ("stepper", "dt"): "dt",
-    ("stepper", "horizon"): "horizon",
-    ("stepper", "record_noise"): "record_noise",
-    ("monitor", "threshold"): "threshold",
-    ("monitor", "s_monitor"): "s_monitor",
-    ("seeds", "master_seed"): "master_seed",
-    ("ensemble", "n_runs"): "ensemble_n_runs",
-    ("ensemble", "deltas"): "ensemble_deltas",
-    ("ensemble", "randomize_initial"): "ensemble_randomize_initial",
-    ("refine", "cutoffs"): "refine_cutoffs",
-    ("refine", "n_paths"): "refine_n_paths",
-}
+# Each key's RunConfig field is the key, prefixed in these sections.
+_FIELD_PREFIX = {"grid": "grid_", "initial": "init_", "ensemble": "ensemble_", "refine": "refine_"}
+
+
+def _field_of(section: str, key: str) -> str:
+    return _FIELD_PREFIX.get(section, "") + key
 
 
 def _coerce(section: str, key: str, tag: str, raw: str):
@@ -239,12 +204,12 @@ def parse_config(text: str) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ValueError(f"unknown key {key!r} in section [{section}]")
             tag, _ = _SCHEMA[section][key]
-            values[_FIELD_OF[(section, key)]] = _coerce(section, key, tag, raw)
+            values[_field_of(section, key)] = _coerce(section, key, tag, raw)
 
     missing = []
     for section, keys in _SCHEMA.items():
         for key, (tag, default) in keys.items():
-            field = _FIELD_OF[(section, key)]
+            field = _field_of(section, key)
             if field in values:
                 continue
             if default is _REQUIRED:
@@ -277,7 +242,7 @@ def serialize_config(cfg: RunConfig) -> str:
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
         for key, (tag, _) in keys.items():
-            value = getattr(cfg, _FIELD_OF[(section, key)])
+            value = getattr(cfg, _field_of(section, key))
             out.write(f"{key} = {_format(tag, value)}\n")
         out.write("\n")
     return out.getvalue()

@@ -18,12 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams, deformation, q_form
-from .monitor import MonitorConfig, energy, gradient_energy
+from .monitor import MonitorConfig, energy
 from .noise import NoisePath, rng_for_run
 from .spectral import (
     SpectralGrid,
     TensorField,
     VectorField,
+    alias_free_modes,
     bessel,
     commutator_bessel_product,
     convect_vector,
@@ -38,9 +39,10 @@ from .spectral import (
     linf_norm,
     make_grid,
     random_field,
+    relayout,
     truncate,
 )
-from .stepping import NoiseModel, StepperConfig, simulate, step
+from .stepping import NoiseModel, StepperConfig, _check_replay_compatible, simulate, step
 
 EXACT_TOLERANCE = 1e-10
 
@@ -128,21 +130,8 @@ def _ensemble_member(
 
 def _rescale(field, target: float, s: float):
     current = hs_norm(field, s)
-    if target == 0.0:
-        scale = 0.0
-    elif current == 0.0:
-        scale = 1.0
-    else:
-        scale = target / current
-    return type(field)(field.grid, scale * field.coeffs, **_field_flags(field))
-
-
-def _field_flags(field) -> dict:
-    if isinstance(field, VectorField):
-        return {"div_free": field.div_free}
-    if isinstance(field, TensorField):
-        return {"symmetric": field.symmetric}
-    return {}
+    scale = 0.0 if target == 0.0 else (target / current if current != 0.0 else 1.0)
+    return replace(field, coeffs=scale * field.coeffs)
 
 
 def run_ensemble(
@@ -168,8 +157,10 @@ def run_ensemble(
     separately); runs reaching the horizon contribute rho = inf.  Survival is
     therefore resolved at the step size Delta t.  ``map_over_runs`` accepts an
     ``Executor.map`` drop-in for parallel members; results are folded in run
-    order either way, and ``csv_sink`` (if given) receives each run's energy
-    records serially, in run order, after all members finish.
+    order either way.  ``csv_sink`` (if given) receives each run's energy
+    records as that run is folded, so with the serial ``map`` run i is written
+    before run i + 1 starts; only the stopping times and divergence flags are
+    kept.
     """
     if n_runs < 30:
         raise ValueError(f"n_runs must be >= 30 for ensemble statistics, got {n_runs}")
@@ -185,19 +176,18 @@ def run_ensemble(
         )
     monitor = MonitorConfig(threshold=threshold, s=s)
 
-    outcomes = list(
-        map_over_runs(
-            lambda idx: _ensemble_member(
-                idx, initial, params, noise, stepper, monitor,
-                master_seed, randomize_initial, init_alpha,
-            ),
-            range(n_runs),
-        )
+    outcomes = map_over_runs(
+        lambda idx: _ensemble_member(
+            idx, initial, params, noise, stepper, monitor,
+            master_seed, randomize_initial, init_alpha,
+        ),
+        range(n_runs),
     )
-    rho = tuple(t for t, _, _ in outcomes)
-    n_div = sum(1 for _, d, _ in outcomes if d)
-    if csv_sink is not None:
-        for idx, (_, _, records) in enumerate(outcomes):
+    rho, n_div = [], 0
+    for idx, (t_stop, diverged, records) in enumerate(outcomes):
+        rho.append(t_stop)
+        n_div += diverged
+        if csv_sink is not None:
             csv_sink(idx, records)
 
     survival, lows, highs = [], [], []
@@ -218,7 +208,7 @@ def run_ensemble(
         wilson_low=tuple(lows),
         wilson_high=tuple(highs),
         n_divergences=n_div,
-        rho=rho,
+        rho=tuple(rho),
         master_seed=master_seed,
     )
 
@@ -293,33 +283,33 @@ def refinement_single_path(
 ) -> tuple[list[tuple[float, float, float]], float]:
     """Lockstep all cutoffs through one shared noise path.
 
-    Every cutoff gets its own grid (same mode layout, smaller truncation
-    ball) and its own noise model built by ``noise_factory``, so the shared
-    Wiener/jump draws are projected per cutoff exactly as the dynamics are.
-    Differences are accumulated for successive cutoff pairs at every recorded
-    time in [0, window]; the window closes at the horizon or at the first
-    time any cutoff's energy leaves [0, threshold] (divergence included), and
-    the closing comparison is kept.
+    Every cutoff gets its own noise model built by ``noise_factory``, so the
+    shared Wiener/jump draws are projected per cutoff exactly as the dynamics
+    are, and its own grid: the smallest alias-free one (`alias_free_modes`),
+    or the initial data's grid when the model has a bump stress profile,
+    which is sampled per grid.  The path must suit ``stepper``, whose
+    n_steps are taken.  Differences are accumulated for successive cutoff
+    pairs, in the larger layout of each pair, at every recorded time in
+    [0, window]; the window closes at the horizon or at the first time any
+    cutoff's energy leaves [0, threshold] (divergence included), and the
+    closing comparison is kept.
 
     Returns per-pair (sup_t L2 v-difference, sup_t L2 tau-difference,
     integral of the squared L2 gradient of the v-difference) and the window
     end time.
     """
     base = initial_v.grid
-    grids = [
-        make_grid(base.dim, base.modes_per_axis, base.box_length, c, base.dealias_fraction)
-        for c in cutoffs
-    ]
-    models = [noise_factory(g) for g in grids]
-    states = []
-    for grid, c in zip(grids, cutoffs):
-        tv = truncate(initial_v, c)
-        tt = truncate(initial_tau, c)
-        states.append(FlowState(
-            0.0,
-            VectorField(grid, tv.coeffs, div_free=tv.div_free),
-            TensorField(grid, tt.coeffs, symmetric=tt.symmetric),
-        ))
+    host_model = noise_factory(base)
+    _check_replay_compatible(noise_path, stepper, host_model.signature(base))
+    keep_host = host_model.stress is not None and host_model.stress.h_kind == "bump"
+    kmax = host_model.sigma.basis.kmax if host_model.sigma is not None else 0
+    states, models = [], []
+    for c in cutoffs:
+        modes = base.modes_per_axis if keep_host else alias_free_modes(base, c, kmax)
+        grid = make_grid(base.dim, modes, base.box_length, c, base.dealias_fraction)
+        states.append(FlowState(0.0, relayout(truncate(initial_v, c), grid),
+                                relayout(truncate(initial_tau, c), grid)))
+        models.append(noise_factory(grid))
 
     k = len(states)
     n_pairs = k - 1
@@ -329,35 +319,47 @@ def refinement_single_path(
     grad_int = [0.0] * n_pairs
     dt = stepper.dt
 
-    def window_open() -> bool:
+    def window_records() -> list | None:
+        """Every cutoff's energy record, or None once the window closes."""
+        records = []
         for j in range(k):
             rec = energy(states[j], s, params, cum[j])
             if not rec.finite or rec.e_n > threshold:
-                return False
-        return True
+                return None
+            records.append(rec)
+        return records
 
-    def update_sups() -> None:
+    def compare() -> list:
+        """Update the sups; return each pair's (layout grid, v-difference)."""
+        diffs = []
         for p in range(n_pairs):
-            sup_v[p] = max(sup_v[p], _l2_of(states[p + 1].v.coeffs - states[p].v.coeffs))
-            sup_tau[p] = max(sup_tau[p], _l2_of(states[p + 1].tau.coeffs - states[p].tau.coeffs))
+            lo, hi = states[p], states[p + 1]
+            grid = max(lo.v.grid, hi.v.grid, key=lambda g: g.modes_per_axis)
+            dv = relayout(hi.v, grid).coeffs - relayout(lo.v, grid).coeffs
+            dtau = relayout(hi.tau, grid).coeffs - relayout(lo.tau, grid).coeffs
+            sup_v[p] = max(sup_v[p], _l2_of(dv))
+            sup_tau[p] = max(sup_tau[p], _l2_of(dtau))
+            diffs.append((grid, dv))
+        return diffs
 
-    update_sups()
-    if not window_open():
+    diffs = compare()
+    records = window_records()
+    if records is None:
         return [(sup_v[p], sup_tau[p], 0.0) for p in range(n_pairs)], 0.0
 
     window_end = stepper.actual_horizon
-    for i in range(noise_path.n_steps):
-        # Left-endpoint quadrature for both accumulated integrals.
-        g_pre = [gradient_energy(states[j], s) for j in range(k)]
-        for p in range(n_pairs):
-            dv = states[p + 1].v.coeffs - states[p].v.coeffs
-            grad_int[p] += dt * _grad_sq_of(base, dv)
-        sn = noise_path.step_noise(i)
-        states = [step(states[j], params, models[j], sn, dt) for j in range(k)]
+    for i in range(stepper.n_steps):
+        # Left-endpoint quadrature for both accumulated integrals; the
+        # dissipation reuses the records' gradient energies.
+        for p, (grid, dv) in enumerate(diffs):
+            grad_int[p] += dt * _grad_sq_of(grid, dv)
         for j in range(k):
-            cum[j] += dt * g_pre[j]
-        update_sups()
-        if not window_open():
+            cum[j] += dt * records[j].gradv_hs2
+        sn = noise_path.step_noise(i)
+        states = [step(state, params, model, sn, dt) for state, model in zip(states, models)]
+        diffs = compare()
+        records = window_records()
+        if records is None:
             window_end = states[0].t
             break
 

@@ -163,10 +163,11 @@ class VelocityNoiseBasis:
                 entries.append((kv, p, 0))
                 entries.append((kv, p, 1))
         entries = entries[:J]
-        kmax_needed = max(max(abs(c) for c in kv) for kv, _, _ in entries)
-        if kmax_needed > grid.dealias_kmax:
+        # largest per-axis |k| of the catalogue
+        self.kmax = max(max(abs(c) for c in kv) for kv, _, _ in entries)
+        if self.kmax > grid.dealias_kmax:
             raise ValueError(
-                f"noise basis needs modes up to |k|={kmax_needed}, beyond the "
+                f"noise basis needs modes up to |k|={self.kmax}, beyond the "
                 f"dealias cutoff {grid.dealias_kmax} of this grid"
             )
         self.grid = grid
@@ -182,10 +183,6 @@ class VelocityNoiseBasis:
         self._cpos = np.where(self.kind == 0, 0.5 + 0.0j, -0.5j)
         self._cneg = np.where(self.kind == 0, 0.5 + 0.0j, +0.5j)
         self.k_sq = np.sum(self.k ** 2, axis=1).astype(float)
-
-    def signature(self) -> tuple:
-        """Identity of the basis for replay compatibility checks."""
-        return (self.grid.dim, float(self.grid.box_length), self.J)
 
     def assemble_velocity(self, weights: np.ndarray) -> VectorField:
         """sum_j weights[j] * sqrt(2) * e_j as a vector field."""

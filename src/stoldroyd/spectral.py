@@ -15,7 +15,7 @@ products of retained modes are alias-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -25,6 +25,8 @@ __all__ = [
     "VectorField",
     "TensorField",
     "make_grid",
+    "alias_free_modes",
+    "relayout",
     "to_physical",
     "real_samples",
     "hs_norm",
@@ -94,14 +96,6 @@ class SpectralGrid:
         """Largest admissible truncation radius in |xi| units."""
         return self.dealias_fraction * (self.modes_per_axis / 2) * (2 * math.pi / self.box_length)
 
-    def same_layout(self, other: "SpectralGrid") -> bool:
-        """True when coefficient arrays of the two grids are interchangeable."""
-        return (
-            self.dim == other.dim
-            and self.modes_per_axis == other.modes_per_axis
-            and abs(self.box_length - other.box_length) == 0.0
-        )
-
 
 def make_grid(
     dim: int,
@@ -164,6 +158,43 @@ def make_grid(
     return grid
 
 
+def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
+    """Fewest modes per axis, capped at `grid`'s, on which the cutoff-n
+    system is the same Galerkin system as on `grid`.
+
+    With k = floor(n L / 2 pi), a product of two ball fields reaches per-axis
+    |k| <= 2k and M modes fold it back by M, so M >= 3k + 1 keeps every fold
+    out of the ball (Orszag's 2/3 rule; M = 3k folds onto its boundary).  A
+    factor with modes up to |k| = `kmax` (a noise profile) needs
+    M >= 2k + kmax + 1 and a dealias mask that holds it.  M is even, >= 8,
+    and admits n under the grid's dealias fraction."""
+    k = int(math.floor(n * grid.box_length / (2 * math.pi) + 1e-9))
+    M = max(8, 2 * k + max(k, kmax) + 1)
+    M += M % 2
+    while M < grid.modes_per_axis:
+        # a grid of scalars only: its dealias properties need no mode arrays
+        bare = SpectralGrid(grid.dim, M, grid.box_length, n, grid.dealias_fraction)
+        if n <= bare.dealias_limit * (1 + 1e-12) and bare.dealias_kmax >= kmax:
+            return M
+        M += 2
+    return grid.modes_per_axis
+
+
+def relayout(f: "Field", grid: SpectralGrid) -> "Field":
+    """`f` on `grid`, whose `fftfreq` layout may hold more or fewer modes:
+    shared modes are copied, a larger layout is zero elsewhere (embedding), a
+    smaller one drops what it cannot hold (restriction).  Flags are kept; a
+    matching layout shares the coefficient array."""
+    src, dst = f.grid.modes_per_axis, grid.modes_per_axis
+    if src == dst:
+        return replace(f, grid=grid)
+    m = min(src, dst)
+    k = np.fft.fftfreq(m, 1.0 / m).astype(np.intp)
+    out = np.zeros(f.coeffs.shape[: f.coeffs.ndim - grid.dim] + grid.shape, dtype=f.coeffs.dtype)
+    out[(..., *np.ix_(*[k % dst] * grid.dim))] = f.coeffs[(..., *np.ix_(*[k % src] * grid.dim))]
+    return replace(f, grid=grid, coeffs=out)
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -212,7 +243,8 @@ def _like(f: Field, coeffs: np.ndarray, **flags) -> Field:
 
 
 def _check_same_grid(f: Field, g: Field) -> None:
-    if f.grid is not g.grid and not f.grid.same_layout(g.grid):
+    a, b = f.grid, g.grid
+    if (a.dim, a.modes_per_axis, a.box_length) != (b.dim, b.modes_per_axis, b.box_length):
         raise ValueError("fields live on different grids")
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stoldroyd import experiments
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.experiments import (
     EXACT_TOLERANCE,
@@ -30,9 +31,10 @@ from stoldroyd.spectral import (
     hs_norm,
     make_grid,
     random_field,
+    relayout,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, StepperConfig
+from stoldroyd.stepping import NoiseModel, StepperConfig, step
 
 import oracles
 
@@ -119,6 +121,19 @@ class TestRunEnsemble:
         backward = run_ensemble(state, PARAMS, noise, stepper, map_over_runs=scrambled, **kwargs)
         assert forward == backward
 
+    def test_csv_sink_sees_each_run_before_the_next_starts(self):
+        events = []
+
+        def serial_map(fn, xs):
+            for x in xs:
+                events.append(("start", x))
+                yield fn(x)
+
+        run_ensemble(ball_state(3, 4), PARAMS, light_noise(), StepperConfig(dt=1e-3, horizon=2e-3),
+                     threshold=1e3, deltas=[1e-3], n_runs=30, master_seed=5,
+                     map_over_runs=serial_map, csv_sink=lambda i, records: events.append(("sink", i)))
+        assert events == [e for i in range(30) for e in (("start", i), ("sink", i))]
+
     def test_amplitude_pairing_with_deterministic_threshold(self):
         """Data above the threshold stops at t = 0; half of it survives."""
         big = ball_state(6, 7, scale=1.0)
@@ -173,6 +188,26 @@ def refine_factory(grid):
     )
 
 
+def recorded_path(model, grid, dt, n_steps, seed=21, signature=None):
+    sampler = model.sampler(rng_for_run(seed, 0))
+    steps = [sampler.sample_step(dt) for _ in range(n_steps)]
+    return NoisePath.record(dt, signature or model.signature(grid), steps)
+
+
+def record_steps(monkeypatch):
+    """Collect every state the refinement loop steps to, by cutoff."""
+    trajectories = {}
+    inner = experiments.step
+
+    def recording(state, *args):
+        new = inner(state, *args)
+        trajectories.setdefault(new.v.grid.truncation_radius, []).append(new)
+        return new
+
+    monkeypatch.setattr(experiments, "step", recording)
+    return trajectories
+
+
 class TestRefinement:
     def test_validation(self):
         base = make_grid(2, 48, 2 * math.pi, 16)
@@ -194,16 +229,97 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        model = refine_factory(base)
-        sampler = model.sampler(rng_for_run(21, 0))
-        steps = [sampler.sample_step(stepper.dt) for _ in range(stepper.n_steps)]
-        path = NoisePath.record(stepper.dt, model.signature(base), steps)
+        path = recorded_path(refine_factory(base), base, stepper.dt, stepper.n_steps)
         stats, window = refinement_single_path(
             iv, it, PARAMS, stepper, [8.0, 8.0], path, refine_factory,
             threshold=1e6)
         (sup_v, sup_tau, grad_int), = stats
         assert sup_v == 0.0 and sup_tau == 0.0 and grad_int == 0.0
         assert window == stepper.actual_horizon
+
+    def test_reduced_grids_match_host_grid_runs(self, monkeypatch):
+        """Each cutoff steps on its smallest alias-free grid; embedded back
+        into the host layout, every state matches a run on the host grid.
+        The path is longer than the run, which takes the stepper's steps."""
+        base = make_grid(2, 48, 2 * math.pi, 16)
+        iv = truncate(random_field(base, 6.0, "vector", seed=11), 16)
+        it = truncate(random_field(base, 6.0, "tensor", seed=12), 16)
+        stepper = StepperConfig(dt=1e-3, horizon=6e-3)
+        path = recorded_path(refine_factory(base), base, stepper.dt, 10)
+        trajectories = record_steps(monkeypatch)
+        _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0, 16.0], path,
+                                           refine_factory, threshold=1e6)
+        assert window == stepper.actual_horizon
+        sizes = {c: traj[0].v.grid.modes_per_axis for c, traj in trajectories.items()}
+        assert sizes == {4.0: 14, 8.0: 26, 16.0: 48}
+        for c, traj in trajectories.items():
+            assert len(traj) == stepper.n_steps
+            host = make_grid(2, 48, 2 * math.pi, c)
+            state = FlowState(0.0, VectorField(host, truncate(iv, c).coeffs, div_free=True),
+                              TensorField(host, truncate(it, c).coeffs, symmetric=True))
+            noise = refine_factory(host)
+            for i, reduced in enumerate(traj):
+                state = step(state, PARAMS, noise, path.step_noise(i), stepper.dt)
+                for got, want in ((reduced.v, state.v), (reduced.tau, state.tau)):
+                    embedded = relayout(got, host).coeffs
+                    assert np.max(np.abs(embedded - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
+
+    def test_bump_stress_noise_keeps_host_grid(self):
+        base = make_grid(2, 48, 2 * math.pi, 16)
+        iv = truncate(random_field(base, 6.0, "vector", seed=13), 16)
+        it = truncate(random_field(base, 6.0, "tensor", seed=14), 16)
+        stepper = StepperConfig(dt=1e-3, horizon=2e-3)
+        for h_kind, sizes in (("bump", {4.0: 48, 8.0: 48}), ("identity", {4.0: 14, 8.0: 26})):
+            seen = {}
+
+            def factory(grid):
+                seen[grid.truncation_radius] = grid.modes_per_axis
+                model = refine_factory(grid)
+                model.stress = StressNoiseInstance(grid, h_kind, c_h=0.1)
+                return model
+
+            path = recorded_path(factory(base), base, stepper.dt, stepper.n_steps)
+            refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, factory,
+                                   threshold=1e6)
+            assert {c: seen[c] for c in (4.0, 8.0)} == sizes
+
+    def test_wide_noise_basis_widens_small_cutoff_grid(self):
+        """J = 81 reaches |k| = 5, which the 14-mode grid of cutoff 4 cannot
+        hold; the cutoff gets 16 modes instead of an error."""
+        base = make_grid(2, 48, 2 * math.pi, 16)
+        iv = truncate(random_field(base, 6.0, "vector", seed=15), 16)
+        it = truncate(random_field(base, 6.0, "tensor", seed=16), 16)
+        stepper = StepperConfig(dt=1e-3, horizon=2e-3)
+        seen = {}
+
+        def factory(grid):
+            seen[grid.truncation_radius] = grid.modes_per_axis
+            wiener = WienerQConfig(lambda0=0.02, J=81)
+            return NoiseModel(wiener=wiener, sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1))
+
+        model = factory(base)
+        assert model.sigma.basis.kmax == 5
+        path = recorded_path(model, base, stepper.dt, stepper.n_steps)
+        _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, factory,
+                                           threshold=1e6)
+        assert window == stepper.actual_horizon
+        assert seen[4.0] == 16 and seen[8.0] == 26
+
+    def test_noise_path_checked_against_stepper(self):
+        base = make_grid(2, 32, 2 * math.pi, 8)
+        iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
+        it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
+        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
+        model = refine_factory(base)
+        bad_paths = {
+            "dt": recorded_path(model, base, 2e-3, 10),
+            "basis": recorded_path(model, base, 1e-3, 10, signature=(2, 2 * math.pi, 3)),
+            "holds 4 steps": recorded_path(model, base, 1e-3, 4),
+        }
+        for message, path in bad_paths.items():
+            with pytest.raises(ValueError, match=message):
+                refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path,
+                                       refine_factory, threshold=1e6)
 
     def test_support_confined_linear_run_differences_vanish(self):
         """With the nonlinearity off and all channels support-preserving

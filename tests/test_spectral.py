@@ -10,6 +10,7 @@ from stoldroyd.spectral import (
     ScalarField,
     TensorField,
     VectorField,
+    alias_free_modes,
     bessel,
     commutator_bessel_product,
     convect_vector,
@@ -27,6 +28,7 @@ from stoldroyd.spectral import (
     make_grid,
     pointwise_matmul,
     random_field,
+    relayout,
     symmetry_defect,
     to_physical,
     truncate,
@@ -81,6 +83,57 @@ class TestMakeGrid:
     def test_box_length_scales_wavevectors(self):
         g = make_grid(2, 16, 4 * math.pi, 2)
         assert g.xi[0][2, 0] == pytest.approx(1.0, abs=0)
+
+
+class TestAliasFreeGrids:
+    HOST = make_grid(2, 256, 2 * math.pi, 16)
+
+    def test_size_rule_is_3k_plus_1_rounded_up_to_even(self):
+        for k in range(3, 40):
+            modes = alias_free_modes(self.HOST, float(k))
+            assert modes == (3 * k + 1 if k % 2 else 3 * k + 2)
+            assert modes != 3 * k
+            make_grid(2, modes, 2 * math.pi, float(k))  # passes the dealias check
+
+    def test_fractional_cutoffs_and_boxes(self):
+        # k = 8 gives 26 modes, whose dealias limit 8.67 cannot admit n = 8.9
+        assert alias_free_modes(self.HOST, 8.5) == 26
+        assert alias_free_modes(self.HOST, 8.9) == 28
+        # on a box of length 4 pi, xi = k / 2, so n = 4 holds k = 8
+        assert alias_free_modes(make_grid(2, 128, 4 * math.pi, 8), 4.0) == 26
+        assert alias_free_modes(self.HOST, 1.0) == 8
+
+    def test_3k_modes_fold_a_product_onto_the_ball(self):
+        """The product of mode (k, 0) with itself sits at (2k, 0); M = 3k
+        folds it to (-k, 0) on the ball's boundary, M = 3k + 2 does not."""
+        k = 8
+        for modes, aliased in ((3 * k, True), (alias_free_modes(self.HOST, k), False)):
+            grid = make_grid(2, modes, 2 * math.pi, float(k))
+            f = single_mode(grid, (k, 0))
+            prod = truncate(dealiased_product(f, f), float(k))
+            assert (np.max(np.abs(prod.coeffs)) > 0.5) == aliased
+
+    def test_capped_at_host_and_widened_for_a_noise_factor(self):
+        assert alias_free_modes(make_grid(2, 48, 2 * math.pi, 16), 16.0) == 48
+        # the 14-mode grid of cutoff 4 keeps only |k| <= 4 under the 2/3 rule
+        assert alias_free_modes(self.HOST, 4.0, kmax=5) == 16
+        # with no dealias margin, a |k| <= 4 factor times the ball |k| <= 3
+        # reaches 7 and needs 11 modes, not the 3k + 1 = 10 of the ball alone
+        wide = make_grid(2, 64, 2 * math.pi, 3.0, dealias_fraction=1.0)
+        assert alias_free_modes(wide, 3.0, kmax=4) == 12
+
+    def test_relayout_embeds_and_restricts(self):
+        small = make_grid(2, 26, 2 * math.pi, 8)
+        big = make_grid(2, 48, 2 * math.pi, 8)
+        f = truncate(random_field(small, 4.0, "tensor", seed=40), 8.0)
+        embedded = relayout(f, big)
+        assert embedded.grid is big and embedded.coeffs.shape == (2, 2, 48, 48)
+        assert embedded.symmetric
+        assert np.array_equal(relayout(embedded, small).coeffs, f.coeffs)
+        assert hs_norm(embedded, 2.0) == pytest.approx(hs_norm(f, 2.0), rel=1e-14)
+        mode = relayout(single_mode(small, (3, -2)), big).coeffs
+        assert mode[3, -2] == 1.0 and np.count_nonzero(mode) == 1
+        assert relayout(f, make_grid(2, 26, 2 * math.pi, 4)).coeffs is f.coeffs
 
 
 class TestSobolevNorms:
