@@ -2,56 +2,29 @@
 """Survival-curve study: how the stopping probability moves with delta and
 with the size of the initial data.
 
-Runs paired ensembles (full and half initial amplitude, same master seed, so
-run k sees the same noise in both) and prints the survival estimates with
-Wilson intervals at each delta.  The half-amplitude curve should sit at or
+Builds the run from an INI config, the file `stoldroyd ensemble` takes
+(`config.materialize`: `build_params`, `build_noise` and the other
+builders), and runs paired ensembles from its initial data at full and at
+half amplitude.  Both use the same master seed, so run k sees the same noise
+in both.  Prints the survival estimates with Wilson intervals at each of the
+config's `[ensemble]` deltas.  The half-amplitude curve should sit at or
 above the full one everywhere.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
-from stoldroyd.dynamics import FlowState, PhysicalParams
+from stoldroyd.config import load_config, materialize
+from stoldroyd.dynamics import FlowState
 from stoldroyd.experiments import run_ensemble
-from stoldroyd.noise import (
-    JumpConfig,
-    JumpOperator,
-    SigmaInstance,
-    StressNoiseInstance,
-    WienerQConfig,
-)
-from stoldroyd.spectral import (
-    TensorField,
-    VectorField,
-    hs_norm,
-    make_grid,
-    random_field,
-    truncate,
-)
-from stoldroyd.stepping import NoiseModel, StepperConfig
 
 
-def desk_model(grid, lambda0=0.1, jump_rate=2.0):
-    wiener = WienerQConfig(lambda0=lambda0, J=8)
-    return NoiseModel(
-        wiener=wiener,
-        sigma=SigmaInstance(grid, wiener, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(grid, "identity", c_h=0.3),
-        jump=JumpOperator(grid, JumpConfig(rate=jump_rate, gamma_kind="constant",
-                                           gamma0=0.1)),
-    )
-
-
-def scaled_initial(grid, scale, s):
-    v = truncate(random_field(grid, 5.0, "vector", seed=101), grid.truncation_radius)
-    tau = truncate(random_field(grid, 5.0, "tensor", seed=102), grid.truncation_radius)
-    v_coeffs = scale * v.coeffs / hs_norm(v, s)
-    tau_coeffs = scale * tau.coeffs / hs_norm(tau, s)
-    return FlowState(0.0, VectorField(grid, v_coeffs, div_free=True),
-                     TensorField(grid, tau_coeffs, symmetric=True))
+def halved(state: FlowState) -> FlowState:
+    return FlowState(state.t, replace(state.v, coeffs=0.5 * state.v.coeffs),
+                     replace(state.tau, coeffs=0.5 * state.tau.coeffs))
 
 
 def print_curve(label, result):
@@ -63,36 +36,35 @@ def print_curve(label, result):
               f"wilson=[{low:6.4f}, {high:6.4f}]")
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=60, help="ensemble members per curve")
-    parser.add_argument("--seed", type=int, default=2718, help="master seed")
-    parser.add_argument("--threads", type=int, default=2, help="parallel workers")
-    parser.add_argument("--amplitude", type=float, default=0.8,
-                        help="H^s size of the full initial data")
-    parser.add_argument("--threshold", type=float, default=1.6,
-                        help="energy threshold N defining the stopping time; "
-                             "values near the initial energy make the curve move")
+    parser.add_argument("--config", required=True,
+                        help="INI run configuration; [ensemble] gives runs and deltas")
+    parser.add_argument("--runs", type=int, help="ensemble members per curve "
+                                                 "(default: the config's n_runs)")
+    parser.add_argument("--seed", type=int, help="master seed (default: the config's)")
+    parser.add_argument("--threads", type=int, default=1, help="parallel workers")
     parser.add_argument("--out", help="optional JSON file for both curves")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    grid = make_grid(2, 64, 2 * math.pi, 16)
-    params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
-    noise = desk_model(grid)
-    stepper = StepperConfig(dt=1e-3, horizon=0.12)
-    deltas = [0.01, 0.02, 0.05, 0.1]
-    s = 2.0
+    cfg = load_config(args.config)
+    run = materialize(cfg, args.seed)
+    kwargs = dict(
+        threshold=run.monitor.threshold,
+        deltas=cfg.ensemble_deltas,
+        n_runs=args.runs if args.runs is not None else cfg.ensemble_n_runs,
+        master_seed=run.master_seed,
+        s=run.monitor.s,
+        randomize_initial=cfg.ensemble_randomize_initial,
+        init_alpha=cfg.init_alpha,
+    )
 
     curves = {}
     with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
-        for label, scale in [("full amplitude", args.amplitude),
-                             ("half amplitude", 0.5 * args.amplitude)]:
-            initial = scaled_initial(grid, scale, s)
-            result = run_ensemble(
-                initial, params, noise, stepper,
-                threshold=args.threshold, deltas=deltas, n_runs=args.runs,
-                master_seed=args.seed, s=s, map_over_runs=pool.map,
-            )
+        for label, initial in [("full amplitude", run.initial),
+                               ("half amplitude", halved(run.initial))]:
+            result = run_ensemble(initial, run.params, run.noise, run.stepper,
+                                  map_over_runs=pool.map, **kwargs)
             print_curve(label, result)
             curves[label] = result.to_dict()
 

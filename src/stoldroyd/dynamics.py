@@ -2,15 +2,16 @@
 
 The velocity drift splits into a stiff viscous part (handled implicitly by
 the integrator) and an explicit part: minus the truncated self-advection plus
-the stress-divergence coupling, Leray-projected.  The stress drift is fully
-explicit: transport, relaxation, the bilinear rotation/slip form Q, the
-deformation forcing, and the Ito correction coming from the Stratonovich
-stress noise.
+the stress-divergence coupling.  The stress drift is fully explicit:
+transport, relaxation, the bilinear rotation/slip form Q, the deformation
+forcing, and the Ito correction coming from the Stratonovich stress noise.
 
-`drift` evaluates all three quadratic terms in one physical-space pass: v,
-grad v, tau and grad tau are transformed once, the products are formed
-pointwise on real samples, and one forward transform followed by one
-dealias-and-ball mask brings them back.
+`explicit_terms` forms every quadratic term of a step in one physical-space
+pass: v, tau, a scalar noise profile and the gradients go out in one
+inverse transform, advection, stress transport, Q and the profile-times-v
+noise product are formed pointwise on real samples, and one forward
+transform and one dealias-and-ball mask bring them back.  The velocity terms
+stay unprojected, so the integrator projects its whole update once.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ __all__ = [
     "vorticity",
     "q_form",
     "advect_vector",
+    "explicit_terms",
     "drift",
 ]
 
@@ -108,9 +110,10 @@ def _q_pointwise(tau: np.ndarray, grad_v: np.ndarray, b: float) -> np.ndarray:
     symmetrization gives zero symmetry defect by construction.  `grad_v` is
     laid out as in `gradient_vector`: grad_v[a, c] = d_c v_a.
     """
-    grad_t = np.swapaxes(grad_v, 0, 1)
-    p = pointwise_matmul(tau, 0.5 * ((1.0 - b) * grad_v - (1.0 + b) * grad_t))
-    return p + np.swapaxes(p, 0, 1)
+    m = (0.5 * (1.0 - b)) * grad_v
+    m -= (0.5 * (1.0 + b)) * np.swapaxes(grad_v, 0, 1)
+    p = pointwise_matmul(tau, m)
+    return np.add(p, np.swapaxes(p, 0, 1), out=m)  # m is spent
 
 
 def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
@@ -127,44 +130,67 @@ def advect_vector(v: VectorField, u: VectorField) -> VectorField:
     return truncate(convect_vector(v, u), v.grid.truncation_radius)
 
 
+def explicit_terms(
+    state: FlowState, params: PhysicalParams, stress_noise=None, profile=None
+) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
+    """Unprojected nonstiff velocity drift, stress drift, and noise product.
+
+    Velocity: -(v.grad)v + mu1 div(tau); nu Laplacian(v) is left to the
+    implicit solve.  Stress: -(v.grad)tau - a tau - Q(tau, grad v) + mu2 D(v),
+    plus the Ito correction (1/2) S^2(tau) of a stress-noise instance (S its
+    linear action).  The third output is the product of v with the scalar
+    field `profile` (None without one).  Quadratic terms, the product and the
+    correction are cut to the spectral ball.
+    """
+    grid = state.v.grid
+    d, shape, axes = grid.dim, grid.shape, grid.grid_axes
+    vel = params.mu1 * divergence_tensor(state.tau).coeffs
+    stress = -params.a * state.tau.coeffs + params.mu2 * deformation(state.v).coeffs
+    symmetric = state.tau.symmetric
+    if stress_noise is not None:
+        stress += 0.5 * truncate(stress_noise.s_squared(state.tau), grid.truncation_radius).coeffs
+        symmetric = symmetric and stress_noise.preserves_symmetry
+    nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
+    if not (nonlinear or p):
+        return vel, TensorField(grid, stress, symmetric=symmetric), None
+    # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
+    rows = d + d * d if nonlinear else d
+    buf = np.empty((rows + p + (rows * d if nonlinear else 0),) + shape, dtype=np.complex128)
+    buf[:d] = state.v.coeffs
+    if p:
+        buf[rows] = profile
+    if nonlinear:
+        buf[d:rows] = state.tau.coeffs.reshape((d * d,) + shape)
+        grad = buf[rows + p:].reshape((rows, d) + shape)
+        np.multiply(1j * grid.xi, buf[:rows, np.newaxis], out=grad)
+    np.fft.ifftn(buf, axes=axes, norm="forward", out=buf)
+    phys = buf.real
+    n_out = (rows if nonlinear else 0) + p * d
+    out = np.empty((n_out,) + shape)
+    if nonlinear:
+        pointwise_transport(phys[:d], grad.real, out=out[:rows])
+        # Q is symmetrized before the transport of tau is added, keeping symmetry exact
+        tau = phys[d:rows].reshape((d, d) + shape)
+        out[d:rows] += _q_pointwise(tau, grad.real[:d], params.b).reshape((d * d,) + shape)
+    if p:
+        np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
+    # the samples are spent: the output reuses the buffer's leading rows
+    nl = buf[:n_out]
+    nl[...] = out
+    del out
+    np.fft.fftn(nl, axes=axes, norm="forward", out=nl)
+    nl *= grid.dealias_mask & grid.ball_mask
+    if nonlinear:
+        vel -= nl[:d]
+        stress -= nl[d:rows].reshape((d, d) + shape)
+    prod = nl[n_out - d:].copy() if p else None  # a copy, so the buffer goes on return
+    return vel, TensorField(grid, stress, symmetric=symmetric), prod
+
+
 def drift(
     state: FlowState, params: PhysicalParams, stress_noise=None
 ) -> tuple[VectorField, TensorField]:
-    """Nonstiff velocity drift and stress drift at the current state.
-
-    Velocity: Leray projection of -(v.grad)v + mu1 div(tau); the viscous
-    part nu Laplacian(v) is left to the integrator's implicit solve.
-    Stress: -(v.grad)tau - a tau - Q(tau, grad v) + mu2 D(v), plus the Ito
-    correction (1/2) S^2(tau) when a stress-noise instance is supplied (S is
-    its linear action; the correction converts the Stratonovich product to
-    Ito form).  Quadratic terms and the correction are cut to the spectral
-    ball.
-    """
-    grid = state.v.grid
-    d = grid.dim
-    axes = grid.grid_axes
-    vel = params.mu1 * divergence_tensor(state.tau).coeffs
-    stress = -params.a * state.tau.coeffs + params.mu2 * deformation(state.v).coeffs
-    if params.nonlinear:
-        # rows 0..d-1 hold v, the rest tau flattened; both are transformed in
-        # place, so the largest transient of the step is not held twice
-        fields = np.concatenate([state.v.coeffs, state.tau.coeffs.reshape((d * d,) + grid.shape)])
-        grad = 1j * grid.xi[np.newaxis] * fields[:, np.newaxis]
-        np.fft.ifftn(grad, axes=axes, norm="forward", out=grad)
-        np.fft.ifftn(fields, axes=axes, norm="forward", out=fields)
-        phys, pgrad = fields.real, grad.real
-        out = pointwise_transport(phys[:d], pgrad)
-        # transport of tau is added to the already symmetrized Q, keeping symmetry exact
-        q = _q_pointwise(phys[d:].reshape((d, d) + grid.shape), pgrad[:d], params.b)
-        out[d:] += q.reshape((d * d,) + grid.shape)
-        nl = out.astype(np.complex128)
-        np.fft.fftn(nl, axes=axes, norm="forward", out=nl)
-        nl *= grid.dealias_mask & grid.ball_mask
-        vel = vel - nl[:d]
-        stress = stress - nl[d:].reshape((d, d) + grid.shape)
-    symmetric = state.tau.symmetric
-    if stress_noise is not None:
-        correction = stress_noise.s_squared(state.tau)
-        stress = stress + 0.5 * truncate(correction, grid.truncation_radius).coeffs
-        symmetric = symmetric and stress_noise.preserves_symmetry
-    return leray_project(VectorField(grid, vel)), TensorField(grid, stress, symmetric=symmetric)
+    """Leray-projected nonstiff velocity drift and the stress drift; see
+    `explicit_terms`."""
+    vel, stress, _ = explicit_terms(state, params, stress_noise)
+    return leray_project(VectorField(state.v.grid, vel)), stress

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams
-from .spectral import hs_norm, symmetry_defect
+from .spectral import _sq_amplitude, symmetry_defect
 
 __all__ = [
     "MonitorConfig",
@@ -79,17 +79,20 @@ class StoppingEvent:
 def gradient_energy(state: FlowState, s: float) -> float:
     """||grad v||_{H^s}^2 via the exact multiplier |xi|^2 (1+|xi|^2)^s."""
     grid = state.v.grid
-    w = grid.xi_sq * (1.0 + grid.xi_sq) ** s
-    amp = np.sum(np.abs(state.v.coeffs) ** 2, axis=0)
-    return float(np.sum(w * amp))
+    return float(np.sum(grid.xi_sq * (1.0 + grid.xi_sq) ** s * _sq_amplitude(state.v)))
 
 
 def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float = 0.0) -> EnergyRecord:
     """One energy sample; `cum_diss` is the dissipation integral accumulated
-    so far by the caller's quadrature."""
-    v_hs2 = hs_norm(state.v, s) ** 2
-    tau_hs2 = hs_norm(state.tau, s) ** 2
-    gradv_hs2 = gradient_energy(state, s)
+    so far by the caller's quadrature.  Each field's squared amplitude is
+    formed once and read by both of its sums."""
+    grid = state.v.grid
+    w = (1.0 + grid.xi_sq) ** s
+    wv = w * _sq_amplitude(state.v)
+    tau_amp = _sq_amplitude(state.tau)
+    v_hs2 = float(wv.sum())
+    tau_hs2 = float((w * tau_amp).sum())
+    gradv_hs2 = float((grid.xi_sq * wv).sum())
     e_n = params.mu2 * v_hs2 + params.mu1 * tau_hs2 + 2.0 * params.mu2 * params.nu * cum_diss
     return EnergyRecord(
         t=state.t,
@@ -98,7 +101,7 @@ def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float =
         gradv_hs2=gradv_hs2,
         cum_diss=cum_diss,
         e_n=e_n,
-        sym_defect=symmetry_defect(state.tau),
+        sym_defect=symmetry_defect(state.tau, float(tau_amp.sum())),
     )
 
 

@@ -19,6 +19,7 @@ eigenvalues) and reproduce bitwise through save/load.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +30,6 @@ from .spectral import (
     SpectralGrid,
     TensorField,
     VectorField,
-    dealiased_product,
-    leray_project,
     pointwise_matmul,
     real_samples,
     truncate,
@@ -39,7 +38,6 @@ from .spectral import (
 __all__ = [
     "WienerQConfig",
     "VelocityNoiseBasis",
-    "sample_w1_increment",
     "SigmaInstance",
     "StressNoiseInstance",
     "JumpConfig",
@@ -59,15 +57,6 @@ def rng_for_run(master_seed: int, run_index: int) -> np.random.Generator:
     """Independent per-run stream; the (seed, index) pair is the whole identity,
     so ensembles can execute in any order."""
     return np.random.default_rng(np.random.SeedSequence([master_seed, run_index]))
-
-
-def sample_w1_increment(
-    basis: "VelocityNoiseBasis", wiener: WienerQConfig, dt: float, rng: np.random.Generator
-) -> tuple[np.ndarray, VectorField]:
-    """Draw {dW_j} ~ Normal(0, dt) and assemble sum_j sqrt(lambda_j) dW_j e_j."""
-    dw1 = math.sqrt(dt) * rng.standard_normal(wiener.J)
-    field = basis.assemble_velocity(np.sqrt(wiener.eigenvalues) * dw1)
-    return dw1, field
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +100,13 @@ def _halfspace_wavevectors(dim: int, count: int) -> list[tuple[int, ...]]:
     sorted by |k|^2 then lexicographically.  Deterministic enumeration."""
     radius = 4
     while True:
-        ks = []
-        rng_range = range(-radius, radius + 1)
-        for k in np.ndindex(*((2 * radius + 1,) * dim)):
-            kv = tuple(rng_range[i] for i in k)
-            if all(c == 0 for c in kv):
-                continue
-            lead = next(c for c in kv if c != 0)
-            if lead < 0:
-                continue  # keep one representative per +-k pair
-            ks.append(kv)
+        # one representative per +-k pair: the first nonzero entry is positive
+        ks = [kv for kv in itertools.product(range(-radius, radius + 1), repeat=dim)
+              if next((c for c in kv if c != 0), 0) > 0]
         ks.sort(key=lambda kv: (sum(c * c for c in kv), kv))
-        if len(ks) >= count:
+        # the box holds every vector with |k|^2 <= radius^2; past that, a
+        # shorter vector outside the box could be missing from the list
+        if len(ks) >= count and sum(c * c for c in ks[count - 1]) <= radius * radius:
             return ks[:count]
         radius *= 2
 
@@ -177,42 +161,35 @@ class VelocityNoiseBasis:
         self.kind = np.array([kind for _, _, kind in entries], dtype=np.int64)
         M = grid.modes_per_axis
         flat_strides = np.array([M ** (grid.dim - 1 - a) for a in range(grid.dim)])
-        self._ipos = ((self.k % M) @ flat_strides).astype(np.intp)
-        self._ineg = (((-self.k) % M) @ flat_strides).astype(np.intp)
+        # flat positions of the +k and -k coefficients, (2, J), and per component
+        self._index = np.stack([(self.k % M) @ flat_strides, ((-self.k) % M) @ flat_strides])
+        self._index_by_component = (np.arange(grid.dim)[:, np.newaxis, np.newaxis] * M ** grid.dim
+                                    + self._index).ravel()
         # cos(kx) has coefficients (1/2, 1/2) at +-k; sin(kx) has (-i/2, +i/2)
-        self._cpos = np.where(self.kind == 0, 0.5 + 0.0j, -0.5j)
-        self._cneg = np.where(self.kind == 0, 0.5 + 0.0j, +0.5j)
+        self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))
         self.k_sq = np.sum(self.k ** 2, axis=1).astype(float)
+        self._smooth = math.sqrt(2.0) / (1.0 + self.k_sq)
 
     def assemble_velocity(self, weights: np.ndarray) -> VectorField:
         """sum_j weights[j] * sqrt(2) * e_j as a vector field."""
         grid = self.grid
-        flat = np.zeros((grid.dim, grid.modes_per_axis ** grid.dim), dtype=np.complex128)
-        wpos = math.sqrt(2.0) * weights * self._cpos
-        wneg = math.sqrt(2.0) * weights * self._cneg
-        for a in range(grid.dim):
-            np.add.at(flat[a], self._ipos, wpos * self.p[:, a])
-            np.add.at(flat[a], self._ineg, wneg * self.p[:, a])
+        flat = np.zeros(grid.dim * grid.modes_per_axis ** grid.dim, dtype=np.complex128)
+        signed = math.sqrt(2.0) * weights * self._coef
+        np.add.at(flat, self._index_by_component, (signed * self.p.T[:, np.newaxis]).ravel())
         return VectorField(grid, flat.reshape((grid.dim,) + grid.shape), div_free=True)
 
     def assemble_profile(self, weights: np.ndarray) -> ScalarField:
         """sum_j weights[j] * phi_j as a scalar field."""
         grid = self.grid
         flat = np.zeros(grid.modes_per_axis ** grid.dim, dtype=np.complex128)
-        smooth = math.sqrt(2.0) / (1.0 + self.k_sq)
-        np.add.at(flat, self._ipos, weights * smooth * self._cpos)
-        np.add.at(flat, self._ineg, weights * smooth * self._cneg)
+        np.add.at(flat, self._index.ravel(), (weights * self._smooth * self._coef).ravel())
         return ScalarField(grid, flat.reshape(grid.shape))
 
     def e_j(self, j: int) -> VectorField:
-        w = np.zeros(self.J)
-        w[j] = 1.0
-        return self.assemble_velocity(w)
+        return self.assemble_velocity(np.eye(self.J)[j])
 
     def phi_j(self, j: int) -> ScalarField:
-        w = np.zeros(self.J)
-        w[j] = 1.0
-        return self.assemble_profile(w)
+        return self.assemble_profile(np.eye(self.J)[j])
 
     def peetre_factors(self, s: float) -> np.ndarray:
         """Multiplier bounds A_j(s) with ||phi_j * v||_{H^s} <= A_j ||v||_{H^s}."""
@@ -226,12 +203,14 @@ class VelocityNoiseBasis:
 # ---------------------------------------------------------------------------
 
 class SigmaInstance:
-    """sigma(v) e_j = c0 * e_j + c1 * (phi_j * v), truncated and projected.
+    """sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
 
-    Affine in v: the full increment sum_j sqrt(lambda_j) dW_j sigma(v) e_j
-    is assembled with one dealiased product via bilinearity — the profile sum
-    Phi = sum_j sqrt(lambda_j) dW_j phi_j is built first, then multiplied by v
-    once.
+    Affine in v: with w_j = sqrt(lambda_j) dW_j, the full increment
+    sum_j w_j sigma(v) e_j is c0 * sum_j w_j e_j + c1 * Phi v with the single
+    profile Phi = sum_j w_j phi_j, so one product covers every j.  `parts`
+    gives the two spectral pieces; `stepping.step` forms the product in the
+    drift's physical-space pass and truncates and projects the velocity
+    update as a whole.
     """
 
     def __init__(self, grid: SpectralGrid, wiener: WienerQConfig, c0: float, c1: float):
@@ -242,23 +221,12 @@ class SigmaInstance:
         self.basis = VelocityNoiseBasis(grid, wiener.J)
         self._sqrt_lambda = np.sqrt(wiener.eigenvalues)
 
-    def apply(self, v: VectorField, dw1: np.ndarray) -> VectorField:
-        """Full noise increment sum_j sqrt(lambda_j) dW_j sigma(v) e_j."""
-        weights = self._sqrt_lambda * np.asarray(dw1)
-        coeffs = np.zeros((self.grid.dim,) + self.grid.shape, dtype=np.complex128)
-        if self.c0 != 0.0:
-            coeffs = coeffs + self.c0 * self.basis.assemble_velocity(weights).coeffs
-        if self.c1 != 0.0:
-            coeffs = coeffs + self.multiplicative(v, dw1).coeffs
-        out = truncate(VectorField(self.grid, coeffs), self.grid.truncation_radius)
-        return leray_project(out)
-
-    def multiplicative(self, v: VectorField, dw1: np.ndarray) -> VectorField:
-        """The linear-in-v part alone (exactly the difference of two applies)."""
-        weights = self._sqrt_lambda * np.asarray(dw1)
-        profile = self.basis.assemble_profile(weights)
-        prod = dealiased_product(profile, v)
-        return VectorField(self.grid, self.c1 * prod.coeffs)
+    def parts(self, dw1: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Coefficients of c0 * sum_j w_j e_j and of c1 * Phi, the multiplier
+        of v; None for a part whose amplitude is 0."""
+        w = self._sqrt_lambda * dw1
+        return (None if self.c0 == 0.0 else self.basis.assemble_velocity(self.c0 * w).coeffs,
+                None if self.c1 == 0.0 else self.basis.assemble_profile(self.c1 * w).coeffs)
 
     def growth_constant(self, s: float, jump: "JumpOperator | None" = None) -> float:
         """Analytic K with sum_j lambda_j ||sigma(v) e_j||_{H^s}^2
@@ -437,6 +405,8 @@ class NoiseSampler:
         dw1 = scale * self.rng.standard_normal(self.J)
         dw2 = scale * float(self.rng.standard_normal())
         count = int(self.rng.poisson(self.jump_config.rate * dt))
+        if count == 0:  # zero-size draws would leave the stream where it is
+            return StepNoise(dw1=dw1, dw2=dw2, jumps=())
         offsets = np.sort(self.rng.uniform(0.0, dt, size=count))
         marks = self.rng.uniform(self.jump_config.z_min, self.jump_config.z_max, size=count)
         jumps = tuple((float(t), float(z)) for t, z in zip(offsets, marks))

@@ -143,7 +143,7 @@ def make_grid(
     dealias_mask = np.all(np.abs(k_int) <= kmax, axis=0)
     ball_mask = xi_sq <= truncation_radius * truncation_radius
 
-    grid = SpectralGrid(
+    return SpectralGrid(
         dim=dim,
         modes_per_axis=M,
         box_length=float(box_length),
@@ -155,7 +155,6 @@ def make_grid(
         dealias_mask=dealias_mask,
         ball_mask=ball_mask,
     )
-    return grid
 
 
 def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
@@ -272,9 +271,10 @@ def real_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def _sq_amplitude(f: Field) -> np.ndarray:
     """|coefficients|^2 summed over component axes -> array over modes."""
-    a = np.abs(f.coeffs) ** 2
+    a = f.coeffs.real ** 2
+    a += f.coeffs.imag ** 2
     comp_axes = tuple(range(a.ndim - f.grid.dim))
-    return np.sum(a, axis=comp_axes) if comp_axes else a
+    return a.sum(axis=comp_axes) if comp_axes else a
 
 
 def hs_norm(f: Field, s: float) -> float:
@@ -395,22 +395,19 @@ def hermitian_defect(f: Field) -> float:
     return float(np.max(np.abs(c - flipped)) / scale)
 
 
-def symmetry_defect(tau: TensorField) -> float:
-    """Relative L2 asymmetry ||tau - tau^T|| / ||tau|| (0 for the zero field)."""
-    diff = tau.coeffs - np.swapaxes(tau.coeffs, 0, 1)
-    denom = np.sqrt(np.sum(np.abs(tau.coeffs) ** 2))
-    if denom == 0:
+def symmetry_defect(tau: TensorField, norm_sq: float | None = None) -> float:
+    """Relative L2 asymmetry ||tau - tau^T|| / ||tau|| (0 for the zero field);
+    `norm_sq`, the sum of |coefficients|^2, saves a pass when the caller has it."""
+    norm_sq = float(_sq_amplitude(tau).sum()) if norm_sq is None else norm_sq
+    if norm_sq == 0:
         return 0.0
-    return float(np.sqrt(np.sum(np.abs(diff) ** 2)) / denom)
+    diff = tau.coeffs - np.swapaxes(tau.coeffs, 0, 1)
+    return float(np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2)) / np.sqrt(norm_sq))
 
 
 # ---------------------------------------------------------------------------
 # dealiased products
 # ---------------------------------------------------------------------------
-
-def _dealias(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs * grid.dealias_mask
-
 
 def dealiased_product(f: Field, g: Field) -> Field:
     """Pointwise product via physical space, 2/3-rule masked on output.
@@ -429,7 +426,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
     pg = to_physical(g)
     prod = pf * pg  # broadcasting over leading component axes
     c = np.fft.fftn(prod, axes=grid.grid_axes, norm="forward")
-    return _like(g, _dealias(grid, c))
+    return _like(g, c * grid.dealias_mask)
 
 
 def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -440,14 +437,15 @@ def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ik...,kj...->ij...", a, b)
 
 
-def pointwise_transport(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def pointwise_transport(v: np.ndarray, grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Transport (v . grad) f = sum_c v_c d_c f at every grid point.
 
     `v` holds physical velocity samples (dim, *grid); `grad` holds the
     samples of every component's gradient, (components, dim, *grid), in the
     layout of `gradient_vector` (derivative axis last among the components).
+    The result is written to `out` when given.
     """
-    return np.einsum("c...,nc...->n...", v, grad)
+    return np.einsum("c...,nc...->n...", v, grad, out=out)
 
 
 def convect_vector(v: VectorField, u: VectorField) -> VectorField:
@@ -457,7 +455,7 @@ def convect_vector(v: VectorField, u: VectorField) -> VectorField:
     pv = real_samples(grid, v.coeffs)
     pgrad = real_samples(grid, gradient_vector(u).coeffs)
     c = np.fft.fftn(pointwise_transport(pv, pgrad), axes=grid.grid_axes, norm="forward")
-    return VectorField(grid, _dealias(grid, c))
+    return VectorField(grid, c * grid.dealias_mask)
 
 
 def commutator_bessel_product(f: ScalarField, g: ScalarField, s: float) -> ScalarField:

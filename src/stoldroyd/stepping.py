@@ -3,12 +3,15 @@
 One step, in order:
 
 1. explicit velocity update: v* = v + dt * (nonstiff drift - jump
-   compensator) + Wiener increment sigma(v) dW1;
+   compensator) + Wiener increment sigma(v) dW1, with the multiplicative
+   product c1 Phi v formed in the drift's physical-space pass;
 2. per-mode implicit viscous solve v* <- v* / (1 + nu dt |xi|^2), which is
    unconditionally contractive (and the identity when nu = 0);
 3. jumps from (t, t+dt] applied sequentially in time order to the
    post-diffusion state — each uses the pre-jump (left-limit) velocity;
-4. Leray projection and spectral-ball cutoff;
+4. one spectral-ball cutoff and one Leray projection of the whole update;
+   both act mode by mode and commute with every per-mode factor above, so
+   applying them once here equals applying them to each term;
 5. explicit stress update tau <- cutoff[ tau + dt * stress drift
    (Ito correction included) + S(tau) dW2 ].
 
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowState, PhysicalParams, drift
+from .dynamics import FlowState, PhysicalParams, explicit_terms
 from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, detect_stop, energy
 from .noise import (
     JumpConfig,
@@ -35,7 +38,7 @@ from .noise import (
     StressNoiseInstance,
     WienerQConfig,
 )
-from .spectral import SpectralGrid, TensorField, VectorField, leray_project, truncate
+from .spectral import SpectralGrid, TensorField, VectorField, leray_project
 
 __all__ = [
     "StepperConfig",
@@ -99,30 +102,30 @@ def step(
     dt: float,
 ) -> FlowState:
     """Advance one step; see the module docstring for the update order."""
-    grid = state.v.grid
-    n = grid.truncation_radius
+    grid, sigma = state.v.grid, noise.sigma
     with np.errstate(over="ignore", invalid="ignore"):
-        vd, sd = drift(state, params, noise.stress)
-        v_star = state.v.coeffs + dt * vd.coeffs
+        additive, profile = sigma.parts(sn.dw1) if sigma is not None else (None, None)
+        vel, sd, prod = explicit_terms(state, params, noise.stress, profile)
+        v_star = state.v.coeffs + dt * vel
         if noise.jump is not None:
-            v_star = v_star - dt * noise.jump.compensator(state.v).coeffs
-        if noise.sigma is not None:
-            v_star = v_star + noise.sigma.apply(state.v, sn.dw1).coeffs
-        v_star = v_star / (1.0 + params.nu * dt * grid.xi_sq)
-        v_new = VectorField(grid, v_star)
+            v_star -= dt * noise.jump.compensator(state.v).coeffs
+        for part in (additive, prod):
+            if part is not None:
+                v_star += part
+        v_star /= 1.0 + params.nu * dt * grid.xi_sq
         if noise.jump is not None:
             for _, z in sn.jumps:
-                inc = truncate(noise.jump.jump_increment(v_new, z), n)
-                v_new = VectorField(grid, v_new.coeffs + inc.coeffs)
-        v_new = leray_project(truncate(v_new, n))
+                v_star += noise.jump.jump_increment(VectorField(grid, v_star), z).coeffs
+        v_star *= grid.ball_mask
+        v_new = leray_project(VectorField(grid, v_star))
 
         tau_c = state.tau.coeffs + dt * sd.coeffs
         symmetric = state.tau.symmetric and sd.symmetric
         if noise.stress is not None:
-            tau_c = tau_c + sn.dw2 * noise.stress.s_apply(state.tau).coeffs
+            tau_c += sn.dw2 * noise.stress.s_apply(state.tau).coeffs
             symmetric = symmetric and noise.stress.preserves_symmetry
-        tau_new = truncate(TensorField(grid, tau_c, symmetric=symmetric), n)
-    return FlowState(state.t + dt, v_new, tau_new)
+        tau_c *= grid.ball_mask
+    return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=symmetric))
 
 
 @dataclass

@@ -87,6 +87,33 @@ def oldroyd_quadratic_terms(xi, v_hat, tau_hat, b: float, keep):
     return adv_v, adv_tau, q
 
 
+def leray_project_modes(xi, c_hat):
+    """(I - xi xi^T / |xi|^2) c_hat mode by mode; the mean mode is kept."""
+    xi_sq = np.sum(xi * xi, axis=0)
+    xi_dot_c = np.sum(xi * c_hat, axis=0)
+    return c_hat - xi * (xi_dot_c / np.where(xi_sq > 0, xi_sq, 1.0))
+
+
+def dealiased_scalar_product(f_hat, v_hat, keep):
+    """Scalar field f times each component of v, one component at a time
+    through physical space, transformed back and masked by `keep`."""
+    axes = tuple(range(-f_hat.ndim, 0))
+    f = np.fft.ifftn(f_hat, axes=axes, norm="forward")
+    return np.array([
+        np.fft.fftn(f * np.fft.ifftn(v_hat[a], axes=axes, norm="forward"), axes=axes,
+                    norm="forward") * keep
+        for a in range(v_hat.shape[0])
+    ])
+
+
+def sigma_increment(xi, dealias, ball, additive_hat, profile_hat, v_hat):
+    """The velocity noise increment P(trunc(c0 Sigma + c1 dealias(Phi v))),
+    each operation on its own; `additive_hat` holds c0 Sigma and
+    `profile_hat` c1 Phi."""
+    total = additive_hat + dealiased_scalar_product(profile_hat, v_hat, dealias)
+    return leray_project_modes(xi, total * ball)
+
+
 def wilson_interval(successes: int, n: int, z: float = Z_95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if n == 0:

@@ -1,21 +1,24 @@
 """Noise channels: Q-Wiener basis, affine diffusion, stress noise, jumps, replay."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.noise import (
     JumpConfig,
     JumpOperator,
     NoisePath,
     NoiseSampler,
     SigmaInstance,
+    StepNoise,
     StressNoiseInstance,
     VelocityNoiseBasis,
     WienerQConfig,
+    _halfspace_wavevectors,
     load_noise_path,
     rng_for_run,
-    sample_w1_increment,
     save_noise_path,
 )
 from stoldroyd.spectral import (
@@ -24,16 +27,19 @@ from stoldroyd.spectral import (
     divergence_defect,
     hermitian_defect,
     hs_norm,
+    leray_project,
     random_field,
     make_grid,
     symmetry_defect,
     truncate,
 )
+from stoldroyd.stepping import NoiseModel, step
 
 import oracles
 
 GRID = make_grid(2, 64, 2 * math.pi, 16)
 WIENER = WienerQConfig(lambda0=1.0, J=8)
+NOISE_ONLY = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
 
 
 def ball_vector(seed, grid=GRID):
@@ -101,6 +107,18 @@ class TestVelocityNoiseBasis:
         want = math.sqrt(2.0) / (1.0 + sum(c * c for c in k)) * 0.5
         assert phi.coeffs[k] == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("dim, top, radius", [(2, 99, 12), (3, 364, 8)])
+    def test_wavevectors_match_brute_force(self, dim, top, radius):
+        """Every count gets the first `count` half-lattice vectors by (|k|^2, k),
+        including counts whose last vector lies outside the first search box."""
+        box = range(-radius, radius + 1)
+        ks = [k for k in itertools.product(box, repeat=dim)
+              if any(k) and next(c for c in k if c != 0) > 0]
+        ks.sort(key=lambda k: (sum(c * c for c in k), k))
+        assert sum(c * c for c in ks[top - 1]) <= radius * radius  # the box holds them all
+        for count in range(1, top + 1):
+            assert _halfspace_wavevectors(dim, count) == ks[:count], count
+
     def test_basis_too_wide_for_grid_rejected(self):
         tiny = make_grid(2, 8, 2 * math.pi, 2)
         with pytest.raises(ValueError, match="dealias cutoff"):
@@ -108,17 +126,23 @@ class TestVelocityNoiseBasis:
 
 
 class TestSampleIncrement:
+    @staticmethod
+    def increment(sampler, basis, dt):
+        """One step's dW_j and the field sum_j sqrt(lambda_j) dW_j e_j."""
+        dw1 = sampler.sample_step(dt).dw1
+        return dw1, basis.assemble_velocity(np.sqrt(WIENER.eigenvalues) * dw1)
+
     def test_zero_dt_gives_zero(self):
         basis = VelocityNoiseBasis(GRID, WIENER.J)
-        dw1, field = sample_w1_increment(basis, WIENER, 0.0, rng_for_run(1, 0))
+        sampler = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng_for_run(1, 0))
+        dw1, field = self.increment(sampler, basis, 0.0)
         assert np.all(dw1 == 0)
         assert np.all(field.coeffs == 0)
 
     def test_same_seed_identical(self):
-        basis = VelocityNoiseBasis(GRID, WIENER.J)
-        a, _ = sample_w1_increment(basis, WIENER, 1e-3, rng_for_run(7, 3))
-        b, _ = sample_w1_increment(basis, WIENER, 1e-3, rng_for_run(7, 3))
-        assert np.array_equal(a, b)
+        a = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng_for_run(7, 3)).sample_step(1e-3)
+        b = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng_for_run(7, 3)).sample_step(1e-3)
+        assert np.array_equal(a.dw1, b.dw1)
 
     def test_increment_variance(self):
         """Sample variance of dW_j matches dt within 3 standard errors."""
@@ -136,48 +160,71 @@ class TestSampleIncrement:
         n = 4000
         basis = VelocityNoiseBasis(GRID, WIENER.J)
         rng = rng_for_run(13, 0)
+        sampler = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng)
         sq = np.empty(n)
         for i in range(n):
-            _, field = sample_w1_increment(basis, WIENER, dt, rng)
+            _, field = self.increment(sampler, basis, dt)
             sq[i] = hs_norm(field, 0.0) ** 2
         want = dt * WIENER.trace
         se = float(np.std(sq, ddof=1) / math.sqrt(n))
         assert abs(float(np.mean(sq)) - want) <= 3 * se
 
 
+def noise_step(sigma, v, dw):
+    """Velocity after one step from (v, tau = 0) with only the velocity noise
+    `sigma` acting (none for None); drift and viscosity are off."""
+    tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex), symmetric=True)
+    model = NoiseModel() if sigma is None else NoiseModel(wiener=sigma.wiener, sigma=sigma)
+    sn = StepNoise(dw1=np.asarray(dw, dtype=float), dw2=0.0, jumps=())
+    return step(FlowState(0.0, v, tau), NOISE_ONLY, model, sn, 1e-3).v.coeffs
+
+
+def noise_increment(sigma, v, dw):
+    """What the velocity noise adds to one step from v."""
+    return noise_step(sigma, v, dw) - noise_step(sigma, v, np.zeros(sigma.wiener.J))
+
+
 class TestSigmaInstance:
     def test_zero_amplitudes_zero_output(self):
+        """c0 = c1 = 0 leaves the step exactly as without the channel."""
         sigma = SigmaInstance(GRID, WIENER, c0=0.0, c1=0.0)
+        dw = np.ones(WIENER.J)
+        assert sigma.parts(dw) == (None, None)
         v = ball_vector(1)
-        out = sigma.apply(v, np.ones(WIENER.J))
-        assert np.all(out.coeffs == 0)
+        assert np.array_equal(noise_step(sigma, v, dw), noise_step(None, v, dw))
 
     def test_additive_only_ignores_velocity(self):
+        """With c1 = 0 no product is formed: the step adds exactly c0 Sigma."""
         sigma = SigmaInstance(GRID, WIENER, c0=0.7, c1=0.0)
         dw = rng_for_run(2, 0).standard_normal(WIENER.J)
-        out1 = sigma.apply(ball_vector(2), dw)
-        out2 = sigma.apply(ball_vector(3), dw)
-        assert np.array_equal(out1.coeffs, out2.coeffs)
+        additive, profile = sigma.parts(dw)
+        assert profile is None
+        for seed in (2, 3):
+            v = ball_vector(seed)
+            want = leray_project(truncate(VectorField(GRID, v.coeffs + additive),
+                                          GRID.truncation_radius)).coeffs
+            assert np.array_equal(noise_step(sigma, v, dw), want)
 
     def test_output_divergence_free_and_truncated(self):
         sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
         dw = rng_for_run(4, 0).standard_normal(WIENER.J)
-        out = sigma.apply(ball_vector(5), dw)
+        v = ball_vector(5)
+        out = VectorField(GRID, noise_step(sigma, v, dw))
+        inc = noise_increment(sigma, v, dw)
+        outside = ~np.broadcast_to(GRID.ball_mask, inc.shape)
         assert divergence_defect(out) <= 1e-12
-        assert np.all(out.coeffs[~np.broadcast_to(GRID.ball_mask, out.coeffs.shape)] == 0)
+        assert np.all(out.coeffs[outside] == 0)
+        assert np.all(inc[outside] == 0)
+        assert np.max(np.abs(inc)) > 1e-3 * np.max(np.abs(v.coeffs))
 
     def test_affine_difference_is_linear_part(self):
-        """apply(v1) - apply(v2) equals the multiplicative part of v1 - v2."""
+        """increment(v1) - increment(v2) is the multiplicative part of v1 - v2."""
         sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
         dw = rng_for_run(6, 0).standard_normal(WIENER.J)
         v1, v2 = ball_vector(6), ball_vector(7)
-        lhs = sigma.apply(v1, dw).coeffs - sigma.apply(v2, dw).coeffs
-        diff = VectorField(GRID, v1.coeffs - v2.coeffs)
-        from stoldroyd.spectral import leray_project
-
-        rhs = leray_project(
-            truncate(sigma.multiplicative(diff, dw), GRID.truncation_radius)
-        ).coeffs
+        lhs = noise_increment(sigma, v1, dw) - noise_increment(sigma, v2, dw)
+        rhs = oracles.sigma_increment(GRID.xi, GRID.dealias_mask, GRID.ball_mask, 0.0,
+                                      sigma.parts(dw)[1], v1.coeffs - v2.coeffs)
         scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
@@ -185,9 +232,9 @@ class TestSigmaInstance:
         sigma = SigmaInstance(GRID, WIENER, c0=0.0, c1=1.3)
         dw = rng_for_run(8, 0).standard_normal(WIENER.J)
         v = ball_vector(8)
-        base = sigma.multiplicative(v, dw)
-        doubled = sigma.multiplicative(VectorField(GRID, 2.0 * v.coeffs), dw)
-        assert np.array_equal(doubled.coeffs, 2.0 * base.coeffs)
+        base = noise_step(sigma, v, dw)
+        doubled = noise_step(sigma, VectorField(GRID, 2.0 * v.coeffs, div_free=True), dw)
+        assert np.array_equal(doubled, 2.0 * base)
 
     def test_growth_constant_bounds_random_fields(self):
         """The analytic K really dominates the (A.2)-style sum on samples."""
@@ -203,7 +250,8 @@ class TestSigmaInstance:
                 unit = np.zeros(WIENER.J)
                 unit[j] = 1.0
                 e_term = sigma.c0 * sigma.basis.assemble_velocity(unit).coeffs
-                m_term = sigma.multiplicative(v, unit).coeffs
+                m_term = oracles.dealiased_scalar_product(
+                    sigma.c1 * sigma.basis.phi_j(j).coeffs, v.coeffs, GRID.dealias_mask)
                 total += lam[j] * hs_norm(VectorField(GRID, e_term + m_term), s) ** 2
             total += jump.config.rate * jump.config.gamma_sq_bar * hs_norm(jump.smooth(v), s) ** 2
             assert total <= K * (1.0 + hs_norm(v, s) ** 2)
@@ -285,6 +333,27 @@ class TestJumps:
         sampler = NoiseSampler(4, JumpConfig(rate=0.0, gamma0=0.0), rng_for_run(20, 0))
         for _ in range(50):
             assert sampler.sample_step(0.01).jumps == ()
+
+    def test_draws_follow_documented_order(self):
+        """dW1 block, dW2, jump count, then offsets and marks, drawn one at a
+        time; a step without jumps draws nothing after its count."""
+        cfg = JumpConfig(rate=500.0, z_min=-1.0, z_max=2.0, gamma0=1.0)
+        J, dt = 5, 2e-3
+        sampler = NoiseSampler(J, cfg, rng_for_run(23, 0))
+        ref = rng_for_run(23, 0)
+        counts = []
+        for _ in range(2000):
+            got = sampler.sample_step(dt)
+            dw1 = np.array([math.sqrt(dt) * ref.standard_normal() for _ in range(J)])
+            dw2 = math.sqrt(dt) * ref.standard_normal()
+            count = int(ref.poisson(cfg.rate * dt))
+            offsets = sorted(ref.uniform(0.0, dt) for _ in range(count))
+            marks = [ref.uniform(cfg.z_min, cfg.z_max) for _ in range(count)]
+            assert np.array_equal(got.dw1, dw1)
+            assert got.dw2 == dw2
+            assert got.jumps == tuple(zip(offsets, marks))
+            counts.append(count)
+        assert counts.count(0) > 100 and max(counts) >= 3
 
     def test_compensator_constant_gamma(self):
         cfg = JumpConfig(rate=2.5, gamma_kind="constant", gamma0=0.3)

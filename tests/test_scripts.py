@@ -1,0 +1,71 @@
+"""The runnable study in scripts/ builds its run from a config like the CLI."""
+import importlib.util
+import json
+from pathlib import Path
+
+from stoldroyd.cli import main as cli_main
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "survival_study.py"
+
+CONFIG = """
+[grid]
+dim = 2
+modes_per_axis = 16
+truncation_radius = 5
+
+[params]
+nu = 0.5
+a = 0.2
+b = 0.5
+mu1 = 1.0
+mu2 = 1.0
+
+[noise]
+lambda0 = 0.1
+j_modes = 8
+c0 = 0.5
+c1 = 0.2
+c_h = 0.3
+jump_rate = 2.0
+gamma0 = 0.1
+
+[initial]
+v_scale = 0.8
+tau_scale = 0.8
+
+[stepper]
+dt = 0.001
+horizon = 0.02
+
+[monitor]
+threshold = 1.3
+
+[seeds]
+master_seed = 424242
+
+[ensemble]
+n_runs = 30
+deltas = 0.01, 0.02
+"""
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("survival_study", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_survival_study_full_curve_matches_ensemble_command(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    report = tmp_path / "curves.json"
+    load_script().main(["--config", str(config), "--out", str(report)])
+    curves = json.loads(report.read_text())
+    assert cli_main(["ensemble", "--config", str(config), "--out", str(tmp_path / "ens")]) == 0
+    ensemble = json.loads((tmp_path / "ens" / "ensemble.json").read_text())
+    full, half = curves["full amplitude"], curves["half amplitude"]
+    assert full["n_runs"] == half["n_runs"] == 30
+    assert full["deltas"] == [0.01, 0.02]
+    assert full["survival"] == ensemble["survival"]
+    assert all(h >= f for h, f in zip(half["survival"], full["survival"]))

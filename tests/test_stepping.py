@@ -1,12 +1,16 @@
-"""Integrator: closed forms, determinism, jump ordering, replay, FFT budget."""
+"""Integrator: closed forms, determinism, jump ordering, replay, FFT and
+memory budgets."""
 import math
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stoldroyd.config import materialize, parse_config
 from stoldroyd.dynamics import FlowState, PhysicalParams
-from stoldroyd.monitor import MonitorConfig
+from stoldroyd.monitor import MonitorConfig, energy
 from stoldroyd.noise import (
     JumpConfig,
     JumpOperator,
@@ -326,10 +330,24 @@ master_seed = 424242
 """
 
 
+# traced allocation peak of one desk step plus its energy record (README
+# config) when the noise product still had its own transforms and the
+# velocity was projected three times per step
+DESK_STEP_PEAK_BYTES = 3_117_160
+
+
+def desk_step_inputs():
+    run = materialize(parse_config(README_DESK))
+    assert all(ch is not None for ch in (run.noise.sigma, run.noise.stress, run.noise.jump))
+    sn = StepNoise(dw1=np.full(run.noise.J, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
+    return run, sn
+
+
 class TestTransformBudget:
-    def test_desk_step_makes_at_most_eight_transforms(self, monkeypatch):
-        """One physical-space pass per step: at most 8 n-d FFT calls."""
-        run = materialize(parse_config(README_DESK))
+    def test_desk_step_makes_at_most_three_transforms(self, monkeypatch):
+        """One physical-space pass per step, noise product included: at most
+        3 n-d FFT calls and exactly one Leray projection."""
+        run, sn = desk_step_inputs()
         calls = []
         for name in ("fftn", "ifftn"):
             def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
@@ -337,8 +355,56 @@ class TestTransformBudget:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        sn = StepNoise(dw1=np.full(run.noise.J, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
+        projections = []
+
+        def counted_projection(v, _original=leray_project):
+            projections.append(v)
+            return _original(v)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("stoldroyd") \
+                    and getattr(module, "leray_project", None) is leray_project:
+                monkeypatch.setattr(module, "leray_project", counted_projection)
         out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)
-        assert all(ch is not None for ch in (run.noise.sigma, run.noise.stress, run.noise.jump))
         assert np.all(np.isfinite(out.v.coeffs))
-        assert len(calls) <= 8
+        assert len(calls) <= 3
+        assert len(projections) == 1
+
+    def test_desk_step_and_energy_stay_within_memory_budget(self):
+        """Allocation sizes are deterministic, so the traced peak is too."""
+        run, sn = desk_step_inputs()
+        out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)  # first-call allocations
+        energy(out, run.monitor.s, run.params, 0.0)
+        tracemalloc.start()
+        try:
+            out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)
+            energy(out, run.monitor.s, run.params, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= DESK_STEP_PEAK_BYTES
+
+    @pytest.mark.parametrize("c0, c1", [(0.0, 0.2), (0.5, 0.0), (0.5, 0.2)])
+    def test_sigma_increment_matches_separate_operations(self, c0, c1):
+        """What the velocity noise adds to a full nonlinear desk step equals
+        P(trunc(c0 Sigma + c1 dealias(Phi v))) computed operation by operation."""
+        run, _ = desk_step_inputs()
+        grid, wiener = run.grid, run.noise.wiener
+        sigma = SigmaInstance(grid, wiener, c0=c0, c1=c1)
+        noise = NoiseModel(wiener=wiener, sigma=sigma, stress=run.noise.stress)
+        params = replace(run.params, nu=0.0)  # the viscous solve would rescale the increment
+        dw = rng_for_run(50, 0).standard_normal(wiener.J)
+
+        def velocity_after(dw1):
+            sn = StepNoise(dw1=dw1, dw2=0.02, jumps=())
+            return step(run.initial, params, noise, sn, run.stepper.dt).v.coeffs
+
+        got = velocity_after(dw) - velocity_after(np.zeros(wiener.J))
+        additive, profile = sigma.parts(dw)
+        want = oracles.sigma_increment(
+            grid.xi, grid.dealias_mask, grid.ball_mask,
+            0.0 if additive is None else additive,
+            np.zeros(grid.shape) if profile is None else profile,
+            run.initial.v.coeffs,
+        )
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
