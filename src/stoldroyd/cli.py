@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .config import (
     RunConfig,
-    build_noise,
     config_hash,
     load_config,
     materialize,
@@ -125,9 +124,6 @@ def cmd_ensemble(args) -> int:
     cfg, run = _load_run(args)
     _ensure_outdir(args.out)
     n_runs = args.runs if args.runs is not None else cfg.ensemble_n_runs
-    threads = args.threads
-    if threads < 1:
-        raise _CommandError(2, f"threads must be >= 1, got {threads}")
     runs_dir = os.path.join(args.out, "runs")
     _ensure_outdir(runs_dir)
     comments = _provenance(cfg, run.master_seed)
@@ -148,8 +144,8 @@ def cmd_ensemble(args) -> int:
         csv_sink=sink,
     )
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if args.threads > 1:
+            with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 result = run_ensemble(run.initial, run.params, run.noise, run.stepper,
                                       map_over_runs=pool.map, **kwargs)
         else:
@@ -178,8 +174,7 @@ def cmd_refine(args) -> int:
               file=sys.stderr)
     try:
         result = refinement_study(
-            run.initial.v, run.initial.tau, run.params, run.stepper, ordered,
-            lambda grid: build_noise(cfg, grid),
+            run.initial.v, run.initial.tau, run.params, run.stepper, ordered, run.noise,
             threshold=run.monitor.threshold,
             n_paths=cfg.refine_n_paths,
             master_seed=run.master_seed,
@@ -272,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise _CommandError(2, f"threads must be >= 1, got {args.threads}")
         return args.handler(args)
     except _CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)

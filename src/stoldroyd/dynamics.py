@@ -179,7 +179,7 @@ def explicit_terms(
     nl[...] = out
     del out
     np.fft.fftn(nl, axes=axes, norm="forward", out=nl)
-    nl *= grid.dealias_mask & grid.ball_mask
+    nl *= grid.dealias_ball_mask
     if nonlinear:
         vel -= nl[:d]
         stress -= nl[d:rows].reshape((d, d) + shape)

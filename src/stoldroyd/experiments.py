@@ -24,7 +24,6 @@ from .spectral import (
     SpectralGrid,
     TensorField,
     VectorField,
-    alias_free_modes,
     bessel,
     commutator_bessel_product,
     convect_vector,
@@ -42,7 +41,14 @@ from .spectral import (
     relayout,
     truncate,
 )
-from .stepping import NoiseModel, StepperConfig, _check_replay_compatible, simulate, step
+from .stepping import (
+    NoiseModel,
+    StepperConfig,
+    _check_replay_compatible,
+    on_alias_free_grid,
+    simulate,
+    step,
+)
 
 EXACT_TOLERANCE = 1e-10
 
@@ -276,40 +282,33 @@ def refinement_single_path(
     stepper: StepperConfig,
     cutoffs: Sequence[float],
     noise_path: NoisePath,
-    noise_factory: Callable[[SpectralGrid], NoiseModel],
+    noise: NoiseModel,
     *,
     threshold: float,
     s: float = 2.0,
 ) -> tuple[list[tuple[float, float, float]], float]:
     """Lockstep all cutoffs through one shared noise path.
 
-    Every cutoff gets its own noise model built by ``noise_factory``, so the
-    shared Wiener/jump draws are projected per cutoff exactly as the dynamics
-    are, and its own grid: the smallest alias-free one (`alias_free_modes`),
-    or the initial data's grid when the model has a bump stress profile,
-    which is sampled per grid.  The path must suit ``stepper``, whose
-    n_steps are taken.  Differences are accumulated for successive cutoff
-    pairs, in the larger layout of each pair, at every recorded time in
-    [0, window]; the window closes at the horizon or at the first time any
-    cutoff's energy leaves [0, threshold] (divergence included), and the
-    closing comparison is kept.
+    Every cutoff gets its own grid, the smallest alias-free one for its
+    cutoff (`on_alias_free_grid`), and ``noise`` rebuilt on it, so the shared
+    Wiener/jump draws are projected per cutoff exactly as the dynamics are.
+    The path must suit ``stepper``, whose n_steps are taken.  Differences
+    are accumulated for successive cutoff pairs, in the larger layout of each
+    pair, at every recorded time in [0, window]; the window closes at the
+    horizon or at the first time any cutoff's energy leaves [0, threshold]
+    (divergence included), and the closing comparison is kept.
 
     Returns per-pair (sup_t L2 v-difference, sup_t L2 tau-difference,
     integral of the squared L2 gradient of the v-difference) and the window
     end time.
     """
-    base = initial_v.grid
-    host_model = noise_factory(base)
-    _check_replay_compatible(noise_path, stepper, host_model.signature(base))
-    keep_host = host_model.stress is not None and host_model.stress.h_kind == "bump"
-    kmax = host_model.sigma.basis.kmax if host_model.sigma is not None else 0
+    _check_replay_compatible(noise_path, stepper, noise.signature(initial_v.grid))
     states, models = [], []
     for c in cutoffs:
-        modes = base.modes_per_axis if keep_host else alias_free_modes(base, c, kmax)
-        grid = make_grid(base.dim, modes, base.box_length, c, base.dealias_fraction)
-        states.append(FlowState(0.0, relayout(truncate(initial_v, c), grid),
-                                relayout(truncate(initial_tau, c), grid)))
-        models.append(noise_factory(grid))
+        state, model = on_alias_free_grid(
+            FlowState(0.0, truncate(initial_v, c), truncate(initial_tau, c)), noise, c)
+        states.append(state)
+        models.append(model)
 
     k = len(states)
     n_pairs = k - 1
@@ -372,7 +371,7 @@ def refinement_study(
     params: PhysicalParams,
     stepper: StepperConfig,
     cutoffs: Sequence[float],
-    noise_factory: Callable[[SpectralGrid], NoiseModel],
+    noise: NoiseModel,
     *,
     threshold: float,
     n_paths: int,
@@ -395,8 +394,7 @@ def refinement_study(
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
 
-    probe_model = noise_factory(initial_v.grid)
-    signature = probe_model.signature(initial_v.grid)
+    signature = noise.signature(initial_v.grid)
     n_pairs = len(cuts) - 1
     per_pair_v = [[] for _ in range(n_pairs)]
     per_pair_tau = [[] for _ in range(n_pairs)]
@@ -404,11 +402,11 @@ def refinement_study(
     windows = []
 
     for p in range(n_paths):
-        sampler = probe_model.sampler(rng_for_run(master_seed, p))
+        sampler = noise.sampler(rng_for_run(master_seed, p))
         steps = [sampler.sample_step(stepper.dt) for _ in range(stepper.n_steps)]
         path = NoisePath.record(stepper.dt, signature, steps)
         stats, window_end = refinement_single_path(
-            initial_v, initial_tau, params, stepper, cuts, path, noise_factory,
+            initial_v, initial_tau, params, stepper, cuts, path, noise,
             threshold=threshold, s=s,
         )
         windows.append(window_end)
@@ -503,30 +501,33 @@ def twin_uniqueness(
         and first.records == second.records
     )
 
-    grid = initial.v.grid
+    host = initial.v.grid
     dt = stepper.dt
     times = [0.0]
     v_dist = [0.0]
     tau_dist = [0.0]
     if perturbation != 0.0:
+        # the pair steps on the run's alias-free grid; the bump is drawn on the
+        # caller's grid, whose size fixes the random draws
+        state_a, model = on_alias_free_grid(initial, noise)
+        grid = state_a.v.grid
         bump = truncate(
-            random_field(grid, perturbation_alpha, "vector", rng=rng_for_run(master_seed, 1)),
-            grid.truncation_radius,
+            random_field(host, perturbation_alpha, "vector", rng=rng_for_run(master_seed, 1)),
+            host.truncation_radius,
         )
-        bump_coeffs = bump.coeffs / _l2_of(bump.coeffs)
-        state_a = initial
+        bump_coeffs = relayout(bump, grid).coeffs / _l2_of(bump.coeffs)
         state_b = FlowState(
             initial.t,
-            VectorField(grid, initial.v.coeffs + perturbation * bump_coeffs,
+            VectorField(grid, state_a.v.coeffs + perturbation * bump_coeffs,
                         div_free=initial.v.div_free),
-            initial.tau,
+            state_a.tau,
         )
         v_dist[0] = _l2_of(state_b.v.coeffs - state_a.v.coeffs)
         path = first.noise_path
         for i in range(path.n_steps):
             sn = path.step_noise(i)
-            state_a = step(state_a, params, noise, sn, dt)
-            state_b = step(state_b, params, noise, sn, dt)
+            state_a = step(state_a, params, model, sn, dt)
+            state_b = step(state_b, params, model, sn, dt)
             times.append(state_a.t)
             v_dist.append(_l2_of(state_b.v.coeffs - state_a.v.coeffs))
             tau_dist.append(_l2_of(state_b.tau.coeffs - state_a.tau.coeffs))

@@ -221,6 +221,9 @@ class SigmaInstance:
         self.basis = VelocityNoiseBasis(grid, wiener.J)
         self._sqrt_lambda = np.sqrt(wiener.eigenvalues)
 
+    def on(self, grid: SpectralGrid) -> "SigmaInstance":
+        return SigmaInstance(grid, self.wiener, self.c0, self.c1)
+
     def parts(self, dw1: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Coefficients of c0 * sum_j w_j e_j and of c1 * Phi, the multiplier
         of v; None for a part whose amplitude is 0."""
@@ -260,6 +263,7 @@ class StressNoiseInstance:
         self.grid = grid
         self.h_kind = h_kind
         self.c_h = float(c_h)
+        self.bump_width = bump_width
         self.preserves_symmetry = h_kind == "identity"
         if h_kind == "bump":
             x = np.meshgrid(
@@ -281,6 +285,9 @@ class StressNoiseInstance:
             for a in range(grid.dim):
                 c[(a, a) + (0,) * grid.dim] = self.c_h
             self.h = TensorField(grid, c, symmetric=True)
+
+    def on(self, grid: SpectralGrid) -> "StressNoiseInstance":
+        return StressNoiseInstance(grid, self.h_kind, self.c_h, self.bump_width)
 
     def s_apply(self, tau: TensorField) -> TensorField:
         if self.h_kind == "identity":
@@ -353,6 +360,9 @@ class JumpOperator:
         self.grid = grid
         self.config = config
         self._kappa = 1.0 / (1.0 + grid.xi_sq)
+
+    def on(self, grid: SpectralGrid) -> "JumpOperator":
+        return JumpOperator(grid, self.config)
 
     def smooth(self, v: VectorField) -> VectorField:
         return VectorField(self.grid, self._kappa * v.coeffs, div_free=v.div_free)

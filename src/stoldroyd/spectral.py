@@ -60,8 +60,9 @@ __all__ = [
 class SpectralGrid:
     """Fourier discretization of the periodic box [0, L)^dim.
 
-    Precomputes integer mode indices, wavevectors, |xi|^2, the per-axis
-    dealias mask and the |xi| <= n cutoff mask.  Instances are immutable and
+    Precomputes integer mode indices, wavevectors, |xi|^2 (and its
+    zero-free copy, the Leray denominator), the per-axis dealias mask, the
+    |xi| <= n cutoff mask and their conjunction.  Instances are immutable and
     shared freely between fields.
     """
 
@@ -74,8 +75,10 @@ class SpectralGrid:
     k_int: np.ndarray = dc_field(repr=False, default=None)
     xi: np.ndarray = dc_field(repr=False, default=None)
     xi_sq: np.ndarray = dc_field(repr=False, default=None)
+    xi_sq_safe: np.ndarray = dc_field(repr=False, default=None)  # 1 at xi = 0
     dealias_mask: np.ndarray = dc_field(repr=False, default=None)
     ball_mask: np.ndarray = dc_field(repr=False, default=None)
+    dealias_ball_mask: np.ndarray = dc_field(repr=False, default=None)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,8 +155,10 @@ def make_grid(
         k_int=k_int,
         xi=xi,
         xi_sq=xi_sq,
+        xi_sq_safe=np.where(xi_sq > 0, xi_sq, 1.0),
         dealias_mask=dealias_mask,
         ball_mask=ball_mask,
+        dealias_ball_mask=dealias_mask & ball_mask,
     )
 
 
@@ -365,9 +370,8 @@ def leray_project(v: VectorField) -> VectorField:
     The mean mode (xi = 0) is left unchanged; constants are divergence-free.
     """
     g = v.grid
-    xi_sq_safe = np.where(g.xi_sq > 0, g.xi_sq, 1.0)
     xi_dot_v = np.sum(g.xi * v.coeffs, axis=0)
-    c = v.coeffs - g.xi * (xi_dot_v / xi_sq_safe)[np.newaxis]
+    c = v.coeffs - g.xi * (xi_dot_v / g.xi_sq_safe)[np.newaxis]
     return VectorField(g, c, div_free=True)
 
 

@@ -38,11 +38,20 @@ from .noise import (
     StressNoiseInstance,
     WienerQConfig,
 )
-from .spectral import SpectralGrid, TensorField, VectorField, leray_project
+from .spectral import (
+    SpectralGrid,
+    TensorField,
+    VectorField,
+    alias_free_modes,
+    leray_project,
+    make_grid,
+    relayout,
+)
 
 __all__ = [
     "StepperConfig",
     "NoiseModel",
+    "on_alias_free_grid",
     "SimulationResult",
     "step",
     "simulate",
@@ -92,6 +101,40 @@ class NoiseModel:
 
     def signature(self, grid: SpectralGrid) -> tuple:
         return (grid.dim, float(grid.box_length), self.J)
+
+    def on(self, grid: SpectralGrid) -> "NoiseModel":
+        """The same channels rebuilt on `grid`."""
+        return NoiseModel(self.wiener, *(None if ch is None else ch.on(grid)
+                                         for ch in (self.sigma, self.stress, self.jump)))
+
+
+def on_alias_free_grid(
+    state: FlowState, noise: NoiseModel, n: float | None = None
+) -> tuple[FlowState, NoiseModel]:
+    """`state` and `noise` on the smallest grid on which the cutoff-n system
+    (n defaults to the state grid's radius) is the Galerkin system of the
+    state's grid: `alias_free_modes` sized for the noise basis.
+
+    The state's grid size is kept for a bump stress profile, which is
+    sampled per grid, and for a state with mass outside the ball |xi| <= n,
+    whose products a smaller grid would alias.  Without `n`, a grid that
+    cannot shrink returns the inputs themselves; with it, the cutoff always
+    gets a grid object of its own.
+    """
+    host = state.v.grid
+    radius = host.truncation_radius if n is None else n
+    modes = host.modes_per_axis
+    if noise.stress is None or noise.stress.h_kind != "bump":
+        kmax = noise.sigma.basis.kmax if noise.sigma is not None else 0
+        modes = alias_free_modes(host, radius, kmax)
+    if modes < host.modes_per_axis:
+        outside = host.xi_sq > radius * radius
+        if np.any(state.v.coeffs[..., outside]) or np.any(state.tau.coeffs[..., outside]):
+            modes = host.modes_per_axis
+    if n is None and modes == host.modes_per_axis:
+        return state, noise
+    grid = make_grid(host.dim, modes, host.box_length, radius, host.dealias_fraction)
+    return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
 
 
 def step(
@@ -168,9 +211,16 @@ def simulate(
     recorded run; dt, basis, and length are validated; the path may come from
     a run at another spectral cutoff, since the basis is cutoff-independent).
     Deterministic: (initial, configs, seed) fixes the trajectory bitwise.
+
+    The run steps on the smallest alias-free grid for the initial grid's
+    cutoff and the noise basis (`on_alias_free_grid`), which computes the
+    initial grid's Galerkin system up to rounding; the energy records are
+    taken there.  The final state is returned on the initial grid object,
+    zero outside the ball.
     """
-    grid = initial.v.grid
-    signature = noise.signature(grid)
+    host = initial.v.grid
+    initial, noise = on_alias_free_grid(initial, noise)
+    signature = noise.signature(host)
     if noise_path is not None:
         _check_replay_compatible(noise_path, stepper, signature)
         sampler = None
@@ -199,6 +249,8 @@ def simulate(
     if event is None:
         event = StoppingEvent(kind="horizon", t_stop=stepper.actual_horizon, e_n=records[-1].e_n)
 
+    if state.v.grid is not host:
+        state = FlowState(state.t, relayout(state.v, host), relayout(state.tau, host))
     path = None
     if recorded_steps is not None:
         path = NoisePath.record(stepper.dt, signature, recorded_steps)

@@ -220,18 +220,17 @@ def test_criterion_6_galerkin_refinement_decay():
     v0 = leray_project(truncate(random_field(base, 6.0, "vector", seed=21), 32.0))
     tau0 = truncate(random_field(base, 6.0, "tensor", seed=22), 32.0)
 
-    def factory(grid):
-        w = WienerQConfig(lambda0=0.05, J=8)
-        return NoiseModel(
-            wiener=w,
-            sigma=SigmaInstance(grid, w, c0=0.3, c1=0.1),
-            stress=StressNoiseInstance(grid, "identity", c_h=0.2),
-            jump=JumpOperator(grid, JumpConfig(rate=1.0, gamma_kind="constant", gamma0=0.05)),
-        )
+    w = WienerQConfig(lambda0=0.05, J=8)
+    noise = NoiseModel(
+        wiener=w,
+        sigma=SigmaInstance(base, w, c0=0.3, c1=0.1),
+        stress=StressNoiseInstance(base, "identity", c_h=0.2),
+        jump=JumpOperator(base, JumpConfig(rate=1.0, gamma_kind="constant", gamma0=0.05)),
+    )
 
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
     study = refinement_study(v0, tau0, params, StepperConfig(dt=1e-3, horizon=0.05),
-                             (8.0, 16.0, 32.0), factory, threshold=1e9, n_paths=20,
+                             (8.0, 16.0, 32.0), noise, threshold=1e9, n_paths=20,
                              master_seed=777)
 
     assert all(end == pytest.approx(0.05) for end in study.window_ends)

@@ -190,6 +190,16 @@ class TestRefine:
         assert "truncation_radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "refine", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_bad_thread_count_exits_2_for_every_command(command, threads, config_file, tmp_path,
+                                                    capsys):
+    code = main([command, "--config", config_file, "--out", str(tmp_path / "out"),
+                 "--threads", threads])
+    assert code == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_default_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -178,7 +178,7 @@ class TestRunEnsemble:
                    for lo, hi in zip(res.wilson_low, res.wilson_high))
 
 
-def refine_factory(grid):
+def refine_noise(grid):
     wiener = WienerQConfig(lambda0=0.02, J=4)
     return NoiseModel(
         wiener=wiener,
@@ -215,13 +215,13 @@ class TestRefinement:
         it = truncate(random_field(base, 6.0, "tensor", seed=2), 16)
         stepper = StepperConfig(dt=1e-3, horizon=1e-2)
         with pytest.raises(ValueError, match="strictly increasing"):
-            refinement_study(iv, it, PARAMS, stepper, [16.0, 8.0], refine_factory,
+            refinement_study(iv, it, PARAMS, stepper, [16.0, 8.0], refine_noise(base),
                              threshold=1e6, n_paths=1, master_seed=0)
         with pytest.raises(ValueError, match="at least two"):
-            refinement_study(iv, it, PARAMS, stepper, [8.0], refine_factory,
+            refinement_study(iv, it, PARAMS, stepper, [8.0], refine_noise(base),
                              threshold=1e6, n_paths=1, master_seed=0)
         with pytest.raises(ValueError, match="n_paths"):
-            refinement_study(iv, it, PARAMS, stepper, [8.0, 16.0], refine_factory,
+            refinement_study(iv, it, PARAMS, stepper, [8.0, 16.0], refine_noise(base),
                              threshold=1e6, n_paths=0, master_seed=0)
 
     def test_matching_cutoffs_give_exactly_zero(self):
@@ -229,9 +229,9 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        path = recorded_path(refine_factory(base), base, stepper.dt, stepper.n_steps)
+        path = recorded_path(refine_noise(base), base, stepper.dt, stepper.n_steps)
         stats, window = refinement_single_path(
-            iv, it, PARAMS, stepper, [8.0, 8.0], path, refine_factory,
+            iv, it, PARAMS, stepper, [8.0, 8.0], path, refine_noise(base),
             threshold=1e6)
         (sup_v, sup_tau, grad_int), = stats
         assert sup_v == 0.0 and sup_tau == 0.0 and grad_int == 0.0
@@ -245,10 +245,10 @@ class TestRefinement:
         iv = truncate(random_field(base, 6.0, "vector", seed=11), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=12), 16)
         stepper = StepperConfig(dt=1e-3, horizon=6e-3)
-        path = recorded_path(refine_factory(base), base, stepper.dt, 10)
+        path = recorded_path(refine_noise(base), base, stepper.dt, 10)
         trajectories = record_steps(monkeypatch)
         _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0, 16.0], path,
-                                           refine_factory, threshold=1e6)
+                                           refine_noise(base), threshold=1e6)
         assert window == stepper.actual_horizon
         sizes = {c: traj[0].v.grid.modes_per_axis for c, traj in trajectories.items()}
         assert sizes == {4.0: 14, 8.0: 26, 16.0: 48}
@@ -257,60 +257,51 @@ class TestRefinement:
             host = make_grid(2, 48, 2 * math.pi, c)
             state = FlowState(0.0, VectorField(host, truncate(iv, c).coeffs, div_free=True),
                               TensorField(host, truncate(it, c).coeffs, symmetric=True))
-            noise = refine_factory(host)
+            noise = refine_noise(host)
             for i, reduced in enumerate(traj):
                 state = step(state, PARAMS, noise, path.step_noise(i), stepper.dt)
                 for got, want in ((reduced.v, state.v), (reduced.tau, state.tau)):
                     embedded = relayout(got, host).coeffs
                     assert np.max(np.abs(embedded - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
-    def test_bump_stress_noise_keeps_host_grid(self):
+    def test_bump_stress_noise_keeps_host_grid(self, monkeypatch):
         base = make_grid(2, 48, 2 * math.pi, 16)
         iv = truncate(random_field(base, 6.0, "vector", seed=13), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=14), 16)
         stepper = StepperConfig(dt=1e-3, horizon=2e-3)
         for h_kind, sizes in (("bump", {4.0: 48, 8.0: 48}), ("identity", {4.0: 14, 8.0: 26})):
-            seen = {}
-
-            def factory(grid):
-                seen[grid.truncation_radius] = grid.modes_per_axis
-                model = refine_factory(grid)
-                model.stress = StressNoiseInstance(grid, h_kind, c_h=0.1)
-                return model
-
-            path = recorded_path(factory(base), base, stepper.dt, stepper.n_steps)
-            refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, factory,
+            model = refine_noise(base)
+            model.stress = StressNoiseInstance(base, h_kind, c_h=0.1)
+            path = recorded_path(model, base, stepper.dt, stepper.n_steps)
+            trajectories = record_steps(monkeypatch)
+            refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, model,
                                    threshold=1e6)
-            assert {c: seen[c] for c in (4.0, 8.0)} == sizes
+            assert {c: traj[0].v.grid.modes_per_axis for c, traj in trajectories.items()} == sizes
 
-    def test_wide_noise_basis_widens_small_cutoff_grid(self):
+    def test_wide_noise_basis_widens_small_cutoff_grid(self, monkeypatch):
         """J = 81 reaches |k| = 5, which the 14-mode grid of cutoff 4 cannot
         hold; the cutoff gets 16 modes instead of an error."""
         base = make_grid(2, 48, 2 * math.pi, 16)
         iv = truncate(random_field(base, 6.0, "vector", seed=15), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=16), 16)
         stepper = StepperConfig(dt=1e-3, horizon=2e-3)
-        seen = {}
-
-        def factory(grid):
-            seen[grid.truncation_radius] = grid.modes_per_axis
-            wiener = WienerQConfig(lambda0=0.02, J=81)
-            return NoiseModel(wiener=wiener, sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1))
-
-        model = factory(base)
+        wiener = WienerQConfig(lambda0=0.02, J=81)
+        model = NoiseModel(wiener=wiener, sigma=SigmaInstance(base, wiener, c0=0.2, c1=0.1))
         assert model.sigma.basis.kmax == 5
         path = recorded_path(model, base, stepper.dt, stepper.n_steps)
-        _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, factory,
+        trajectories = record_steps(monkeypatch)
+        _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, model,
                                            threshold=1e6)
         assert window == stepper.actual_horizon
-        assert seen[4.0] == 16 and seen[8.0] == 26
+        sizes = {c: traj[0].v.grid.modes_per_axis for c, traj in trajectories.items()}
+        assert sizes == {4.0: 16, 8.0: 26}
 
     def test_noise_path_checked_against_stepper(self):
         base = make_grid(2, 32, 2 * math.pi, 8)
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        model = refine_factory(base)
+        model = refine_noise(base)
         bad_paths = {
             "dt": recorded_path(model, base, 2e-3, 10),
             "basis": recorded_path(model, base, 1e-3, 10, signature=(2, 2 * math.pi, 3)),
@@ -319,7 +310,7 @@ class TestRefinement:
         for message, path in bad_paths.items():
             with pytest.raises(ValueError, match=message):
                 refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path,
-                                       refine_factory, threshold=1e6)
+                                       model, threshold=1e6)
 
     def test_support_confined_linear_run_differences_vanish(self):
         """With the nonlinearity off and all channels support-preserving
@@ -329,17 +320,15 @@ class TestRefinement:
         it = truncate(random_field(base, 5.0, "tensor", seed=6), 3.0)
         params = PhysicalParams(nu=0.4, a=0.3, b=0.2, mu1=1.0, mu2=1.0, nonlinear=False)
 
-        def confined_factory(grid):
-            wiener = WienerQConfig(lambda0=0.05, J=2)  # only |k| = 1 modes
-            return NoiseModel(
-                wiener=wiener,
-                sigma=SigmaInstance(grid, wiener, c0=0.3, c1=0.0),
-                stress=StressNoiseInstance(grid, "identity", c_h=0.2),
-                jump=JumpOperator(grid, JumpConfig(rate=5.0, gamma_kind="linear", gamma0=0.3)),
-            )
-
+        wiener = WienerQConfig(lambda0=0.05, J=2)  # only |k| = 1 modes
+        confined = NoiseModel(
+            wiener=wiener,
+            sigma=SigmaInstance(base, wiener, c0=0.3, c1=0.0),
+            stress=StressNoiseInstance(base, "identity", c_h=0.2),
+            jump=JumpOperator(base, JumpConfig(rate=5.0, gamma_kind="linear", gamma0=0.3)),
+        )
         res = refinement_study(iv, it, params, StepperConfig(dt=1e-3, horizon=1e-2),
-                               [4.0, 8.0], confined_factory,
+                               [4.0, 8.0], confined,
                                threshold=1e6, n_paths=2, master_seed=22)
         assert res.sup_v == (0.0,)
         assert res.sup_tau == (0.0,)
@@ -351,7 +340,7 @@ class TestRefinement:
         iv = truncate(random_field(base, 6.0, "vector", seed=7), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=8), 16)
         res = refinement_study(iv, it, PARAMS, StepperConfig(dt=2e-3, horizon=0.04),
-                               [4.0, 8.0, 16.0], refine_factory,
+                               [4.0, 8.0, 16.0], refine_noise(base),
                                threshold=1e6, n_paths=2, master_seed=23)
         assert res.pairs == ((4.0, 8.0), (8.0, 16.0))
         assert res.sup_v[1] < res.sup_v[0]
@@ -365,7 +354,7 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=9), 10)
         it = truncate(random_field(base, 5.0, "tensor", seed=10), 10)
         res = refinement_study(iv, it, PARAMS, StepperConfig(dt=1e-3, horizon=1e-2),
-                               [4.0, 8.0], refine_factory,
+                               [4.0, 8.0], refine_noise(base),
                                threshold=1e-12, n_paths=1, master_seed=24)
         assert res.window_ends == (0.0,)
         shell = truncate(iv, 8.0).coeffs - truncate(iv, 4.0).coeffs
@@ -441,7 +430,7 @@ class TestSummaries:
         iv = truncate(random_field(base, 5.0, "vector", seed=21), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=22), 8)
         ref = refinement_study(iv, it, PARAMS, StepperConfig(dt=1e-3, horizon=2e-3),
-                               [4.0, 8.0], refine_factory,
+                               [4.0, 8.0], refine_noise(base),
                                threshold=1e6, n_paths=1, master_seed=42)
         ref_blob = json.loads(json.dumps(ref.to_dict()))
         assert ref_blob["schema"] == "refine/1"

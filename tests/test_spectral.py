@@ -317,6 +317,17 @@ class TestLerayProjection:
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
         assert hs_norm(leray_project(u), 0.0) <= hs_norm(u, 0.0) * (1 + 1e-12)
 
+    @pytest.mark.parametrize("grid", [GRID, make_grid(3, 16, 3.0, 5.0)], ids=["2d", "3d"])
+    def test_precomputed_denominator_and_masks_match_formula_bitwise(self, grid):
+        """make_grid keeps the zero-free |xi|^2 and the dealias-and-ball mask;
+        the projection still divides, so it equals the per-call formula."""
+        assert np.array_equal(grid.xi_sq_safe, np.where(grid.xi_sq > 0, grid.xi_sq, 1.0))
+        assert np.array_equal(grid.dealias_ball_mask, grid.dealias_mask & grid.ball_mask)
+        c = np.stack([random_field(grid, 2.0, "scalar", seed=30 + a).coeffs
+                      for a in range(grid.dim)])
+        got = leray_project(VectorField(grid, c)).coeffs
+        assert np.array_equal(got, oracles.leray_project_modes(grid.xi, c))
+
     def test_mean_mode_untouched(self):
         c = np.zeros((2,) + GRID.shape, dtype=complex)
         c[0][0, 0] = 3.0

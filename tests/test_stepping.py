@@ -10,10 +10,11 @@ import pytest
 
 from stoldroyd.config import materialize, parse_config
 from stoldroyd.dynamics import FlowState, PhysicalParams
-from stoldroyd.monitor import MonitorConfig, energy
+from stoldroyd.monitor import MonitorConfig, StoppingEvent, detect_stop, energy
 from stoldroyd.noise import (
     JumpConfig,
     JumpOperator,
+    NoisePath,
     SigmaInstance,
     StepNoise,
     StressNoiseInstance,
@@ -28,11 +29,13 @@ from stoldroyd.spectral import (
     leray_project,
     make_grid,
     random_field,
+    relayout,
     truncate,
 )
 from stoldroyd.stepping import (
     NoiseModel,
     StepperConfig,
+    on_alias_free_grid,
     simulate,
     step,
 )
@@ -408,3 +411,144 @@ class TestTransformBudget:
             run.initial.v.coeffs,
         )
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def host_loop(initial, params, noise, stepper, monitor, rng):
+    """`simulate`'s loop stepped on the caller's grid: the reference for the
+    reduced-grid runs.  Returns records, event, final state, drawn noise."""
+    sampler = noise.sampler(rng)
+    records = [energy(initial, monitor.s, params, 0.0)]
+    state, steps, cum_diss = initial, [], 0.0
+    event = detect_stop(records, monitor.threshold)
+    while event is None and len(steps) < stepper.n_steps:
+        steps.append(sampler.sample_step(stepper.dt))
+        cum_diss += stepper.dt * records[-1].gradv_hs2
+        state = step(state, params, noise, steps[-1], stepper.dt)
+        records.append(energy(state, monitor.s, params, cum_diss))
+        event = detect_stop(records[-1:], monitor.threshold)
+    if event is None:
+        event = StoppingEvent("horizon", stepper.actual_horizon, records[-1].e_n)
+    return records, event, state, steps
+
+
+def small_grid_inputs():
+    """16 modes, cutoff 5: the alias-free size of the cutoff is the grid's own."""
+    grid = make_grid(2, 16, 2 * math.pi, 5)
+    wiener = WienerQConfig(lambda0=0.1, J=8)
+    noise = NoiseModel(
+        wiener=wiener,
+        sigma=SigmaInstance(grid, wiener, c0=0.5, c1=0.2),
+        stress=StressNoiseInstance(grid, "identity", c_h=0.3),
+        jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
+    )
+    v0 = truncate(random_field(grid, 4.0, "vector", seed=60), 5)
+    tau0 = truncate(random_field(grid, 4.0, "tensor", seed=61), 5)
+    return FlowState(0.0, v0, tau0), noise
+
+
+class TestAliasFreeSimulate:
+    def test_desk_run_steps_on_50_modes_and_matches_host_grid(self):
+        run, _ = desk_step_inputs()
+        reduced, _ = on_alias_free_grid(run.initial, run.noise)
+        assert reduced.v.grid.modes_per_axis == 50
+        stepper = replace(run.stepper, record_noise=True)
+        res = simulate(run.initial, run.params, run.noise, stepper, run.monitor,
+                       rng=rng_for_run(run.master_seed, 0))
+        records, event, state, steps = host_loop(run.initial, run.params, run.noise, stepper,
+                                                 run.monitor, rng_for_run(run.master_seed, 0))
+        assert (res.event.kind, res.event.t_stop) == (event.kind, event.t_stop)
+        assert len(res.records) == len(records) > 2
+        for got, want in zip(res.records, records):
+            assert got.t == want.t
+            for name in ("v_hs2", "tau_hs2", "gradv_hs2", "cum_diss", "e_n", "sym_defect"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
+        final = res.final_state
+        assert final.v.grid is run.grid and final.tau.grid is run.grid
+        for got, want in ((final.v, state.v), (final.tau, state.tau)):
+            assert np.all(got.coeffs[..., ~run.grid.ball_mask] == 0)
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
+        host_path = NoisePath.record(stepper.dt, res.noise_path.signature, steps)
+        for name in ("dw1", "dw2", "jump_step", "jump_offset", "jump_mark"):
+            assert np.array_equal(getattr(res.noise_path, name), getattr(host_path, name))
+
+        replayed = simulate(run.initial, run.params, run.noise, run.stepper, run.monitor,
+                            noise_path=res.noise_path)
+        assert replayed.records == res.records
+        assert np.array_equal(replayed.final_state.v.coeffs, final.v.coeffs)
+        assert np.array_equal(replayed.final_state.tau.coeffs, final.tau.coeffs)
+
+    def test_ball_boundary_products_do_not_fold_into_the_ball(self):
+        """Flat-spectrum data is as strong on the ball's edge |k| = 16 as
+        inside it, so a grid of 3k = 48 modes, which folds the products of
+        the edge modes onto the edge, would move the run at O(1)."""
+        run, _ = desk_step_inputs()
+        v0 = truncate(random_field(run.grid, 0.0, "vector", seed=68), 16)
+        tau0 = truncate(random_field(run.grid, 0.0, "tensor", seed=69), 16)
+        initial = FlowState(0.0, VectorField(run.grid, 0.05 * v0.coeffs, div_free=True),
+                            TensorField(run.grid, 0.05 * tau0.coeffs, symmetric=True))
+        stepper = StepperConfig(dt=1e-3, horizon=3e-3)
+        mon = MonitorConfig(threshold=1e9, s=2.0)
+        res = simulate(initial, run.params, run.noise, stepper, mon, rng=rng_for_run(70, 0))
+        records, _, state, _ = host_loop(initial, run.params, run.noise, stepper, mon,
+                                         rng_for_run(70, 0))
+        for got, want in zip(res.records, records):
+            assert got.e_n == pytest.approx(want.e_n, rel=1e-12, abs=0)
+        for got, want in ((res.final_state.v, state.v), (res.final_state.tau, state.tau)):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
+
+    @pytest.mark.parametrize("case", ["alias_free_host", "bump", "mass_outside_ball"])
+    def test_unreduced_runs_equal_host_loop_bitwise(self, case):
+        """A grid the rule cannot shrink, a bump profile (sampled per grid),
+        and data outside the ball (whose products would alias) all step on
+        the caller's grid, bitwise as the host loop."""
+        if case == "alias_free_host":
+            initial, noise = small_grid_inputs()
+        else:
+            run, _ = desk_step_inputs()
+            initial, noise = run.initial, run.noise
+        if case == "bump":
+            noise = replace(noise, stress=StressNoiseInstance(run.grid, "bump", c_h=0.3))
+        if case == "mass_outside_ball":
+            shell = random_field(run.grid, 4.0, "vector", seed=62).coeffs * ~run.grid.ball_mask
+            initial = FlowState(0.0, VectorField(run.grid, initial.v.coeffs + 1e-3 * shell),
+                                initial.tau)
+        state, model = on_alias_free_grid(initial, noise)
+        assert state is initial and model is noise
+        params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
+        stepper = StepperConfig(dt=1e-3, horizon=0.03)
+        mon = MonitorConfig(threshold=1e6, s=2.0)
+        res = simulate(initial, params, noise, stepper, mon, rng=rng_for_run(63, 0))
+        records, event, state, _ = host_loop(initial, params, noise, stepper, mon,
+                                             rng_for_run(63, 0))
+        assert res.records == records and res.event == event
+        assert np.array_equal(res.final_state.v.coeffs, state.v.coeffs)
+        assert np.array_equal(res.final_state.tau.coeffs, state.tau.coeffs)
+
+    def test_rebuilt_channels_act_as_host_channels_after_relayout(self):
+        run, _ = desk_step_inputs()
+        host, noise = run.grid, run.noise
+        reduced = make_grid(2, 50, 2 * math.pi, 16)
+        moved = noise.on(reduced)
+        assert moved.wiener is noise.wiener and moved.signature(reduced) == noise.signature(host)
+        v = truncate(random_field(host, 4.0, "vector", seed=64), 16)
+        tau = truncate(random_field(host, 4.0, "tensor", seed=65), 16)
+        v_small, tau_small = relayout(v, reduced), relayout(tau, reduced)
+        dw1 = rng_for_run(66, 0).standard_normal(noise.J)
+        for got, want in zip(moved.sigma.parts(dw1), noise.sigma.parts(dw1)):
+            assert np.array_equal(got, relayout(VectorField(host, want), reduced).coeffs)
+        pairs = [
+            (moved.stress.s_apply(tau_small), noise.stress.s_apply(tau)),
+            (moved.stress.s_squared(tau_small), noise.stress.s_squared(tau)),
+            (moved.jump.compensator(v_small), noise.jump.compensator(v)),
+            (moved.jump.jump_increment(v_small, 0.4), noise.jump.jump_increment(v, 0.4)),
+        ]
+        for got, want in pairs:
+            assert got.grid is reduced
+            assert np.array_equal(got.coeffs, relayout(want, reduced).coeffs)
+        a = moved.sampler(rng_for_run(67, 0)).sample_step(1e-3)
+        b = noise.sampler(rng_for_run(67, 0)).sample_step(1e-3)
+        assert np.array_equal(a.dw1, b.dw1) and (a.dw2, a.jumps) == (b.dw2, b.jumps)
+        # a bump profile keeps its width: rebuilt on a grid of the same size it is the same
+        bump = StressNoiseInstance(host, "bump", c_h=0.3, bump_width=0.7)
+        again = bump.on(make_grid(2, 64, 2 * math.pi, 8))
+        assert np.array_equal(again.h.coeffs, bump.h.coeffs)
