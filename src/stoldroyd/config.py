@@ -62,7 +62,7 @@ _SCHEMA = {
         "b": ("float", _REQUIRED),
         "mu1": ("float", _REQUIRED),
         "mu2": ("float", _REQUIRED),
-        "s": ("float", 2.0),
+        "s": ("float", 2.0),  # H^s index of the initial-data scaling; the monitor's is s_monitor
         "nonlinear": ("bool", True),
     },
     "noise": {
@@ -266,7 +266,7 @@ def build_grid(cfg: RunConfig) -> SpectralGrid:
 
 def build_params(cfg: RunConfig) -> PhysicalParams:
     return PhysicalParams(nu=cfg.nu, a=cfg.a, b=cfg.b, mu1=cfg.mu1, mu2=cfg.mu2,
-                          s=cfg.s, nonlinear=cfg.nonlinear)
+                          nonlinear=cfg.nonlinear)
 
 
 def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:

@@ -23,7 +23,6 @@ from .spectral import (
     TensorField,
     VectorField,
     convect_vector,
-    divergence_tensor,
     gradient_vector,
     leray_project,
     pointwise_matmul,
@@ -36,7 +35,6 @@ __all__ = [
     "PhysicalParams",
     "FlowState",
     "deformation",
-    "vorticity",
     "q_form",
     "advect_vector",
     "explicit_terms",
@@ -48,10 +46,11 @@ __all__ = [
 class PhysicalParams:
     """Model constants: viscosity, relaxation, slip, coupling weights.
 
-    `s` is the working Sobolev index used by energy monitoring and noise
-    growth bookkeeping.  `nonlinear` switches the quadratic terms (advection
-    and Q) on or off; the linear stress/velocity couplings always stay on, so
-    False gives the Stokes-type linearization.
+    `nonlinear` switches the quadratic terms (advection and Q) on or off; the
+    linear stress/velocity couplings always stay on, so False gives the
+    Stokes-type linearization.  The Sobolev index of a run is not a model
+    constant: the monitor takes `MonitorConfig.s`, and the initial data
+    scale with the config's `[params] s`.
     """
 
     nu: float
@@ -59,7 +58,6 @@ class PhysicalParams:
     b: float
     mu1: float
     mu2: float
-    s: float = 2.0
     nonlinear: bool = True
 
     def __post_init__(self):
@@ -93,13 +91,6 @@ def deformation(v: VectorField) -> TensorField:
     g = gradient_vector(v).coeffs
     c = 0.5 * (g + np.swapaxes(g, 0, 1))
     return TensorField(v.grid, c, symmetric=True)
-
-
-def vorticity(v: VectorField) -> TensorField:
-    """Skew part W(v) = (grad v - grad v^T)/2; W + W^T = 0 exactly."""
-    g = gradient_vector(v).coeffs
-    c = 0.5 * (g - np.swapaxes(g, 0, 1))
-    return TensorField(v.grid, c, symmetric=False)
 
 
 def _q_pointwise(tau: np.ndarray, grad_v: np.ndarray, b: float) -> np.ndarray:
@@ -144,25 +135,47 @@ def explicit_terms(
     """
     grid = state.v.grid
     d, shape, axes = grid.dim, grid.shape, grid.grid_axes
-    vel = params.mu1 * divergence_tensor(state.tau).coeffs
-    stress = -params.a * state.tau.coeffs + params.mu2 * deformation(state.v).coeffs
+    nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
+    # the terms without gradients first: their temporaries go before the buffer
+    stress = -params.a * state.tau.coeffs
     symmetric = state.tau.symmetric
     if stress_noise is not None:
-        stress += 0.5 * truncate(stress_noise.s_squared(state.tau), grid.truncation_radius).coeffs
+        ito = 0.5 * truncate(stress_noise.s_squared(state.tau), grid.truncation_radius).coeffs
         symmetric = symmetric and stress_noise.preserves_symmetry
-    nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
+    # the gradients of [v, tau], read by the couplings before any transform
+    full = d + d * d
+    if nonlinear:
+        # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
+        buf = np.empty((full + p + full * d,) + shape, dtype=np.complex128)
+        fields, grad = buf[:full], buf[full + p:].reshape((full, d) + shape)
+    else:
+        fields, grad = np.empty((full,) + shape, dtype=np.complex128), None
+    fields[:d] = state.v.coeffs
+    fields[d:] = state.tau.coeffs.reshape((d * d,) + shape)
+    grad = np.multiply(1j * grid.xi, fields[:, np.newaxis], out=grad)
+    grad_v, grad_tau = grad[:d], grad[d:].reshape((d, d, d) + shape)
+    # the couplings in place, one at a time, so a step's peak memory stays put:
+    # stress += mu2 D(v); vel = mu1 div(tau), summed from zero in b order as
+    # `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
+    deform = np.add(grad_v, np.swapaxes(grad_v, 0, 1))
+    deform *= 0.5
+    deform *= params.mu2
+    stress += deform
+    del deform
+    if stress_noise is not None:
+        stress += ito
+        del ito
+    vel = np.zeros_like(grad_v[0])
+    for b in range(d):
+        vel += grad_tau[:, b, b]
+    vel *= params.mu1
     if not (nonlinear or p):
         return vel, TensorField(grid, stress, symmetric=symmetric), None
-    # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
-    rows = d + d * d if nonlinear else d
-    buf = np.empty((rows + p + (rows * d if nonlinear else 0),) + shape, dtype=np.complex128)
-    buf[:d] = state.v.coeffs
-    if p:
+    rows = full if nonlinear else d
+    if not nonlinear:  # one inverse transform of the rows [v, profile]
+        buf = np.concatenate((state.v.coeffs, profile[np.newaxis]), dtype=np.complex128)
+    elif p:
         buf[rows] = profile
-    if nonlinear:
-        buf[d:rows] = state.tau.coeffs.reshape((d * d,) + shape)
-        grad = buf[rows + p:].reshape((rows, d) + shape)
-        np.multiply(1j * grid.xi, buf[:rows, np.newaxis], out=grad)
     np.fft.ifftn(buf, axes=axes, norm="forward", out=buf)
     phys = buf.real
     n_out = (rows if nonlinear else 0) + p * d

@@ -11,6 +11,7 @@ JSON-ready summary; file writing is the caller's business.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams, deformation, q_form
-from .monitor import MonitorConfig, energy
+from .monitor import MonitorConfig, detect_stop
 from .noise import NoisePath, rng_for_run
 from .spectral import (
     SpectralGrid,
@@ -47,7 +48,7 @@ from .stepping import (
     _check_replay_compatible,
     on_alias_free_grid,
     simulate,
-    step,
+    trajectory,
 )
 
 EXACT_TOLERANCE = 1e-10
@@ -181,6 +182,7 @@ def run_ensemble(
             f"{stepper.actual_horizon:g}; survival past it is unobservable"
         )
     monitor = MonitorConfig(threshold=threshold, s=s)
+    stepper = replace(stepper, record_noise=False)  # members keep no noise path
 
     outcomes = map_over_runs(
         lambda idx: _ensemble_member(
@@ -292,73 +294,48 @@ def refinement_single_path(
     Every cutoff gets its own grid, the smallest alias-free one for its
     cutoff (`on_alias_free_grid`), and ``noise`` rebuilt on it, so the shared
     Wiener/jump draws are projected per cutoff exactly as the dynamics are.
-    The path must suit ``stepper``, whose n_steps are taken.  Differences
-    are accumulated for successive cutoff pairs, in the larger layout of each
-    pair, at every recorded time in [0, window]; the window closes at the
-    horizon or at the first time any cutoff's energy leaves [0, threshold]
-    (divergence included), and the closing comparison is kept.
+    The path must suit ``stepper``, whose n_steps are taken.  The cutoffs'
+    trajectories are zipped row by row; differences are accumulated for
+    successive cutoff pairs, in the larger layout of each pair, at every
+    row in [0, window].  The window closes at the horizon or at the first
+    row in which `detect_stop` fires for any cutoff (E_N above
+    ``threshold``, or divergence: a non-finite record or E_N above
+    `monitor.DIVERGENCE_CAP`), and the closing comparison is kept.
 
     Returns per-pair (sup_t L2 v-difference, sup_t L2 tau-difference,
     integral of the squared L2 gradient of the v-difference) and the window
     end time.
     """
     _check_replay_compatible(noise_path, stepper, noise.signature(initial_v.grid))
-    states, models = [], []
-    for c in cutoffs:
+    draws = map(noise_path.step_noise, range(stepper.n_steps))
+    paths = []
+    for c, cut_draws in zip(cutoffs, itertools.tee(draws, len(cutoffs))):
         state, model = on_alias_free_grid(
             FlowState(0.0, truncate(initial_v, c), truncate(initial_tau, c)), noise, c)
-        states.append(state)
-        models.append(model)
+        paths.append(trajectory(state, params, model, cut_draws, stepper.dt, s))
 
-    k = len(states)
-    n_pairs = k - 1
-    cum = [0.0] * k
+    n_pairs = len(cutoffs) - 1
     sup_v = [0.0] * n_pairs
     sup_tau = [0.0] * n_pairs
     grad_int = [0.0] * n_pairs
-    dt = stepper.dt
-
-    def window_records() -> list | None:
-        """Every cutoff's energy record, or None once the window closes."""
-        records = []
-        for j in range(k):
-            rec = energy(states[j], s, params, cum[j])
-            if not rec.finite or rec.e_n > threshold:
-                return None
-            records.append(rec)
-        return records
-
-    def compare() -> list:
-        """Update the sups; return each pair's (layout grid, v-difference)."""
+    diffs = []
+    window_end = stepper.actual_horizon
+    for row in zip(*paths):
+        states, records = zip(*row)
+        del row  # else zip's cached row tuple keeps an older row's states alive
+        # left-endpoint quadrature: the previous row's differences
+        for p, (grid, dv) in enumerate(diffs):
+            grad_int[p] += stepper.dt * _grad_sq_of(grid, dv)
         diffs = []
         for p in range(n_pairs):
             lo, hi = states[p], states[p + 1]
             grid = max(lo.v.grid, hi.v.grid, key=lambda g: g.modes_per_axis)
             dv = relayout(hi.v, grid).coeffs - relayout(lo.v, grid).coeffs
-            dtau = relayout(hi.tau, grid).coeffs - relayout(lo.tau, grid).coeffs
             sup_v[p] = max(sup_v[p], _l2_of(dv))
-            sup_tau[p] = max(sup_tau[p], _l2_of(dtau))
+            sup_tau[p] = max(sup_tau[p], _l2_of(relayout(hi.tau, grid).coeffs
+                                                 - relayout(lo.tau, grid).coeffs))
             diffs.append((grid, dv))
-        return diffs
-
-    diffs = compare()
-    records = window_records()
-    if records is None:
-        return [(sup_v[p], sup_tau[p], 0.0) for p in range(n_pairs)], 0.0
-
-    window_end = stepper.actual_horizon
-    for i in range(stepper.n_steps):
-        # Left-endpoint quadrature for both accumulated integrals; the
-        # dissipation reuses the records' gradient energies.
-        for p, (grid, dv) in enumerate(diffs):
-            grad_int[p] += dt * _grad_sq_of(grid, dv)
-        for j in range(k):
-            cum[j] += dt * records[j].gradv_hs2
-        sn = noise_path.step_noise(i)
-        states = [step(state, params, model, sn, dt) for state, model in zip(states, models)]
-        diffs = compare()
-        records = window_records()
-        if records is None:
+        if detect_stop(records, threshold) is not None:
             window_end = states[0].t
             break
 
@@ -503,9 +480,7 @@ def twin_uniqueness(
 
     host = initial.v.grid
     dt = stepper.dt
-    times = [0.0]
-    v_dist = [0.0]
-    tau_dist = [0.0]
+    rows = [((initial, None), (initial, None))]  # unperturbed: distance 0 at the start
     if perturbation != 0.0:
         # the pair steps on the run's alias-free grid; the bump is drawn on the
         # caller's grid, whose size fixes the random draws
@@ -522,17 +497,17 @@ def twin_uniqueness(
                         div_free=initial.v.div_free),
             state_a.tau,
         )
-        v_dist[0] = _l2_of(state_b.v.coeffs - state_a.v.coeffs)
         path = first.noise_path
-        for i in range(path.n_steps):
-            sn = path.step_noise(i)
-            state_a = step(state_a, params, model, sn, dt)
-            state_b = step(state_b, params, model, sn, dt)
-            times.append(state_a.t)
-            v_dist.append(_l2_of(state_b.v.coeffs - state_a.v.coeffs))
-            tau_dist.append(_l2_of(state_b.tau.coeffs - state_a.tau.coeffs))
-            if not (math.isfinite(v_dist[-1]) and math.isfinite(tau_dist[-1])):
-                break
+        draws = itertools.tee(map(path.step_noise, range(path.n_steps)))
+        rows = zip(trajectory(state_a, params, model, draws[0], dt, s),
+                   trajectory(state_b, params, model, draws[1], dt, s))
+    times, v_dist, tau_dist = [], [], []
+    for (a, _), (b, _) in rows:
+        times.append(a.t)
+        v_dist.append(_l2_of(b.v.coeffs - a.v.coeffs))
+        tau_dist.append(_l2_of(b.tau.coeffs - a.tau.coeffs))
+        if not (math.isfinite(v_dist[-1]) and math.isfinite(tau_dist[-1])):
+            break
 
     growth_rate = None
     positive = [(t, d) for t, d in zip(times, v_dist) if d > 0.0 and math.isfinite(d)]

@@ -37,7 +37,6 @@ __all__ = [
     "truncate",
     "gradient_scalar",
     "gradient_vector",
-    "divergence_vector",
     "divergence_tensor",
     "leray_project",
     "divergence_defect",
@@ -351,11 +350,6 @@ def gradient_vector(v: VectorField) -> TensorField:
     g = v.grid
     c = 1j * g.xi[np.newaxis, :] * v.coeffs[:, np.newaxis]
     return TensorField(g, c)
-
-
-def divergence_vector(v: VectorField) -> ScalarField:
-    c = np.sum(1j * v.grid.xi * v.coeffs, axis=0)
-    return ScalarField(v.grid, c)
 
 
 def divergence_tensor(tau: TensorField) -> VectorField:

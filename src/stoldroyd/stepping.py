@@ -18,10 +18,15 @@ One step, in order:
 Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
 path can drive runs at different spectral cutoffs.
+
+`trajectory`, a lazy generator of states and energy records, is the one loop
+that steps a path: `simulate` stops one at `detect_stop`, and the refinement
+study and the twin probe zip several in lockstep over the same draws.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +59,7 @@ __all__ = [
     "on_alias_free_grid",
     "SimulationResult",
     "step",
+    "trajectory",
     "simulate",
 ]
 
@@ -171,16 +177,33 @@ def step(
     return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=symmetric))
 
 
+def trajectory(
+    state: FlowState,
+    params: PhysicalParams,
+    noise: NoiseModel,
+    noise_steps: Iterable[StepNoise],
+    dt: float,
+    s: float,
+) -> Iterator[tuple[FlowState, EnergyRecord]]:
+    """Yield (state, energy record) at the start and after each step, one
+    step per draw pulled from `noise_steps`, lazily: a consumer that stops
+    pulling draws no more noise.  The dissipation integral of E_N is
+    accumulated by the left-endpoint rule."""
+    rec = energy(state, s, params, 0.0)
+    yield state, rec
+    for sn in noise_steps:
+        cum_diss = rec.cum_diss + dt * rec.gradv_hs2
+        state = step(state, params, noise, sn, dt)
+        rec = energy(state, s, params, cum_diss)
+        yield state, rec
+
+
 @dataclass
 class SimulationResult:
     records: list[EnergyRecord]
     event: StoppingEvent
     final_state: FlowState
     noise_path: NoisePath | None = None
-
-    @property
-    def stopped(self) -> bool:
-        return self.event.kind != "horizon"
 
 
 def _check_replay_compatible(path: NoisePath, stepper: StepperConfig, signature: tuple) -> None:
@@ -223,35 +246,26 @@ def simulate(
     signature = noise.signature(host)
     if noise_path is not None:
         _check_replay_compatible(noise_path, stepper, signature)
-        sampler = None
+        draws = map(noise_path.step_noise, range(stepper.n_steps))
     else:
         if rng is None:
             raise ValueError("simulate needs an rng unless a noise_path is replayed")
         sampler = noise.sampler(rng)
+        draws = (sampler.sample_step(stepper.dt) for _ in range(stepper.n_steps))
+    recorded: list[StepNoise] = []
+    if stepper.record_noise:  # keep each draw as the trajectory pulls it
+        draws = (recorded.append(sn) or sn for sn in draws)
 
-    records = [energy(initial, monitor.s, params, 0.0)]
-    recorded_steps: list[StepNoise] | None = [] if stepper.record_noise else None
-    state = initial
-    event = detect_stop(records[-1:], monitor.threshold)
-    if event is None:
-        cum_diss = 0.0
-        for i in range(stepper.n_steps):
-            sn = noise_path.step_noise(i) if noise_path is not None else sampler.sample_step(stepper.dt)
-            if recorded_steps is not None:
-                recorded_steps.append(sn)
-            cum_diss += stepper.dt * records[-1].gradv_hs2
-            state = step(state, params, noise, sn, stepper.dt)
-            rec = energy(state, monitor.s, params, cum_diss)
-            records.append(rec)
-            event = detect_stop(records[-1:], monitor.threshold)
-            if event is not None:
-                break
+    records, event = [], None
+    for state, rec in trajectory(initial, params, noise, draws, stepper.dt, monitor.s):
+        records.append(rec)
+        event = detect_stop([rec], monitor.threshold)
+        if event is not None:
+            break
     if event is None:
         event = StoppingEvent(kind="horizon", t_stop=stepper.actual_horizon, e_n=records[-1].e_n)
 
     if state.v.grid is not host:
         state = FlowState(state.t, relayout(state.v, host), relayout(state.tau, host))
-    path = None
-    if recorded_steps is not None:
-        path = NoisePath.record(stepper.dt, signature, recorded_steps)
+    path = NoisePath.record(stepper.dt, signature, recorded) if stepper.record_noise else None
     return SimulationResult(records=records, event=event, final_state=state, noise_path=path)

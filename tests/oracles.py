@@ -51,6 +51,17 @@ def double_divergence_single_mode(xi: np.ndarray, tau_hat: np.ndarray) -> comple
     return complex(-xi @ np.asarray(tau_hat) @ xi)
 
 
+def divergence_modes(xi: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """div v on Fourier coefficients: sum_a i xi_a v_hat_a."""
+    return np.sum(1j * np.asarray(xi) * np.asarray(v_hat), axis=0)
+
+
+def vorticity_modes(xi: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """Skew part W(v) = (grad v - grad v^T)/2, with (grad v)_ab = i xi_b v_hat_a."""
+    g = 1j * np.asarray(xi)[np.newaxis] * np.asarray(v_hat)[:, np.newaxis]
+    return 0.5 * (g - np.swapaxes(g, 0, 1))
+
+
 def oldroyd_quadratic_terms(xi, v_hat, tau_hat, b: float, keep):
     """(v.grad)v, (v.grad)tau and Q = tau W - W tau - b (D tau + tau D), one
     component at a time.

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stoldroyd import dynamics, spectral
 from stoldroyd.dynamics import (
     FlowState,
     PhysicalParams,
@@ -11,8 +12,8 @@ from stoldroyd.dynamics import (
     deformation,
     drift,
     q_form,
-    vorticity,
 )
+from stoldroyd.noise import SigmaInstance, WienerQConfig, rng_for_run
 from stoldroyd.spectral import (
     ScalarField,
     TensorField,
@@ -30,6 +31,7 @@ from stoldroyd.spectral import (
     to_physical,
     truncate,
 )
+from stoldroyd.stepping import NoiseModel, step
 
 import oracles
 
@@ -73,7 +75,7 @@ class TestDeformationVorticity:
     def test_zero_velocity(self):
         st = zero_state()
         assert np.all(deformation(st.v).coeffs == 0)
-        assert np.all(vorticity(st.v).coeffs == 0)
+        assert np.all(oracles.vorticity_modes(GRID.xi, st.v.coeffs) == 0)
 
     def test_single_mode_formula(self):
         """D_hat = (i xi (x) v_hat + i v_hat (x) xi) / 2 at one mode."""
@@ -93,13 +95,13 @@ class TestDeformationVorticity:
         assert d.symmetric
 
     def test_vorticity_exactly_skew(self):
-        w = vorticity(ball_field("vector", 2))
-        assert np.array_equal(w.coeffs, -np.swapaxes(w.coeffs, 0, 1))
+        w = oracles.vorticity_modes(GRID.xi, ball_field("vector", 2).coeffs)
+        assert np.array_equal(w, -np.swapaxes(w, 0, 1))
 
     def test_parts_sum_to_gradient(self):
         """D + W reconstructs grad v (up to the one rounding each half takes)."""
         v = ball_field("vector", 3)
-        total = deformation(v).coeffs + vorticity(v).coeffs
+        total = deformation(v).coeffs + oracles.vorticity_modes(GRID.xi, v.coeffs)
         g = gradient_vector(v).coeffs
         assert np.max(np.abs(total - g)) <= 1e-15 * np.max(np.abs(g))
 
@@ -311,3 +313,23 @@ class TestStressDrift:
             want_tau = -(adv_tau + q)
             assert np.max(np.abs(vd.coeffs - want_v)) <= 1e-12 * np.max(np.abs(want_v))
             assert np.max(np.abs(sd.coeffs - want_tau)) <= 1e-12 * np.max(np.abs(want_tau))
+
+
+class TestCouplingsFromTheDriftPass:
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_step_calls_neither_coupling_helper(self, monkeypatch, nonlinear):
+        """mu1 div(tau) and mu2 D(v) are read off the gradient rows the drift
+        pass forms, with or without the quadratic terms."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a step formed a coupling through a helper")
+
+        for module in (dynamics, spectral):
+            for name in ("deformation", "divergence_tensor"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        wiener = WienerQConfig(lambda0=0.1, J=4)
+        noise = NoiseModel(wiener=wiener, sigma=SigmaInstance(GRID, wiener, c0=0.3, c1=0.2))
+        params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
+        sn = noise.sampler(rng_for_run(1, 0)).sample_step(1e-3)
+        new = step(FlowState(0.0, ball_field("vector", 31), ball_field("tensor", 32)),
+                   params, noise, sn, 1e-3)
+        assert np.all(np.isfinite(new.v.coeffs)) and np.all(np.isfinite(new.tau.coeffs))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stoldroyd import experiments
+from stoldroyd import stepping
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.experiments import (
     EXACT_TOLERANCE,
@@ -34,7 +34,8 @@ from stoldroyd.spectral import (
     relayout,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, StepperConfig, step
+from stoldroyd.monitor import MonitorConfig
+from stoldroyd.stepping import NoiseModel, StepperConfig, on_alias_free_grid, simulate, step
 
 import oracles
 
@@ -121,6 +122,22 @@ class TestRunEnsemble:
         backward = run_ensemble(state, PARAMS, noise, stepper, map_over_runs=scrambled, **kwargs)
         assert forward == backward
 
+    def test_members_record_no_noise_and_match_a_non_recording_run(self, monkeypatch):
+        """A recording stepper changes nothing for the members: no NoisePath
+        is built, and the result equals that of a non-recording stepper."""
+        calls = []
+        inner = NoisePath.record
+        monkeypatch.setattr(NoisePath, "record",
+                            staticmethod(lambda *a: calls.append(1) or inner(*a)))
+        kwargs = dict(threshold=1e3, deltas=[2e-3, 4e-3], n_runs=30, master_seed=5)
+        recording = run_ensemble(ball_state(3, 4), PARAMS, light_noise(),
+                                 StepperConfig(dt=1e-3, horizon=5e-3, record_noise=True),
+                                 **kwargs)
+        assert calls == []
+        plain = run_ensemble(ball_state(3, 4), PARAMS, light_noise(),
+                             StepperConfig(dt=1e-3, horizon=5e-3), **kwargs)
+        assert recording == plain
+
     def test_csv_sink_sees_each_run_before_the_next_starts(self):
         events = []
 
@@ -197,14 +214,14 @@ def recorded_path(model, grid, dt, n_steps, seed=21, signature=None):
 def record_steps(monkeypatch):
     """Collect every state the refinement loop steps to, by cutoff."""
     trajectories = {}
-    inner = experiments.step
+    inner = stepping.step
 
     def recording(state, *args):
         new = inner(state, *args)
         trajectories.setdefault(new.v.grid.truncation_radius, []).append(new)
         return new
 
-    monkeypatch.setattr(experiments, "step", recording)
+    monkeypatch.setattr(stepping, "step", recording)
     return trajectories
 
 
@@ -361,6 +378,28 @@ class TestRefinement:
         assert res.sup_v == (pytest.approx(math.sqrt(np.sum(np.abs(shell) ** 2)), rel=1e-13),)
         assert res.grad_integral == (0.0,)
 
+    def test_matching_cutoffs_close_the_window_at_the_simulate_stop(self):
+        """Both cutoffs run the host's own system, so the window closes at
+        the stopping time `simulate` finds on the same path."""
+        base = make_grid(2, 32, 2 * math.pi, 8)
+        iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
+        it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
+        stepper = StepperConfig(dt=1e-3, horizon=2e-2)
+        model = refine_noise(base)
+        path = recorded_path(model, base, stepper.dt, stepper.n_steps)
+        initial = FlowState(0.0, VectorField(base, iv.coeffs, div_free=True),
+                            TensorField(base, it.coeffs, symmetric=True))
+        free = simulate(initial, PARAMS, model, stepper, MonitorConfig(threshold=1e6),
+                        noise_path=path)
+        threshold = 0.5 * (free.records[0].e_n + max(r.e_n for r in free.records))
+        run = simulate(initial, PARAMS, model, stepper, MonitorConfig(threshold=threshold),
+                       noise_path=path)
+        assert run.event.kind == "threshold_N"
+        assert 0.0 < run.event.t_stop < stepper.actual_horizon
+        _, window = refinement_single_path(iv, it, PARAMS, stepper, [8.0, 8.0], path, model,
+                                           threshold=threshold)
+        assert window == run.event.t_stop
+
 
 class TestTwinUniqueness:
     def test_identical_seeds_bitwise_and_zero_distance(self):
@@ -385,6 +424,31 @@ class TestTwinUniqueness:
         assert isinstance(rep.growth_rate, float)
         # Short horizon, small data: separation stays small.
         assert max(rep.v_distance) < 1e-2
+
+    def test_pair_distances_equal_an_explicit_step_loop_bitwise(self):
+        state = ball_state(17, 18)
+        noise = light_noise()
+        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
+        rep = twin_uniqueness(state, PARAMS, noise, stepper,
+                              master_seed=31, threshold=1e6, perturbation=1e-6)
+        run = simulate(state, PARAMS, noise, StepperConfig(dt=1e-3, horizon=5e-3, record_noise=True),
+                       MonitorConfig(threshold=1e6), rng=rng_for_run(31, 0))
+        a, model = on_alias_free_grid(state, noise)
+        host = state.v.grid
+        bump = truncate(random_field(host, 4.0, "vector", rng=rng_for_run(31, 1)),
+                        host.truncation_radius)
+        unit = relayout(bump, a.v.grid).coeffs / math.sqrt(np.sum(np.abs(bump.coeffs) ** 2))
+        b = FlowState(0.0, VectorField(a.v.grid, a.v.coeffs + 1e-6 * unit, div_free=True), a.tau)
+        v_dist = [math.sqrt(np.sum(np.abs(b.v.coeffs - a.v.coeffs) ** 2))]
+        tau_dist = [0.0]
+        for i in range(run.noise_path.n_steps):
+            sn = run.noise_path.step_noise(i)
+            a = step(a, PARAMS, model, sn, stepper.dt)
+            b = step(b, PARAMS, model, sn, stepper.dt)
+            v_dist.append(math.sqrt(np.sum(np.abs(b.v.coeffs - a.v.coeffs) ** 2)))
+            tau_dist.append(math.sqrt(np.sum(np.abs(b.tau.coeffs - a.tau.coeffs) ** 2)))
+        assert rep.v_distance == tuple(v_dist)
+        assert rep.tau_distance == tuple(tau_dist)
 
 
 class TestInequalitySuite:

@@ -1,5 +1,8 @@
-"""Package surface: every module's `__all__` names what the module defines."""
+"""Package surface: every module's `__all__` names what the module defines,
+and the package's structure rules."""
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +21,20 @@ def test_all_names_are_defined_in_their_module(module):
         assert name in vars(module), f"{module.__name__}.__all__ lists missing {name!r}"
         owner = getattr(vars(module)[name], "__module__", module.__name__)
         assert owner == module.__name__, f"{module.__name__}.{name} is imported from {owner}"
+
+
+def test_one_step_call_site_inside_trajectory():
+    """Every path is stepped by `stepping.trajectory`: it holds the only call
+    of `step(` in the package."""
+    sites = []
+    for module in MODULES:
+        tree = ast.parse(inspect.getsource(module))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            callee = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "step" in (getattr(callee, "id", None),
+                                                         getattr(callee, "attr", None)):
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = min(enclosing, key=lambda f: f.end_lineno - f.lineno, default=None)
+                sites.append((module.__name__, owner and owner.name))
+    assert sites == [("stoldroyd.stepping", "trajectory")]
