@@ -10,8 +10,9 @@ forcing, and the Ito correction coming from the Stratonovich stress noise.
 pass: v, tau, a scalar noise profile and the gradients go out in one
 inverse transform, advection, stress transport, Q and the profile-times-v
 noise product are formed pointwise on real samples, and one forward
-transform and one dealias-and-ball mask bring them back.  The velocity terms
-stay unprojected, so the integrator projects its whole update once.
+transform and one dealias-and-ball mask bring them back (`irfftn`/`rfftn` on
+half spectra).  The velocity terms stay unprojected, so the integrator
+projects its whole update once.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .spectral import (
     leray_project,
     pointwise_matmul,
     pointwise_transport,
-    real_samples,
     truncate,
 )
 
@@ -110,9 +110,9 @@ def _q_pointwise(tau: np.ndarray, grad_v: np.ndarray, b: float) -> np.ndarray:
 def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
     """Rotation/slip bilinear form Q(tau, grad v), dealiased; see `_q_pointwise`."""
     grid = v.grid
-    ptau = real_samples(grid, tau.coeffs)
-    pgrad = real_samples(grid, gradient_vector(v).coeffs)
-    c = np.fft.fftn(_q_pointwise(ptau, pgrad, b), axes=grid.grid_axes, norm="forward")
+    ptau = grid.inverse(tau.coeffs).real
+    pgrad = grid.inverse(gradient_vector(v).coeffs).real
+    c = grid.forward(_q_pointwise(ptau, pgrad, b))
     return TensorField(grid, c * grid.dealias_mask, symmetric=True)
 
 
@@ -134,7 +134,7 @@ def explicit_terms(
     correction are cut to the spectral ball.
     """
     grid = state.v.grid
-    d, shape, axes = grid.dim, grid.shape, grid.grid_axes
+    d, shape = grid.dim, grid.shape
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
     # the terms without gradients first: their temporaries go before the buffer
     stress = -params.a * state.tau.coeffs
@@ -146,7 +146,7 @@ def explicit_terms(
     full = d + d * d
     if nonlinear:
         # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
-        buf = np.empty((full + p + full * d,) + shape, dtype=np.complex128)
+        buf, samples = grid.workspace(full + p + full * d)
         fields, grad = buf[:full], buf[full + p:].reshape((full, d) + shape)
     else:
         fields, grad = np.empty((full,) + shape, dtype=np.complex128), None
@@ -173,25 +173,25 @@ def explicit_terms(
         return vel, TensorField(grid, stress, symmetric=symmetric), None
     rows = full if nonlinear else d
     if not nonlinear:  # one inverse transform of the rows [v, profile]
-        buf = np.concatenate((state.v.coeffs, profile[np.newaxis]), dtype=np.complex128)
-    elif p:
+        buf, samples = grid.workspace(d + 1)
+        buf[:d] = state.v.coeffs
+    if p:
         buf[rows] = profile
-    np.fft.ifftn(buf, axes=axes, norm="forward", out=buf)
-    phys = buf.real
+    phys = grid.inverse(buf, out=samples).real
+    points = grid.points
     n_out = (rows if nonlinear else 0) + p * d
-    out = np.empty((n_out,) + shape)
+    out = np.empty((n_out,) + points)
     if nonlinear:
-        pointwise_transport(phys[:d], grad.real, out=out[:rows])
+        pgrad = phys[full + p:].reshape((full, d) + points)
+        pointwise_transport(phys[:d], pgrad, out=out[:rows])
         # Q is symmetrized before the transport of tau is added, keeping symmetry exact
-        tau = phys[d:rows].reshape((d, d) + shape)
-        out[d:rows] += _q_pointwise(tau, grad.real[:d], params.b).reshape((d * d,) + shape)
+        tau = phys[d:rows].reshape((d, d) + points)
+        out[d:rows] += _q_pointwise(tau, pgrad[:d], params.b).reshape((d * d,) + points)
     if p:
         np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
     # the samples are spent: the output reuses the buffer's leading rows
-    nl = buf[:n_out]
-    nl[...] = out
+    nl = grid.forward(out, out=buf[:n_out])
     del out
-    np.fft.fftn(nl, axes=axes, norm="forward", out=nl)
     nl *= grid.dealias_ball_mask
     if nonlinear:
         vel -= nl[:d]

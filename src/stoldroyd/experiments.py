@@ -19,12 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams, deformation, q_form
-from .monitor import MonitorConfig, detect_stop
+from .monitor import MonitorConfig, detect_stop, energy_records
 from .noise import NoisePath, rng_for_run
 from .spectral import (
     SpectralGrid,
     TensorField,
     VectorField,
+    _sq_amplitude,
     bessel,
     commutator_bessel_product,
     convect_vector,
@@ -269,12 +270,13 @@ class RefinementResult:
         }
 
 
-def _l2_of(coeffs: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+def _l2_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
+    """L2 norm of coefficients in `grid`'s layout (`hs_norm` at s = 0)."""
+    return math.sqrt(float(_sq_amplitude(grid, coeffs).sum()))
 
 
 def _grad_sq_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
-    return float(np.sum(grid.xi_sq * np.sum(np.abs(coeffs) ** 2, axis=0)))
+    return float(np.sum(grid.xi_sq * _sq_amplitude(grid, coeffs)))
 
 
 def refinement_single_path(
@@ -312,7 +314,8 @@ def refinement_single_path(
     for c, cut_draws in zip(cutoffs, itertools.tee(draws, len(cutoffs))):
         state, model = on_alias_free_grid(
             FlowState(0.0, truncate(initial_v, c), truncate(initial_tau, c)), noise, c)
-        paths.append(trajectory(state, params, model, cut_draws, stepper.dt, s))
+        states = trajectory(state, params, model, cut_draws, stepper.dt)
+        paths.append(energy_records(states, s, params, stepper.dt))
 
     n_pairs = len(cutoffs) - 1
     sup_v = [0.0] * n_pairs
@@ -331,8 +334,8 @@ def refinement_single_path(
             lo, hi = states[p], states[p + 1]
             grid = max(lo.v.grid, hi.v.grid, key=lambda g: g.modes_per_axis)
             dv = relayout(hi.v, grid).coeffs - relayout(lo.v, grid).coeffs
-            sup_v[p] = max(sup_v[p], _l2_of(dv))
-            sup_tau[p] = max(sup_tau[p], _l2_of(relayout(hi.tau, grid).coeffs
+            sup_v[p] = max(sup_v[p], _l2_of(grid, dv))
+            sup_tau[p] = max(sup_tau[p], _l2_of(grid, relayout(hi.tau, grid).coeffs
                                                  - relayout(lo.tau, grid).coeffs))
             diffs.append((grid, dv))
         if detect_stop(records, threshold) is not None:
@@ -480,7 +483,7 @@ def twin_uniqueness(
 
     host = initial.v.grid
     dt = stepper.dt
-    rows = [((initial, None), (initial, None))]  # unperturbed: distance 0 at the start
+    grid, rows = host, [(initial, initial)]  # unperturbed: distance 0 at the start
     if perturbation != 0.0:
         # the pair steps on the run's alias-free grid; the bump is drawn on the
         # caller's grid, whose size fixes the random draws
@@ -490,7 +493,7 @@ def twin_uniqueness(
             random_field(host, perturbation_alpha, "vector", rng=rng_for_run(master_seed, 1)),
             host.truncation_radius,
         )
-        bump_coeffs = relayout(bump, grid).coeffs / _l2_of(bump.coeffs)
+        bump_coeffs = relayout(bump, grid).coeffs / hs_norm(bump, 0.0)
         state_b = FlowState(
             initial.t,
             VectorField(grid, state_a.v.coeffs + perturbation * bump_coeffs,
@@ -499,13 +502,13 @@ def twin_uniqueness(
         )
         path = first.noise_path
         draws = itertools.tee(map(path.step_noise, range(path.n_steps)))
-        rows = zip(trajectory(state_a, params, model, draws[0], dt, s),
-                   trajectory(state_b, params, model, draws[1], dt, s))
+        rows = zip(trajectory(state_a, params, model, draws[0], dt),
+                   trajectory(state_b, params, model, draws[1], dt))
     times, v_dist, tau_dist = [], [], []
-    for (a, _), (b, _) in rows:
+    for a, b in rows:
         times.append(a.t)
-        v_dist.append(_l2_of(b.v.coeffs - a.v.coeffs))
-        tau_dist.append(_l2_of(b.tau.coeffs - a.tau.coeffs))
+        v_dist.append(_l2_of(grid, b.v.coeffs - a.v.coeffs))
+        tau_dist.append(_l2_of(grid, b.tau.coeffs - a.tau.coeffs))
         if not (math.isfinite(v_dist[-1]) and math.isfinite(tau_dist[-1])):
             break
 
@@ -631,11 +634,11 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
         cut = truncate(f, n_cut)
         bump("truncation_contraction", max(0.0, (hs_norm(cut, s) - full) / full))
         bump("truncation_idempotence",
-             _l2_of(truncate(cut, n_cut).coeffs - cut.coeffs) / hs_norm(f, 0.0))
+             _l2_of(grid, truncate(cut, n_cut).coeffs - cut.coeffs) / hs_norm(f, 0.0))
         composed = truncate(truncate(f, n_cut), m_cut)
         direct = truncate(f, min(n_cut, m_cut))
         bump("truncation_composition",
-             _l2_of(composed.coeffs - direct.coeffs) / hs_norm(f, 0.0))
+             _l2_of(grid, composed.coeffs - direct.coeffs) / hs_norm(f, 0.0))
         # Tail mass via Pythagoras: the cut and its complement are orthogonal.
         tail = math.sqrt(max(hs_norm(f, s) ** 2 - hs_norm(cut, s) ** 2, 0.0))
         decay_bound = (1.0 + n_cut * n_cut) ** -1.0 * hs_norm(f, s + 2.0)
@@ -652,12 +655,12 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
             f, type(g)(grid, g.coeffs + g2.coeffs), s
         )
         rhs = comm.coeffs + commutator_bessel_product(f, g2, s).coeffs
-        add_scale = _l2_of(rhs)
-        bump("commutator_additivity", _l2_of(lhs.coeffs - rhs) / add_scale)
+        add_scale = _l2_of(grid, rhs)
+        bump("commutator_additivity", _l2_of(grid, lhs.coeffs - rhs) / add_scale)
         lam = 3.7
         homog = commutator_bessel_product(type(f)(grid, lam * f.coeffs), g, s)
-        bump("commutator_homogeneity",
-             _l2_of(homog.coeffs - lam * comm.coeffs) / (abs(lam) * _l2_of(comm.coeffs)))
+        bump("commutator_homogeneity", _l2_of(grid, homog.coeffs - lam * comm.coeffs)
+             / (abs(lam) * _l2_of(grid, comm.coeffs)))
 
         kp_denominator = (
             linf_norm(gradient_scalar(f)) * hs_norm(g, s - 1.0)

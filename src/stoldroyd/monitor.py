@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "StoppingEvent",
     "gradient_energy",
     "energy",
+    "energy_records",
     "detect_stop",
     "CSV_COLUMNS",
     "write_energy_csv",
@@ -79,7 +80,7 @@ class StoppingEvent:
 def gradient_energy(state: FlowState, s: float) -> float:
     """||grad v||_{H^s}^2 via the exact multiplier |xi|^2 (1+|xi|^2)^s."""
     grid = state.v.grid
-    return float(np.sum(grid.xi_sq * (1.0 + grid.xi_sq) ** s * _sq_amplitude(state.v)))
+    return float(np.sum(grid.xi_sq * (1.0 + grid.xi_sq) ** s * _sq_amplitude(grid, state.v.coeffs)))
 
 
 def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float = 0.0) -> EnergyRecord:
@@ -88,8 +89,8 @@ def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float =
     formed once and read by both of its sums."""
     grid = state.v.grid
     w = (1.0 + grid.xi_sq) ** s
-    wv = w * _sq_amplitude(state.v)
-    tau_amp = _sq_amplitude(state.tau)
+    wv = w * _sq_amplitude(grid, state.v.coeffs)
+    tau_amp = _sq_amplitude(grid, state.tau.coeffs)
     v_hs2 = float(wv.sum())
     tau_hs2 = float((w * tau_amp).sum())
     gradv_hs2 = float((grid.xi_sq * wv).sum())
@@ -103,6 +104,18 @@ def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float =
         e_n=e_n,
         sym_defect=symmetry_defect(state.tau, float(tau_amp.sum())),
     )
+
+
+def energy_records(
+    states: Iterable[FlowState], s: float, params: PhysicalParams, dt: float
+) -> Iterator[tuple[FlowState, EnergyRecord]]:
+    """Pair each state of a trajectory, pulled lazily, with its energy
+    record; the dissipation integral accumulates by the left-endpoint rule."""
+    cum_diss = gradv_hs2 = 0.0
+    for state in states:
+        rec = energy(state, s, params, cum_diss + dt * gradv_hs2)
+        cum_diss, gradv_hs2 = rec.cum_diss, rec.gradv_hs2
+        yield state, rec
 
 
 def detect_stop(records: Sequence[EnergyRecord], threshold: float) -> StoppingEvent | None:

@@ -31,7 +31,6 @@ from .spectral import (
     TensorField,
     VectorField,
     pointwise_matmul,
-    real_samples,
     truncate,
 )
 
@@ -159,30 +158,31 @@ class VelocityNoiseBasis:
         self.k = np.array([kv for kv, _, _ in entries], dtype=np.int64)  # (J, dim)
         self.p = np.array([p for _, p, _ in entries])  # (J, dim)
         self.kind = np.array([kind for _, _, kind in entries], dtype=np.int64)
-        M = grid.modes_per_axis
-        flat_strides = np.array([M ** (grid.dim - 1 - a) for a in range(grid.dim)])
-        # flat positions of the +k and -k coefficients, (2, J), and per component
-        self._index = np.stack([(self.k % M) @ flat_strides, ((-self.k) % M) @ flat_strides])
-        self._index_by_component = (np.arange(grid.dim)[:, np.newaxis, np.newaxis] * M ** grid.dim
+        # the +-k coefficients, (2, J), of which a half layout holds those
+        # with k_d >= 0; cos(kx) has (1/2, 1/2) at +-k, sin(kx) (-i/2, +i/2)
+        pm = np.stack([self.k, -self.k])
+        held = (pm[..., -1] >= 0) | (not grid.half)
+        self._j = np.nonzero(held)[1]  # basis index of each held coefficient
+        self._index = np.ravel_multi_index(tuple((pm[held] % grid.modes_per_axis).T), grid.shape)
+        self._index_by_component = (np.arange(grid.dim)[:, np.newaxis] * math.prod(grid.shape)
                                     + self._index).ravel()
-        # cos(kx) has coefficients (1/2, 1/2) at +-k; sin(kx) has (-i/2, +i/2)
-        self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))
+        self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))[held]
         self.k_sq = np.sum(self.k ** 2, axis=1).astype(float)
         self._smooth = math.sqrt(2.0) / (1.0 + self.k_sq)
 
     def assemble_velocity(self, weights: np.ndarray) -> VectorField:
         """sum_j weights[j] * sqrt(2) * e_j as a vector field."""
         grid = self.grid
-        flat = np.zeros(grid.dim * grid.modes_per_axis ** grid.dim, dtype=np.complex128)
-        signed = math.sqrt(2.0) * weights * self._coef
-        np.add.at(flat, self._index_by_component, (signed * self.p.T[:, np.newaxis]).ravel())
+        flat = np.zeros(grid.dim * math.prod(grid.shape), dtype=np.complex128)
+        signed = math.sqrt(2.0) * weights[self._j] * self._coef
+        np.add.at(flat, self._index_by_component, (signed * self.p[self._j].T).ravel())
         return VectorField(grid, flat.reshape((grid.dim,) + grid.shape), div_free=True)
 
     def assemble_profile(self, weights: np.ndarray) -> ScalarField:
         """sum_j weights[j] * phi_j as a scalar field."""
         grid = self.grid
-        flat = np.zeros(grid.modes_per_axis ** grid.dim, dtype=np.complex128)
-        np.add.at(flat, self._index.ravel(), (weights * self._smooth * self._coef).ravel())
+        flat = np.zeros(math.prod(grid.shape), dtype=np.complex128)
+        np.add.at(flat, self._index, (weights * self._smooth)[self._j] * self._coef)
         return ScalarField(grid, flat.reshape(grid.shape))
 
     def e_j(self, j: int) -> VectorField:
@@ -271,15 +271,15 @@ class StressNoiseInstance:
                 indexing="ij",
             )
             kappa = 1.0 / bump_width ** 2
-            profile = np.ones(grid.shape)
+            profile = np.ones(grid.points)
             for xa in x:
                 profile = profile * np.exp(kappa * (np.cos(2 * math.pi * xa / grid.box_length) - 1.0))
             ones = np.ones((grid.dim, grid.dim))
             phys = self.c_h * np.einsum("ab,...->ab...", ones, profile)
-            c = np.fft.fftn(phys, axes=grid.grid_axes, norm="forward") * grid.dealias_mask
+            c = grid.forward(phys) * grid.dealias_mask
             self.h = TensorField(grid, c, symmetric=True)
             # physical samples of the dealiased profile, the left factor of every product
-            self._h_samples = real_samples(grid, c)
+            self._h_samples = grid.inverse(c).real
         else:
             c = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
             for a in range(grid.dim):
@@ -292,8 +292,8 @@ class StressNoiseInstance:
     def s_apply(self, tau: TensorField) -> TensorField:
         if self.h_kind == "identity":
             return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
-        ptau = real_samples(self.grid, tau.coeffs)
-        c = np.fft.fftn(pointwise_matmul(self._h_samples, ptau), axes=self.grid.grid_axes, norm="forward")
+        ptau = self.grid.inverse(tau.coeffs).real
+        c = self.grid.forward(pointwise_matmul(self._h_samples, ptau))
         return TensorField(self.grid, c * self.grid.dealias_mask)
 
     def s_squared(self, tau: TensorField) -> TensorField:

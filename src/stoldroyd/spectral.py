@@ -11,6 +11,13 @@ Wavevectors are xi = (2*pi/L) * k for integer multi-indices k in
 [-M/2, M/2)^d.  The spectral cutoff (`truncate`) keeps the closed Euclidean
 ball |xi| <= n; dealiasing uses the per-axis 2/3 rule so that quadratic
 products of retained modes are alias-free.
+
+Fields are real, c(-k) = conj c(k).  The full layout (`fftn`) stores every k;
+the half layout (`rfftn`, ``make_grid(..., half=True)``) stores the M/2 + 1
+planes 0 <= k_d <= M/2 of the last axis and leaves their conjugates implied.
+Sums over modes read the grid's plane `weight`: 2 on interior planes of the
+last axis, 1 on its zero and Nyquist planes and everywhere in the full layout.
+`SpectralGrid.inverse`/`forward` are the one transform pair.
 """
 from __future__ import annotations
 
@@ -28,7 +35,6 @@ __all__ = [
     "alias_free_modes",
     "relayout",
     "to_physical",
-    "real_samples",
     "hs_norm",
     "hs_inner",
     "l2_inner",
@@ -62,7 +68,7 @@ class SpectralGrid:
     Precomputes integer mode indices, wavevectors, |xi|^2 (and its
     zero-free copy, the Leray denominator), the per-axis dealias mask, the
     |xi| <= n cutoff mask and their conjunction.  Instances are immutable and
-    shared freely between fields.
+    shared freely between fields.  `half` selects the rfft layout.
     """
 
     dim: int
@@ -70,6 +76,7 @@ class SpectralGrid:
     box_length: float
     truncation_radius: float
     dealias_fraction: float
+    half: bool = False
     # derived arrays (filled in by make_grid)
     k_int: np.ndarray = dc_field(repr=False, default=None)
     xi: np.ndarray = dc_field(repr=False, default=None)
@@ -78,9 +85,17 @@ class SpectralGrid:
     dealias_mask: np.ndarray = dc_field(repr=False, default=None)
     ball_mask: np.ndarray = dc_field(repr=False, default=None)
     dealias_ball_mask: np.ndarray = dc_field(repr=False, default=None)
+    weight: np.ndarray = dc_field(repr=False, default=None)  # per-mode plane weight
 
     @property
     def shape(self) -> tuple[int, ...]:
+        """Mode axes of a coefficient array (the last one M/2 + 1 long when half)."""
+        M = self.modes_per_axis
+        return (M,) * (self.dim - 1) + (M // 2 + 1 if self.half else M,)
+
+    @property
+    def points(self) -> tuple[int, ...]:
+        """Axes of the physical samples."""
         return (self.modes_per_axis,) * self.dim
 
     @property
@@ -98,6 +113,35 @@ class SpectralGrid:
         """Largest admissible truncation radius in |xi| units."""
         return self.dealias_fraction * (self.modes_per_axis / 2) * (2 * math.pi / self.box_length)
 
+    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficient rows and sample rows for `inverse(..., out=)` in one block
+        (the same array in the full layout), which spares the allocator churn."""
+        n = 2 * rows * math.prod(self.shape)
+        work = np.empty(n + (rows * math.prod(self.points) if self.half else 0))
+        coeffs = work[:n].view(np.complex128).reshape((rows,) + self.shape)
+        return coeffs, work[n:].reshape((rows,) + self.points) if self.half else coeffs
+
+    def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Physical samples over the trailing mode axes: real in the half layout,
+        complex in the full one (real fields get O(1e-16) imaginary dust)."""
+        transform = np.fft.irfftn if self.half else np.fft.ifftn
+        return transform(coeffs, s=self.points, axes=self.grid_axes, norm="forward", out=out)
+
+    def forward(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients, in this grid's layout, of physical samples."""
+        transform = np.fft.rfftn if self.half else np.fft.fftn
+        return transform(samples, axes=self.grid_axes, norm="forward", out=out)
+
+
+def _freqs(M: int) -> np.ndarray:
+    """Integer indices of an M-mode axis in transform order: 0..M/2-1, -M/2..-1."""
+    return (np.arange(M) + M // 2) % M - M // 2
+
+
+def _mirror(c: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """c at -k over `axes`: index i goes to -i mod the axis length."""
+    return np.roll(np.flip(c, axes), 1, axes)
+
 
 def make_grid(
     dim: int,
@@ -105,6 +149,7 @@ def make_grid(
     box_length: float = 2 * math.pi,
     truncation_radius: float | None = None,
     dealias_fraction: float = 2.0 / 3.0,
+    half: bool = False,
 ) -> SpectralGrid:
     """Validate parameters and build a grid with precomputed mode geometry.
 
@@ -135,9 +180,9 @@ def make_grid(
             f"(= dealias_fraction * (M/2) * (2*pi/L))"
         )
 
-    k1 = np.fft.fftfreq(M, d=1.0 / M)  # integer indices in [-M/2, M/2)
-    axes_k = np.meshgrid(*([k1] * dim), indexing="ij")
-    k_int = np.stack(axes_k).astype(np.int64)
+    k_last = np.arange(M // 2 + 1) if half else _freqs(M)
+    k_int = np.stack(np.meshgrid(*[_freqs(M)] * (dim - 1), k_last, indexing="ij")).astype(np.int64)
+    weight = np.where((k_last == 0) | (k_last == M // 2), 1.0, 2.0) if half else np.ones(1)
     xi = (2 * math.pi / box_length) * k_int.astype(np.float64)
     xi_sq = np.sum(xi * xi, axis=0)
 
@@ -151,6 +196,7 @@ def make_grid(
         box_length=float(box_length),
         truncation_radius=float(truncation_radius),
         dealias_fraction=float(dealias_fraction),
+        half=half,
         k_int=k_int,
         xi=xi,
         xi_sq=xi_sq,
@@ -158,6 +204,7 @@ def make_grid(
         dealias_mask=dealias_mask,
         ball_mask=ball_mask,
         dealias_ball_mask=dealias_mask & ball_mask,
+        weight=weight.reshape((1,) * (dim - 1) + (-1,)),
     )
 
 
@@ -184,17 +231,22 @@ def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
 
 
 def relayout(f: "Field", grid: SpectralGrid) -> "Field":
-    """`f` on `grid`, whose `fftfreq` layout may hold more or fewer modes:
-    shared modes are copied, a larger layout is zero elsewhere (embedding), a
-    smaller one drops what it cannot hold (restriction).  Flags are kept; a
+    """`f` on `grid`, whose layout may hold more or fewer modes or be of the
+    other kind: shared modes are copied, a larger layout is zero elsewhere
+    (embedding), a smaller one drops what it cannot hold (restriction), and a
+    half source gives a full layout its conjugate modes.  Flags are kept; a
     matching layout shares the coefficient array."""
-    src, dst = f.grid.modes_per_axis, grid.modes_per_axis
-    if src == dst:
+    src, c = f.grid, f.coeffs
+    if (src.modes_per_axis, src.half) == (grid.modes_per_axis, grid.half):
         return replace(f, grid=grid)
-    m = min(src, dst)
-    k = np.fft.fftfreq(m, 1.0 / m).astype(np.intp)
-    out = np.zeros(f.coeffs.shape[: f.coeffs.ndim - grid.dim] + grid.shape, dtype=f.coeffs.dtype)
-    out[(..., *np.ix_(*[k % dst] * grid.dim))] = f.coeffs[(..., *np.ix_(*[k % src] * grid.dim))]
+    M, N = src.modes_per_axis, grid.modes_per_axis
+    if src.half:  # unfold: c(k', -k_d) = conj c(-k', k_d) for 0 < k_d < M/2
+        tail = _mirror(c, src.grid_axes[:-1])[..., M // 2 - 1:0:-1]
+        c = np.concatenate((c, np.conj(tail)), axis=-1)
+    k = _freqs(min(M, N))
+    index = [k] * (grid.dim - 1) + [k[k % N <= N // 2] if grid.half else k]
+    out = np.zeros(c.shape[: c.ndim - grid.dim] + grid.shape, dtype=c.dtype)
+    out[(..., *np.ix_(*[i % N for i in index]))] = c[(..., *np.ix_(*[i % M for i in index]))]
     return replace(f, grid=grid, coeffs=out)
 
 
@@ -247,7 +299,7 @@ def _like(f: Field, coeffs: np.ndarray, **flags) -> Field:
 
 def _check_same_grid(f: Field, g: Field) -> None:
     a, b = f.grid, g.grid
-    if (a.dim, a.modes_per_axis, a.box_length) != (b.dim, b.modes_per_axis, b.box_length):
+    if (a.shape, a.box_length) != (b.shape, b.box_length):  # the shape tells the layout
         raise ValueError("fields live on different grids")
 
 
@@ -256,29 +308,20 @@ def _check_same_grid(f: Field, g: Field) -> None:
 # ---------------------------------------------------------------------------
 
 def to_physical(f: Field) -> np.ndarray:
-    """Inverse transform to physical samples (complex array; real fields come
-    back with O(1e-16) imaginary dust)."""
-    return np.fft.ifftn(f.coeffs, axes=f.grid.grid_axes, norm="forward")
-
-
-def real_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Physical samples of the real field(s) with coefficients `coeffs`.
-
-    Leading component axes are kept; the imaginary dust is dropped.
-    """
-    return np.fft.ifftn(coeffs, axes=grid.grid_axes, norm="forward").real
+    """Inverse transform to physical samples; see `SpectralGrid.inverse`."""
+    return f.grid.inverse(f.coeffs)
 
 
 # ---------------------------------------------------------------------------
 # norms and multipliers
 # ---------------------------------------------------------------------------
 
-def _sq_amplitude(f: Field) -> np.ndarray:
-    """|coefficients|^2 summed over component axes -> array over modes."""
-    a = f.coeffs.real ** 2
-    a += f.coeffs.imag ** 2
-    comp_axes = tuple(range(a.ndim - f.grid.dim))
-    return a.sum(axis=comp_axes) if comp_axes else a
+def _sq_amplitude(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """|coefficients|^2 summed over component axes, times the plane weight
+    -> array over modes whose sum is the mean square of the samples."""
+    a = coeffs.real ** 2
+    a += coeffs.imag ** 2
+    return a.sum(axis=tuple(range(a.ndim - grid.dim))) * grid.weight
 
 
 def hs_norm(f: Field, s: float) -> float:
@@ -288,18 +331,15 @@ def hs_norm(f: Field, s: float) -> float:
     (Frobenius convention).
     """
     w = (1.0 + f.grid.xi_sq) ** s
-    return float(np.sqrt(np.sum(w * _sq_amplitude(f))))
+    return float(np.sqrt(np.sum(w * _sq_amplitude(f.grid, f.coeffs))))
 
 
 def hs_inner(f: Field, g: Field, s: float) -> float:
     """H^s inner product; real part (exact for real-valued fields)."""
     _check_same_grid(f, g)
-    w = (1.0 + f.grid.xi_sq) ** s
+    w = (1.0 + f.grid.xi_sq) ** s * f.grid.weight
     prod = np.conj(f.coeffs) * g.coeffs
-    comp_axes = tuple(range(prod.ndim - f.grid.dim))
-    if comp_axes:
-        prod = np.sum(prod, axis=comp_axes)
-    return float(np.real(np.sum(w * prod)))
+    return float(np.real(np.sum(w * prod.sum(axis=tuple(range(prod.ndim - f.grid.dim))))))
 
 
 def l2_inner(f: Field, g: Field) -> float:
@@ -309,12 +349,8 @@ def l2_inner(f: Field, g: Field) -> float:
 def linf_norm(f: Field) -> float:
     """Sup norm over grid points; vector/tensor use the pointwise Euclidean/
     Frobenius magnitude."""
-    phys = to_physical(f)
-    a = np.abs(phys) ** 2
-    comp_axes = tuple(range(a.ndim - f.grid.dim))
-    if comp_axes:
-        a = np.sum(a, axis=comp_axes)
-    return float(np.sqrt(np.max(a)))
+    a = np.abs(to_physical(f)) ** 2
+    return float(np.sqrt(np.max(a.sum(axis=tuple(range(a.ndim - f.grid.dim))))))
 
 
 def bessel(f: Field, r: float) -> Field:
@@ -381,26 +417,27 @@ def divergence_defect(v: VectorField) -> float:
 
 
 def hermitian_defect(f: Field) -> float:
-    """max |c(k) - conj(c(-k))| over modes, relative to max |c|."""
-    g = f.grid
-    neg = tuple((-np.arange(g.modes_per_axis)) % g.modes_per_axis for _ in range(g.dim))
-    idx = np.ix_(*neg)
-    c = f.coeffs
-    flipped = np.conj(c[(..., *idx)])
+    """max |c(k) - conj(c(-k))| over modes, relative to max |c|.  In the half
+    layout only the zero and Nyquist planes of the last axis hold both k and
+    -k, so only they are measured; elsewhere symmetry holds by construction."""
+    g, c = f.grid, f.coeffs
     scale = np.max(np.abs(c))
     if scale == 0:
         return 0.0
+    c = c[..., [0, -1]] if g.half else c
+    flipped = np.conj(_mirror(c, g.grid_axes[:-1] if g.half else g.grid_axes))
     return float(np.max(np.abs(c - flipped)) / scale)
 
 
 def symmetry_defect(tau: TensorField, norm_sq: float | None = None) -> float:
     """Relative L2 asymmetry ||tau - tau^T|| / ||tau|| (0 for the zero field);
-    `norm_sq`, the sum of |coefficients|^2, saves a pass when the caller has it."""
-    norm_sq = float(_sq_amplitude(tau).sum()) if norm_sq is None else norm_sq
+    `norm_sq`, the weighted sum of |coefficients|^2, saves a pass when the caller has it."""
+    norm_sq = float(_sq_amplitude(tau.grid, tau.coeffs).sum()) if norm_sq is None else norm_sq
     if norm_sq == 0:
         return 0.0
     diff = tau.coeffs - np.swapaxes(tau.coeffs, 0, 1)
-    return float(np.sqrt(np.sum(diff.real ** 2 + diff.imag ** 2)) / np.sqrt(norm_sq))
+    diff_sq = tau.grid.weight * (diff.real ** 2 + diff.imag ** 2)
+    return float(np.sqrt(np.sum(diff_sq)) / np.sqrt(norm_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +459,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
     grid = g.grid
     pf = to_physical(f)
     pg = to_physical(g)
-    prod = pf * pg  # broadcasting over leading component axes
-    c = np.fft.fftn(prod, axes=grid.grid_axes, norm="forward")
+    c = grid.forward(pf * pg)  # broadcasting over leading component axes
     return _like(g, c * grid.dealias_mask)
 
 
@@ -450,9 +486,9 @@ def convect_vector(v: VectorField, u: VectorField) -> VectorField:
     """(v . grad) u, componentwise, dealiased (no spectral-ball cutoff here)."""
     _check_same_grid(v, u)
     grid = v.grid
-    pv = real_samples(grid, v.coeffs)
-    pgrad = real_samples(grid, gradient_vector(u).coeffs)
-    c = np.fft.fftn(pointwise_transport(pv, pgrad), axes=grid.grid_axes, norm="forward")
+    pv = grid.inverse(v.coeffs).real
+    pgrad = grid.inverse(gradient_vector(u).coeffs).real
+    c = grid.forward(pointwise_transport(pv, pgrad))
     return VectorField(grid, c * grid.dealias_mask)
 
 
@@ -472,33 +508,18 @@ def commutator_bessel_product(f: ScalarField, g: ScalarField, s: float) -> Scala
 # random fields
 # ---------------------------------------------------------------------------
 
-def _positive_halfspace(grid: SpectralGrid) -> np.ndarray:
-    """Lexicographic half of the mode lattice (used to impose c(-k) = conj c(k))."""
-    k = grid.k_int
-    mask = k[0] > 0
-    tie = k[0] == 0
-    mask = mask | (tie & (k[1] > 0))
-    if grid.dim == 3:
-        tie = tie & (k[1] == 0)
-        mask = mask | (tie & (k[2] > 0))
-    return mask
-
-
-def _neg_index(grid: SpectralGrid):
-    neg = tuple((-np.arange(grid.modes_per_axis)) % grid.modes_per_axis for _ in range(grid.dim))
-    return np.ix_(*neg)
-
-
 def _random_scalar_coeffs(grid: SpectralGrid, alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Hermitian coefficients with deterministic modulus (1+|xi|^2)^(-alpha/2),
     uniform random phases, zero mean, supported inside the dealias mask."""
     modulus = (1.0 + grid.xi_sq) ** (-alpha / 2.0)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=grid.shape)
-    half = _positive_halfspace(grid) & grid.dealias_mask
+    first = grid.k_int[-1]  # the first nonzero k_a: positive on one of each +-k pair
+    for k in grid.k_int[-2::-1]:
+        first = np.where(k != 0, k, first)
+    half = (first > 0) & grid.dealias_mask
     c = np.zeros(grid.shape, dtype=np.complex128)
     c[half] = modulus[half] * np.exp(1j * phases[half])
-    c = c + np.conj(c[_neg_index(grid)])
-    return c
+    return c + np.conj(_mirror(c, grid.grid_axes))
 
 
 def random_field(
@@ -513,9 +534,14 @@ def random_field(
     kind: "scalar", "vector" (Leray-projected, divergence-free), or "tensor"
     (symmetrized).  Same seed, same grid -> identical coefficients.  Support is
     restricted to the dealias mask so products of generated fields are exact.
+    A half-layout grid gets the full layout's draws.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
+    if grid.half:
+        full = make_grid(grid.dim, grid.modes_per_axis, grid.box_length,
+                         grid.truncation_radius, grid.dealias_fraction)
+        return relayout(random_field(full, alpha, kind, rng=rng), grid)
     if kind == "scalar":
         return ScalarField(grid, _random_scalar_coeffs(grid, alpha, rng))
     if kind == "vector":

@@ -19,9 +19,10 @@ Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
 path can drive runs at different spectral cutoffs.
 
-`trajectory`, a lazy generator of states and energy records, is the one loop
-that steps a path: `simulate` stops one at `detect_stop`, and the refinement
-study and the twin probe zip several in lockstep over the same draws.
+`trajectory`, a lazy generator of states, is the one loop that steps a path:
+`simulate` stops one at `detect_stop` on its `energy_records`, refine zips
+several in lockstep over the same draws, and the twin probe zips a pair
+without records.  Reduced grids store half spectra (the rfft layout).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams, explicit_terms
-from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, detect_stop, energy
+from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, detect_stop, energy_records
 from .noise import (
     JumpConfig,
     JumpOperator,
@@ -119,7 +120,8 @@ def on_alias_free_grid(
 ) -> tuple[FlowState, NoiseModel]:
     """`state` and `noise` on the smallest grid on which the cutoff-n system
     (n defaults to the state grid's radius) is the Galerkin system of the
-    state's grid: `alias_free_modes` sized for the noise basis.
+    state's grid: `alias_free_modes` sized for the noise basis, in the half
+    (rfft) layout.
 
     The state's grid size is kept for a bump stress profile, which is
     sampled per grid, and for a state with mass outside the ball |xi| <= n,
@@ -139,7 +141,7 @@ def on_alias_free_grid(
             modes = host.modes_per_axis
     if n is None and modes == host.modes_per_axis:
         return state, noise
-    grid = make_grid(host.dim, modes, host.box_length, radius, host.dealias_fraction)
+    grid = make_grid(host.dim, modes, host.box_length, radius, host.dealias_fraction, half=True)
     return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
 
 
@@ -183,19 +185,14 @@ def trajectory(
     noise: NoiseModel,
     noise_steps: Iterable[StepNoise],
     dt: float,
-    s: float,
-) -> Iterator[tuple[FlowState, EnergyRecord]]:
-    """Yield (state, energy record) at the start and after each step, one
-    step per draw pulled from `noise_steps`, lazily: a consumer that stops
-    pulling draws no more noise.  The dissipation integral of E_N is
-    accumulated by the left-endpoint rule."""
-    rec = energy(state, s, params, 0.0)
-    yield state, rec
+) -> Iterator[FlowState]:
+    """Yield the state at the start and after each step, one step per draw
+    pulled from `noise_steps`, lazily: a consumer that stops pulling draws no
+    more noise."""
+    yield state
     for sn in noise_steps:
-        cum_diss = rec.cum_diss + dt * rec.gradv_hs2
         state = step(state, params, noise, sn, dt)
-        rec = energy(state, s, params, cum_diss)
-        yield state, rec
+        yield state
 
 
 @dataclass
@@ -238,8 +235,8 @@ def simulate(
     The run steps on the smallest alias-free grid for the initial grid's
     cutoff and the noise basis (`on_alias_free_grid`), which computes the
     initial grid's Galerkin system up to rounding; the energy records are
-    taken there.  The final state is returned on the initial grid object,
-    zero outside the ball.
+    taken there.  The final state is returned on the initial grid object, in
+    its layout, zero outside the ball.
     """
     host = initial.v.grid
     initial, noise = on_alias_free_grid(initial, noise)
@@ -257,7 +254,8 @@ def simulate(
         draws = (recorded.append(sn) or sn for sn in draws)
 
     records, event = [], None
-    for state, rec in trajectory(initial, params, noise, draws, stepper.dt, monitor.s):
+    states = trajectory(initial, params, noise, draws, stepper.dt)
+    for state, rec in energy_records(states, monitor.s, params, stepper.dt):
         records.append(rec)
         event = detect_stop([rec], monitor.threshold)
         if event is not None:

@@ -1,11 +1,12 @@
 """Studies layer: ensembles, refinement, twins, and the verification suite."""
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from stoldroyd import stepping
+from stoldroyd import experiments, monitor, stepping
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.experiments import (
     EXACT_TOLERANCE,
@@ -425,6 +426,33 @@ class TestTwinUniqueness:
         # Short horizon, small data: separation stays small.
         assert max(rep.v_distance) < 1e-2
 
+    def test_pair_loop_forms_no_energy_records(self, monkeypatch):
+        """The twin reads only states: beyond its two `simulate` runs, whose
+        records it compares, it makes no `monitor.energy` call."""
+        energy_calls, simulated = [], []
+        inner_energy, inner_simulate = monitor.energy, experiments.simulate
+
+        def counted_energy(*args, **kwargs):
+            energy_calls.append(args[0].t)
+            return inner_energy(*args, **kwargs)
+
+        def counted_simulate(*args, **kwargs):
+            result = inner_simulate(*args, **kwargs)
+            simulated.append(len(result.records))
+            return result
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("stoldroyd") \
+                    and getattr(module, "energy", None) is inner_energy:
+                monkeypatch.setattr(module, "energy", counted_energy)
+        monkeypatch.setattr(experiments, "simulate", counted_simulate)
+        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
+        rep = twin_uniqueness(ball_state(17, 18), PARAMS, light_noise(), stepper,
+                              master_seed=31, threshold=1e6, perturbation=1e-6)
+        assert len(rep.times) == stepper.n_steps + 1
+        assert simulated == [stepper.n_steps + 1] * 2
+        assert len(energy_calls) == sum(simulated)
+
     def test_pair_distances_equal_an_explicit_step_loop_bitwise(self):
         state = ball_state(17, 18)
         noise = light_noise()
@@ -437,16 +465,18 @@ class TestTwinUniqueness:
         host = state.v.grid
         bump = truncate(random_field(host, 4.0, "vector", rng=rng_for_run(31, 1)),
                         host.truncation_radius)
-        unit = relayout(bump, a.v.grid).coeffs / math.sqrt(np.sum(np.abs(bump.coeffs) ** 2))
-        b = FlowState(0.0, VectorField(a.v.grid, a.v.coeffs + 1e-6 * unit, div_free=True), a.tau)
-        v_dist = [math.sqrt(np.sum(np.abs(b.v.coeffs - a.v.coeffs) ** 2))]
+        grid = a.v.grid
+        unit = relayout(bump, grid).coeffs / hs_norm(bump, 0.0)
+        b = FlowState(0.0, VectorField(grid, a.v.coeffs + 1e-6 * unit, div_free=True), a.tau)
+        # the L2 norm in the grid's layout, whose half spectra count interior planes twice
+        v_dist = [hs_norm(VectorField(grid, b.v.coeffs - a.v.coeffs), 0.0)]
         tau_dist = [0.0]
         for i in range(run.noise_path.n_steps):
             sn = run.noise_path.step_noise(i)
             a = step(a, PARAMS, model, sn, stepper.dt)
             b = step(b, PARAMS, model, sn, stepper.dt)
-            v_dist.append(math.sqrt(np.sum(np.abs(b.v.coeffs - a.v.coeffs) ** 2)))
-            tau_dist.append(math.sqrt(np.sum(np.abs(b.tau.coeffs - a.tau.coeffs) ** 2)))
+            v_dist.append(hs_norm(VectorField(grid, b.v.coeffs - a.v.coeffs), 0.0))
+            tau_dist.append(hs_norm(TensorField(grid, b.tau.coeffs - a.tau.coeffs), 0.0))
         assert rep.v_distance == tuple(v_dist)
         assert rep.tau_distance == tuple(tau_dist)
 

@@ -30,6 +30,7 @@ from stoldroyd.spectral import (
     leray_project,
     random_field,
     make_grid,
+    relayout,
     symmetry_defect,
     truncate,
 )
@@ -123,6 +124,33 @@ class TestVelocityNoiseBasis:
         tiny = make_grid(2, 8, 2 * math.pi, 2)
         with pytest.raises(ValueError, match="dealias cutoff"):
             VelocityNoiseBasis(tiny, 40)
+
+
+class TestHalfLayoutChannels:
+    """Every channel rebuilt on a half-layout grid holds the full layout's
+    coefficients on the planes it stores."""
+
+    @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12)])
+    def test_basis_writes_the_stored_half_of_each_pair_bitwise(self, dim, M, J):
+        full = make_grid(dim, M, 2 * math.pi)
+        half = make_grid(dim, M, 2 * math.pi, half=True)
+        w = rng_for_run(90, 0).standard_normal(J)
+        a, b = VelocityNoiseBasis(full, J), VelocityNoiseBasis(half, J)
+        keep = (Ellipsis, slice(0, M // 2 + 1))
+        assert np.array_equal(b.assemble_velocity(w).coeffs, a.assemble_velocity(w).coeffs[keep])
+        assert np.array_equal(b.assemble_profile(w).coeffs, a.assemble_profile(w).coeffs[keep])
+
+    @pytest.mark.parametrize("h_kind", ["identity", "bump"])
+    def test_stress_noise_matches_the_full_layout(self, h_kind):
+        full = make_grid(2, 32, 2 * math.pi, 8)
+        half = make_grid(2, 32, 2 * math.pi, 8, half=True)
+        tau = truncate(random_field(full, 4.0, "tensor", seed=91), 8)
+        a = StressNoiseInstance(full, h_kind, c_h=0.3, bump_width=0.8)
+        b = a.on(half)
+        keep = (Ellipsis, slice(0, 17))
+        assert np.max(np.abs(b.h.coeffs - a.h.coeffs[keep])) <= 1e-15
+        got, want = b.s_squared(relayout(tau, half)).coeffs, a.s_squared(tau).coeffs[keep]
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestSampleIncrement:

@@ -38,3 +38,23 @@ def test_one_step_call_site_inside_trajectory():
                 owner = min(enclosing, key=lambda f: f.end_lineno - f.lineno, default=None)
                 sites.append((module.__name__, owner and owner.name))
     assert sites == [("stoldroyd.stepping", "trajectory")]
+
+
+def test_fft_calls_only_inside_the_grid_transform_pair():
+    """Every `np.fft` use in the package sits in `SpectralGrid.inverse` or
+    `SpectralGrid.forward`, where the layout picks the transform."""
+    sites = []
+    for module in MODULES:
+        tree = ast.parse(inspect.getsource(module))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                assert not any("fft" in n for n in names), f"{module.__name__} imports an fft module"
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                enclosing = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                owner = min(enclosing, key=lambda f: f.end_lineno - f.lineno, default=None)
+                sites.append((module.__name__, owner and owner.name))
+    assert sorted(set(sites)) == [("stoldroyd.spectral", "forward"), ("stoldroyd.spectral", "inverse")]
+    assert len(sites) == 4

@@ -346,18 +346,24 @@ def desk_step_inputs():
     return run, sn
 
 
+def count_transforms(monkeypatch):
+    """Record every n-d transform call, complex or real, by name."""
+    calls = []
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestTransformBudget:
     def test_desk_step_makes_at_most_three_transforms(self, monkeypatch):
         """One physical-space pass per step, noise product included: at most
         3 n-d FFT calls and exactly one Leray projection."""
         run, sn = desk_step_inputs()
-        calls = []
-        for name in ("fftn", "ifftn"):
-            def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = count_transforms(monkeypatch)
         projections = []
 
         def counted_projection(v, _original=leray_project):
@@ -372,6 +378,17 @@ class TestTransformBudget:
         assert np.all(np.isfinite(out.v.coeffs))
         assert len(calls) <= 3
         assert len(projections) == 1
+
+    def test_half_layout_desk_step_makes_exactly_two_transforms(self, monkeypatch):
+        """On its alias-free grid a desk step stores half spectra, and its one
+        pass is one `irfftn` and one `rfftn`."""
+        run, sn = desk_step_inputs()
+        state, model = on_alias_free_grid(run.initial, run.noise)
+        assert state.v.grid.half and state.v.coeffs.shape == (2, 50, 26)
+        calls = count_transforms(monkeypatch)
+        out = step(state, run.params, model, sn, run.stepper.dt)
+        assert out.v.grid is state.v.grid and np.all(np.isfinite(out.v.coeffs))
+        assert calls == ["irfftn", "rfftn"]
 
     def test_desk_step_and_energy_stay_within_memory_budget(self):
         """Allocation sizes are deterministic, so the traced peak is too."""
@@ -444,6 +461,38 @@ def small_grid_inputs():
     v0 = truncate(random_field(grid, 4.0, "vector", seed=60), 5)
     tau0 = truncate(random_field(grid, 4.0, "tensor", seed=61), 5)
     return FlowState(0.0, v0, tau0), noise
+
+
+class TestHalfLayoutStep:
+    @pytest.mark.parametrize("dim, h_kind, nonlinear", [
+        (2, "identity", True), (2, "bump", True), (2, "identity", False), (3, "identity", True),
+    ])
+    def test_step_on_half_spectra_matches_the_full_layout(self, dim, h_kind, nonlinear):
+        """Every channel on: a step on the half layout, unfolded, is the full
+        layout's step to rounding, and stores only half the modes."""
+        M, n = (24, 6.0) if dim == 2 else (14, 3.0)
+        full = make_grid(dim, M, 2 * math.pi, n)
+        half = make_grid(dim, M, 2 * math.pi, n, half=True)
+        wiener = WienerQConfig(lambda0=0.1, J=4)
+        noise = NoiseModel(
+            wiener=wiener,
+            sigma=SigmaInstance(full, wiener, c0=0.5, c1=0.2),
+            stress=StressNoiseInstance(full, h_kind, c_h=0.3),
+            jump=JumpOperator(full, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
+        )
+        v = truncate(random_field(full, 4.0, "vector", seed=92), n)
+        tau = truncate(random_field(full, 4.0, "tensor", seed=93), n)
+        state = FlowState(0.0, VectorField(full, v.coeffs, div_free=True),
+                          TensorField(full, tau.coeffs, symmetric=True))
+        params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0, nonlinear=nonlinear)
+        sn = StepNoise(dw1=np.full(4, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
+        want = step(state, params, noise, sn, 1e-3)
+        got = step(FlowState(0.0, relayout(state.v, half), relayout(state.tau, half)),
+                   params, noise.on(half), sn, 1e-3)
+        assert got.v.coeffs.shape[-1] == M // 2 + 1
+        for g, w in ((got.v, want.v), (got.tau, want.tau)):
+            assert np.max(np.abs(relayout(g, full).coeffs - w.coeffs)) <= 1e-13 * np.max(np.abs(w.coeffs))
+        assert got.tau.symmetric == want.tau.symmetric
 
 
 class TestAliasFreeSimulate:
