@@ -10,12 +10,14 @@ forcing, and the Ito correction coming from the Stratonovich stress noise.
 pass: v, tau, a scalar noise profile and the gradients go out in one
 inverse transform, advection, stress transport, Q and the profile-times-v
 noise product are formed pointwise on real samples, and one forward
-transform and one dealias-and-ball mask bring them back (`irfftn`/`rfftn` on
-half spectra).  The velocity terms stay unprojected, so the integrator
-projects its whole update once.
+transform and one dealias-and-ball mask bring them back (on a box-layout
+grid the transforms zero-pad the dealias box to M modes).  A symmetric tau
+sends only its d(d+1)/2 distinct components and their gradients.  The
+velocity terms stay unprojected, so the integrator projects its whole update once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +123,17 @@ def advect_vector(v: VectorField, u: VectorField) -> VectorField:
     return truncate(convect_vector(v, u), v.grid.truncation_radius)
 
 
+@functools.lru_cache(maxsize=None)
+def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b) of the stress rows a pass sends (a <= b for a symmetric tau), each component's row."""
+    ta, tb = np.triu_indices(d) if symmetric else np.indices((d, d)).reshape(2, -1)
+    row = np.empty((d, d), dtype=np.int64)
+    row[tb, ta] = row[ta, tb] = np.arange(ta.size)  # the upper triangle written last
+    for shared in (ta, tb, row):  # cached: every pass reads the same arrays
+        shared.flags.writeable = False
+    return ta, tb, row
+
+
 def explicit_terms(
     state: FlowState, params: PhysicalParams, stress_noise=None, profile=None
 ) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
@@ -142,8 +155,10 @@ def explicit_terms(
     if stress_noise is not None:
         ito = 0.5 * truncate(stress_noise.s_squared(state.tau), grid.truncation_radius).coeffs
         symmetric = symmetric and stress_noise.preserves_symmetry
-    # the gradients of [v, tau], read by the couplings before any transform
-    full = d + d * d
+    # the gradients of [v, tau], read by the couplings before any transform;
+    # a symmetric tau takes one row per distinct component, row[a, b] = row[b, a]
+    ta, tb, row = _tau_rows(d, state.tau.symmetric)
+    full = d + ta.size
     if nonlinear:
         # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
         buf, samples = grid.workspace(full + p + full * d)
@@ -151,9 +166,9 @@ def explicit_terms(
     else:
         fields, grad = np.empty((full,) + shape, dtype=np.complex128), None
     fields[:d] = state.v.coeffs
-    fields[d:] = state.tau.coeffs.reshape((d * d,) + shape)
-    grad = np.multiply(1j * grid.xi, fields[:, np.newaxis], out=grad)
-    grad_v, grad_tau = grad[:d], grad[d:].reshape((d, d, d) + shape)
+    fields[d:] = state.tau.coeffs[ta, tb]
+    grad = np.multiply(grid.ixi, fields[:, np.newaxis], out=grad)
+    grad_v, grad_tau = grad[:d], grad[d:]
     # the couplings in place, one at a time, so a step's peak memory stays put:
     # stress += mu2 D(v); vel = mu1 div(tau), summed from zero in b order as
     # `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
@@ -167,7 +182,7 @@ def explicit_terms(
         del ito
     vel = np.zeros_like(grad_v[0])
     for b in range(d):
-        vel += grad_tau[:, b, b]
+        vel += grad_tau[row[:, b], b]
     vel *= params.mu1
     if not (nonlinear or p):
         return vel, TensorField(grid, stress, symmetric=symmetric), None
@@ -185,8 +200,7 @@ def explicit_terms(
         pgrad = phys[full + p:].reshape((full, d) + points)
         pointwise_transport(phys[:d], pgrad, out=out[:rows])
         # Q is symmetrized before the transport of tau is added, keeping symmetry exact
-        tau = phys[d:rows].reshape((d, d) + points)
-        out[d:rows] += _q_pointwise(tau, pgrad[:d], params.b).reshape((d * d,) + points)
+        out[d:rows] += _q_pointwise(phys[d:rows][row], pgrad[:d], params.b)[ta, tb]
     if p:
         np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
     # the samples are spent: the output reuses the buffer's leading rows
@@ -195,7 +209,7 @@ def explicit_terms(
     nl *= grid.dealias_ball_mask
     if nonlinear:
         vel -= nl[:d]
-        stress -= nl[d:rows].reshape((d, d) + shape)
+        stress -= nl[d:rows][row]
     prod = nl[n_out - d:].copy() if p else None  # a copy, so the buffer goes on return
     return vel, TensorField(grid, stress, symmetric=symmetric), prod
 

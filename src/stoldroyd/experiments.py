@@ -25,6 +25,7 @@ from .spectral import (
     SpectralGrid,
     TensorField,
     VectorField,
+    _shared_blocks,
     _sq_amplitude,
     bessel,
     commutator_bessel_product,
@@ -279,6 +280,15 @@ def _grad_sq_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
     return float(np.sum(grid.xi_sq * _sq_amplitude(grid, coeffs)))
 
 
+def _difference(hi, lo) -> np.ndarray:
+    """hi - lo on hi's grid, which holds lo's modes in a layout of the same kind:
+    lo's blocks subtracted from a copy of hi, bitwise hi minus lo embedded."""
+    out = hi.coeffs.copy()
+    for dst, src in _shared_blocks(lo.grid.runs, hi.grid.runs):
+        out[(..., *dst)] -= lo.coeffs[(..., *src)]
+    return out
+
+
 def refinement_single_path(
     initial_v: VectorField,
     initial_tau: TensorField,
@@ -298,8 +308,8 @@ def refinement_single_path(
     Wiener/jump draws are projected per cutoff exactly as the dynamics are.
     The path must suit ``stepper``, whose n_steps are taken.  The cutoffs'
     trajectories are zipped row by row; differences are accumulated for
-    successive cutoff pairs, in the larger layout of each pair, at every
-    row in [0, window].  The window closes at the horizon or at the first
+    successive cutoff pairs, on the higher cutoff's grid of each pair, at
+    every row in [0, window].  The window closes at the horizon or at the first
     row in which `detect_stop` fires for any cutoff (E_N above
     ``threshold``, or divergence: a non-finite record or E_N above
     `monitor.DIVERGENCE_CAP`), and the closing comparison is kept.
@@ -317,10 +327,7 @@ def refinement_single_path(
         states = trajectory(state, params, model, cut_draws, stepper.dt)
         paths.append(energy_records(states, s, params, stepper.dt))
 
-    n_pairs = len(cutoffs) - 1
-    sup_v = [0.0] * n_pairs
-    sup_tau = [0.0] * n_pairs
-    grad_int = [0.0] * n_pairs
+    sup_v, sup_tau, grad_int = ([0.0] * (len(cutoffs) - 1) for _ in range(3))
     diffs = []
     window_end = stepper.actual_horizon
     for row in zip(*paths):
@@ -330,13 +337,10 @@ def refinement_single_path(
         for p, (grid, dv) in enumerate(diffs):
             grad_int[p] += stepper.dt * _grad_sq_of(grid, dv)
         diffs = []
-        for p in range(n_pairs):
-            lo, hi = states[p], states[p + 1]
-            grid = max(lo.v.grid, hi.v.grid, key=lambda g: g.modes_per_axis)
-            dv = relayout(hi.v, grid).coeffs - relayout(lo.v, grid).coeffs
+        for p, (lo, hi) in enumerate(zip(states, states[1:])):
+            grid, dv = hi.v.grid, _difference(hi.v, lo.v)
             sup_v[p] = max(sup_v[p], _l2_of(grid, dv))
-            sup_tau[p] = max(sup_tau[p], _l2_of(grid, relayout(hi.tau, grid).coeffs
-                                                 - relayout(lo.tau, grid).coeffs))
+            sup_tau[p] = max(sup_tau[p], _l2_of(grid, _difference(hi.tau, lo.tau)))
             diffs.append((grid, dv))
         if detect_stop(records, threshold) is not None:
             window_end = states[0].t
@@ -375,12 +379,7 @@ def refinement_study(
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
 
     signature = noise.signature(initial_v.grid)
-    n_pairs = len(cuts) - 1
-    per_pair_v = [[] for _ in range(n_pairs)]
-    per_pair_tau = [[] for _ in range(n_pairs)]
-    per_pair_grad = [[] for _ in range(n_pairs)]
-    windows = []
-
+    per_path, windows = [], []
     for p in range(n_paths):
         sampler = noise.sampler(rng_for_run(master_seed, p))
         steps = [sampler.sample_step(stepper.dt) for _ in range(stepper.n_steps)]
@@ -389,18 +388,16 @@ def refinement_study(
             initial_v, initial_tau, params, stepper, cuts, path, noise,
             threshold=threshold, s=s,
         )
+        per_path.append(stats)
         windows.append(window_end)
-        for i, (sv, st, gi) in enumerate(stats):
-            per_pair_v[i].append(sv)
-            per_pair_tau[i].append(st)
-            per_pair_grad[i].append(gi)
-
-    mean_v = tuple(float(np.mean(vals)) for vals in per_pair_v)
-    mean_tau = tuple(float(np.mean(vals)) for vals in per_pair_tau)
-    mean_grad = tuple(float(np.mean(vals)) for vals in per_pair_grad)
+    # per_pair_v[i][p]: pair i's sup v-difference on path p; alike for tau and the integral
+    per_pair_v, per_pair_tau, per_pair_grad = (
+        [tuple(stats[i][q] for stats in per_path) for i in range(len(cuts) - 1)] for q in range(3))
+    mean_v, mean_tau, mean_grad = (tuple(float(np.mean(vals)) for vals in per_pair)
+                                   for per_pair in (per_pair_v, per_pair_tau, per_pair_grad))
 
     decay_rate = None
-    if n_pairs >= 2 and all(v > 0.0 for v in mean_v):
+    if len(cuts) > 2 and all(v > 0.0 for v in mean_v):
         lower_ns = np.log([a for a, _ in zip(cuts, cuts[1:])])
         slope = np.polyfit(lower_ns, np.log(mean_v), 1)[0]
         decay_rate = float(-slope)
@@ -412,9 +409,9 @@ def refinement_study(
         sup_v=mean_v,
         sup_tau=mean_tau,
         grad_integral=mean_grad,
-        sup_v_paths=tuple(tuple(vals) for vals in per_pair_v),
-        sup_tau_paths=tuple(tuple(vals) for vals in per_pair_tau),
-        grad_integral_paths=tuple(tuple(vals) for vals in per_pair_grad),
+        sup_v_paths=tuple(per_pair_v),
+        sup_tau_paths=tuple(per_pair_tau),
+        grad_integral_paths=tuple(per_pair_grad),
         window_ends=tuple(windows),
         decay_rate=decay_rate,
         master_seed=master_seed,
@@ -586,24 +583,12 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
     rng = rng_for_run(master_seed, 0)
     ball = grid.truncation_radius
 
-    checks = {
-        "leray_divergence": 0.0,
-        "transport_orthogonality": 0.0,
-        "coupling_cancellation": 0.0,
-        "truncation_contraction": 0.0,
-        "truncation_idempotence": 0.0,
-        "truncation_composition": 0.0,
-        "truncation_decay": 0.0,
-        "interpolation": 0.0,
-        "commutator_additivity": 0.0,
-        "commutator_homogeneity": 0.0,
-    }
-    constants = {
-        "kato_ponce": 0.0,
-        "kato_ponce_scaled": 0.0,
-        "tame_q": 0.0,
-        "algebra": 0.0,
-    }
+    checks = dict.fromkeys((
+        "leray_divergence", "transport_orthogonality", "coupling_cancellation",
+        "truncation_contraction", "truncation_idempotence", "truncation_composition",
+        "truncation_decay", "interpolation", "commutator_additivity", "commutator_homogeneity",
+    ), 0.0)
+    constants = dict.fromkeys(("kato_ponce", "kato_ponce_scaled", "tame_q", "algebra"), 0.0)
 
     def bump(name: str, value: float) -> None:
         if value > checks[name]:

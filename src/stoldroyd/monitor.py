@@ -27,7 +27,6 @@ __all__ = [
     "MonitorConfig",
     "EnergyRecord",
     "StoppingEvent",
-    "gradient_energy",
     "energy",
     "energy_records",
     "detect_stop",
@@ -77,18 +76,14 @@ class StoppingEvent:
     e_n: float
 
 
-def gradient_energy(state: FlowState, s: float) -> float:
-    """||grad v||_{H^s}^2 via the exact multiplier |xi|^2 (1+|xi|^2)^s."""
-    grid = state.v.grid
-    return float(np.sum(grid.xi_sq * (1.0 + grid.xi_sq) ** s * _sq_amplitude(grid, state.v.coeffs)))
-
-
-def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float = 0.0) -> EnergyRecord:
+def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float = 0.0,
+           w: np.ndarray | None = None) -> EnergyRecord:
     """One energy sample; `cum_diss` is the dissipation integral accumulated
-    so far by the caller's quadrature.  Each field's squared amplitude is
-    formed once and read by both of its sums."""
+    so far by the caller's quadrature, `w` the grid's (1+|xi|^2)^s if known.
+    Each field's squared amplitude is formed once and read by both its sums;
+    gradv_hs2 = ||grad v||_{H^s}^2 via the exact multiplier |xi|^2 (1+|xi|^2)^s."""
     grid = state.v.grid
-    w = (1.0 + grid.xi_sq) ** s
+    w = (1.0 + grid.xi_sq) ** s if w is None else w
     wv = w * _sq_amplitude(grid, state.v.coeffs)
     tau_amp = _sq_amplitude(grid, state.tau.coeffs)
     v_hs2 = float(wv.sum())
@@ -112,8 +107,11 @@ def energy_records(
     """Pair each state of a trajectory, pulled lazily, with its energy
     record; the dissipation integral accumulates by the left-endpoint rule."""
     cum_diss = gradv_hs2 = 0.0
+    grid = w = None
     for state in states:
-        rec = energy(state, s, params, cum_diss + dt * gradv_hs2)
+        if state.v.grid is not grid:  # the weight (1+|xi|^2)^s, once per grid
+            grid, w = state.v.grid, (1.0 + state.v.grid.xi_sq) ** s
+        rec = energy(state, s, params, cum_diss + dt * gradv_hs2, w)
         cum_diss, gradv_hs2 = rec.cum_diss, rec.gradv_hs2
         yield state, rec
 

@@ -158,12 +158,12 @@ class VelocityNoiseBasis:
         self.k = np.array([kv for kv, _, _ in entries], dtype=np.int64)  # (J, dim)
         self.p = np.array([p for _, p, _ in entries])  # (J, dim)
         self.kind = np.array([kind for _, _, kind in entries], dtype=np.int64)
-        # the +-k coefficients, (2, J), of which a half layout holds those
+        # the +-k coefficients, (2, J), of which a box layout holds those
         # with k_d >= 0; cos(kx) has (1/2, 1/2) at +-k, sin(kx) (-i/2, +i/2)
         pm = np.stack([self.k, -self.k])
-        held = (pm[..., -1] >= 0) | (not grid.half)
+        held = (pm[..., -1] >= 0) | (not grid.box)
         self._j = np.nonzero(held)[1]  # basis index of each held coefficient
-        self._index = np.ravel_multi_index(tuple((pm[held] % grid.modes_per_axis).T), grid.shape)
+        self._index = np.ravel_multi_index(tuple((pm[held] % grid.shape).T), grid.shape)
         self._index_by_component = (np.arange(grid.dim)[:, np.newaxis] * math.prod(grid.shape)
                                     + self._index).ravel()
         self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))[held]
@@ -363,9 +363,6 @@ class JumpOperator:
 
     def on(self, grid: SpectralGrid) -> "JumpOperator":
         return JumpOperator(grid, self.config)
-
-    def smooth(self, v: VectorField) -> VectorField:
-        return VectorField(self.grid, self._kappa * v.coeffs, div_free=v.div_free)
 
     def jump_increment(self, v: VectorField, z: float) -> VectorField:
         return VectorField(

@@ -12,15 +12,18 @@ Wavevectors are xi = (2*pi/L) * k for integer multi-indices k in
 ball |xi| <= n; dealiasing uses the per-axis 2/3 rule so that quadratic
 products of retained modes are alias-free.
 
-Fields are real, c(-k) = conj c(k).  The full layout (`fftn`) stores every k;
-the half layout (`rfftn`, ``make_grid(..., half=True)``) stores the M/2 + 1
-planes 0 <= k_d <= M/2 of the last axis and leaves their conjugates implied.
-Sums over modes read the grid's plane `weight`: 2 on interior planes of the
-last axis, 1 on its zero and Nyquist planes and everywhere in the full layout.
-`SpectralGrid.inverse`/`forward` are the one transform pair.
+Fields are real, c(-k) = conj c(k).  The full layout stores every k.  The box
+layout (``make_grid(..., box=True)``) stores the dealias box |k_a| <= K =
+`dealias_kmax`, the modes the cutoff system can reach, with k_d >= 0: the
+leading axes hold k = 0..K, -K..-1 (k at index k mod 2K+1), the last 0..K.
+Sums over modes read the grid's plane `weight`: 2 on the box's planes k_d > 0,
+1 on its zero plane and in the full layout.  `SpectralGrid.inverse`/`forward`
+are the one transform pair; the box is zero-padded to M modes inside them.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -65,10 +68,10 @@ __all__ = [
 class SpectralGrid:
     """Fourier discretization of the periodic box [0, L)^dim.
 
-    Precomputes integer mode indices, wavevectors, |xi|^2 (and its
+    Precomputes integer mode indices, wavevectors, i xi, |xi|^2 (and its
     zero-free copy, the Leray denominator), the per-axis dealias mask, the
     |xi| <= n cutoff mask and their conjunction.  Instances are immutable and
-    shared freely between fields.  `half` selects the rfft layout.
+    shared freely between fields.  `box` selects the dealias-box layout.
     """
 
     dim: int
@@ -76,10 +79,11 @@ class SpectralGrid:
     box_length: float
     truncation_radius: float
     dealias_fraction: float
-    half: bool = False
+    box: bool = False
     # derived arrays (filled in by make_grid)
     k_int: np.ndarray = dc_field(repr=False, default=None)
     xi: np.ndarray = dc_field(repr=False, default=None)
+    ixi: np.ndarray = dc_field(repr=False, default=None)  # 1j * xi, the gradient multiplier
     xi_sq: np.ndarray = dc_field(repr=False, default=None)
     xi_sq_safe: np.ndarray = dc_field(repr=False, default=None)  # 1 at xi = 0
     dealias_mask: np.ndarray = dc_field(repr=False, default=None)
@@ -88,10 +92,16 @@ class SpectralGrid:
     weight: np.ndarray = dc_field(repr=False, default=None)  # per-mode plane weight
 
     @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """(length, count of k >= 0) of each mode axis: k = 0, 1, ... lead, k < 0 trail."""
+        M, K = self.modes_per_axis, self.dealias_kmax
+        box = ((2 * K + 1, K + 1),) * (self.dim - 1) + ((K + 1, K + 1),)
+        return box if self.box else ((M, M // 2),) * self.dim
+
+    @property
     def shape(self) -> tuple[int, ...]:
-        """Mode axes of a coefficient array (the last one M/2 + 1 long when half)."""
-        M = self.modes_per_axis
-        return (M,) * (self.dim - 1) + (M // 2 + 1 if self.half else M,)
+        """Mode axes of a coefficient array."""
+        return tuple(n for n, _ in self.runs)
 
     @property
     def points(self) -> tuple[int, ...]:
@@ -117,25 +127,57 @@ class SpectralGrid:
         """Coefficient rows and sample rows for `inverse(..., out=)` in one block
         (the same array in the full layout), which spares the allocator churn."""
         n = 2 * rows * math.prod(self.shape)
-        work = np.empty(n + (rows * math.prod(self.points) if self.half else 0))
+        work = np.empty(n + (rows * math.prod(self.points) if self.box else 0))
         coeffs = work[:n].view(np.complex128).reshape((rows,) + self.shape)
-        return coeffs, work[n:].reshape((rows,) + self.points) if self.half else coeffs
+        return coeffs, work[n:].reshape((rows,) + self.points) if self.box else coeffs
+
+    @property
+    def _padded(self) -> tuple[tuple[int, int], ...]:
+        """Axis runs of the box zero-padded to M modes on its leading axes."""
+        return ((self.modes_per_axis, self.modes_per_axis // 2),) * (self.dim - 1) + self.runs[-1:]
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Physical samples over the trailing mode axes: real in the half layout,
-        complex in the full one (real fields get O(1e-16) imaginary dust)."""
-        transform = np.fft.irfftn if self.half else np.fft.ifftn
-        return transform(coeffs, s=self.points, axes=self.grid_axes, norm="forward", out=out)
+        """Physical samples over the trailing mode axes: real in the box layout,
+        zero-padded here to M modes per axis, complex in the full one (real
+        fields get O(1e-16) imaginary dust)."""
+        lead, c = self.grid_axes, coeffs
+        if self.box:
+            lead, c = lead[:-1], _copy_blocks(coeffs, self.runs, self._padded)
+        c = np.fft.ifftn(c, axes=lead, norm="forward", out=c if self.box else out)
+        return np.fft.irfft(c, self.modes_per_axis, axis=-1, norm="forward", out=out) if self.box else c
 
     def forward(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients, in this grid's layout, of physical samples."""
-        transform = np.fft.rfftn if self.half else np.fft.fftn
-        return transform(samples, axes=self.grid_axes, norm="forward", out=out)
+        """Coefficients, in this grid's layout, of physical samples: in the box
+        layout, the rfft planes k_d <= K transformed over the leading axes, and
+        the box's rows of them."""
+        lead = self.grid_axes[:-1] if self.box else self.grid_axes
+        if self.box:
+            samples = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
+        c = np.fft.fftn(samples, axes=lead, norm="forward", out=None if self.box else out)
+        return _copy_blocks(c, self._padded, self.runs, out) if self.box else c
 
 
-def _freqs(M: int) -> np.ndarray:
-    """Integer indices of an M-mode axis in transform order: 0..M/2-1, -M/2..-1."""
-    return (np.arange(M) + M // 2) % M - M // 2
+@functools.lru_cache(maxsize=None)
+def _shared_blocks(src: tuple, dst: tuple) -> tuple:
+    """(dst, src) index pairs of the blocks of modes that two layouts, given by
+    their axis `runs`, both store: per axis the run of k >= 0 and the run of
+    k < 0, so contiguous block copies, 2^(d-1) between box layouts."""
+    per_axis = []
+    for (n_src, p_src), (n_dst, p_dst) in zip(src, dst):
+        pos, neg = min(p_src, p_dst), min(n_src - p_src, n_dst - p_dst)
+        per_axis.append([(slice(0, pos),) * 2]
+                        + [(slice(n_dst - neg, n_dst), slice(n_src - neg, n_src))] * (neg > 0))
+    return tuple(tuple(zip(*blocks)) for blocks in itertools.product(*per_axis))
+
+
+def _copy_blocks(c: np.ndarray, src: tuple, dst: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """`c`, laid out by the axis runs `src`, in the layout `dst`: the shared
+    blocks copied into `out`, or into zeros."""
+    if out is None:
+        out = np.zeros(c.shape[:c.ndim - len(dst)] + tuple(n for n, _ in dst), dtype=c.dtype)
+    for dst_index, src_index in _shared_blocks(src, dst):
+        out[(..., *dst_index)] = c[(..., *src_index)]
+    return out
 
 
 def _mirror(c: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -149,9 +191,10 @@ def make_grid(
     box_length: float = 2 * math.pi,
     truncation_radius: float | None = None,
     dealias_fraction: float = 2.0 / 3.0,
-    half: bool = False,
+    box: bool = False,
 ) -> SpectralGrid:
-    """Validate parameters and build a grid with precomputed mode geometry.
+    """Validate parameters and build a grid with precomputed mode geometry, in
+    the box layout if `box` and the dealias box leaves out modes (K < M/2).
 
     Raises ValueError naming the offending field for: dim outside {2, 3},
     odd or too-small modes_per_axis, non-positive box_length, non-positive
@@ -180,25 +223,22 @@ def make_grid(
             f"(= dealias_fraction * (M/2) * (2*pi/L))"
         )
 
-    k_last = np.arange(M // 2 + 1) if half else _freqs(M)
-    k_int = np.stack(np.meshgrid(*[_freqs(M)] * (dim - 1), k_last, indexing="ij")).astype(np.int64)
-    weight = np.where((k_last == 0) | (k_last == M // 2), 1.0, 2.0) if half else np.ones(1)
+    kmax = int(math.floor(dealias_fraction * (M / 2) + 1e-12))
+    grid = SpectralGrid(dim, M, float(box_length), float(truncation_radius),
+                        float(dealias_fraction), box and kmax < M // 2)
+    # each axis in transform order: its run of k = 0, 1, ..., then its k < 0
+    k = [(np.arange(n) + n - p) % n - (n - p) for n, p in grid.runs]
+    k_int = np.stack(np.meshgrid(*k, indexing="ij")).astype(np.int64)
+    weight = np.where(k[-1] == 0, 1.0, 2.0) if grid.box else np.ones(1)
     xi = (2 * math.pi / box_length) * k_int.astype(np.float64)
     xi_sq = np.sum(xi * xi, axis=0)
-
-    kmax = int(math.floor(dealias_fraction * (M / 2) + 1e-12))
     dealias_mask = np.all(np.abs(k_int) <= kmax, axis=0)
     ball_mask = xi_sq <= truncation_radius * truncation_radius
-
-    return SpectralGrid(
-        dim=dim,
-        modes_per_axis=M,
-        box_length=float(box_length),
-        truncation_radius=float(truncation_radius),
-        dealias_fraction=float(dealias_fraction),
-        half=half,
+    return replace(
+        grid,
         k_int=k_int,
         xi=xi,
+        ixi=1j * xi,
         xi_sq=xi_sq,
         xi_sq_safe=np.where(xi_sq > 0, xi_sq, 1.0),
         dealias_mask=dealias_mask,
@@ -232,22 +272,18 @@ def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
 
 def relayout(f: "Field", grid: SpectralGrid) -> "Field":
     """`f` on `grid`, whose layout may hold more or fewer modes or be of the
-    other kind: shared modes are copied, a larger layout is zero elsewhere
-    (embedding), a smaller one drops what it cannot hold (restriction), and a
-    half source gives a full layout its conjugate modes.  Flags are kept; a
-    matching layout shares the coefficient array."""
-    src, c = f.grid, f.coeffs
-    if (src.modes_per_axis, src.half) == (grid.modes_per_axis, grid.half):
+    other kind: the shared blocks of modes are copied, a larger layout is zero
+    elsewhere (embedding), a smaller one drops what it cannot hold
+    (restriction), and a box source gives a full layout its conjugate modes.
+    Flags are kept; a layout of the same shape shares the coefficient array."""
+    src, c, runs = f.grid, f.coeffs, f.grid.runs
+    if src.shape == grid.shape:
         return replace(f, grid=grid)
-    M, N = src.modes_per_axis, grid.modes_per_axis
-    if src.half:  # unfold: c(k', -k_d) = conj c(-k', k_d) for 0 < k_d < M/2
-        tail = _mirror(c, src.grid_axes[:-1])[..., M // 2 - 1:0:-1]
-        c = np.concatenate((c, np.conj(tail)), axis=-1)
-    k = _freqs(min(M, N))
-    index = [k] * (grid.dim - 1) + [k[k % N <= N // 2] if grid.half else k]
-    out = np.zeros(c.shape[: c.ndim - grid.dim] + grid.shape, dtype=c.dtype)
-    out[(..., *np.ix_(*[i % N for i in index]))] = c[(..., *np.ix_(*[i % M for i in index]))]
-    return replace(f, grid=grid, coeffs=out)
+    if src.box and not grid.box:  # unfold: c(k', -k_d) = conj c(-k', k_d), 0 < k_d <= K
+        K = src.dealias_kmax
+        c = np.concatenate((c, np.conj(_mirror(c, src.grid_axes[:-1])[..., K:0:-1])), axis=-1)
+        runs = runs[:-1] + ((2 * K + 1, K + 1),)
+    return replace(f, grid=grid, coeffs=_copy_blocks(c, runs, grid.runs))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +335,7 @@ def _like(f: Field, coeffs: np.ndarray, **flags) -> Field:
 
 def _check_same_grid(f: Field, g: Field) -> None:
     a, b = f.grid, g.grid
-    if (a.shape, a.box_length) != (b.shape, b.box_length):  # the shape tells the layout
+    if (a.shape, a.points, a.box_length) != (b.shape, b.points, b.box_length):
         raise ValueError("fields live on different grids")
 
 
@@ -363,11 +399,7 @@ def truncate(f: Field, n: float) -> Field:
     """Spectral cutoff to the closed ball |xi| <= n; other modes unchanged."""
     if not n > 0:
         raise ValueError(f"truncation radius must be positive, got {n}")
-    grid = f.grid
-    if n == grid.truncation_radius:
-        mask = grid.ball_mask
-    else:
-        mask = grid.xi_sq <= n * n
+    mask = f.grid.ball_mask if n == f.grid.truncation_radius else f.grid.xi_sq <= n * n
     return _like(f, f.coeffs * mask)
 
 
@@ -377,20 +409,20 @@ def truncate(f: Field, n: float) -> Field:
 
 def gradient_scalar(f: ScalarField) -> VectorField:
     """grad f: component a is i*xi_a * f_hat."""
-    c = 1j * f.grid.xi * f.coeffs[np.newaxis]
+    c = f.grid.ixi * f.coeffs[np.newaxis]
     return VectorField(f.grid, c)
 
 
 def gradient_vector(v: VectorField) -> TensorField:
     """Velocity gradient with rows = components: (grad v)_{ab} = d_b v_a."""
     g = v.grid
-    c = 1j * g.xi[np.newaxis, :] * v.coeffs[:, np.newaxis]
+    c = g.ixi[np.newaxis, :] * v.coeffs[:, np.newaxis]
     return TensorField(g, c)
 
 
 def divergence_tensor(tau: TensorField) -> VectorField:
     """Row-wise divergence: (div tau)_a = sum_b d_b tau_{ab}."""
-    c = np.sum(1j * tau.grid.xi[np.newaxis, :] * tau.coeffs, axis=1)
+    c = np.sum(tau.grid.ixi[np.newaxis, :] * tau.coeffs, axis=1)
     return VectorField(tau.grid, c)
 
 
@@ -417,15 +449,15 @@ def divergence_defect(v: VectorField) -> float:
 
 
 def hermitian_defect(f: Field) -> float:
-    """max |c(k) - conj(c(-k))| over modes, relative to max |c|.  In the half
-    layout only the zero and Nyquist planes of the last axis hold both k and
-    -k, so only they are measured; elsewhere symmetry holds by construction."""
+    """max |c(k) - conj(c(-k))| over modes, relative to max |c|.  In the box
+    layout only the zero plane k_d = 0 holds both k and -k, so only it is
+    measured; elsewhere symmetry holds by construction."""
     g, c = f.grid, f.coeffs
     scale = np.max(np.abs(c))
     if scale == 0:
         return 0.0
-    c = c[..., [0, -1]] if g.half else c
-    flipped = np.conj(_mirror(c, g.grid_axes[:-1] if g.half else g.grid_axes))
+    c = c[..., :1] if g.box else c
+    flipped = np.conj(_mirror(c, g.grid_axes[:-1] if g.box else g.grid_axes))
     return float(np.max(np.abs(c - flipped)) / scale)
 
 
@@ -534,11 +566,11 @@ def random_field(
     kind: "scalar", "vector" (Leray-projected, divergence-free), or "tensor"
     (symmetrized).  Same seed, same grid -> identical coefficients.  Support is
     restricted to the dealias mask so products of generated fields are exact.
-    A half-layout grid gets the full layout's draws.
+    A box-layout grid gets the full layout's draws.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    if grid.half:
+    if grid.box:
         full = make_grid(grid.dim, grid.modes_per_axis, grid.box_length,
                          grid.truncation_radius, grid.dealias_fraction)
         return relayout(random_field(full, alpha, kind, rng=rng), grid)

@@ -22,7 +22,7 @@ path can drive runs at different spectral cutoffs.
 `trajectory`, a lazy generator of states, is the one loop that steps a path:
 `simulate` stops one at `detect_stop` on its `energy_records`, refine zips
 several in lockstep over the same draws, and the twin probe zips a pair
-without records.  Reduced grids store half spectra (the rfft layout).
+without records.  Paths step in the box layout, the dealias box |k_a| <= K.
 """
 from __future__ import annotations
 
@@ -120,28 +120,28 @@ def on_alias_free_grid(
 ) -> tuple[FlowState, NoiseModel]:
     """`state` and `noise` on the smallest grid on which the cutoff-n system
     (n defaults to the state grid's radius) is the Galerkin system of the
-    state's grid: `alias_free_modes` sized for the noise basis, in the half
-    (rfft) layout.
+    state's grid: `alias_free_modes` sized for the noise basis, in the box
+    layout.
 
     The state's grid size is kept for a bump stress profile, which is
     sampled per grid, and for a state with mass outside the ball |xi| <= n,
-    whose products a smaller grid would alias.  Without `n`, a grid that
-    cannot shrink returns the inputs themselves; with it, the cutoff always
-    gets a grid object of its own.
+    whose products a smaller grid would alias.  A state with mass outside
+    that grid's dealias box keeps the full layout, so no mode is dropped.
+    Without `n`, a grid that changes neither size nor layout returns the
+    inputs themselves; with it, the cutoff always gets a grid object of its own.
     """
     host = state.v.grid
     radius = host.truncation_radius if n is None else n
+    outside_ball, outside_box = (any(np.any(f.coeffs[..., mask]) for f in (state.v, state.tau))
+                                 for mask in (host.xi_sq > radius * radius, ~host.dealias_mask))
     modes = host.modes_per_axis
-    if noise.stress is None or noise.stress.h_kind != "bump":
+    if not outside_ball and (noise.stress is None or noise.stress.h_kind != "bump"):
         kmax = noise.sigma.basis.kmax if noise.sigma is not None else 0
         modes = alias_free_modes(host, radius, kmax)
-    if modes < host.modes_per_axis:
-        outside = host.xi_sq > radius * radius
-        if np.any(state.v.coeffs[..., outside]) or np.any(state.tau.coeffs[..., outside]):
-            modes = host.modes_per_axis
-    if n is None and modes == host.modes_per_axis:
+    box = modes < host.modes_per_axis or not outside_box
+    if n is None and modes == host.modes_per_axis and box == host.box:
         return state, noise
-    grid = make_grid(host.dim, modes, host.box_length, radius, host.dealias_fraction, half=True)
+    grid = make_grid(host.dim, modes, host.box_length, radius, host.dealias_fraction, box=box)
     return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
 
 

@@ -333,3 +333,34 @@ class TestCouplingsFromTheDriftPass:
         new = step(FlowState(0.0, ball_field("vector", 31), ball_field("tensor", 32)),
                    params, noise, sn, 1e-3)
         assert np.all(np.isfinite(new.v.coeffs)) and np.all(np.isfinite(new.tau.coeffs))
+
+
+class TestSymmetricStressRows:
+    @pytest.mark.parametrize("dim, box", [(2, True), (2, False), (3, True)])
+    def test_symmetric_pass_equals_the_unflagged_pass_bitwise(self, monkeypatch, dim, box):
+        """A symmetric tau sends only its d(d+1)/2 distinct components and
+        their gradients through the pass; the outputs equal, bitwise, those of
+        the same coefficients flagged non-symmetric, which send all d^2."""
+        M, n = (24, 6.0) if dim == 2 else (14, 3.0)
+        grid = make_grid(dim, M, 2 * math.pi, n, box=box)
+        full = make_grid(dim, M, 2 * math.pi, n)
+        v = spectral.relayout(truncate(random_field(full, 4.0, "vector", seed=33), n), grid)
+        tau = spectral.relayout(truncate(random_field(full, 4.0, "tensor", seed=34), n), grid)
+        assert tau.symmetric and np.array_equal(tau.coeffs, np.swapaxes(tau.coeffs, 0, 1))
+        wiener = WienerQConfig(lambda0=0.1, J=4)
+        profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]
+        rows = []
+        inner = spectral.SpectralGrid.inverse
+        monkeypatch.setattr(spectral.SpectralGrid, "inverse",
+                            lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
+        outputs = []
+        for symmetric in (True, False):
+            state = FlowState(0.0, v, TensorField(grid, tau.coeffs, symmetric=symmetric))
+            outputs.append(dynamics.explicit_terms(state, PARAMS, None, profile))
+        d = dim
+        assert rows == [d + d * (d + 1) // 2 + 1 + (d + d * (d + 1) // 2) * d,
+                        d + d * d + 1 + (d + d * d) * d]
+        (vel_s, stress_s, prod_s), (vel_n, stress_n, prod_n) = outputs
+        assert np.array_equal(vel_s, vel_n) and np.array_equal(prod_s, prod_n)
+        assert np.array_equal(stress_s.coeffs, stress_n.coeffs)
+        assert stress_s.symmetric and not stress_n.symmetric

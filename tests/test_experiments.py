@@ -282,6 +282,38 @@ class TestRefinement:
                     embedded = relayout(got, host).coeffs
                     assert np.max(np.abs(embedded - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
+    def test_pair_differences_equal_embed_then_subtract_bitwise(self, monkeypatch):
+        """Each pair's difference subtracts the lower cutoff's box blocks from
+        a copy of the higher cutoff's box; its sup and integral values equal,
+        bitwise, those of the lower state embedded by `relayout` and then
+        subtracted."""
+        base = make_grid(2, 48, 2 * math.pi, 16)
+        iv = truncate(random_field(base, 6.0, "vector", seed=15), 16)
+        it = truncate(random_field(base, 6.0, "tensor", seed=16), 16)
+        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
+        cutoffs = [4.0, 8.0, 16.0]
+        path = recorded_path(refine_noise(base), base, stepper.dt, stepper.n_steps)
+        trajectories = record_steps(monkeypatch)
+        stats, _ = refinement_single_path(iv, it, PARAMS, stepper, cutoffs, path,
+                                          refine_noise(base), threshold=1e6)
+        rows = []  # each cutoff's states, at t = 0 and after every step
+        for c in cutoffs:
+            start, _ = on_alias_free_grid(FlowState(0.0, truncate(iv, c), truncate(it, c)),
+                                          refine_noise(base), c)
+            rows.append([start] + trajectories[c])
+        for p, (sup_v, sup_tau, grad_int) in enumerate(stats):
+            want = [0.0, 0.0, 0.0]
+            for i, (lo, hi) in enumerate(zip(rows[p], rows[p + 1])):
+                grid = hi.v.grid
+                assert grid.box and grid.shape != lo.v.grid.shape
+                dv = hi.v.coeffs - relayout(lo.v, grid).coeffs
+                dtau = hi.tau.coeffs - relayout(lo.tau, grid).coeffs
+                want[0] = max(want[0], experiments._l2_of(grid, dv))
+                want[1] = max(want[1], experiments._l2_of(grid, dtau))
+                if i < stepper.n_steps:  # left endpoint
+                    want[2] += stepper.dt * experiments._grad_sq_of(grid, dv)
+            assert [sup_v, sup_tau, grad_int] == want and min(want) > 0.0
+
     def test_bump_stress_noise_keeps_host_grid(self, monkeypatch):
         base = make_grid(2, 48, 2 * math.pi, 16)
         iv = truncate(random_field(base, 6.0, "vector", seed=13), 16)

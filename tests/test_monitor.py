@@ -13,7 +13,7 @@ from stoldroyd.monitor import (
     StoppingEvent,
     detect_stop,
     energy,
-    gradient_energy,
+    energy_records,
     write_energy_csv,
 )
 from stoldroyd.spectral import (
@@ -23,6 +23,7 @@ from stoldroyd.spectral import (
     hs_norm,
     make_grid,
     random_field,
+    relayout,
     to_physical,
     truncate,
 )
@@ -67,7 +68,7 @@ class TestEnergy:
         v = truncate(random_field(GRID, 4.0, "vector", seed=1), 16)
         tau = truncate(random_field(GRID, 4.0, "tensor", seed=2), 16)
         st = FlowState(0.0, v, tau)
-        direct = gradient_energy(st, 1.5)
+        direct = energy(st, 1.5, PARAMS).gradv_hs2
         via_field = hs_norm(gradient_vector(v), 1.5) ** 2
         assert direct == pytest.approx(via_field, rel=1e-12)
 
@@ -88,6 +89,24 @@ class TestEnergy:
         rec = energy(FlowState(0.0, v, tau), 2.0, PARAMS, cum_diss=3.0)
         want = PARAMS.mu2 * rec.v_hs2 + PARAMS.mu1 * rec.tau_hs2 + 2 * PARAMS.mu2 * PARAMS.nu * 3.0
         assert rec.e_n == pytest.approx(want, rel=1e-14)
+
+
+class TestEnergyRecords:
+    def test_records_equal_per_record_energy_bitwise(self):
+        """The weight (1+|xi|^2)^s is formed once per grid; the records equal
+        `energy` called per state with the left-endpoint dissipation sum,
+        bitwise, across a change of grid too."""
+        box = make_grid(2, 64, 2 * math.pi, 16, box=True)
+        states = []
+        for seed, grid in ((40, GRID), (42, GRID), (44, box), (46, box)):
+            v = truncate(random_field(GRID, 4.0, "vector", seed=seed), 16)
+            tau = truncate(random_field(GRID, 4.0, "tensor", seed=seed + 1), 16)
+            states.append(FlowState(0.01 * seed, relayout(v, grid), relayout(tau, grid)))
+        cum_diss, dt = 0.0, 0.01
+        for (state, rec), want_state in zip(energy_records(iter(states), 1.5, PARAMS, dt), states):
+            assert state is want_state
+            assert rec == energy(state, 1.5, PARAMS, cum_diss)
+            cum_diss += dt * rec.gradv_hs2
 
 
 class TestDetectStop:

@@ -24,6 +24,7 @@ from stoldroyd.noise import (
 from stoldroyd.spectral import (
     TensorField,
     VectorField,
+    bessel,
     divergence_defect,
     hermitian_defect,
     hs_norm,
@@ -127,30 +128,34 @@ class TestVelocityNoiseBasis:
 
 
 class TestHalfLayoutChannels:
-    """Every channel rebuilt on a half-layout grid holds the full layout's
-    coefficients on the planes it stores."""
+    """Every channel rebuilt on a box-layout grid (the half spectrum k_d >= 0
+    cut to the dealias box) holds the full layout's coefficients on the modes
+    it stores."""
 
     @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12)])
     def test_basis_writes_the_stored_half_of_each_pair_bitwise(self, dim, M, J):
         full = make_grid(dim, M, 2 * math.pi)
-        half = make_grid(dim, M, 2 * math.pi, half=True)
+        box = make_grid(dim, M, 2 * math.pi, box=True)
+        assert box.box and box.shape == (2 * box.dealias_kmax + 1,) * (dim - 1) + (box.dealias_kmax + 1,)
         w = rng_for_run(90, 0).standard_normal(J)
-        a, b = VelocityNoiseBasis(full, J), VelocityNoiseBasis(half, J)
-        keep = (Ellipsis, slice(0, M // 2 + 1))
-        assert np.array_equal(b.assemble_velocity(w).coeffs, a.assemble_velocity(w).coeffs[keep])
-        assert np.array_equal(b.assemble_profile(w).coeffs, a.assemble_profile(w).coeffs[keep])
+        a, b = VelocityNoiseBasis(full, J), VelocityNoiseBasis(box, J)
+        for got, want in ((b.assemble_velocity(w), a.assemble_velocity(w)),
+                          (b.assemble_profile(w), a.assemble_profile(w))):
+            assert np.array_equal(got.coeffs, relayout(want, box).coeffs)
+            assert np.array_equal(relayout(got, full).coeffs, want.coeffs)
 
     @pytest.mark.parametrize("h_kind", ["identity", "bump"])
     def test_stress_noise_matches_the_full_layout(self, h_kind):
         full = make_grid(2, 32, 2 * math.pi, 8)
-        half = make_grid(2, 32, 2 * math.pi, 8, half=True)
+        box = make_grid(2, 32, 2 * math.pi, 8, box=True)
         tau = truncate(random_field(full, 4.0, "tensor", seed=91), 8)
         a = StressNoiseInstance(full, h_kind, c_h=0.3, bump_width=0.8)
-        b = a.on(half)
-        keep = (Ellipsis, slice(0, 17))
-        assert np.max(np.abs(b.h.coeffs - a.h.coeffs[keep])) <= 1e-15
-        got, want = b.s_squared(relayout(tau, half)).coeffs, a.s_squared(tau).coeffs[keep]
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        b = a.on(box)
+        assert np.max(np.abs(b.h.coeffs - relayout(a.h, box).coeffs)) <= 1e-15
+        got, want = b.s_squared(relayout(tau, box)), a.s_squared(tau)
+        assert got.coeffs.shape == (2, 2, 21, 11)
+        scale = np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(relayout(got, full).coeffs - want.coeffs)) <= 1e-14 * scale
 
 
 class TestSampleIncrement:
@@ -281,7 +286,7 @@ class TestSigmaInstance:
                 m_term = oracles.dealiased_scalar_product(
                     sigma.c1 * sigma.basis.phi_j(j).coeffs, v.coeffs, GRID.dealias_mask)
                 total += lam[j] * hs_norm(VectorField(GRID, e_term + m_term), s) ** 2
-            total += jump.config.rate * jump.config.gamma_sq_bar * hs_norm(jump.smooth(v), s) ** 2
+            total += jump.config.rate * jump.config.gamma_sq_bar * hs_norm(bessel(v, -2.0), s) ** 2
             assert total <= K * (1.0 + hs_norm(v, s) ** 2)
 
 
@@ -388,7 +393,7 @@ class TestJumps:
         op = JumpOperator(GRID, cfg)
         v = ball_vector(21)
         comp = op.compensator(v)
-        want = 2.5 * 0.3 * op.smooth(v).coeffs
+        want = 2.5 * 0.3 * bessel(v, -2.0).coeffs
         assert np.allclose(comp.coeffs, want, rtol=1e-14, atol=0)
 
     def test_jump_count_mean(self):

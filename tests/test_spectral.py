@@ -417,82 +417,109 @@ class TestHermitianSymmetry:
 
 
 def ball_fields(dim, M, radius, seed):
-    """A divergence-free velocity and a symmetric stress cut to the ball, full layout."""
+    """A divergence-free velocity and a symmetric stress cut to the ball, full
+    layout, with the full grid and its box-layout twin."""
     grid = make_grid(dim, M, 2 * math.pi, radius)
     v = truncate(random_field(grid, 4.0, "vector", seed=seed), radius)
     tau = truncate(random_field(grid, 4.0, "tensor", seed=seed + 1), radius)
-    return grid, make_grid(dim, M, 2 * math.pi, radius, half=True), v, tau
+    return grid, make_grid(dim, M, 2 * math.pi, radius, box=True), v, tau
 
 
 class TestHalfLayout:
+    """The box layout: the half spectrum k_d >= 0 cut to the dealias box."""
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_grid_shape_points_and_plane_weight(self, dim):
-        half = make_grid(dim, 16, 2 * math.pi, 4.0, half=True)
-        assert half.shape == (16,) * (dim - 1) + (9,) and half.points == (16,) * dim
-        assert half.xi_sq.shape == half.ball_mask.shape == half.shape
-        assert half.weight.ravel().tolist() == [1.0] + [2.0] * 7 + [1.0]
+        box = make_grid(dim, 16, 2 * math.pi, 4.0, box=True)
+        assert box.box and box.dealias_kmax == 5
+        assert box.shape == (11,) * (dim - 1) + (6,) and box.points == (16,) * dim
+        assert box.xi_sq.shape == box.ball_mask.shape == box.shape and box.dealias_mask.all()
+        lead = box.k_int[(0,) + (slice(None),) + (0,) * (dim - 1)]
+        assert lead.tolist() == [0, 1, 2, 3, 4, 5, -5, -4, -3, -2, -1]
+        assert box.k_int[(-1,) + (0,) * (dim - 1)].tolist() == [0, 1, 2, 3, 4, 5]
+        assert box.weight.ravel().tolist() == [1.0] + [2.0] * 5
         assert make_grid(dim, 16, 2 * math.pi, 4.0).weight.ravel().tolist() == [1.0]
+        # a dealias box that covers every mode keeps the full layout
+        assert not make_grid(dim, 16, 2 * math.pi, 4.0, dealias_fraction=1.0, box=True).box
 
     @pytest.mark.parametrize("dim, M", [(2, 26), (3, 14)])
     def test_norms_and_inner_products_agree_with_the_full_layout(self, dim, M):
-        full, half, v, tau = ball_fields(dim, M, 4.0, 80)
-        hv, htau = relayout(v, half), relayout(tau, half)
+        full, box, v, tau = ball_fields(dim, M, 4.0, 80)
+        hv, htau = relayout(v, box), relayout(tau, box)
         for s in (-1.0, 0.0, 2.0):
             assert hs_norm(hv, s) == pytest.approx(hs_norm(v, s), rel=1e-13)
             assert hs_norm(htau, s) == pytest.approx(hs_norm(tau, s), rel=1e-13)
         w = truncate(random_field(full, 4.0, "vector", seed=82), 4.0)
-        assert hs_inner(hv, relayout(w, half), 1.0) == pytest.approx(hs_inner(v, w, 1.0), rel=1e-13)
+        assert hs_inner(hv, relayout(w, box), 1.0) == pytest.approx(hs_inner(v, w, 1.0), rel=1e-13)
         skew = TensorField(full, tau.coeffs + 0.1 * np.swapaxes(gradient_vector(v).coeffs, 0, 1))
-        assert symmetry_defect(relayout(skew, half)) == pytest.approx(symmetry_defect(skew), rel=1e-12)
+        assert symmetry_defect(relayout(skew, box)) == pytest.approx(symmetry_defect(skew), rel=1e-12)
 
     @pytest.mark.parametrize("dim, M", [(2, 26), (3, 14)])
     def test_transform_pair_matches_the_full_layout(self, dim, M):
-        full, half, v, _ = ball_fields(dim, M, 4.0, 83)
-        samples = half.inverse(relayout(v, half).coeffs)
+        full, box, v, _ = ball_fields(dim, M, 4.0, 83)
+        samples = box.inverse(relayout(v, box).coeffs)
         assert samples.dtype == np.float64 and samples.shape == (dim,) + full.points
         assert np.max(np.abs(samples - to_physical(v).real)) <= 1e-14
-        back = half.forward(samples)
-        assert np.max(np.abs(relayout(VectorField(half, back), full).coeffs - v.coeffs)) <= 1e-15
+        back = box.forward(samples)
+        assert back.shape == (dim,) + box.shape
+        assert np.max(np.abs(relayout(VectorField(box, back), full).coeffs - v.coeffs)) <= 1e-15
 
     @pytest.mark.parametrize("dim, M", [(2, 26), (3, 14)])
     def test_relayout_full_to_half_to_full_is_bitwise(self, dim, M):
-        full, half, v, tau = ball_fields(dim, M, 4.0, 84)
+        full, box, v, tau = ball_fields(dim, M, 4.0, 84)
         for f in (v, tau):
-            h = relayout(f, half)
-            assert h.grid is half and h.coeffs.shape == f.coeffs.shape[:-1] + (M // 2 + 1,)
+            h = relayout(f, box)
+            assert h.grid is box and h.coeffs.shape == f.coeffs.shape[:-dim] + box.shape
             assert np.array_equal(relayout(h, full).coeffs, f.coeffs)
+            assert relayout(h, make_grid(dim, M, 2 * math.pi, 4.0, box=True)).coeffs is h.coeffs
 
     def test_relayout_between_sizes_and_layouts_commutes(self):
-        """Resizing a half field equals unfolding it, resizing the full field,
-        and folding again, in both directions."""
-        small, small_half, v, _ = ball_fields(2, 26, 8.0, 85)
+        """Box <-> box moves between sizes equal going through the full layout,
+        bitwise, both ways; a box too large for a full target is restricted."""
+        small, small_box, v, tau = ball_fields(2, 26, 8.0, 85)
         big = make_grid(2, 48, 2 * math.pi, 8.0)
-        big_half = make_grid(2, 48, 2 * math.pi, 8.0, half=True)
-        up = relayout(relayout(v, small_half), big_half)
-        assert np.array_equal(up.coeffs, relayout(relayout(v, big), big_half).coeffs)
-        assert np.array_equal(relayout(up, big).coeffs, relayout(v, big).coeffs)
-        assert np.array_equal(relayout(up, small_half).coeffs, relayout(v, small_half).coeffs)
+        big_box = make_grid(2, 48, 2 * math.pi, 8.0, box=True)
+        for f in (v, tau):
+            up = relayout(relayout(f, small_box), big_box)
+            assert up.coeffs.shape[-2:] == big_box.shape == (33, 17)
+            assert np.array_equal(up.coeffs, relayout(relayout(f, big), big_box).coeffs)
+            assert np.array_equal(relayout(up, big).coeffs, relayout(f, big).coeffs)
+            down = relayout(up, small_box)
+            assert np.array_equal(down.coeffs, relayout(f, small_box).coeffs)
+            assert np.array_equal(relayout(down, small).coeffs, f.coeffs)
+        # the 48-mode box holds |k_a| <= 16; a 16-mode full layout holds -8..7
+        tiny = make_grid(2, 16, 2 * math.pi, 4.0)
+        wide = relayout(random_field(big, 4.0, "vector", seed=89), big_box)
+        assert np.array_equal(relayout(wide, tiny).coeffs, relayout(relayout(wide, big), tiny).coeffs)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("plane", [0, -1])
     def test_hermitian_defect_measures_the_zero_and_nyquist_planes(self, dim, plane):
-        _, half, v, tau = ball_fields(dim, 14, 4.0, 86)
-        for f in (relayout(v, half), relayout(tau, half)):
-            assert hermitian_defect(f) == 0.0
-            broken = f.coeffs.copy()
+        """A box field is measured on its zero plane k_d = 0, the one plane
+        that holds both k and -k; its last plane k_d = K holds no conjugate
+        pair.  A full field is measured everywhere, its Nyquist plane
+        k_d = -M/2 (its own mirror) included."""
+        full, box, v, tau = ball_fields(dim, 14, 4.0, 86)
+        for f in (v, tau):
+            g = relayout(f, box)
+            assert hermitian_defect(g) == hermitian_defect(f) == 0.0
             k = (Ellipsis, 1) + (0,) * (dim - 2) + (plane,)  # k' = (1, 0...) in the plane
-            broken[k] += 0.5j * np.max(np.abs(f.coeffs))
-            assert hermitian_defect(type(f)(half, broken)) >= 0.1
-            # an interior plane holds no conjugate pair: nothing to break there
-            interior = f.coeffs.copy()
-            interior[(Ellipsis, 1) + (0,) * (dim - 2) + (2,)] += 0.5j
-            assert hermitian_defect(type(f)(half, interior)) == 0.0
+            broken = g.coeffs.copy()
+            broken[k] += 0.5j * np.max(np.abs(g.coeffs))
+            defect = hermitian_defect(type(f)(box, broken))
+            assert defect >= 0.1 if plane == 0 else defect == 0.0
+            nyquist = f.coeffs.copy()  # the same k' in the full layout's plane 0 or -M/2
+            full_plane = 0 if plane == 0 else full.modes_per_axis // 2
+            nyquist[k[:-1] + (full_plane,)] += 0.5j * np.max(np.abs(f.coeffs))
+            assert hermitian_defect(type(f)(full, nyquist)) >= 0.1
 
     def test_random_field_on_a_half_grid_folds_the_full_draws(self):
-        full, half, _, _ = ball_fields(3, 14, 4.0, 87)
+        full, box, _, _ = ball_fields(3, 14, 4.0, 87)
         for kind in ("scalar", "vector", "tensor"):
-            want = relayout(random_field(full, 4.0, kind, seed=88), half).coeffs
-            assert np.array_equal(random_field(half, 4.0, kind, seed=88).coeffs, want)
+            want = random_field(full, 4.0, kind, seed=88)
+            got = random_field(box, 4.0, kind, seed=88)
+            assert np.array_equal(got.coeffs, relayout(want, box).coeffs)
+            assert np.array_equal(relayout(got, full).coeffs, want.coeffs)
 
 
 class TestRandomFields:

@@ -22,6 +22,7 @@ from stoldroyd.noise import (
     rng_for_run,
 )
 from stoldroyd.spectral import (
+    SpectralGrid,
     TensorField,
     VectorField,
     divergence_defect,
@@ -380,15 +381,23 @@ class TestTransformBudget:
         assert len(projections) == 1
 
     def test_half_layout_desk_step_makes_exactly_two_transforms(self, monkeypatch):
-        """On its alias-free grid a desk step stores half spectra, and its one
-        pass is one `irfftn` and one `rfftn`."""
+        """On its alias-free grid a desk step stores the dealias box of the
+        half spectrum, and its one pass is one `inverse` and one `forward`,
+        of 16 and 7 rows: the symmetric stress sends its 3 distinct components."""
         run, sn = desk_step_inputs()
         state, model = on_alias_free_grid(run.initial, run.noise)
-        assert state.v.grid.half and state.v.coeffs.shape == (2, 50, 26)
-        calls = count_transforms(monkeypatch)
+        assert state.v.grid.box and state.v.coeffs.shape == (2, 33, 17)
+        assert state.tau.symmetric and state.tau.coeffs.shape == (2, 2, 33, 17)
+        calls = []
+        for name in ("inverse", "forward"):
+            def counted(grid, rows, *args, _original=getattr(SpectralGrid, name), _name=name, **kw):
+                calls.append((_name, rows.shape))
+                return _original(grid, rows, *args, **kw)
+
+            monkeypatch.setattr(SpectralGrid, name, counted)
         out = step(state, run.params, model, sn, run.stepper.dt)
         assert out.v.grid is state.v.grid and np.all(np.isfinite(out.v.coeffs))
-        assert calls == ["irfftn", "rfftn"]
+        assert calls == [("inverse", (16, 33, 17)), ("forward", (7, 50, 50))]
 
     def test_desk_step_and_energy_stay_within_memory_budget(self):
         """Allocation sizes are deterministic, so the traced peak is too."""
@@ -466,13 +475,14 @@ def small_grid_inputs():
 class TestHalfLayoutStep:
     @pytest.mark.parametrize("dim, h_kind, nonlinear", [
         (2, "identity", True), (2, "bump", True), (2, "identity", False), (3, "identity", True),
+        (3, "bump", True),
     ])
     def test_step_on_half_spectra_matches_the_full_layout(self, dim, h_kind, nonlinear):
-        """Every channel on: a step on the half layout, unfolded, is the full
-        layout's step to rounding, and stores only half the modes."""
+        """Every channel on: a step on the box layout (the half spectrum cut
+        to the dealias box), unfolded, is the full layout's step to rounding."""
         M, n = (24, 6.0) if dim == 2 else (14, 3.0)
         full = make_grid(dim, M, 2 * math.pi, n)
-        half = make_grid(dim, M, 2 * math.pi, n, half=True)
+        box = make_grid(dim, M, 2 * math.pi, n, box=True)
         wiener = WienerQConfig(lambda0=0.1, J=4)
         noise = NoiseModel(
             wiener=wiener,
@@ -487,9 +497,10 @@ class TestHalfLayoutStep:
         params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0, nonlinear=nonlinear)
         sn = StepNoise(dw1=np.full(4, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
         want = step(state, params, noise, sn, 1e-3)
-        got = step(FlowState(0.0, relayout(state.v, half), relayout(state.tau, half)),
-                   params, noise.on(half), sn, 1e-3)
-        assert got.v.coeffs.shape[-1] == M // 2 + 1
+        got = step(FlowState(0.0, relayout(state.v, box), relayout(state.tau, box)),
+                   params, noise.on(box), sn, 1e-3)
+        K = box.dealias_kmax
+        assert got.v.coeffs.shape[1:] == (2 * K + 1,) * (dim - 1) + (K + 1,)
         for g, w in ((got.v, want.v), (got.tau, want.tau)):
             assert np.max(np.abs(relayout(g, full).coeffs - w.coeffs)) <= 1e-13 * np.max(np.abs(w.coeffs))
         assert got.tau.symmetric == want.tau.symmetric
@@ -545,33 +556,54 @@ class TestAliasFreeSimulate:
         for got, want in ((res.final_state.v, state.v), (res.final_state.tau, state.tau)):
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
-    @pytest.mark.parametrize("case", ["alias_free_host", "bump", "mass_outside_ball"])
+    @pytest.mark.parametrize("case", ["alias_free_host", "bump", "mass_outside_ball",
+                                      "mass_outside_box"])
     def test_unreduced_runs_equal_host_loop_bitwise(self, case):
         """A grid the rule cannot shrink, a bump profile (sampled per grid),
-        and data outside the ball (whose products would alias) all step on
-        the caller's grid, bitwise as the host loop."""
+        and data outside the ball (whose products would alias) all keep the
+        caller's grid size.  Data inside its dealias box step on its box
+        layout, bitwise as the host loop run there and to rounding as the
+        host loop on the caller's grid; data outside it keep the caller's
+        grid itself, so no mode is dropped."""
         if case == "alias_free_host":
             initial, noise = small_grid_inputs()
         else:
             run, _ = desk_step_inputs()
             initial, noise = run.initial, run.noise
+        host = initial.v.grid
         if case == "bump":
             noise = replace(noise, stress=StressNoiseInstance(run.grid, "bump", c_h=0.3))
-        if case == "mass_outside_ball":
-            shell = random_field(run.grid, 4.0, "vector", seed=62).coeffs * ~run.grid.ball_mask
+        if case.startswith("mass_outside"):
+            if case == "mass_outside_ball":  # the field lies in the dealias box
+                shell = random_field(run.grid, 4.0, "vector", seed=62).coeffs * ~run.grid.ball_mask
+            else:
+                every = make_grid(2, 64, 2 * math.pi, 16, dealias_fraction=1.0)
+                shell = random_field(every, 4.0, "vector", seed=62).coeffs * ~run.grid.dealias_mask
             initial = FlowState(0.0, VectorField(run.grid, initial.v.coeffs + 1e-3 * shell),
                                 initial.tau)
         state, model = on_alias_free_grid(initial, noise)
-        assert state is initial and model is noise
+        assert state.v.grid.modes_per_axis == host.modes_per_axis
+        if case == "mass_outside_box":
+            assert state is initial and model is noise
+        else:
+            assert state.v.grid.box and state.v.grid is not host
+            assert np.array_equal(relayout(state.v, host).coeffs, initial.v.coeffs)
+        if case == "alias_free_host":  # the survival_ensemble member grid: 11 x 6 of 16 x 16
+            assert state.v.coeffs.shape == (2, 11, 6)
         params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
         stepper = StepperConfig(dt=1e-3, horizon=0.03)
         mon = MonitorConfig(threshold=1e6, s=2.0)
         res = simulate(initial, params, noise, stepper, mon, rng=rng_for_run(63, 0))
-        records, event, state, _ = host_loop(initial, params, noise, stepper, mon,
-                                             rng_for_run(63, 0))
+        records, event, final, _ = host_loop(state, params, model, stepper, mon, rng_for_run(63, 0))
         assert res.records == records and res.event == event
-        assert np.array_equal(res.final_state.v.coeffs, state.v.coeffs)
-        assert np.array_equal(res.final_state.tau.coeffs, state.tau.coeffs)
+        assert np.array_equal(res.final_state.v.coeffs, relayout(final.v, host).coeffs)
+        assert np.array_equal(res.final_state.tau.coeffs, relayout(final.tau, host).coeffs)
+        records, event, final, _ = host_loop(initial, params, noise, stepper, mon, rng_for_run(63, 0))
+        assert (res.event.kind, res.event.t_stop) == (event.kind, event.t_stop)
+        for got, want in zip(res.records, records):
+            assert got.e_n == pytest.approx(want.e_n, rel=1e-12, abs=0)
+        for got, want in ((res.final_state.v, final.v), (res.final_state.tau, final.tau)):
+            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
     def test_rebuilt_channels_act_as_host_channels_after_relayout(self):
         run, _ = desk_step_inputs()
