@@ -54,7 +54,6 @@ _SCHEMA = {
         "modes_per_axis": ("int", _REQUIRED),
         "box_length": ("float", 2.0 * math.pi),
         "truncation_radius": ("float", 0.0),  # 0 means "use the dealias limit"
-        "dealias_fraction": ("float", 2.0 / 3.0),
     },
     "params": {
         "nu": ("float", _REQUIRED),
@@ -120,7 +119,6 @@ class RunConfig:
     grid_modes_per_axis: int
     grid_box_length: float
     grid_truncation_radius: float
-    grid_dealias_fraction: float
     nu: float
     a: float
     b: float
@@ -260,8 +258,7 @@ def config_hash(cfg: RunConfig) -> str:
 
 def build_grid(cfg: RunConfig) -> SpectralGrid:
     radius = cfg.grid_truncation_radius if cfg.grid_truncation_radius > 0.0 else None
-    return make_grid(cfg.grid_dim, cfg.grid_modes_per_axis, cfg.grid_box_length,
-                     radius, cfg.grid_dealias_fraction)
+    return make_grid(cfg.grid_dim, cfg.grid_modes_per_axis, cfg.grid_box_length, radius)
 
 
 def build_params(cfg: RunConfig) -> PhysicalParams:

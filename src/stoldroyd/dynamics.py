@@ -4,16 +4,18 @@ The velocity drift splits into a stiff viscous part (handled implicitly by
 the integrator) and an explicit part: minus the truncated self-advection plus
 the stress-divergence coupling.  The stress drift is fully explicit:
 transport, relaxation, the bilinear rotation/slip form Q, the deformation
-forcing, and the Ito correction coming from the Stratonovich stress noise.
+forcing, and the Ito correction coming from the Stratonovich stress noise,
+which the integrator forms and hands in.
 
 `explicit_terms` forms every quadratic term of a step in one physical-space
 pass: v, tau, a scalar noise profile and the gradients go out in one
 inverse transform, advection, stress transport, Q and the profile-times-v
 noise product are formed pointwise on real samples, and one forward
-transform and one dealias-and-ball mask bring them back (on a box-layout
-grid the transforms zero-pad the dealias box to M modes).  A symmetric tau
-sends only its d(d+1)/2 distinct components and their gradients.  The
-velocity terms stay unprojected, so the integrator projects its whole update once.
+transform, which keeps the dealias box, and one ball mask bring them back
+(on a box-layout grid the transforms zero-pad the dealias box to M modes).
+A symmetric tau sends only its d(d+1)/2 distinct components and their
+gradients.  The velocity terms stay unprojected, so the integrator projects
+its whole update once.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .spectral import (
     VectorField,
     convect_vector,
     gradient_vector,
-    leray_project,
     pointwise_matmul,
     pointwise_transport,
     truncate,
@@ -40,7 +41,6 @@ __all__ = [
     "q_form",
     "advect_vector",
     "explicit_terms",
-    "drift",
 ]
 
 
@@ -114,8 +114,7 @@ def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
     grid = v.grid
     ptau = grid.inverse(tau.coeffs).real
     pgrad = grid.inverse(gradient_vector(v).coeffs).real
-    c = grid.forward(_q_pointwise(ptau, pgrad, b))
-    return TensorField(grid, c * grid.dealias_mask, symmetric=True)
+    return TensorField(grid, grid.forward(_q_pointwise(ptau, pgrad, b)), symmetric=True)
 
 
 def advect_vector(v: VectorField, u: VectorField) -> VectorField:
@@ -135,26 +134,23 @@ def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def explicit_terms(
-    state: FlowState, params: PhysicalParams, stress_noise=None, profile=None
+    state: FlowState, params: PhysicalParams, ito=None, profile=None
 ) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
     """Unprojected nonstiff velocity drift, stress drift, and noise product.
 
     Velocity: -(v.grad)v + mu1 div(tau); nu Laplacian(v) is left to the
     implicit solve.  Stress: -(v.grad)tau - a tau - Q(tau, grad v) + mu2 D(v),
-    plus the Ito correction (1/2) S^2(tau) of a stress-noise instance (S its
-    linear action).  The third output is the product of v with the scalar
-    field `profile` (None without one).  Quadratic terms, the product and the
-    correction are cut to the spectral ball.
+    plus `ito`, the coefficients of the stress noise's Ito correction (None
+    without one).  The third output is the product of v with the scalar
+    field `profile` (None without one).  Quadratic terms and the product are
+    cut to the spectral ball.  The stress drift carries tau's symmetry flag;
+    the caller, which formed `ito`, owns its symmetry.
     """
     grid = state.v.grid
     d, shape = grid.dim, grid.shape
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
-    # the terms without gradients first: their temporaries go before the buffer
+    # the term without gradients first: its temporary goes before the buffer
     stress = -params.a * state.tau.coeffs
-    symmetric = state.tau.symmetric
-    if stress_noise is not None:
-        ito = 0.5 * truncate(stress_noise.s_squared(state.tau), grid.truncation_radius).coeffs
-        symmetric = symmetric and stress_noise.preserves_symmetry
     # the gradients of [v, tau], read by the couplings before any transform;
     # a symmetric tau takes one row per distinct component, row[a, b] = row[b, a]
     ta, tb, row = _tau_rows(d, state.tau.symmetric)
@@ -177,15 +173,14 @@ def explicit_terms(
     deform *= params.mu2
     stress += deform
     del deform
-    if stress_noise is not None:
+    if ito is not None:
         stress += ito
-        del ito
     vel = np.zeros_like(grad_v[0])
     for b in range(d):
         vel += grad_tau[row[:, b], b]
     vel *= params.mu1
     if not (nonlinear or p):
-        return vel, TensorField(grid, stress, symmetric=symmetric), None
+        return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), None
     rows = full if nonlinear else d
     if not nonlinear:  # one inverse transform of the rows [v, profile]
         buf, samples = grid.workspace(d + 1)
@@ -206,18 +201,9 @@ def explicit_terms(
     # the samples are spent: the output reuses the buffer's leading rows
     nl = grid.forward(out, out=buf[:n_out])
     del out
-    nl *= grid.dealias_ball_mask
+    nl *= grid.ball_mask
     if nonlinear:
         vel -= nl[:d]
         stress -= nl[d:rows][row]
     prod = nl[n_out - d:].copy() if p else None  # a copy, so the buffer goes on return
-    return vel, TensorField(grid, stress, symmetric=symmetric), prod
-
-
-def drift(
-    state: FlowState, params: PhysicalParams, stress_noise=None
-) -> tuple[VectorField, TensorField]:
-    """Leray-projected nonstiff velocity drift and the stress drift; see
-    `explicit_terms`."""
-    vel, stress, _ = explicit_terms(state, params, stress_noise)
-    return leray_project(VectorField(state.v.grid, vel)), stress
+    return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), prod

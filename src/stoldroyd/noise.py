@@ -7,7 +7,8 @@
   and Lipschitz constants analytic instead of assumed.
 * Stress: a single scalar Brownian motion multiplying S(tau) = h tau
   (pointwise matrix product).  The Stratonovich-to-Ito correction
-  (1/2) S^2(tau) is consumed by the drift assembly in `dynamics`.
+  (1/2) S^2(tau) is consumed in `stepping.step`, which forms S(tau) once for
+  both the correction and the increment.
 * Jumps: a compound Poisson channel G(v, z) = gamma(z) * (kappa * v) with a
   smoothing multiplier kappa_hat = (1+|xi|^2)^(-1), compensated exactly in
   closed form.
@@ -276,7 +277,7 @@ class StressNoiseInstance:
                 profile = profile * np.exp(kappa * (np.cos(2 * math.pi * xa / grid.box_length) - 1.0))
             ones = np.ones((grid.dim, grid.dim))
             phys = self.c_h * np.einsum("ab,...->ab...", ones, profile)
-            c = grid.forward(phys) * grid.dealias_mask
+            c = grid.forward(phys)
             self.h = TensorField(grid, c, symmetric=True)
             # physical samples of the dealiased profile, the left factor of every product
             self._h_samples = grid.inverse(c).real
@@ -293,12 +294,7 @@ class StressNoiseInstance:
         if self.h_kind == "identity":
             return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
         ptau = self.grid.inverse(tau.coeffs).real
-        c = self.grid.forward(pointwise_matmul(self._h_samples, ptau))
-        return TensorField(self.grid, c * self.grid.dealias_mask)
-
-    def s_squared(self, tau: TensorField) -> TensorField:
-        """S(S(tau)) — the composition, matching how the increment is applied."""
-        return self.s_apply(self.s_apply(tau))
+        return TensorField(self.grid, self.grid.forward(pointwise_matmul(self._h_samples, ptau)))
 
     def h_operator_sup(self) -> float:
         """sup_x of the spectral (operator) norm of the matrix h(x)."""

@@ -9,7 +9,9 @@ tolerances in the test suite are convention-free.
 
 Wavevectors are xi = (2*pi/L) * k for integer multi-indices k in
 [-M/2, M/2)^d.  The spectral cutoff (`truncate`) keeps the closed Euclidean
-ball |xi| <= n; dealiasing uses the per-axis 2/3 rule so that quadratic
+ball |xi| <= n.  Dealiasing is the per-axis 2/3 rule, fixed in the grid:
+`SpectralGrid.forward` returns only the coefficients in the dealias box
+|k_a| <= K = M // 3 (zero outside it in the full layout), so quadratic
 products of retained modes are alias-free.
 
 Fields are real, c(-k) = conj c(k).  The full layout stores every k.  The box
@@ -69,16 +71,15 @@ class SpectralGrid:
     """Fourier discretization of the periodic box [0, L)^dim.
 
     Precomputes integer mode indices, wavevectors, i xi, |xi|^2 (and its
-    zero-free copy, the Leray denominator), the per-axis dealias mask, the
-    |xi| <= n cutoff mask and their conjunction.  Instances are immutable and
-    shared freely between fields.  `box` selects the dealias-box layout.
+    zero-free copy, the Leray denominator), the per-axis dealias mask and the
+    |xi| <= n cutoff mask.  Instances are immutable and shared freely between
+    fields.  `box` selects the dealias-box layout.
     """
 
     dim: int
     modes_per_axis: int
     box_length: float
     truncation_radius: float
-    dealias_fraction: float
     box: bool = False
     # derived arrays (filled in by make_grid)
     k_int: np.ndarray = dc_field(repr=False, default=None)
@@ -88,7 +89,6 @@ class SpectralGrid:
     xi_sq_safe: np.ndarray = dc_field(repr=False, default=None)  # 1 at xi = 0
     dealias_mask: np.ndarray = dc_field(repr=False, default=None)
     ball_mask: np.ndarray = dc_field(repr=False, default=None)
-    dealias_ball_mask: np.ndarray = dc_field(repr=False, default=None)
     weight: np.ndarray = dc_field(repr=False, default=None)  # per-mode plane weight
 
     @property
@@ -115,13 +115,13 @@ class SpectralGrid:
 
     @property
     def dealias_kmax(self) -> int:
-        """Largest per-axis integer |k| kept by the dealias mask."""
-        return int(math.floor(self.dealias_fraction * (self.modes_per_axis / 2) + 1e-12))
+        """Largest per-axis integer |k| kept by the 2/3 rule."""
+        return self.modes_per_axis // 3
 
     @property
     def dealias_limit(self) -> float:
         """Largest admissible truncation radius in |xi| units."""
-        return self.dealias_fraction * (self.modes_per_axis / 2) * (2 * math.pi / self.box_length)
+        return _dealias_limit(self.modes_per_axis, self.box_length)
 
     def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficient rows and sample rows for `inverse(..., out=)` in one block
@@ -147,14 +147,22 @@ class SpectralGrid:
         return np.fft.irfft(c, self.modes_per_axis, axis=-1, norm="forward", out=out) if self.box else c
 
     def forward(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Coefficients, in this grid's layout, of physical samples: in the box
-        layout, the rfft planes k_d <= K transformed over the leading axes, and
-        the box's rows of them."""
+        """Dealias-box coefficients, in this grid's layout, of physical samples:
+        in the box layout, the rfft planes k_d <= K transformed over the
+        leading axes, and the box's rows of them; in the full layout, every
+        mode, zeroed outside the box."""
         lead = self.grid_axes[:-1] if self.box else self.grid_axes
         if self.box:
             samples = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
         c = np.fft.fftn(samples, axes=lead, norm="forward", out=None if self.box else out)
-        return _copy_blocks(c, self._padded, self.runs, out) if self.box else c
+        if self.box:
+            return _copy_blocks(c, self._padded, self.runs, out)
+        return np.multiply(c, self.dealias_mask, out=c)
+
+
+def _dealias_limit(modes_per_axis: int, box_length: float) -> float:
+    """The 2/3 rule's radius (2/3)(M/2)(2 pi/L), the largest a grid admits."""
+    return 2.0 / 3.0 * (modes_per_axis / 2) * (2 * math.pi / box_length)
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,16 +198,15 @@ def make_grid(
     modes_per_axis: int,
     box_length: float = 2 * math.pi,
     truncation_radius: float | None = None,
-    dealias_fraction: float = 2.0 / 3.0,
     box: bool = False,
 ) -> SpectralGrid:
     """Validate parameters and build a grid with precomputed mode geometry, in
-    the box layout if `box` and the dealias box leaves out modes (K < M/2).
+    the box layout if `box`.  The grid keeps the dealias box |k_a| <= M // 3.
 
     Raises ValueError naming the offending field for: dim outside {2, 3},
     odd or too-small modes_per_axis, non-positive box_length, non-positive
-    truncation_radius, or a truncation radius that the dealias mask would
-    destroy (n must satisfy n <= dealias_fraction * (M/2) * (2*pi/L)).
+    truncation_radius, or a truncation radius beyond the dealias limit
+    (n must satisfy n <= (M/3) * (2*pi/L)).
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -210,9 +217,7 @@ def make_grid(
         raise ValueError(f"modes_per_axis must be >= 8, got {M}")
     if not box_length > 0:
         raise ValueError(f"box_length must be positive, got {box_length}")
-    if not 0 < dealias_fraction <= 1:
-        raise ValueError(f"dealias_fraction must lie in (0, 1], got {dealias_fraction}")
-    limit = dealias_fraction * (M / 2) * (2 * math.pi / box_length)
+    limit = _dealias_limit(M, box_length)
     if truncation_radius is None:
         truncation_radius = limit
     if not truncation_radius > 0:
@@ -220,20 +225,16 @@ def make_grid(
     if truncation_radius > limit * (1 + 1e-12):
         raise ValueError(
             f"truncation_radius {truncation_radius:g} exceeds dealias limit {limit:.2f} "
-            f"(= dealias_fraction * (M/2) * (2*pi/L))"
+            f"(= (M/3) * (2*pi/L))"
         )
 
-    kmax = int(math.floor(dealias_fraction * (M / 2) + 1e-12))
-    grid = SpectralGrid(dim, M, float(box_length), float(truncation_radius),
-                        float(dealias_fraction), box and kmax < M // 2)
+    grid = SpectralGrid(dim, M, float(box_length), float(truncation_radius), box)
     # each axis in transform order: its run of k = 0, 1, ..., then its k < 0
     k = [(np.arange(n) + n - p) % n - (n - p) for n, p in grid.runs]
     k_int = np.stack(np.meshgrid(*k, indexing="ij")).astype(np.int64)
     weight = np.where(k[-1] == 0, 1.0, 2.0) if grid.box else np.ones(1)
     xi = (2 * math.pi / box_length) * k_int.astype(np.float64)
     xi_sq = np.sum(xi * xi, axis=0)
-    dealias_mask = np.all(np.abs(k_int) <= kmax, axis=0)
-    ball_mask = xi_sq <= truncation_radius * truncation_radius
     return replace(
         grid,
         k_int=k_int,
@@ -241,9 +242,8 @@ def make_grid(
         ixi=1j * xi,
         xi_sq=xi_sq,
         xi_sq_safe=np.where(xi_sq > 0, xi_sq, 1.0),
-        dealias_mask=dealias_mask,
-        ball_mask=ball_mask,
-        dealias_ball_mask=dealias_mask & ball_mask,
+        dealias_mask=np.all(np.abs(k_int) <= grid.dealias_kmax, axis=0),
+        ball_mask=xi_sq <= truncation_radius * truncation_radius,
         weight=weight.reshape((1,) * (dim - 1) + (-1,)),
     )
 
@@ -255,19 +255,16 @@ def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
     With k = floor(n L / 2 pi), a product of two ball fields reaches per-axis
     |k| <= 2k and M modes fold it back by M, so M >= 3k + 1 keeps every fold
     out of the ball (Orszag's 2/3 rule; M = 3k folds onto its boundary).  A
-    factor with modes up to |k| = `kmax` (a noise profile) needs
-    M >= 2k + kmax + 1 and a dealias mask that holds it.  M is even, >= 8,
-    and admits n under the grid's dealias fraction."""
+    factor with modes up to |k| = `kmax` (a noise profile) needs a dealias
+    box that holds it, M >= 3 kmax, which with M >= 3k + 1 implies
+    M >= 2k + kmax + 1.  M is
+    even, >= 8, and admits n under the 2/3 rule."""
     k = int(math.floor(n * grid.box_length / (2 * math.pi) + 1e-9))
-    M = max(8, 2 * k + max(k, kmax) + 1)
+    M = max(8, 3 * k + 1, 3 * kmax)
     M += M % 2
-    while M < grid.modes_per_axis:
-        # a grid of scalars only: its dealias properties need no mode arrays
-        bare = SpectralGrid(grid.dim, M, grid.box_length, n, grid.dealias_fraction)
-        if n <= bare.dealias_limit * (1 + 1e-12) and bare.dealias_kmax >= kmax:
-            return M
+    while M < grid.modes_per_axis and n > _dealias_limit(M, grid.box_length) * (1 + 1e-12):
         M += 2
-    return grid.modes_per_axis
+    return min(M, grid.modes_per_axis)
 
 
 def relayout(f: "Field", grid: SpectralGrid) -> "Field":
@@ -477,7 +474,7 @@ def symmetry_defect(tau: TensorField, norm_sq: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product via physical space, 2/3-rule masked on output.
+    """Pointwise product via physical space, kept to the dealias box.
 
     scalar*scalar -> scalar; scalar*vector or scalar*tensor broadcasts the
     scalar over components.  Inputs supported inside the dealias mask make the
@@ -492,7 +489,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
     pf = to_physical(f)
     pg = to_physical(g)
     c = grid.forward(pf * pg)  # broadcasting over leading component axes
-    return _like(g, c * grid.dealias_mask)
+    return _like(g, c)
 
 
 def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -520,8 +517,7 @@ def convect_vector(v: VectorField, u: VectorField) -> VectorField:
     grid = v.grid
     pv = grid.inverse(v.coeffs).real
     pgrad = grid.inverse(gradient_vector(u).coeffs).real
-    c = grid.forward(pointwise_transport(pv, pgrad))
-    return VectorField(grid, c * grid.dealias_mask)
+    return VectorField(grid, grid.forward(pointwise_transport(pv, pgrad)))
 
 
 def commutator_bessel_product(f: ScalarField, g: ScalarField, s: float) -> ScalarField:
@@ -571,8 +567,7 @@ def random_field(
     if rng is None:
         rng = np.random.default_rng(seed)
     if grid.box:
-        full = make_grid(grid.dim, grid.modes_per_axis, grid.box_length,
-                         grid.truncation_radius, grid.dealias_fraction)
+        full = make_grid(grid.dim, grid.modes_per_axis, grid.box_length, grid.truncation_radius)
         return relayout(random_field(full, alpha, kind, rng=rng), grid)
     if kind == "scalar":
         return ScalarField(grid, _random_scalar_coeffs(grid, alpha, rng))

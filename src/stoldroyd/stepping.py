@@ -13,7 +13,8 @@ One step, in order:
    both act mode by mode and commute with every per-mode factor above, so
    applying them once here equals applying them to each term;
 5. explicit stress update tau <- cutoff[ tau + dt * stress drift
-   (Ito correction included) + S(tau) dW2 ].
+   (Ito correction (1/2) cutoff S(S(tau)) included) + S(tau) dW2 ], with
+   S(tau) formed once for both.
 
 Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
@@ -52,6 +53,7 @@ from .spectral import (
     leray_project,
     make_grid,
     relayout,
+    truncate,
 )
 
 __all__ = [
@@ -141,7 +143,7 @@ def on_alias_free_grid(
     box = modes < host.modes_per_axis or not outside_box
     if n is None and modes == host.modes_per_axis and box == host.box:
         return state, noise
-    grid = make_grid(host.dim, modes, host.box_length, radius, host.dealias_fraction, box=box)
+    grid = make_grid(host.dim, modes, host.box_length, radius, box=box)
     return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
 
 
@@ -153,10 +155,14 @@ def step(
     dt: float,
 ) -> FlowState:
     """Advance one step; see the module docstring for the update order."""
-    grid, sigma = state.v.grid, noise.sigma
+    grid, sigma, stress = state.v.grid, noise.sigma, noise.stress
     with np.errstate(over="ignore", invalid="ignore"):
         additive, profile = sigma.parts(sn.dw1) if sigma is not None else (None, None)
-        vel, sd, prod = explicit_terms(state, params, noise.stress, profile)
+        s_tau = ito = None
+        if stress is not None:
+            s_tau = stress.s_apply(state.tau)
+            ito = 0.5 * truncate(stress.s_apply(s_tau), grid.truncation_radius).coeffs
+        vel, sd, prod = explicit_terms(state, params, ito, profile)
         v_star = state.v.coeffs + dt * vel
         if noise.jump is not None:
             v_star -= dt * noise.jump.compensator(state.v).coeffs
@@ -171,10 +177,10 @@ def step(
         v_new = leray_project(VectorField(grid, v_star))
 
         tau_c = state.tau.coeffs + dt * sd.coeffs
-        symmetric = state.tau.symmetric and sd.symmetric
-        if noise.stress is not None:
-            tau_c += sn.dw2 * noise.stress.s_apply(state.tau).coeffs
-            symmetric = symmetric and noise.stress.preserves_symmetry
+        symmetric = state.tau.symmetric
+        if stress is not None:
+            tau_c += sn.dw2 * s_tau.coeffs
+            symmetric = symmetric and stress.preserves_symmetry
         tau_c *= grid.ball_mask
     return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=symmetric))
 

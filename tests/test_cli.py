@@ -102,6 +102,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "b must lie in [-1, 1], got 1.5" in err
 
+    def test_retired_dealias_fraction_key_exits_2_naming_it(self, tmp_path, capsys):
+        """The 2/3 rule is fixed in the grid; the old knob is an unknown key."""
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_CONFIG.replace("truncation_radius = 8",
+                                           "truncation_radius = 8\ndealias_fraction = 0.6"),
+                       encoding="utf-8")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'dealias_fraction' in section [grid]" in capsys.readouterr().err
+
     def test_missing_config_exits_3(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "out")])

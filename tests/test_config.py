@@ -69,7 +69,6 @@ class TestParsing:
     def test_minimal_config_gets_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.grid_box_length == 2.0 * math.pi
-        assert cfg.grid_dealias_fraction == pytest.approx(2.0 / 3.0)
         assert cfg.s == 2.0
         assert cfg.nonlinear is True
         assert cfg.j_modes == 0

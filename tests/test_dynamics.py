@@ -10,7 +10,7 @@ from stoldroyd.dynamics import (
     PhysicalParams,
     advect_vector,
     deformation,
-    drift,
+    explicit_terms,
     q_form,
 )
 from stoldroyd.noise import SigmaInstance, WienerQConfig, rng_for_run
@@ -43,6 +43,12 @@ def ball_field(kind, seed, grid=GRID, alpha=4.0):
     """Random field truncated to the spectral ball (admissible dynamics data)."""
     f = random_field(grid, alpha, kind, seed=seed)
     return truncate(f, grid.truncation_radius)
+
+
+def drift(state, params):
+    """Leray-projected nonstiff velocity drift and the stress drift."""
+    vel, stress, _ = explicit_terms(state, params)
+    return leray_project(VectorField(state.v.grid, vel)), stress
 
 
 def zero_state(grid=GRID):

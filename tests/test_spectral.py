@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stoldroyd import spectral
 from stoldroyd.spectral import (
     ScalarField,
     TensorField,
@@ -83,6 +84,30 @@ class TestMakeGrid:
         g = make_grid(2, 16, 4 * math.pi, 2)
         assert g.xi[0][2, 0] == pytest.approx(1.0, abs=0)
 
+    def test_two_thirds_rule_equals_the_fraction_formulas(self):
+        """K = M // 3 and the limit (2/3)(M/2)(2 pi/L) are, bitwise, the
+        formulas of a 2/3 dealias fraction, so default radii are unchanged."""
+        fraction = 2.0 / 3.0
+        for M in range(8, 514, 2):
+            for L in (2 * math.pi, 3.0):
+                g = spectral.SpectralGrid(2, M, L, 1.0)  # scalars only: no mode arrays
+                assert g.dealias_kmax == int(math.floor(fraction * (M / 2) + 1e-12))
+                assert g.dealias_limit == fraction * (M / 2) * (2 * math.pi / L)
+        for M in (8, 26, 50, 96):
+            assert make_grid(2, M, 3.0).truncation_radius == fraction * (M / 2) * (2 * math.pi / 3.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_full_layout_forward_is_zero_outside_the_dealias_box(self, dim):
+        grid = make_grid(dim, 14 if dim == 3 else 24, 2 * math.pi, 3.0)
+        samples = np.random.default_rng(7).standard_normal((2,) + grid.points)
+        c = grid.forward(samples)
+        assert np.all(c[:, ~grid.dealias_mask] == 0)
+        want = np.fft.fftn(samples, axes=grid.grid_axes, norm="forward")
+        assert np.array_equal(c[:, grid.dealias_mask], want[:, grid.dealias_mask])
+        box = make_grid(dim, grid.modes_per_axis, 2 * math.pi, 3.0, box=True)
+        unfolded = relayout(VectorField(box, box.forward(samples)), grid).coeffs
+        assert np.max(np.abs(unfolded - c)) <= 1e-15
+
 
 class TestAliasFreeGrids:
     HOST = make_grid(2, 256, 2 * math.pi, 16)
@@ -112,14 +137,41 @@ class TestAliasFreeGrids:
             prod = truncate(dealiased_product(f, f), float(k))
             assert (np.max(np.abs(prod.coeffs)) > 0.5) == aliased
 
+    def test_matches_a_brute_force_search_over_make_grid(self, monkeypatch):
+        """The smallest even M >= 8 past 2k + max(k, kmax) that make_grid
+        admits n on, with a dealias box holding kmax, or the host's size;
+        found without building a grid."""
+        cases = []
+        for host_modes, L in ((48, 2 * math.pi), (96, 3.0), (64, 4 * math.pi)):
+            host = make_grid(2, host_modes, L)
+            for n in np.linspace(0.4, host.dealias_limit, 23):
+                for kmax in (0, 2, 5, 9):
+                    k = int(math.floor(n * L / (2 * math.pi) + 1e-9))
+                    want = host_modes
+                    for M in range(8, host_modes, 2):
+                        if M < 2 * k + max(k, kmax) + 1:
+                            continue
+                        try:
+                            grid = make_grid(2, M, L, float(n))
+                        except ValueError:
+                            continue
+                        if grid.dealias_kmax >= kmax:
+                            want = M
+                            break
+                    cases.append((host, float(n), kmax, want))
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("alias_free_modes built a grid")
+
+        monkeypatch.setattr(spectral, "SpectralGrid", no_grid)
+        monkeypatch.setattr(spectral, "make_grid", no_grid)
+        for host, n, kmax, want in cases:
+            assert alias_free_modes(host, n, kmax) == want, (host.modes_per_axis, n, kmax)
+
     def test_capped_at_host_and_widened_for_a_noise_factor(self):
         assert alias_free_modes(make_grid(2, 48, 2 * math.pi, 16), 16.0) == 48
         # the 14-mode grid of cutoff 4 keeps only |k| <= 4 under the 2/3 rule
         assert alias_free_modes(self.HOST, 4.0, kmax=5) == 16
-        # with no dealias margin, a |k| <= 4 factor times the ball |k| <= 3
-        # reaches 7 and needs 11 modes, not the 3k + 1 = 10 of the ball alone
-        wide = make_grid(2, 64, 2 * math.pi, 3.0, dealias_fraction=1.0)
-        assert alias_free_modes(wide, 3.0, kmax=4) == 12
 
     def test_relayout_embeds_and_restricts(self):
         small = make_grid(2, 26, 2 * math.pi, 8)
@@ -318,10 +370,9 @@ class TestLerayProjection:
 
     @pytest.mark.parametrize("grid", [GRID, make_grid(3, 16, 3.0, 5.0)], ids=["2d", "3d"])
     def test_precomputed_denominator_and_masks_match_formula_bitwise(self, grid):
-        """make_grid keeps the zero-free |xi|^2 and the dealias-and-ball mask;
-        the projection still divides, so it equals the per-call formula."""
+        """make_grid keeps the zero-free |xi|^2; the projection still
+        divides, so it equals the per-call formula."""
         assert np.array_equal(grid.xi_sq_safe, np.where(grid.xi_sq > 0, grid.xi_sq, 1.0))
-        assert np.array_equal(grid.dealias_ball_mask, grid.dealias_mask & grid.ball_mask)
         c = np.stack([random_field(grid, 2.0, "scalar", seed=30 + a).coeffs
                       for a in range(grid.dim)])
         got = leray_project(VectorField(grid, c)).coeffs
@@ -439,8 +490,6 @@ class TestHalfLayout:
         assert box.k_int[(-1,) + (0,) * (dim - 1)].tolist() == [0, 1, 2, 3, 4, 5]
         assert box.weight.ravel().tolist() == [1.0] + [2.0] * 5
         assert make_grid(dim, 16, 2 * math.pi, 4.0).weight.ravel().tolist() == [1.0]
-        # a dealias box that covers every mode keeps the full layout
-        assert not make_grid(dim, 16, 2 * math.pi, 4.0, dealias_fraction=1.0, box=True).box
 
     @pytest.mark.parametrize("dim, M", [(2, 26), (3, 14)])
     def test_norms_and_inner_products_agree_with_the_full_layout(self, dim, M):

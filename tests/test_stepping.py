@@ -399,6 +399,21 @@ class TestTransformBudget:
         assert out.v.grid is state.v.grid and np.all(np.isfinite(out.v.coeffs))
         assert calls == [("inverse", (16, 33, 17)), ("forward", (7, 50, 50))]
 
+    def test_bump_stress_step_forms_s_of_tau_once(self, monkeypatch):
+        """S(tau) serves both the Ito correction (1/2) S(S(tau)) and the dW2
+        increment: besides its one pass, a bump desk step makes two inverse
+        transforms for the stress noise, not three."""
+        run, sn = desk_step_inputs()
+        noise = replace(run.noise, stress=StressNoiseInstance(run.grid, "bump", c_h=0.3))
+        state, model = on_alias_free_grid(run.initial, noise)
+        rows = []
+        inner = SpectralGrid.inverse
+        monkeypatch.setattr(SpectralGrid, "inverse",
+                            lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
+        out = step(state, run.params, model, sn, run.stepper.dt)
+        assert np.all(np.isfinite(out.tau.coeffs)) and not out.tau.symmetric
+        assert rows == [2, 2, 16]  # S(tau), S(S(tau)), the pass
+
     def test_desk_step_and_energy_stay_within_memory_budget(self):
         """Allocation sizes are deterministic, so the traced peak is too."""
         run, sn = desk_step_inputs()
@@ -576,9 +591,10 @@ class TestAliasFreeSimulate:
         if case.startswith("mass_outside"):
             if case == "mass_outside_ball":  # the field lies in the dealias box
                 shell = random_field(run.grid, 4.0, "vector", seed=62).coeffs * ~run.grid.ball_mask
-            else:
-                every = make_grid(2, 64, 2 * math.pi, 16, dealias_fraction=1.0)
-                shell = random_field(every, 4.0, "vector", seed=62).coeffs * ~run.grid.dealias_mask
+            else:  # a real field outside the dealias box: the masked FFT of white noise
+                white = np.random.default_rng(62).standard_normal((2,) + run.grid.points)
+                shell = np.fft.fftn(white, axes=(-2, -1), norm="forward") * ~run.grid.dealias_mask
+                shell = leray_project(VectorField(run.grid, shell)).coeffs
             initial = FlowState(0.0, VectorField(run.grid, initial.v.coeffs + 1e-3 * shell),
                                 initial.tau)
         state, model = on_alias_free_grid(initial, noise)
@@ -619,7 +635,8 @@ class TestAliasFreeSimulate:
             assert np.array_equal(got, relayout(VectorField(host, want), reduced).coeffs)
         pairs = [
             (moved.stress.s_apply(tau_small), noise.stress.s_apply(tau)),
-            (moved.stress.s_squared(tau_small), noise.stress.s_squared(tau)),
+            (moved.stress.s_apply(moved.stress.s_apply(tau_small)),
+             noise.stress.s_apply(noise.stress.s_apply(tau))),
             (moved.jump.compensator(v_small), noise.jump.compensator(v)),
             (moved.jump.jump_increment(v_small, 0.4), noise.jump.jump_increment(v, 0.4)),
         ]
