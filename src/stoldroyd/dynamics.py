@@ -12,7 +12,7 @@ pass: v, tau, a scalar noise profile and the gradients go out in one
 inverse transform, advection, stress transport, Q and the profile-times-v
 noise product are formed pointwise on real samples, and one forward
 transform, which keeps the dealias box, and one ball mask bring them back
-(on a box-layout grid the transforms zero-pad the dealias box to M modes).
+(the transforms zero-pad the dealias box to M modes).
 A symmetric tau sends only its d(d+1)/2 distinct components and their
 gradients.  The velocity terms stay unprojected, so the integrator projects
 its whole update once.
@@ -112,8 +112,8 @@ def _q_pointwise(tau: np.ndarray, grad_v: np.ndarray, b: float) -> np.ndarray:
 def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
     """Rotation/slip bilinear form Q(tau, grad v), dealiased; see `_q_pointwise`."""
     grid = v.grid
-    ptau = grid.inverse(tau.coeffs).real
-    pgrad = grid.inverse(gradient_vector(v).coeffs).real
+    ptau = grid.inverse(tau.coeffs)
+    pgrad = grid.inverse(gradient_vector(v).coeffs)
     return TensorField(grid, grid.forward(_q_pointwise(ptau, pgrad, b)), symmetric=True)
 
 
@@ -187,7 +187,7 @@ def explicit_terms(
         buf[:d] = state.v.coeffs
     if p:
         buf[rows] = profile
-    phys = grid.inverse(buf, out=samples).real
+    phys = grid.inverse(buf, out=samples)
     points = grid.points
     n_out = (rows if nonlinear else 0) + p * d
     out = np.empty((n_out,) + points)

@@ -272,7 +272,7 @@ class RefinementResult:
 
 
 def _l2_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
-    """L2 norm of coefficients in `grid`'s layout (`hs_norm` at s = 0)."""
+    """L2 norm of coefficients on `grid` (`hs_norm` at s = 0)."""
     return math.sqrt(float(_sq_amplitude(grid, coeffs).sum()))
 
 
@@ -281,8 +281,8 @@ def _grad_sq_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
 
 
 def _difference(hi, lo) -> np.ndarray:
-    """hi - lo on hi's grid, which holds lo's modes in a layout of the same kind:
-    lo's blocks subtracted from a copy of hi, bitwise hi minus lo embedded."""
+    """hi - lo on hi's grid, whose box holds lo's modes: lo's blocks subtracted
+    from a copy of hi, bitwise hi minus lo embedded."""
     out = hi.coeffs.copy()
     for dst, src in _shared_blocks(lo.grid.runs, hi.grid.runs):
         out[(..., *dst)] -= lo.coeffs[(..., *src)]

@@ -159,10 +159,10 @@ class VelocityNoiseBasis:
         self.k = np.array([kv for kv, _, _ in entries], dtype=np.int64)  # (J, dim)
         self.p = np.array([p for _, p, _ in entries])  # (J, dim)
         self.kind = np.array([kind for _, _, kind in entries], dtype=np.int64)
-        # the +-k coefficients, (2, J), of which a box layout holds those
-        # with k_d >= 0; cos(kx) has (1/2, 1/2) at +-k, sin(kx) (-i/2, +i/2)
+        # the +-k coefficients, (2, J), of which the grid holds those with
+        # k_d >= 0; cos(kx) has (1/2, 1/2) at +-k, sin(kx) (-i/2, +i/2)
         pm = np.stack([self.k, -self.k])
-        held = (pm[..., -1] >= 0) | (not grid.box)
+        held = pm[..., -1] >= 0
         self._j = np.nonzero(held)[1]  # basis index of each held coefficient
         self._index = np.ravel_multi_index(tuple((pm[held] % grid.shape).T), grid.shape)
         self._index_by_component = (np.arange(grid.dim)[:, np.newaxis] * math.prod(grid.shape)
@@ -280,7 +280,7 @@ class StressNoiseInstance:
             c = grid.forward(phys)
             self.h = TensorField(grid, c, symmetric=True)
             # physical samples of the dealiased profile, the left factor of every product
-            self._h_samples = grid.inverse(c).real
+            self._h_samples = grid.inverse(c)
         else:
             c = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
             for a in range(grid.dim):
@@ -293,7 +293,7 @@ class StressNoiseInstance:
     def s_apply(self, tau: TensorField) -> TensorField:
         if self.h_kind == "identity":
             return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
-        ptau = self.grid.inverse(tau.coeffs).real
+        ptau = self.grid.inverse(tau.coeffs)
         return TensorField(self.grid, self.grid.forward(pointwise_matmul(self._h_samples, ptau)))
 
     def h_operator_sup(self) -> float:

@@ -7,20 +7,19 @@ Plancherel reads  sum_k |c_k|^2 = mean_x |f(x)|^2.  With that convention the
 s = 0 Sobolev norm coincides with the physical root-mean-square norm, and all
 tolerances in the test suite are convention-free.
 
-Wavevectors are xi = (2*pi/L) * k for integer multi-indices k in
-[-M/2, M/2)^d.  The spectral cutoff (`truncate`) keeps the closed Euclidean
-ball |xi| <= n.  Dealiasing is the per-axis 2/3 rule, fixed in the grid:
-`SpectralGrid.forward` returns only the coefficients in the dealias box
-|k_a| <= K = M // 3 (zero outside it in the full layout), so quadratic
-products of retained modes are alias-free.
+Wavevectors are xi = (2*pi/L) * k for integer multi-indices k.  The spectral
+cutoff (`truncate`) keeps the closed Euclidean ball |xi| <= n.  Dealiasing is
+the per-axis 2/3 rule, fixed in the grid: M samples per axis resolve the
+dealias box |k_a| <= K = M // 3, which holds every admissible ball, and
+`SpectralGrid.forward` returns only its coefficients, so quadratic products
+of retained modes are alias-free.
 
-Fields are real, c(-k) = conj c(k).  The full layout stores every k.  The box
-layout (``make_grid(..., box=True)``) stores the dealias box |k_a| <= K =
-`dealias_kmax`, the modes the cutoff system can reach, with k_d >= 0: the
-leading axes hold k = 0..K, -K..-1 (k at index k mod 2K+1), the last 0..K.
-Sums over modes read the grid's plane `weight`: 2 on the box's planes k_d > 0,
-1 on its zero plane and in the full layout.  `SpectralGrid.inverse`/`forward`
-are the one transform pair; the box is zero-padded to M modes inside them.
+Fields are real, c(-k) = conj c(k), so a grid stores the dealias box with
+k_d >= 0 only: the leading axes hold k = 0..K, -K..-1 (k at index k mod
+2K+1), the last 0..K.  Sums over modes read the grid's plane `weight`, 2 on
+the planes k_d > 0 and 1 on the zero plane, the one plane that holds both k
+and -k.  `SpectralGrid.inverse`/`forward` are the one transform pair; the
+box is zero-padded to M modes inside them.
 """
 from __future__ import annotations
 
@@ -70,33 +69,30 @@ __all__ = [
 class SpectralGrid:
     """Fourier discretization of the periodic box [0, L)^dim.
 
-    Precomputes integer mode indices, wavevectors, i xi, |xi|^2 (and its
-    zero-free copy, the Leray denominator), the per-axis dealias mask and the
-    |xi| <= n cutoff mask.  Instances are immutable and shared freely between
-    fields.  `box` selects the dealias-box layout.
+    Stores the dealias box |k_a| <= K = M // 3 with k_d >= 0 and precomputes
+    its integer mode indices, wavevectors, i xi, |xi|^2 (and its zero-free
+    copy, the Leray denominator), the |xi| <= n cutoff mask and the plane
+    weight.  Instances are immutable and shared freely between fields.
     """
 
     dim: int
     modes_per_axis: int
     box_length: float
     truncation_radius: float
-    box: bool = False
     # derived arrays (filled in by make_grid)
     k_int: np.ndarray = dc_field(repr=False, default=None)
     xi: np.ndarray = dc_field(repr=False, default=None)
     ixi: np.ndarray = dc_field(repr=False, default=None)  # 1j * xi, the gradient multiplier
     xi_sq: np.ndarray = dc_field(repr=False, default=None)
     xi_sq_safe: np.ndarray = dc_field(repr=False, default=None)  # 1 at xi = 0
-    dealias_mask: np.ndarray = dc_field(repr=False, default=None)
     ball_mask: np.ndarray = dc_field(repr=False, default=None)
     weight: np.ndarray = dc_field(repr=False, default=None)  # per-mode plane weight
 
     @property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """(length, count of k >= 0) of each mode axis: k = 0, 1, ... lead, k < 0 trail."""
-        M, K = self.modes_per_axis, self.dealias_kmax
-        box = ((2 * K + 1, K + 1),) * (self.dim - 1) + ((K + 1, K + 1),)
-        return box if self.box else ((M, M // 2),) * self.dim
+        K = self.dealias_kmax
+        return ((2 * K + 1, K + 1),) * (self.dim - 1) + ((K + 1, K + 1),)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -124,12 +120,12 @@ class SpectralGrid:
         return _dealias_limit(self.modes_per_axis, self.box_length)
 
     def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient rows and sample rows for `inverse(..., out=)` in one block
-        (the same array in the full layout), which spares the allocator churn."""
+        """Coefficient rows and sample rows for `inverse(..., out=)` in one block,
+        which spares the allocator churn."""
         n = 2 * rows * math.prod(self.shape)
-        work = np.empty(n + (rows * math.prod(self.points) if self.box else 0))
+        work = np.empty(n + rows * math.prod(self.points))
         coeffs = work[:n].view(np.complex128).reshape((rows,) + self.shape)
-        return coeffs, work[n:].reshape((rows,) + self.points) if self.box else coeffs
+        return coeffs, work[n:].reshape((rows,) + self.points)
 
     @property
     def _padded(self) -> tuple[tuple[int, int], ...]:
@@ -137,27 +133,18 @@ class SpectralGrid:
         return ((self.modes_per_axis, self.modes_per_axis // 2),) * (self.dim - 1) + self.runs[-1:]
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Physical samples over the trailing mode axes: real in the box layout,
-        zero-padded here to M modes per axis, complex in the full one (real
-        fields get O(1e-16) imaginary dust)."""
-        lead, c = self.grid_axes, coeffs
-        if self.box:
-            lead, c = lead[:-1], _copy_blocks(coeffs, self.runs, self._padded)
-        c = np.fft.ifftn(c, axes=lead, norm="forward", out=c if self.box else out)
-        return np.fft.irfft(c, self.modes_per_axis, axis=-1, norm="forward", out=out) if self.box else c
+        """Real physical samples over the trailing mode axes: the box zero-padded
+        to M modes on its leading axes, `ifftn` over them, then `irfft`."""
+        c = _copy_blocks(coeffs, self.runs, self._padded)
+        c = np.fft.ifftn(c, axes=self.grid_axes[:-1], norm="forward", out=c)
+        return np.fft.irfft(c, self.modes_per_axis, axis=-1, norm="forward", out=out)
 
     def forward(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Dealias-box coefficients, in this grid's layout, of physical samples:
-        in the box layout, the rfft planes k_d <= K transformed over the
-        leading axes, and the box's rows of them; in the full layout, every
-        mode, zeroed outside the box."""
-        lead = self.grid_axes[:-1] if self.box else self.grid_axes
-        if self.box:
-            samples = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
-        c = np.fft.fftn(samples, axes=lead, norm="forward", out=None if self.box else out)
-        if self.box:
-            return _copy_blocks(c, self._padded, self.runs, out)
-        return np.multiply(c, self.dealias_mask, out=c)
+        """Dealias-box coefficients of real physical samples: the rfft planes
+        k_d <= K transformed over the leading axes, and the box's rows of them."""
+        samples = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
+        c = np.fft.fftn(samples, axes=self.grid_axes[:-1], norm="forward")
+        return _copy_blocks(c, self._padded, self.runs, out)
 
 
 def _dealias_limit(modes_per_axis: int, box_length: float) -> float:
@@ -169,7 +156,7 @@ def _dealias_limit(modes_per_axis: int, box_length: float) -> float:
 def _shared_blocks(src: tuple, dst: tuple) -> tuple:
     """(dst, src) index pairs of the blocks of modes that two layouts, given by
     their axis `runs`, both store: per axis the run of k >= 0 and the run of
-    k < 0, so contiguous block copies, 2^(d-1) between box layouts."""
+    k < 0, so contiguous block copies, 2^(d-1) between two boxes."""
     per_axis = []
     for (n_src, p_src), (n_dst, p_dst) in zip(src, dst):
         pos, neg = min(p_src, p_dst), min(n_src - p_src, n_dst - p_dst)
@@ -188,6 +175,13 @@ def _copy_blocks(c: np.ndarray, src: tuple, dst: tuple, out: np.ndarray | None =
     return out
 
 
+def _mode_indices(runs: tuple) -> np.ndarray:
+    """Integer wavevectors, (d, *shape), of a layout given by its axis `runs`:
+    each axis in transform order, its run of k = 0, 1, ..., then its k < 0."""
+    k = [(np.arange(n) + n - p) % n - (n - p) for n, p in runs]
+    return np.stack(np.meshgrid(*k, indexing="ij")).astype(np.int64)
+
+
 def _mirror(c: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """c at -k over `axes`: index i goes to -i mod the axis length."""
     return np.roll(np.flip(c, axes), 1, axes)
@@ -198,10 +192,9 @@ def make_grid(
     modes_per_axis: int,
     box_length: float = 2 * math.pi,
     truncation_radius: float | None = None,
-    box: bool = False,
 ) -> SpectralGrid:
-    """Validate parameters and build a grid with precomputed mode geometry, in
-    the box layout if `box`.  The grid keeps the dealias box |k_a| <= M // 3.
+    """Validate parameters and build a grid with precomputed mode geometry.
+    The grid stores the dealias box |k_a| <= M // 3 with k_d >= 0.
 
     Raises ValueError naming the offending field for: dim outside {2, 3},
     odd or too-small modes_per_axis, non-positive box_length, non-positive
@@ -228,11 +221,9 @@ def make_grid(
             f"(= (M/3) * (2*pi/L))"
         )
 
-    grid = SpectralGrid(dim, M, float(box_length), float(truncation_radius), box)
-    # each axis in transform order: its run of k = 0, 1, ..., then its k < 0
-    k = [(np.arange(n) + n - p) % n - (n - p) for n, p in grid.runs]
-    k_int = np.stack(np.meshgrid(*k, indexing="ij")).astype(np.int64)
-    weight = np.where(k[-1] == 0, 1.0, 2.0) if grid.box else np.ones(1)
+    grid = SpectralGrid(dim, M, float(box_length), float(truncation_radius))
+    k_int = _mode_indices(grid.runs)
+    weight = np.where(np.arange(grid.dealias_kmax + 1) == 0, 1.0, 2.0)
     xi = (2 * math.pi / box_length) * k_int.astype(np.float64)
     xi_sq = np.sum(xi * xi, axis=0)
     return replace(
@@ -242,7 +233,6 @@ def make_grid(
         ixi=1j * xi,
         xi_sq=xi_sq,
         xi_sq_safe=np.where(xi_sq > 0, xi_sq, 1.0),
-        dealias_mask=np.all(np.abs(k_int) <= grid.dealias_kmax, axis=0),
         ball_mask=xi_sq <= truncation_radius * truncation_radius,
         weight=weight.reshape((1,) * (dim - 1) + (-1,)),
     )
@@ -268,19 +258,13 @@ def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
 
 
 def relayout(f: "Field", grid: SpectralGrid) -> "Field":
-    """`f` on `grid`, whose layout may hold more or fewer modes or be of the
-    other kind: the shared blocks of modes are copied, a larger layout is zero
-    elsewhere (embedding), a smaller one drops what it cannot hold
-    (restriction), and a box source gives a full layout its conjugate modes.
-    Flags are kept; a layout of the same shape shares the coefficient array."""
-    src, c, runs = f.grid, f.coeffs, f.grid.runs
-    if src.shape == grid.shape:
+    """`f` on `grid`, whose box may hold more or fewer modes: the shared blocks
+    of modes are copied, a larger box is zero elsewhere (embedding), a smaller
+    one drops what it cannot hold (restriction).  Flags are kept; a box of the
+    same shape shares the coefficient array."""
+    if f.grid.shape == grid.shape:
         return replace(f, grid=grid)
-    if src.box and not grid.box:  # unfold: c(k', -k_d) = conj c(-k', k_d), 0 < k_d <= K
-        K = src.dealias_kmax
-        c = np.concatenate((c, np.conj(_mirror(c, src.grid_axes[:-1])[..., K:0:-1])), axis=-1)
-        runs = runs[:-1] + ((2 * K + 1, K + 1),)
-    return replace(f, grid=grid, coeffs=_copy_blocks(c, runs, grid.runs))
+    return replace(f, grid=grid, coeffs=_copy_blocks(f.coeffs, f.grid.runs, grid.runs))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +325,7 @@ def _check_same_grid(f: Field, g: Field) -> None:
 # ---------------------------------------------------------------------------
 
 def to_physical(f: Field) -> np.ndarray:
-    """Inverse transform to physical samples; see `SpectralGrid.inverse`."""
+    """Inverse transform to real physical samples; see `SpectralGrid.inverse`."""
     return f.grid.inverse(f.coeffs)
 
 
@@ -382,7 +366,7 @@ def l2_inner(f: Field, g: Field) -> float:
 def linf_norm(f: Field) -> float:
     """Sup norm over grid points; vector/tensor use the pointwise Euclidean/
     Frobenius magnitude."""
-    a = np.abs(to_physical(f)) ** 2
+    a = to_physical(f) ** 2
     return float(np.sqrt(np.max(a.sum(axis=tuple(range(a.ndim - f.grid.dim))))))
 
 
@@ -446,15 +430,15 @@ def divergence_defect(v: VectorField) -> float:
 
 
 def hermitian_defect(f: Field) -> float:
-    """max |c(k) - conj(c(-k))| over modes, relative to max |c|.  In the box
-    layout only the zero plane k_d = 0 holds both k and -k, so only it is
-    measured; elsewhere symmetry holds by construction."""
+    """max |c(k) - conj(c(-k))| over the zero plane k_d = 0, relative to max |c|.
+    Only that plane holds both k and -k; elsewhere symmetry holds by
+    construction."""
     g, c = f.grid, f.coeffs
     scale = np.max(np.abs(c))
     if scale == 0:
         return 0.0
-    c = c[..., :1] if g.box else c
-    flipped = np.conj(_mirror(c, g.grid_axes[:-1] if g.box else g.grid_axes))
+    c = c[..., :1]
+    flipped = np.conj(_mirror(c, g.grid_axes[:-1]))
     return float(np.max(np.abs(c - flipped)) / scale)
 
 
@@ -477,8 +461,8 @@ def dealiased_product(f: Field, g: Field) -> Field:
     """Pointwise product via physical space, kept to the dealias box.
 
     scalar*scalar -> scalar; scalar*vector or scalar*tensor broadcasts the
-    scalar over components.  Inputs supported inside the dealias mask make the
-    retained product modes exact convolutions.
+    scalar over components.  The retained product modes are exact
+    convolutions of the inputs' modes.
     """
     _check_same_grid(f, g)
     if f.rank != 0 and g.rank == 0:
@@ -515,8 +499,8 @@ def convect_vector(v: VectorField, u: VectorField) -> VectorField:
     """(v . grad) u, componentwise, dealiased (no spectral-ball cutoff here)."""
     _check_same_grid(v, u)
     grid = v.grid
-    pv = grid.inverse(v.coeffs).real
-    pgrad = grid.inverse(gradient_vector(u).coeffs).real
+    pv = grid.inverse(v.coeffs)
+    pgrad = grid.inverse(gradient_vector(u).coeffs)
     return VectorField(grid, grid.forward(pointwise_transport(pv, pgrad)))
 
 
@@ -536,18 +520,14 @@ def commutator_bessel_product(f: ScalarField, g: ScalarField, s: float) -> Scala
 # random fields
 # ---------------------------------------------------------------------------
 
-def _random_scalar_coeffs(grid: SpectralGrid, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian coefficients with deterministic modulus (1+|xi|^2)^(-alpha/2),
-    uniform random phases, zero mean, supported inside the dealias mask."""
-    modulus = (1.0 + grid.xi_sq) ** (-alpha / 2.0)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=grid.shape)
-    first = grid.k_int[-1]  # the first nonzero k_a: positive on one of each +-k pair
-    for k in grid.k_int[-2::-1]:
-        first = np.where(k != 0, k, first)
-    half = (first > 0) & grid.dealias_mask
-    c = np.zeros(grid.shape, dtype=np.complex128)
-    c[half] = modulus[half] * np.exp(1j * phases[half])
-    return c + np.conj(_mirror(c, grid.grid_axes))
+def _random_scalar_coeffs(grid: SpectralGrid, draw: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian box coefficients with uniform random phases, drawn over all
+    M^d modes: `draw` is (their axis runs, the half mask, the modulus on it)."""
+    runs, half, modulus = draw
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=grid.points)
+    c = np.zeros(grid.points, dtype=np.complex128)
+    c[half] = modulus * np.exp(1j * phases[half])
+    return _copy_blocks(c + np.conj(_mirror(c, grid.grid_axes)), runs, grid.runs)
 
 
 def random_field(
@@ -560,27 +540,32 @@ def random_field(
     """Zero-mean random test field with spectral decay |f_hat| ~ (1+|xi|^2)^(-alpha/2).
 
     kind: "scalar", "vector" (Leray-projected, divergence-free), or "tensor"
-    (symmetrized).  Same seed, same grid -> identical coefficients.  Support is
-    restricted to the dealias mask so products of generated fields are exact.
-    A box-layout grid gets the full layout's draws.
+    (symmetrized).  Same seed, same grid -> identical coefficients.  Each
+    scalar component draws a deterministic modulus (1+|xi|^2)^(-alpha/2) and
+    a uniform phase for one mode of every +-k pair in the dealias box, with
+    the phases drawn over all M^d modes; the box's blocks are kept, so
+    products of generated fields are exact.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
-    if grid.box:
-        full = make_grid(grid.dim, grid.modes_per_axis, grid.box_length, grid.truncation_radius)
-        return relayout(random_field(full, alpha, kind, rng=rng), grid)
+    if kind not in ("scalar", "vector", "tensor"):
+        raise ValueError(f"unknown field kind {kind!r}")
+    M = grid.modes_per_axis
+    runs = ((M, M // 2),) * grid.dim
+    k_int = _mode_indices(runs)
+    first = k_int[-1]  # the first nonzero k_a: positive on one of each +-k pair
+    for k in k_int[-2::-1]:
+        first = np.where(k != 0, k, first)
+    half = (first > 0) & np.all(np.abs(k_int) <= grid.dealias_kmax, axis=0)
+    xi = (2 * math.pi / grid.box_length) * k_int.astype(np.float64)
+    modulus = (1.0 + np.sum(xi * xi, axis=0)[half]) ** (-alpha / 2.0)
+    draw = (runs, half, modulus)
     if kind == "scalar":
-        return ScalarField(grid, _random_scalar_coeffs(grid, alpha, rng))
+        return ScalarField(grid, _random_scalar_coeffs(grid, draw, rng))
     if kind == "vector":
-        comps = [_random_scalar_coeffs(grid, alpha, rng) for _ in range(grid.dim)]
-        v = VectorField(grid, np.stack(comps))
-        return leray_project(v)
-    if kind == "tensor":
-        comps = [
-            [_random_scalar_coeffs(grid, alpha, rng) for _ in range(grid.dim)]
-            for _ in range(grid.dim)
-        ]
-        c = np.stack([np.stack(row) for row in comps])
-        sym = 0.5 * (c + np.swapaxes(c, 0, 1))
-        return TensorField(grid, sym, symmetric=True)
-    raise ValueError(f"unknown field kind {kind!r}")
+        comps = [_random_scalar_coeffs(grid, draw, rng) for _ in range(grid.dim)]
+        return leray_project(VectorField(grid, np.stack(comps)))
+    comps = [[_random_scalar_coeffs(grid, draw, rng) for _ in range(grid.dim)]
+             for _ in range(grid.dim)]
+    c = np.stack([np.stack(row) for row in comps])
+    return TensorField(grid, 0.5 * (c + np.swapaxes(c, 0, 1)), symmetric=True)

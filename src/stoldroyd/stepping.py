@@ -23,7 +23,7 @@ path can drive runs at different spectral cutoffs.
 `trajectory`, a lazy generator of states, is the one loop that steps a path:
 `simulate` stops one at `detect_stop` on its `energy_records`, refine zips
 several in lockstep over the same draws, and the twin probe zips a pair
-without records.  Paths step in the box layout, the dealias box |k_a| <= K.
+without records.  States hold the dealias box |k_a| <= K with k_d >= 0.
 """
 from __future__ import annotations
 
@@ -122,28 +122,25 @@ def on_alias_free_grid(
 ) -> tuple[FlowState, NoiseModel]:
     """`state` and `noise` on the smallest grid on which the cutoff-n system
     (n defaults to the state grid's radius) is the Galerkin system of the
-    state's grid: `alias_free_modes` sized for the noise basis, in the box
-    layout.
+    state's grid: `alias_free_modes` sized for the noise basis.
 
     The state's grid size is kept for a bump stress profile, which is
     sampled per grid, and for a state with mass outside the ball |xi| <= n,
-    whose products a smaller grid would alias.  A state with mass outside
-    that grid's dealias box keeps the full layout, so no mode is dropped.
-    Without `n`, a grid that changes neither size nor layout returns the
-    inputs themselves; with it, the cutoff always gets a grid object of its own.
+    whose products a smaller grid would alias.  Without `n`, a grid whose
+    size does not change returns the inputs themselves; with it, the cutoff
+    always gets a grid object of its own.
     """
     host = state.v.grid
     radius = host.truncation_radius if n is None else n
-    outside_ball, outside_box = (any(np.any(f.coeffs[..., mask]) for f in (state.v, state.tau))
-                                 for mask in (host.xi_sq > radius * radius, ~host.dealias_mask))
+    outside = host.xi_sq > radius * radius
+    outside_ball = any(np.any(f.coeffs[..., outside]) for f in (state.v, state.tau))
     modes = host.modes_per_axis
     if not outside_ball and (noise.stress is None or noise.stress.h_kind != "bump"):
         kmax = noise.sigma.basis.kmax if noise.sigma is not None else 0
         modes = alias_free_modes(host, radius, kmax)
-    box = modes < host.modes_per_axis or not outside_box
-    if n is None and modes == host.modes_per_axis and box == host.box:
+    if n is None and modes == host.modes_per_axis:
         return state, noise
-    grid = make_grid(host.dim, modes, host.box_length, radius, box=box)
+    grid = make_grid(host.dim, modes, host.box_length, radius)
     return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
 
 
@@ -241,8 +238,8 @@ def simulate(
     The run steps on the smallest alias-free grid for the initial grid's
     cutoff and the noise basis (`on_alias_free_grid`), which computes the
     initial grid's Galerkin system up to rounding; the energy records are
-    taken there.  The final state is returned on the initial grid object, in
-    its layout, zero outside the ball.
+    taken there.  The final state is returned on the initial grid object,
+    zero outside the ball.
     """
     host = initial.v.grid
     initial, noise = on_alias_free_grid(initial, noise)

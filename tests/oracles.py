@@ -35,6 +35,66 @@ def l2_inner_physical(f: np.ndarray, g: np.ndarray, grid_dim: int) -> float:
     return float(np.real(prod.mean(axis=grid_axes).sum()))
 
 
+def full_modes(dim: int, M: int) -> np.ndarray:
+    """Integer wavevectors of all M^dim modes in FFT order, shape (dim, M, ..., M)."""
+    k = np.rint(np.fft.fftfreq(M, 1.0 / M)).astype(np.int64)
+    return np.stack(np.meshgrid(*[k] * dim, indexing="ij"))
+
+
+def full_geometry(dim: int, M: int, radius: float, box_length: float = 2 * math.pi):
+    """Wavevectors xi, (dim, M, ..., M), of all M^dim modes in FFT order, the
+    mask of the dealias box |k_a| <= M // 3 and the mask of the ball |xi| <= radius."""
+    k = full_modes(dim, M)
+    xi = (2 * math.pi / box_length) * k
+    return xi, np.all(np.abs(k) <= M // 3, axis=0), np.sum(xi * xi, axis=0) <= radius * radius
+
+
+def box_from_full(c: np.ndarray, dim: int, K: int | None = None) -> np.ndarray:
+    """The box |k_a| <= K (the dealias box, K = M // 3, by default) with
+    k_d >= 0 of coefficients over all M^dim modes (trailing `dim` axes in FFT
+    order): the leading axes hold k = 0..K, -K..-1, the last k = 0..K."""
+    c = np.asarray(c)
+    M = c.shape[-1]
+    K = M // 3 if K is None else K
+    k = np.r_[0:K + 1, -K:0]
+    index = np.ix_(*[k % M] * (dim - 1) + [np.arange(K + 1)])
+    return c[(Ellipsis,) + index]
+
+
+def full_from_box(c: np.ndarray, dim: int, M: int) -> np.ndarray:
+    """Coefficients over all M^dim modes (FFT order) of the real field whose
+    dealias box (as `box_from_full` lays it out) is `c`: zero outside the
+    box, and c(-k) = conj c(k) written for the planes k_d > 0."""
+    c = np.asarray(c)
+    K = c.shape[-1] - 1
+    k = np.r_[0:K + 1, -K:0]
+    kd = np.arange(1, K + 1)
+    out = np.zeros(c.shape[:c.ndim - dim] + (M,) * dim, dtype=np.complex128)
+    out[(Ellipsis,) + np.ix_(*[k % M] * (dim - 1) + [np.arange(K + 1)])] = c
+    out[(Ellipsis,) + np.ix_(*[-k % M] * (dim - 1) + [-kd % M])] = np.conj(c[..., 1:])
+    return out
+
+
+def random_coeffs_full(dim: int, M: int, alpha: float, rng: np.random.Generator,
+                       box_length: float = 2 * math.pi) -> np.ndarray:
+    """One scalar draw of the random test fields over all M^dim modes: a
+    uniform phase per mode (drawn over every mode, in FFT order) and the
+    modulus (1+|xi|^2)^(-alpha/2) on the modes of the dealias box whose first
+    nonzero k_a is positive, then c(-k) = conj c(k) filled in."""
+    k = full_modes(dim, M)
+    first = k[-1]
+    for ka in k[-2::-1]:
+        first = np.where(ka != 0, ka, first)
+    half = (first > 0) & np.all(np.abs(k) <= M // 3, axis=0)
+    xi = (2 * math.pi / box_length) * k.astype(np.float64)
+    modulus = (1.0 + np.sum(xi * xi, axis=0)) ** (-alpha / 2.0)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(M,) * dim)
+    c = np.zeros((M,) * dim, dtype=np.complex128)
+    c[half] = modulus[half] * np.exp(1j * phases[half])
+    axes = tuple(range(dim))
+    return c + np.conj(np.roll(np.flip(c, axes), 1, axes))
+
+
 def stokes_discrete_factor(nu: float, dt: float, xi_sq: float, n_steps: int) -> float:
     """Exact per-mode amplification of the semi-implicit viscous solve."""
     return (1.0 + nu * dt * xi_sq) ** (-n_steps)

@@ -85,12 +85,12 @@ class TestDeformationVorticity:
 
     def test_single_mode_formula(self):
         """D_hat = (i xi (x) v_hat + i v_hat (x) xi) / 2 at one mode."""
-        k = (3, -2)
+        k = (-3, 2)
         vhat = np.array([1.0 + 0.5j, -0.7 + 0.2j])
         c = np.zeros((2,) + GRID.shape, dtype=complex)
         c[:, k[0], k[1]] = vhat
         d = deformation(VectorField(GRID, c))
-        xi = np.array([3.0, -2.0])
+        xi = np.array([-3.0, 2.0])
         want = 0.5j * (np.outer(vhat, xi) + np.outer(xi, vhat))
         got = d.coeffs[:, :, k[0], k[1]]
         assert np.allclose(got, want, rtol=1e-14, atol=0)
@@ -181,7 +181,7 @@ class TestAdvection:
         pv, pu = to_physical(v), to_physical(u)
         # row-wise divergence wants T_ab = u_a v_b: (div T)_a = (v.grad)u_a + u_a div v
         outer = np.einsum("a...,b...->ab...", pu, pv)
-        chat = np.fft.fftn(outer, axes=(-2, -1), norm="forward") * GRID.dealias_mask
+        chat = oracles.box_from_full(np.fft.fftn(outer, axes=(-2, -1), norm="forward"), 2)
         div_form = truncate(divergence_tensor(TensorField(GRID, chat)), GRID.truncation_radius)
         scale = hs_norm(adv, 0.0)
         assert np.max(np.abs(adv.coeffs - div_form.coeffs)) <= 1e-10 * scale
@@ -206,18 +206,18 @@ class TestVelocityDrift:
         """A perpendicular single mode has no self-interaction, so only the
         viscous decay (left to the implicit solve) acts on it."""
         tau = zero_state().tau
-        # shear mode v = (v_0(x_1), 0): every product term is an exact zero
+        # shear mode v = (v_0(x_1), 0), with its partner at (0, -4) implied:
+        # every product term is an exact zero
         c = np.zeros((2,) + GRID.shape, dtype=complex)
-        c[0][0, 4] = c[0][0, -4] = -4.0
+        c[0][0, 4] = -4.0
         vd, _ = drift(FlowState(0.0, VectorField(GRID, c, div_free=True), tau), PARAMS)
         assert np.all(vd.coeffs == 0)
-        # oblique mode: (v.grad)v cancels to rounding, far below the viscous term
+        # oblique mode, its partner at -k implied: (v.grad)v cancels to
+        # rounding, far below the viscous term
         k = (3, 4)
         c = np.zeros((2,) + GRID.shape, dtype=complex)
         c[0][k] = -4.0
         c[1][k] = 3.0
-        c[0][-k[0], -k[1]] = -4.0  # Hermitian partner
-        c[1][-k[0], -k[1]] = 3.0
         vd, _ = drift(FlowState(0.0, VectorField(GRID, c, div_free=True), tau), PARAMS)
         viscous = PARAMS.nu * 25.0 * c
         assert np.max(np.abs(vd.coeffs)) <= 1e-12 * np.max(np.abs(viscous))
@@ -262,7 +262,8 @@ class TestStressDrift:
 
         k = (2, 1)
         kmax = grid.dealias_kmax
-        # direct convolution of (v . grad) tau and Q at mode k
+        # direct convolution of (v . grad) tau and Q at mode k, over the full spectra
+        vc, tc = (oracles.full_from_box(f.coeffs, 2, 16) for f in (v, tau))
         adv = np.zeros((2, 2), dtype=complex)
         q = np.zeros((2, 2), dtype=complex)
         for p0 in range(-kmax, kmax + 1):
@@ -270,12 +271,12 @@ class TestStressDrift:
                 q0, q1 = k[0] - p0, k[1] - p1
                 if abs(q0) > kmax or abs(q1) > kmax:
                     continue
-                vp = v.coeffs[:, p0, p1]
-                tq = tau.coeffs[:, :, q0, q1]
+                vp = vc[:, p0, p1]
+                tq = tc[:, :, q0, q1]
                 xi_q = np.array([q0, q1], dtype=float)
                 adv += (1j * vp @ xi_q) * tq
                 # grad v at p, tau at q
-                gv = 1j * np.outer(v.coeffs[:, p0, p1], np.array([p0, p1], float))
+                gv = 1j * np.outer(vc[:, p0, p1], np.array([p0, p1], float))
                 d_p = 0.5 * (gv + gv.T)
                 w_p = 0.5 * (gv - gv.T)
                 q += tq @ w_p - w_p @ tq - params.b * (d_p @ tq + tq @ d_p)
@@ -307,14 +308,15 @@ class TestStressDrift:
         """All three quadratic terms against the slow oracle, on random ball fields."""
         b = 0.3
         params = PhysicalParams(nu=0.1, a=0.0, b=b, mu1=0.0, mu2=0.0)
-        keep = GRID.dealias_mask & GRID.ball_mask
+        xi, dealias, ball = oracles.full_geometry(2, 64, GRID.truncation_radius)
+        keep = dealias & ball
         for seed in range(3):
             v = ball_field("vector", seed + 600)
             tau = ball_field("tensor", seed + 700)
             vd, sd = drift(FlowState(0.0, v, tau), params)
-            adv_v, adv_tau, q = oracles.oldroyd_quadratic_terms(
-                GRID.xi, v.coeffs, tau.coeffs, b, keep
-            )
+            adv_v, adv_tau, q = (oracles.box_from_full(t, 2) for t in oracles.oldroyd_quadratic_terms(
+                xi, oracles.full_from_box(v.coeffs, 2, 64), oracles.full_from_box(tau.coeffs, 2, 64),
+                b, keep))
             want_v = leray_project(VectorField(GRID, -adv_v)).coeffs
             want_tau = -(adv_tau + q)
             assert np.max(np.abs(vd.coeffs - want_v)) <= 1e-12 * np.max(np.abs(want_v))
@@ -342,16 +344,15 @@ class TestCouplingsFromTheDriftPass:
 
 
 class TestSymmetricStressRows:
-    @pytest.mark.parametrize("dim, box", [(2, True), (2, False), (3, True)])
-    def test_symmetric_pass_equals_the_unflagged_pass_bitwise(self, monkeypatch, dim, box):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_symmetric_pass_equals_the_unflagged_pass_bitwise(self, monkeypatch, dim):
         """A symmetric tau sends only its d(d+1)/2 distinct components and
         their gradients through the pass; the outputs equal, bitwise, those of
         the same coefficients flagged non-symmetric, which send all d^2."""
         M, n = (24, 6.0) if dim == 2 else (14, 3.0)
-        grid = make_grid(dim, M, 2 * math.pi, n, box=box)
-        full = make_grid(dim, M, 2 * math.pi, n)
-        v = spectral.relayout(truncate(random_field(full, 4.0, "vector", seed=33), n), grid)
-        tau = spectral.relayout(truncate(random_field(full, 4.0, "tensor", seed=34), n), grid)
+        grid = make_grid(dim, M, 2 * math.pi, n)
+        v = truncate(random_field(grid, 4.0, "vector", seed=33), n)
+        tau = truncate(random_field(grid, 4.0, "tensor", seed=34), n)
         assert tau.symmetric and np.array_equal(tau.coeffs, np.swapaxes(tau.coeffs, 0, 1))
         wiener = WienerQConfig(lambda0=0.1, J=4)
         profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]

@@ -52,10 +52,11 @@ class TestEnergy:
         assert (rec.v_hs2, rec.tau_hs2, rec.gradv_hs2, rec.cum_diss, rec.e_n) == (0,) * 5
 
     def test_single_mode_multiplier_values(self):
-        """|xi|^2 = 3, amplitude 1, s = 1: ||v||^2 = 4 and ||grad v||^2 = 12."""
+        """|xi|^2 = 3, unit RMS (amplitude 1/sqrt(2) at k and at -k), s = 1:
+        ||v||^2 = 4 and ||grad v||^2 = 12."""
         g3 = make_grid(3, 8, 2 * math.pi, 2)
         c = np.zeros((3,) + g3.shape, dtype=complex)
-        c[0][1, 1, 1] = 1.0
+        c[0][1, 1, 1] = 1.0 / math.sqrt(2.0)
         v = VectorField(g3, c)
         tau = TensorField(g3, np.zeros((3, 3) + g3.shape, dtype=complex), symmetric=True)
         params = PhysicalParams(nu=0.5, a=0.0, b=0.0, mu1=1.0, mu2=1.0)
@@ -96,9 +97,9 @@ class TestEnergyRecords:
         """The weight (1+|xi|^2)^s is formed once per grid; the records equal
         `energy` called per state with the left-endpoint dissipation sum,
         bitwise, across a change of grid too."""
-        box = make_grid(2, 64, 2 * math.pi, 16, box=True)
+        small = make_grid(2, 50, 2 * math.pi, 16)
         states = []
-        for seed, grid in ((40, GRID), (42, GRID), (44, box), (46, box)):
+        for seed, grid in ((40, GRID), (42, GRID), (44, small), (46, small)):
             v = truncate(random_field(GRID, 4.0, "vector", seed=seed), 16)
             tau = truncate(random_field(GRID, 4.0, "tensor", seed=seed + 1), 16)
             states.append(FlowState(0.01 * seed, relayout(v, grid), relayout(tau, grid)))

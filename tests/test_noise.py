@@ -31,7 +31,6 @@ from stoldroyd.spectral import (
     leray_project,
     random_field,
     make_grid,
-    relayout,
     symmetry_defect,
     truncate,
 )
@@ -127,35 +126,57 @@ class TestVelocityNoiseBasis:
             VelocityNoiseBasis(tiny, 40)
 
 
+def dealiased_matmul(h_hat, tau_hat, M):
+    """The pointwise product h tau of two box tensors through numpy transforms
+    of their full spectra, cut to the dealias box."""
+    ph, pt = (np.fft.ifftn(oracles.full_from_box(c, 2, M), axes=(-2, -1), norm="forward")
+              for c in (h_hat, tau_hat))
+    prod = np.einsum("ik...,kj...->ij...", ph, pt)
+    return oracles.box_from_full(np.fft.fftn(prod, axes=(-2, -1), norm="forward"), 2)
+
+
 class TestHalfLayoutChannels:
-    """Every channel rebuilt on a box-layout grid (the half spectrum k_d >= 0
-    cut to the dealias box) holds the full layout's coefficients on the modes
-    it stores."""
+    """Every channel holds, on the half spectrum k_d >= 0 cut to the dealias
+    box, the coefficients of the full spectrum built with numpy."""
 
     @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12)])
     def test_basis_writes_the_stored_half_of_each_pair_bitwise(self, dim, M, J):
-        full = make_grid(dim, M, 2 * math.pi)
-        box = make_grid(dim, M, 2 * math.pi, box=True)
-        assert box.box and box.shape == (2 * box.dealias_kmax + 1,) * (dim - 1) + (box.dealias_kmax + 1,)
+        """cos(k.x) has (1/2, 1/2) at +-k, sin(k.x) (-i/2, +i/2); the grid
+        keeps the coefficients with k_d >= 0."""
+        box = make_grid(dim, M, 2 * math.pi)
+        assert box.shape == (2 * box.dealias_kmax + 1,) * (dim - 1) + (box.dealias_kmax + 1,)
         w = rng_for_run(90, 0).standard_normal(J)
-        a, b = VelocityNoiseBasis(full, J), VelocityNoiseBasis(box, J)
-        for got, want in ((b.assemble_velocity(w), a.assemble_velocity(w)),
-                          (b.assemble_profile(w), a.assemble_profile(w))):
-            assert np.array_equal(got.coeffs, relayout(want, box).coeffs)
-            assert np.array_equal(relayout(got, full).coeffs, want.coeffs)
+        basis = VelocityNoiseBasis(box, J)
+        velocity = np.zeros((dim,) + (M,) * dim, dtype=complex)
+        profile = np.zeros((M,) * dim, dtype=complex)
+        for j in range(J):
+            smooth = math.sqrt(2.0) / (1.0 + float(np.sum(basis.k[j] ** 2)))
+            pair = (0.5 + 0.0j, 0.5 + 0.0j) if basis.kind[j] == 0 else (-0.5j, 0.5j)
+            for sign, coef in zip((1, -1), pair):
+                mode = tuple(sign * basis.k[j] % M)
+                velocity[(slice(None),) + mode] += math.sqrt(2.0) * w[j] * coef * basis.p[j]
+                profile[mode] += w[j] * smooth * coef
+        assert np.array_equal(basis.assemble_velocity(w).coeffs,
+                              oracles.box_from_full(velocity, dim))
+        assert np.array_equal(basis.assemble_profile(w).coeffs, oracles.box_from_full(profile, dim))
 
     @pytest.mark.parametrize("h_kind", ["identity", "bump"])
     def test_stress_noise_matches_the_full_layout(self, h_kind):
-        full = make_grid(2, 32, 2 * math.pi, 8)
-        box = make_grid(2, 32, 2 * math.pi, 8, box=True)
-        tau = truncate(random_field(full, 4.0, "tensor", seed=91), 8)
-        a = StressNoiseInstance(full, h_kind, c_h=0.3, bump_width=0.8)
-        b = a.on(box)
-        assert np.max(np.abs(b.h.coeffs - relayout(a.h, box).coeffs)) <= 1e-15
-        got, want = b.s_apply(b.s_apply(relayout(tau, box))), a.s_apply(a.s_apply(tau))
+        grid = make_grid(2, 32, 2 * math.pi, 8)
+        tau = truncate(random_field(grid, 4.0, "tensor", seed=91), 8)
+        sn = StressNoiseInstance(grid, h_kind, c_h=0.3, bump_width=0.8)
+        x = np.linspace(0, 2 * math.pi, 32, endpoint=False)
+        bump = np.exp((np.cos(x) - 1.0) / 0.8 ** 2)
+        profile = np.outer(bump, bump) if h_kind == "bump" else np.ones((32, 32))
+        h = 0.3 * np.einsum("ab,...->ab...", np.ones((2, 2)) if h_kind == "bump" else np.eye(2),
+                            profile)
+        want_h = oracles.box_from_full(np.fft.fftn(h, axes=(-2, -1), norm="forward"), 2)
+        assert np.max(np.abs(sn.h.coeffs - want_h)) <= 1e-15
+        got = sn.s_apply(sn.s_apply(tau))
+        want = dealiased_matmul(want_h, dealiased_matmul(want_h, tau.coeffs, 32), 32)
         assert got.coeffs.shape == (2, 2, 21, 11)
-        scale = np.max(np.abs(want.coeffs))
-        assert np.max(np.abs(relayout(got, full).coeffs - want.coeffs)) <= 1e-14 * scale
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * scale
 
 
 class TestSampleIncrement:
@@ -256,8 +277,10 @@ class TestSigmaInstance:
         dw = rng_for_run(6, 0).standard_normal(WIENER.J)
         v1, v2 = ball_vector(6), ball_vector(7)
         lhs = noise_increment(sigma, v1, dw) - noise_increment(sigma, v2, dw)
-        rhs = oracles.sigma_increment(GRID.xi, GRID.dealias_mask, GRID.ball_mask, 0.0,
-                                      sigma.parts(dw)[1], v1.coeffs - v2.coeffs)
+        xi, dealias, ball = oracles.full_geometry(2, 64, GRID.truncation_radius)
+        rhs = oracles.box_from_full(oracles.sigma_increment(
+            xi, dealias, ball, 0.0, oracles.full_from_box(sigma.parts(dw)[1], 2, 64),
+            oracles.full_from_box(v1.coeffs - v2.coeffs, 2, 64)), 2)
         scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
@@ -275,6 +298,7 @@ class TestSigmaInstance:
         jump = JumpOperator(GRID, JumpConfig(rate=2.0, gamma_kind="linear", gamma0=0.5))
         s = 2.0
         K = sigma.growth_constant(s, jump=jump)
+        _, dealias, _ = oracles.full_geometry(2, 64, GRID.truncation_radius)
         for seed in range(5):
             v = ball_vector(seed + 40)
             lam = WIENER.eigenvalues
@@ -283,8 +307,9 @@ class TestSigmaInstance:
                 unit = np.zeros(WIENER.J)
                 unit[j] = 1.0
                 e_term = sigma.c0 * sigma.basis.assemble_velocity(unit).coeffs
-                m_term = oracles.dealiased_scalar_product(
-                    sigma.c1 * sigma.basis.phi_j(j).coeffs, v.coeffs, GRID.dealias_mask)
+                m_term = oracles.box_from_full(oracles.dealiased_scalar_product(
+                    oracles.full_from_box(sigma.c1 * sigma.basis.phi_j(j).coeffs, 2, 64),
+                    oracles.full_from_box(v.coeffs, 2, 64), dealias), 2)
                 total += lam[j] * hs_norm(VectorField(GRID, e_term + m_term), s) ** 2
             total += jump.config.rate * jump.config.gamma_sq_bar * hs_norm(bessel(v, -2.0), s) ** 2
             assert total <= K * (1.0 + hs_norm(v, s) ** 2)
@@ -333,10 +358,7 @@ class TestStressNoise:
         """S(tau) = h tau matches the product of physical samples, dealiased."""
         sn = StressNoiseInstance(GRID, "bump", c_h=0.7)
         tau = truncate(random_field(GRID, 4.0, "tensor", seed=16), 16)
-        ph = np.fft.ifftn(sn.h.coeffs, axes=(-2, -1), norm="forward")
-        pt = np.fft.ifftn(tau.coeffs, axes=(-2, -1), norm="forward")
-        want = np.fft.fftn(np.einsum("ik...,kj...->ij...", ph, pt), axes=(-2, -1),
-                           norm="forward") * GRID.dealias_mask
+        want = dealiased_matmul(sn.h.coeffs, tau.coeffs, 64)
         got = sn.s_apply(tau).coeffs
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

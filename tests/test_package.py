@@ -1,6 +1,7 @@
 """Package surface: every module's `__all__` names what the module defines,
 and the package's structure rules."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -8,6 +9,7 @@ import pkgutil
 import pytest
 
 import stoldroyd
+from stoldroyd import spectral
 
 MODULES = [importlib.import_module(f"stoldroyd.{info.name}")
            for info in pkgutil.iter_modules(stoldroyd.__path__)]
@@ -51,7 +53,7 @@ def test_one_step_call_site_inside_trajectory():
 
 def test_fft_calls_only_inside_the_grid_transform_pair():
     """Every `np.fft` use in the package sits in `SpectralGrid.inverse` or
-    `SpectralGrid.forward`, where the layout picks the transform."""
+    `SpectralGrid.forward`."""
     def imports_fft(node):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             return False
@@ -65,10 +67,13 @@ def test_fft_calls_only_inside_the_grid_transform_pair():
     assert len(sites) == 4
 
 
-def test_dealias_mask_read_only_by_the_grid_and_the_layout_rule():
-    """`SpectralGrid.forward` keeps the dealias box, so no product re-masks
-    its output: outside `spectral`, only `on_alias_free_grid`'s choice of
-    layout reads the mask."""
-    sites = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "dealias_mask")
-    assert sorted({site for site in sites if site[0] != "stoldroyd.spectral"}) == [
-        ("stoldroyd.stepping", "on_alias_free_grid")]
+def test_every_grid_stores_the_dealias_box_with_no_layout_switch():
+    """One coefficient layout: `make_grid` takes no layout parameter,
+    `SpectralGrid` has no `box` or `dealias_mask` field, and no package
+    module reads an attribute by either name."""
+    assert list(inspect.signature(spectral.make_grid).parameters) == [
+        "dim", "modes_per_axis", "box_length", "truncation_radius"]
+    fields = {f.name for f in dataclasses.fields(spectral.SpectralGrid)}
+    assert not fields & {"box", "dealias_mask"}
+    assert _sites(lambda node: isinstance(node, ast.Attribute)
+                  and node.attr in ("box", "dealias_mask")) == []
