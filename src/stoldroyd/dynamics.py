@@ -134,7 +134,7 @@ def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def explicit_terms(
-    state: FlowState, params: PhysicalParams, ito=None, profile=None
+    state: FlowState, params: PhysicalParams, ito=None, profile=None, workspace=None
 ) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
     """Unprojected nonstiff velocity drift, stress drift, and noise product.
 
@@ -144,9 +144,11 @@ def explicit_terms(
     without one).  The third output is the product of v with the scalar
     field `profile` (None without one).  Quadratic terms and the product are
     cut to the spectral ball.  The stress drift carries tau's symmetry flag;
-    the caller, which formed `ito`, owns its symmetry.
+    the caller, which formed `ito`, owns its symmetry.  The pass's buffers come
+    from `workspace(rows)` (`SpectralGrid.workspace` by default); no output shares them.
     """
     grid = state.v.grid
+    workspace = grid.workspace if workspace is None else workspace
     d, shape = grid.dim, grid.shape
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
     # the term without gradients first: its temporary goes before the buffer
@@ -157,7 +159,7 @@ def explicit_terms(
     full = d + ta.size
     if nonlinear:
         # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
-        buf, samples = grid.workspace(full + p + full * d)
+        buf, samples, padded = workspace(full + p + full * d)
         fields, grad = buf[:full], buf[full + p:].reshape((full, d) + shape)
     else:
         fields, grad = np.empty((full,) + shape, dtype=np.complex128), None
@@ -183,14 +185,15 @@ def explicit_terms(
         return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), None
     rows = full if nonlinear else d
     if not nonlinear:  # one inverse transform of the rows [v, profile]
-        buf, samples = grid.workspace(d + 1)
+        buf, samples, padded = workspace(d + 1)
         buf[:d] = state.v.coeffs
     if p:
         buf[rows] = profile
-    phys = grid.inverse(buf, out=samples)
+    phys = grid.inverse(buf, out=samples, padded=padded)
     points = grid.points
     n_out = (rows if nonlinear else 0) + p * d
-    out = np.empty((n_out,) + points)
+    # the padded rows are spent between the two transforms: the products go there
+    out = padded.reshape(-1).view(np.float64)[:n_out * phys[0].size].reshape((n_out,) + points)
     if nonlinear:
         pgrad = phys[full + p:].reshape((full, d) + points)
         pointwise_transport(phys[:d], pgrad, out=out[:rows])
@@ -199,11 +202,11 @@ def explicit_terms(
     if p:
         np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
     # the samples are spent: the output reuses the buffer's leading rows
-    nl = grid.forward(out, out=buf[:n_out])
+    nl = grid.forward(out, out=buf[:n_out], padded=padded[:n_out])
     del out
     nl *= grid.ball_mask
     if nonlinear:
         vel -= nl[:d]
         stress -= nl[d:rows][row]
-    prod = nl[n_out - d:].copy() if p else None  # a copy, so the buffer goes on return
+    prod = nl[n_out - d:].copy() if p else None  # a copy: the buffer outlives the pass
     return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), prod

@@ -32,7 +32,6 @@ from .spectral import (
     TensorField,
     VectorField,
     pointwise_matmul,
-    truncate,
 )
 
 __all__ = [
@@ -127,6 +126,14 @@ def _polarizations(kv: tuple[int, ...]) -> list[np.ndarray]:
     return [p1, p2]
 
 
+def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """`np.add.at` of `values` into complex zeros: the same sums, one `bincount` per part."""
+    flat = np.empty(size, dtype=np.complex128)
+    flat.real = np.bincount(index, values.real, size)
+    flat.imag = np.bincount(index, values.imag, size)
+    return flat
+
+
 class VelocityNoiseBasis:
     """Catalogue of J divergence-free unit-RMS fields e_j and the matching
     smoothed scalar profiles phi_j.
@@ -174,16 +181,16 @@ class VelocityNoiseBasis:
     def assemble_velocity(self, weights: np.ndarray) -> VectorField:
         """sum_j weights[j] * sqrt(2) * e_j as a vector field."""
         grid = self.grid
-        flat = np.zeros(grid.dim * math.prod(grid.shape), dtype=np.complex128)
         signed = math.sqrt(2.0) * weights[self._j] * self._coef
-        np.add.at(flat, self._index_by_component, (signed * self.p[self._j].T).ravel())
+        flat = _scatter(self._index_by_component, (signed * self.p[self._j].T).ravel(),
+                        grid.dim * math.prod(grid.shape))
         return VectorField(grid, flat.reshape((grid.dim,) + grid.shape), div_free=True)
 
     def assemble_profile(self, weights: np.ndarray) -> ScalarField:
         """sum_j weights[j] * phi_j as a scalar field."""
         grid = self.grid
-        flat = np.zeros(math.prod(grid.shape), dtype=np.complex128)
-        np.add.at(flat, self._index, (weights * self._smooth)[self._j] * self._coef)
+        flat = _scatter(self._index, (weights * self._smooth)[self._j] * self._coef,
+                        math.prod(grid.shape))
         return ScalarField(grid, flat.reshape(grid.shape))
 
     def e_j(self, j: int) -> VectorField:
@@ -356,6 +363,7 @@ class JumpOperator:
         self.grid = grid
         self.config = config
         self._kappa = 1.0 / (1.0 + grid.xi_sq)
+        self._compensator = config.rate * config.gamma_bar * self._kappa
 
     def on(self, grid: SpectralGrid) -> "JumpOperator":
         return JumpOperator(grid, self.config)
@@ -369,8 +377,7 @@ class JumpOperator:
 
     def compensator(self, v: VectorField) -> VectorField:
         """integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)."""
-        factor = self.config.rate * self.config.gamma_bar
-        return VectorField(self.grid, factor * self._kappa * v.coeffs, div_free=v.div_free)
+        return VectorField(self.grid, self._compensator * v.coeffs, div_free=v.div_free)
 
     def second_moment_bound(self) -> float:
         """integral ||G(v,z)||^2 lambda(dz) <= this * ||v||^2 (kappa <= 1)."""

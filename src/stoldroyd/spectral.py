@@ -19,7 +19,8 @@ k_d >= 0 only: the leading axes hold k = 0..K, -K..-1 (k at index k mod
 2K+1), the last 0..K.  Sums over modes read the grid's plane `weight`, 2 on
 the planes k_d > 0 and 1 on the zero plane, the one plane that holds both k
 and -k.  `SpectralGrid.inverse`/`forward` are the one transform pair; the
-box is zero-padded to M modes inside them.
+box is zero-padded to M modes inside them (in a caller's buffer if given),
+and the leading axes take the 1-D transforms `ifftn`/`fftn` make, bitwise.
 """
 from __future__ import annotations
 
@@ -88,18 +89,18 @@ class SpectralGrid:
     ball_mask: np.ndarray = dc_field(repr=False, default=None)
     weight: np.ndarray = dc_field(repr=False, default=None)  # per-mode plane weight
 
-    @property
+    @functools.cached_property
     def runs(self) -> tuple[tuple[int, int], ...]:
         """(length, count of k >= 0) of each mode axis: k = 0, 1, ... lead, k < 0 trail."""
         K = self.dealias_kmax
         return ((2 * K + 1, K + 1),) * (self.dim - 1) + ((K + 1, K + 1),)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         """Mode axes of a coefficient array."""
         return tuple(n for n, _ in self.runs)
 
-    @property
+    @functools.cached_property
     def points(self) -> tuple[int, ...]:
         """Axes of the physical samples."""
         return (self.modes_per_axis,) * self.dim
@@ -119,31 +120,38 @@ class SpectralGrid:
         """Largest admissible truncation radius in |xi| units."""
         return _dealias_limit(self.modes_per_axis, self.box_length)
 
-    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficient rows and sample rows for `inverse(..., out=)` in one block,
-        which spares the allocator churn."""
-        n = 2 * rows * math.prod(self.shape)
-        work = np.empty(n + rows * math.prod(self.points))
-        coeffs = work[:n].view(np.complex128).reshape((rows,) + self.shape)
-        return coeffs, work[n:].reshape((rows,) + self.points)
+    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficient rows, sample rows and padded rows for one pass through
+        `inverse(coeffs, out=samples, padded=padded)` and back through `forward`."""
+        coeffs = np.empty((rows,) + self.shape, dtype=np.complex128)
+        padded = np.empty((rows,) + tuple(n for n, _ in self._padded), dtype=np.complex128)
+        return coeffs, np.empty((rows,) + self.points), padded
 
-    @property
+    @functools.cached_property
     def _padded(self) -> tuple[tuple[int, int], ...]:
         """Axis runs of the box zero-padded to M modes on its leading axes."""
         return ((self.modes_per_axis, self.modes_per_axis // 2),) * (self.dim - 1) + self.runs[-1:]
 
-    def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None,
+                padded: np.ndarray | None = None) -> np.ndarray:
         """Real physical samples over the trailing mode axes: the box zero-padded
-        to M modes on its leading axes, `ifftn` over them, then `irfft`."""
-        c = _copy_blocks(coeffs, self.runs, self._padded)
-        c = np.fft.ifftn(c, axes=self.grid_axes[:-1], norm="forward", out=c)
+        to M modes on its leading axes (in `padded` if given), the 1-D inverse
+        transforms of `ifftn` over them in its reverse axis order, then `irfft`."""
+        if padded is not None:
+            padded.fill(0)
+        c = _copy_blocks(coeffs, self.runs, self._padded, padded)
+        for axis in self.grid_axes[-2::-1]:
+            c = np.fft.ifft(c, axis=axis, norm="forward", out=c)
         return np.fft.irfft(c, self.modes_per_axis, axis=-1, norm="forward", out=out)
 
-    def forward(self, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, samples: np.ndarray, out: np.ndarray | None = None,
+                padded: np.ndarray | None = None) -> np.ndarray:
         """Dealias-box coefficients of real physical samples: the rfft planes
-        k_d <= K transformed over the leading axes, and the box's rows of them."""
-        samples = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
-        c = np.fft.fftn(samples, axes=self.grid_axes[:-1], norm="forward")
+        k_d <= K transformed over the leading axes as `fftn` does (into
+        `padded` if given), and the box's rows of them."""
+        c = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
+        for axis in self.grid_axes[-2::-1]:
+            c = padded = np.fft.fft(c, axis=axis, norm="forward", out=padded)  # then in place
         return _copy_blocks(c, self._padded, self.runs, out)
 
 

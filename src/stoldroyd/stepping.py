@@ -24,6 +24,8 @@ path can drive runs at different spectral cutoffs.
 `simulate` stops one at `detect_stop` on its `energy_records`, refine zips
 several in lockstep over the same draws, and the twin probe zips a pair
 without records.  States hold the dealias box |k_a| <= K with k_d >= 0.
+Each trajectory builds one `StepPlan` for all its steps and shares it with no
+other path, so paths on one grid may run on threads; its states own their arrays.
 """
 from __future__ import annotations
 
@@ -61,6 +63,7 @@ __all__ = [
     "NoiseModel",
     "on_alias_free_grid",
     "SimulationResult",
+    "StepPlan",
     "step",
     "trajectory",
     "simulate",
@@ -144,29 +147,46 @@ def on_alias_free_grid(
     return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
 
 
+class StepPlan:
+    """What every step of one path reuses: the viscous denominator 1 + nu dt |xi|^2
+    and the buffers of the drift pass and its transforms, overwritten each step
+    (allocated on first use, grown if a pass needs more rows)."""
+
+    def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float):
+        self.denominator = 1.0 + params.nu * dt * grid.xi_sq
+        self._grid, self._work = grid, None
+
+    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._work is None or len(self._work[0]) < rows:
+            self._work = self._grid.workspace(rows)
+        return tuple(a[:rows] for a in self._work)
+
+
 def step(
     state: FlowState,
     params: PhysicalParams,
     noise: NoiseModel,
     sn: StepNoise,
     dt: float,
+    plan: StepPlan | None = None,
 ) -> FlowState:
-    """Advance one step; see the module docstring for the update order."""
+    """Advance one step (update order: module docstring); without a `plan`, build one."""
     grid, sigma, stress = state.v.grid, noise.sigma, noise.stress
+    plan = StepPlan(grid, params, dt) if plan is None else plan
     with np.errstate(over="ignore", invalid="ignore"):
         additive, profile = sigma.parts(sn.dw1) if sigma is not None else (None, None)
         s_tau = ito = None
         if stress is not None:
             s_tau = stress.s_apply(state.tau)
             ito = 0.5 * truncate(stress.s_apply(s_tau), grid.truncation_radius).coeffs
-        vel, sd, prod = explicit_terms(state, params, ito, profile)
+        vel, sd, prod = explicit_terms(state, params, ito, profile, plan.workspace)
         v_star = state.v.coeffs + dt * vel
         if noise.jump is not None:
             v_star -= dt * noise.jump.compensator(state.v).coeffs
         for part in (additive, prod):
             if part is not None:
                 v_star += part
-        v_star /= 1.0 + params.nu * dt * grid.xi_sq
+        v_star /= plan.denominator
         if noise.jump is not None:
             for _, z in sn.jumps:
                 v_star += noise.jump.jump_increment(VectorField(grid, v_star), z).coeffs
@@ -191,10 +211,11 @@ def trajectory(
 ) -> Iterator[FlowState]:
     """Yield the state at the start and after each step, one step per draw
     pulled from `noise_steps`, lazily: a consumer that stops pulling draws no
-    more noise."""
+    more noise.  One `StepPlan` serves every step of the path."""
     yield state
+    plan = StepPlan(state.v.grid, params, dt)
     for sn in noise_steps:
-        state = step(state, params, noise, sn, dt)
+        state = step(state, params, noise, sn, dt, plan)
         yield state
 
 

@@ -52,9 +52,10 @@ def full_geometry(dim: int, M: int, radius: float, box_length: float = 2 * math.
 def box_from_full(c: np.ndarray, dim: int, K: int | None = None) -> np.ndarray:
     """The box |k_a| <= K (the dealias box, K = M // 3, by default) with
     k_d >= 0 of coefficients over all M^dim modes (trailing `dim` axes in FFT
-    order): the leading axes hold k = 0..K, -K..-1, the last k = 0..K."""
+    order; the last may hold only its first planes, as an rfft does): the
+    leading axes hold k = 0..K, -K..-1, the last k = 0..K."""
     c = np.asarray(c)
-    M = c.shape[-1]
+    M = c.shape[-dim]
     K = M // 3 if K is None else K
     k = np.r_[0:K + 1, -K:0]
     index = np.ix_(*[k % M] * (dim - 1) + [np.arange(K + 1)])

@@ -9,7 +9,7 @@ for the one-line-per-criterion pass/fail report; add ``-s`` to see the
 measured numbers behind each verdict.  Desk scale throughout (2D, a 64-mode
 box, dt = 1e-3) except where a criterion itself dictates otherwise; those
 choices are noted inline.  The Monte Carlo items (4, 5, 7) dominate the cost;
-the whole gate runs in roughly ten minutes on one core.
+the whole gate takes about two minutes on a 2-core host.
 """
 import math
 from concurrent.futures import ThreadPoolExecutor

@@ -15,10 +15,8 @@ from stoldroyd.dynamics import (
 )
 from stoldroyd.noise import SigmaInstance, WienerQConfig, rng_for_run
 from stoldroyd.spectral import (
-    ScalarField,
     TensorField,
     VectorField,
-    dealiased_product,
     divergence_defect,
     divergence_tensor,
     gradient_vector,

@@ -10,7 +10,6 @@ from stoldroyd.monitor import (
     CSV_COLUMNS,
     EnergyRecord,
     MonitorConfig,
-    StoppingEvent,
     detect_stop,
     energy,
     energy_records,

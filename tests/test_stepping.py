@@ -2,6 +2,7 @@
 memory budgets."""
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from stoldroyd.stepping import (
     on_alias_free_grid,
     simulate,
     step,
+    trajectory,
 )
 
 import oracles
@@ -558,6 +560,94 @@ class TestHalfLayoutStep:
         for g, w in zip((got.v, got.tau), full_spectrum_step(state, params, noise, sn, 1e-3)):
             assert np.max(np.abs(g.coeffs - w)) <= 1e-13 * np.max(np.abs(w))
         assert got.tau.symmetric == (h_kind == "identity")
+
+
+def plan_inputs(case):
+    """small_grid_inputs with every channel on, as the survival ensemble steps:
+    identity stress noise, a bump profile (tau loses its symmetry after the
+    first step, so the pass sends more rows from the second), or the linear
+    system (its pass sends only v and the noise profile)."""
+    state, noise = small_grid_inputs()
+    params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0, nonlinear=case != "linear")
+    if case == "bump":
+        noise = replace(noise, stress=StressNoiseInstance(state.v.grid, "bump", c_h=0.3))
+    return state, noise, params
+
+
+def sampled(noise, seed, n=20):
+    sampler = noise.sampler(rng_for_run(seed, 0))
+    return [sampler.sample_step(1e-3) for _ in range(n)]
+
+
+def assert_same_states(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.t, a.v.div_free, a.tau.symmetric) == (b.t, b.v.div_free, b.tau.symmetric)
+        assert np.all(np.isfinite(a.v.coeffs)) and np.all(np.isfinite(a.tau.coeffs))
+        assert a.v.coeffs.tobytes() == b.v.coeffs.tobytes()
+        assert a.tau.coeffs.tobytes() == b.tau.coeffs.tobytes()
+
+
+class TestStepPlan:
+    """`trajectory` builds one `StepPlan` per path and reuses its buffers on
+    every step; none of that may change a bit or leak between paths."""
+
+    @pytest.mark.parametrize("case", ["identity", "bump", "linear"])
+    def test_trajectory_equals_plan_less_steps(self, case):
+        """Each state equals repeated `step` calls without a plan, bitwise,
+        and owns its arrays: no two states share memory."""
+        state, noise, params = plan_inputs(case)
+        draws = sampled(noise, 80)
+        want = [state]
+        for sn in draws:
+            want.append(step(want[-1], params, noise, sn, 1e-3))
+        got = list(trajectory(state, params, noise, draws, 1e-3))
+        assert_same_states(got, want)
+        assert got[-1].tau.symmetric == (case != "bump")
+        arrays = [a for s in got for a in (s.v.coeffs, s.tau.coeffs)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_interleaved_trajectories_on_one_grid_equal_runs_alone(self):
+        """Two paths on one grid object, stepped alternately, each equal their
+        own run: no step reads what the other path's step left behind."""
+        state, noise, params = plan_inputs("identity")
+        grid = state.v.grid
+        other = FlowState(0.0, VectorField(grid, -0.5 * state.v.coeffs, div_free=True),
+                          TensorField(grid, 1.5 * state.tau.coeffs, symmetric=True))
+        runs = [(state, sampled(noise, 81)), (other, sampled(noise, 82))]
+        alone = [list(trajectory(s, params, noise, d, 1e-3)) for s, d in runs]
+        rows = list(zip(*(trajectory(s, params, noise, d, 1e-3) for s, d in runs)))
+        for k, want in enumerate(alone):
+            assert_same_states([row[k] for row in rows], want)
+
+    def test_threads_on_one_grid_equal_serial_runs(self):
+        """More threads than cores, each running a path on one shared grid and
+        noise model with a short switch interval, equal the serial runs."""
+        state, noise, params = plan_inputs("identity")
+        grid = state.v.grid
+        inputs = [(FlowState(0.0, VectorField(grid, a * state.v.coeffs, div_free=True), state.tau),
+                   sampled(noise, 83 + i, 40)) for i, a in enumerate((1.0, 0.5, -0.7, 1.3))]
+        serial = [list(trajectory(s, params, noise, d, 1e-3)) for s, d in inputs]
+        results = [None] * len(inputs)
+
+        def run(i):
+            s, d = inputs[i]
+            results[i] = list(trajectory(s, params, noise, d, 1e-3))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, serial):
+            assert_same_states(got, want)
 
 
 class TestAliasFreeSimulate:
