@@ -134,7 +134,7 @@ def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def explicit_terms(
-    state: FlowState, params: PhysicalParams, ito=None, profile=None, workspace=None
+    state: FlowState, params: PhysicalParams, ito, profile, workspace
 ) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
     """Unprojected nonstiff velocity drift, stress drift, and noise product.
 
@@ -145,10 +145,9 @@ def explicit_terms(
     field `profile` (None without one).  Quadratic terms and the product are
     cut to the spectral ball.  The stress drift carries tau's symmetry flag;
     the caller, which formed `ito`, owns its symmetry.  The pass's buffers come
-    from `workspace(rows)` (`SpectralGrid.workspace` by default); no output shares them.
+    from `workspace(rows)`, as `SpectralGrid.workspace` returns them; no output shares them.
     """
     grid = state.v.grid
-    workspace = grid.workspace if workspace is None else workspace
     d, shape = grid.dim, grid.shape
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
     # the term without gradients first: its temporary goes before the buffer
@@ -193,7 +192,9 @@ def explicit_terms(
     points = grid.points
     n_out = (rows if nonlinear else 0) + p * d
     # the padded rows are spent between the two transforms: the products go there
-    out = padded.reshape(-1).view(np.float64)[:n_out * phys[0].size].reshape((n_out,) + points)
+    # if they fit (a 3D linear pass sends too few rows for them at some M)
+    flat, size = padded.reshape(-1).view(np.float64), n_out * phys[0].size
+    out = (flat[:size] if flat.size >= size else np.empty(size)).reshape((n_out,) + points)
     if nonlinear:
         pgrad = phys[full + p:].reshape((full, d) + points)
         pointwise_transport(phys[:d], pgrad, out=out[:rows])

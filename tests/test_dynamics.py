@@ -29,7 +29,7 @@ from stoldroyd.spectral import (
     to_physical,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, step
+from stoldroyd.stepping import NoiseModel, StepPlan, step
 
 import oracles
 
@@ -45,7 +45,7 @@ def ball_field(kind, seed, grid=GRID, alpha=4.0):
 
 def drift(state, params):
     """Leray-projected nonstiff velocity drift and the stress drift."""
-    vel, stress, _ = explicit_terms(state, params)
+    vel, stress, _ = explicit_terms(state, params, None, None, state.v.grid.workspace)
     return leray_project(VectorField(state.v.grid, vel)), stress
 
 
@@ -361,7 +361,7 @@ class TestSymmetricStressRows:
         outputs = []
         for symmetric in (True, False):
             state = FlowState(0.0, v, TensorField(grid, tau.coeffs, symmetric=symmetric))
-            outputs.append(dynamics.explicit_terms(state, PARAMS, None, profile))
+            outputs.append(dynamics.explicit_terms(state, PARAMS, None, profile, grid.workspace))
         d = dim
         assert rows == [d + d * (d + 1) // 2 + 1 + (d + d * (d + 1) // 2) * d,
                         d + d * d + 1 + (d + d * d) * d]
@@ -369,3 +369,28 @@ class TestSymmetricStressRows:
         assert np.array_equal(vel_s, vel_n) and np.array_equal(prod_s, prod_n)
         assert np.array_equal(stress_s.coeffs, stress_n.coeffs)
         assert stress_s.symmetric and not stress_n.symmetric
+
+
+class TestLinearPassWithAProfile:
+    @pytest.mark.parametrize("dim, M, n", [(2, 24, 6.0), (3, 14, 3.0), (3, 20, 5.0), (3, 26, 6.0)])
+    def test_linear_pass_equals_the_operators_bitwise(self, dim, M, n):
+        """The linear pass with a noise profile sends only [v, profile] through
+        the transforms; in 3D at these M its products outgrow the padded rows.
+        With the grid's workspace and with a plan's, its outputs equal the
+        operators one by one, bitwise."""
+        grid = make_grid(dim, M, 2 * math.pi, n)
+        v = truncate(random_field(grid, 4.0, "vector", seed=35), n)
+        tau = truncate(random_field(grid, 4.0, "tensor", seed=36), n)
+        wiener = WienerQConfig(lambda0=0.1, J=4)
+        profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]
+        params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
+        vel = params.mu1 * divergence_tensor(tau).coeffs
+        stress = -params.a * tau.coeffs + params.mu2 * deformation(v).coeffs
+        prod = grid.forward(grid.inverse(profile) * grid.inverse(v.coeffs)) * grid.ball_mask
+        plan = StepPlan(grid, params, 1e-3)
+        for workspace in (grid.workspace, plan.workspace, plan.workspace):
+            got_vel, got_stress, got_prod = explicit_terms(
+                FlowState(0.0, v, tau), params, None, profile, workspace)
+            assert np.array_equal(got_vel, vel)
+            assert np.array_equal(got_stress.coeffs, stress) and got_stress.symmetric
+            assert np.array_equal(got_prod, prod)

@@ -535,7 +535,7 @@ def full_spectrum_step(state, params, noise, sn, dt):
 class TestHalfLayoutStep:
     @pytest.mark.parametrize("dim, h_kind, nonlinear", [
         (2, "identity", True), (2, "bump", True), (2, "identity", False), (3, "identity", True),
-        (3, "bump", True),
+        (3, "bump", True), (3, "identity", False),
     ])
     def test_step_on_half_spectra_matches_the_full_layout(self, dim, h_kind, nonlinear):
         """Every channel on: a step on the box layout (the half spectrum cut
@@ -566,9 +566,16 @@ def plan_inputs(case):
     """small_grid_inputs with every channel on, as the survival ensemble steps:
     identity stress noise, a bump profile (tau loses its symmetry after the
     first step, so the pass sends more rows from the second), or the linear
-    system (its pass sends only v and the noise profile)."""
+    system (its pass sends only v and the noise profile), also in 3D on 14
+    modes, where its products outgrow the padded rows."""
     state, noise = small_grid_inputs()
-    params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0, nonlinear=case != "linear")
+    if case == "linear_3d":
+        grid = make_grid(3, 14, 2 * math.pi, 3.0)
+        state = FlowState(0.0, truncate(random_field(grid, 4.0, "vector", seed=62), 3.0),
+                          truncate(random_field(grid, 4.0, "tensor", seed=63), 3.0))
+        noise = noise.on(grid)
+    params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0,
+                            nonlinear=not case.startswith("linear"))
     if case == "bump":
         noise = replace(noise, stress=StressNoiseInstance(state.v.grid, "bump", c_h=0.3))
     return state, noise, params
@@ -592,7 +599,7 @@ class TestStepPlan:
     """`trajectory` builds one `StepPlan` per path and reuses its buffers on
     every step; none of that may change a bit or leak between paths."""
 
-    @pytest.mark.parametrize("case", ["identity", "bump", "linear"])
+    @pytest.mark.parametrize("case", ["identity", "bump", "linear", "linear_3d"])
     def test_trajectory_equals_plan_less_steps(self, case):
         """Each state equals repeated `step` calls without a plan, bitwise,
         and owns its arrays: no two states share memory."""
