@@ -12,7 +12,7 @@ pass: v, tau, a scalar noise profile and the gradients go out in one
 inverse transform, advection, stress transport, Q and the profile-times-v
 noise product are formed pointwise on real samples, and one forward
 transform, which keeps the dealias box, and one ball mask bring them back
-(the transforms zero-pad the dealias box to M modes).
+(the transforms are dense DFT products over the box's modes alone).
 A symmetric tau sends only its d(d+1)/2 distinct components and their
 gradients.  The velocity terms stay unprojected, so the integrator projects
 its whole update once.
@@ -145,7 +145,8 @@ def explicit_terms(
     field `profile` (None without one).  Quadratic terms and the product are
     cut to the spectral ball.  The stress drift carries tau's symmetry flag;
     the caller, which formed `ito`, owns its symmetry.  The pass's buffers come
-    from `workspace(rows)`, as `SpectralGrid.workspace` returns them; no output shares them.
+    from `workspace(rows, extra)`, as `SpectralGrid.workspace` returns them; the noise
+    product is a view of them, valid until the next pass through them.
     """
     grid = state.v.grid
     d, shape = grid.dim, grid.shape
@@ -156,9 +157,12 @@ def explicit_terms(
     # a symmetric tau takes one row per distinct component, row[a, b] = row[b, a]
     ta, tb, row = _tau_rows(d, state.tau.symmetric)
     full = d + ta.size
+    # one inverse transform of the rows [v, tau, profile, grad v, grad tau], or [v, profile],
+    # and one forward of the products, which take sample rows of their own
+    rows = full if nonlinear else d
+    n_in, n_out = rows + p + (full * d if nonlinear else 0), (rows if nonlinear else 0) + p * d
+    buf, samples, work = workspace(n_in, n_out) if nonlinear or p else (None,) * 3
     if nonlinear:
-        # one inverse transform of the rows [v, tau, profile, grad v, grad tau]
-        buf, samples, padded = workspace(full + p + full * d)
         fields, grad = buf[:full], buf[full + p:].reshape((full, d) + shape)
     else:
         fields, grad = np.empty((full,) + shape, dtype=np.complex128), None
@@ -182,32 +186,23 @@ def explicit_terms(
     vel *= params.mu1
     if not (nonlinear or p):
         return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), None
-    rows = full if nonlinear else d
-    if not nonlinear:  # one inverse transform of the rows [v, profile]
-        buf, samples, padded = workspace(d + 1)
+    if not nonlinear:
         buf[:d] = state.v.coeffs
     if p:
         buf[rows] = profile
-    phys = grid.inverse(buf, out=samples, padded=padded)
-    points = grid.points
-    n_out = (rows if nonlinear else 0) + p * d
-    # the padded rows are spent between the two transforms: the products go there
-    # if they fit (a 3D linear pass sends too few rows for them at some M)
-    flat, size = padded.reshape(-1).view(np.float64), n_out * phys[0].size
-    out = (flat[:size] if flat.size >= size else np.empty(size)).reshape((n_out,) + points)
+    phys = grid.inverse(buf, out=samples[:n_in], work=work)
+    out = samples[n_in:]
     if nonlinear:
-        pgrad = phys[full + p:].reshape((full, d) + points)
+        pgrad = phys[full + p:].reshape((full, d) + grid.points)
         pointwise_transport(phys[:d], pgrad, out=out[:rows])
         # Q is symmetrized before the transport of tau is added, keeping symmetry exact
         out[d:rows] += _q_pointwise(phys[d:rows][row], pgrad[:d], params.b)[ta, tb]
     if p:
         np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
-    # the samples are spent: the output reuses the buffer's leading rows
-    nl = grid.forward(out, out=buf[:n_out], padded=padded[:n_out])
-    del out
+    # the coefficient and work rows are spent: the forward transform reuses them
+    nl = grid.forward(out, out=buf[:n_out], work=work[:n_out])
     nl *= grid.ball_mask
     if nonlinear:
         vel -= nl[:d]
         stress -= nl[d:rows][row]
-    prod = nl[n_out - d:].copy() if p else None  # a copy: the buffer outlives the pass
-    return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), prod
+    return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), nl[-d:] if p else None

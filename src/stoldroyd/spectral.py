@@ -18,9 +18,9 @@ Fields are real, c(-k) = conj c(k), so a grid stores the dealias box with
 k_d >= 0 only: the leading axes hold k = 0..K, -K..-1 (k at index k mod
 2K+1), the last 0..K.  Sums over modes read the grid's plane `weight`, 2 on
 the planes k_d > 0 and 1 on the zero plane, the one plane that holds both k
-and -k.  `SpectralGrid.inverse`/`forward` are the one transform pair; the
-box is zero-padded to M modes inside them (in a caller's buffer if given),
-and the leading axes take the 1-D transforms `ifftn`/`fftn` make, bitwise.
+and -k.  `SpectralGrid.inverse`/`forward` are the one transform pair: dense
+DFT factors over the box's modes alone, one matrix product per axis (the
+sum-factorized transform of Deville, Fischer & Mund 2002), no zero-padding.
 """
 from __future__ import annotations
 
@@ -120,39 +120,57 @@ class SpectralGrid:
         """Largest admissible truncation radius in |xi| units."""
         return _dealias_limit(self.modes_per_axis, self.box_length)
 
-    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coefficient rows, sample rows and padded rows for one pass through
-        `inverse(coeffs, out=samples, padded=padded)` and back through `forward`."""
+    def workspace(self, rows: int, extra: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficient, sample (`extra` more) and work rows for `inverse(coeffs,
+        out=samples, work=work)` and back through `forward`: work[:, :M] holds the
+        planes k_d <= K of the samples, in 3D work[:, M:] the stage between the leading axes."""
+        M, K = self.modes_per_axis, self.dealias_kmax
+        work = (rows, M + (self.dim - 2) * (2 * K + 1)) + (M,) * (self.dim - 2) + (K + 1,)
         coeffs = np.empty((rows,) + self.shape, dtype=np.complex128)
-        padded = np.empty((rows,) + tuple(n for n, _ in self._padded), dtype=np.complex128)
-        return coeffs, np.empty((rows,) + self.points), padded
-
-    @functools.cached_property
-    def _padded(self) -> tuple[tuple[int, int], ...]:
-        """Axis runs of the box zero-padded to M modes on its leading axes."""
-        return ((self.modes_per_axis, self.modes_per_axis // 2),) * (self.dim - 1) + self.runs[-1:]
+        return coeffs, np.empty((rows + extra,) + self.points), np.empty(work, dtype=np.complex128)
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None,
-                padded: np.ndarray | None = None) -> np.ndarray:
-        """Real physical samples over the trailing mode axes: the box zero-padded
-        to M modes on its leading axes (in `padded` if given), the 1-D inverse
-        transforms of `ifftn` over them in its reverse axis order, then `irfft`."""
-        if padded is not None:
-            padded.fill(0)
-        c = _copy_blocks(coeffs, self.runs, self._padded, padded)
+                work: np.ndarray | None = None) -> np.ndarray:
+        """Real physical samples over the trailing mode axes: one matrix product
+        per leading axis by its synthesis factor, then one real product over the
+        last axis's (re, im) pairs (intermediates in `work` if given)."""
+        syn, _, syn_pairs, _ = _dft(self.modes_per_axis, self.dealias_kmax)
+        planes, mid = (None, None) if work is None else (work[:, :len(syn)], work[:, len(syn):])
         for axis in self.grid_axes[-2::-1]:
-            c = np.fft.ifft(c, axis=axis, norm="forward", out=c)
-        return np.fft.irfft(c, self.modes_per_axis, axis=-1, norm="forward", out=out)
+            coeffs = _lead_axis(syn, coeffs, axis, planes if axis == -self.dim else mid)
+        return np.matmul(coeffs.view(np.float64), syn_pairs, out=out)
 
     def forward(self, samples: np.ndarray, out: np.ndarray | None = None,
-                padded: np.ndarray | None = None) -> np.ndarray:
-        """Dealias-box coefficients of real physical samples: the rfft planes
-        k_d <= K transformed over the leading axes as `fftn` does (into
-        `padded` if given), and the box's rows of them."""
-        c = np.fft.rfft(samples, axis=-1, norm="forward")[..., :self.dealias_kmax + 1]
-        for axis in self.grid_axes[-2::-1]:
-            c = padded = np.fft.fft(c, axis=axis, norm="forward", out=padded)  # then in place
-        return _copy_blocks(c, self._padded, self.runs, out)
+                work: np.ndarray | None = None) -> np.ndarray:
+        """Dealias-box coefficients of real physical samples: one real product into
+        the (re, im) pairs of the planes k_d <= K, then one matrix product per
+        leading axis by its analysis factor (intermediates in `work` if given)."""
+        _, ana, _, ana_pairs = _dft(M := self.modes_per_axis, self.dealias_kmax)
+        planes, mid = (None, None) if work is None else (work[:, :M].view(np.float64), work[:, M:])
+        c = np.matmul(samples, ana_pairs, out=planes).view(np.complex128)
+        for axis in self.grid_axes[:-1]:
+            c = _lead_axis(ana, c, axis, out if axis == -2 else mid)
+        return c
+
+
+@functools.lru_cache(maxsize=None)
+def _dft(M: int, K: int) -> tuple[np.ndarray, ...]:
+    """Dense DFT factors of one grid size, built once and shared by its grids (only the
+    pair reads them), phases from the exact integers k n mod M: a leading axis's synthesis
+    (M, 2K+1) and analysis (2K+1, M) with the 1/M; the last axis's real synthesis
+    (2(K+1), M), weighted 1 at k_d = 0 and 2 elsewhere, and analysis (M, 2(K+1))."""
+    k = (np.arange(2 * K + 1) + K) % (2 * K + 1) - K  # box order: 0..K, then -K..-1
+    syn = np.exp((2j * math.pi / M) * (np.outer(np.arange(M), k) % M))
+    pairs = syn[:, :K + 1].conj().view(np.float64)  # (cos, -sin); Im at k_d = 0 reads sin 0 = 0
+    w = np.repeat(np.where(np.arange(K + 1) == 0, 1.0, 2.0), 2)  # (re, im) of each plane
+    return tuple(np.ascontiguousarray(f) for f in (syn, syn.conj().T / M, (pairs * w).T, pairs / M))
+
+
+def _lead_axis(mat: np.ndarray, c: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
+    """`mat` (m, n) times axis `axis` < -1 of `c`, into `out` if given: one batched np.matmul."""
+    lead, rest, m = c.shape[:axis], c.shape[axis + 1:], len(mat)
+    out = None if out is None else out.reshape(lead + (m, -1), copy=False)
+    return np.matmul(mat, c.reshape(lead + (c.shape[axis], -1)), out=out).reshape(lead + (m,) + rest)
 
 
 def _dealias_limit(modes_per_axis: int, box_length: float) -> float:
@@ -160,7 +178,6 @@ def _dealias_limit(modes_per_axis: int, box_length: float) -> float:
     return 2.0 / 3.0 * (modes_per_axis / 2) * (2 * math.pi / box_length)
 
 
-@functools.lru_cache(maxsize=None)
 def _shared_blocks(src: tuple, dst: tuple) -> tuple:
     """(dst, src) index pairs of the blocks of modes that two layouts, given by
     their axis `runs`, both store: per axis the run of k >= 0 and the run of
@@ -173,11 +190,10 @@ def _shared_blocks(src: tuple, dst: tuple) -> tuple:
     return tuple(tuple(zip(*blocks)) for blocks in itertools.product(*per_axis))
 
 
-def _copy_blocks(c: np.ndarray, src: tuple, dst: tuple, out: np.ndarray | None = None) -> np.ndarray:
+def _copy_blocks(c: np.ndarray, src: tuple, dst: tuple) -> np.ndarray:
     """`c`, laid out by the axis runs `src`, in the layout `dst`: the shared
-    blocks copied into `out`, or into zeros."""
-    if out is None:
-        out = np.zeros(c.shape[:c.ndim - len(dst)] + tuple(n for n, _ in dst), dtype=c.dtype)
+    blocks copied into zeros."""
+    out = np.zeros(c.shape[:c.ndim - len(dst)] + tuple(n for n, _ in dst), dtype=c.dtype)
     for dst_index, src_index in _shared_blocks(src, dst):
         out[(..., *dst_index)] = c[(..., *src_index)]
     return out

@@ -55,7 +55,6 @@ from .spectral import (
     leray_project,
     make_grid,
     relayout,
-    truncate,
 )
 
 __all__ = [
@@ -148,18 +147,19 @@ def on_alias_free_grid(
 
 
 class StepPlan:
-    """What every step of one path reuses: the viscous denominator 1 + nu dt |xi|^2
-    and the buffers of the drift pass and its transforms, overwritten each step
-    (allocated on first use, grown if a pass needs more rows)."""
+    """What every step of one path reuses: the viscous denominator 1 + nu dt |xi|^2, and
+    rows overwritten each step: the Ito correction's, and the drift pass's and its
+    transforms' (allocated on first use, grown if a pass needs more rows)."""
 
     def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float):
         self.denominator = 1.0 + params.nu * dt * grid.xi_sq
+        self.ito = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
         self._grid, self._work = grid, None
 
-    def workspace(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._work is None or len(self._work[0]) < rows:
-            self._work = self._grid.workspace(rows)
-        return tuple(a[:rows] for a in self._work)
+    def workspace(self, rows: int, extra: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._work is None or len(self._work[0]) < rows or len(self._work[1]) < rows + extra:
+            self._work = self._grid.workspace(rows, extra)
+        return tuple(a[:n] for a, n in zip(self._work, (rows, rows + extra, rows)))
 
 
 def step(
@@ -178,7 +178,10 @@ def step(
         s_tau = ito = None
         if stress is not None:
             s_tau = stress.s_apply(state.tau)
-            ito = 0.5 * truncate(stress.s_apply(s_tau), grid.truncation_radius).coeffs
+            ito = (np.multiply(s_tau.coeffs, stress.c_h, out=plan.ito) if stress.h_kind == "identity"
+                   else stress.s_apply(s_tau).coeffs)  # S(S(tau)), then Ito's (1/2) cutoff of it
+            ito *= grid.ball_mask
+            ito *= 0.5
         vel, sd, prod = explicit_terms(state, params, ito, profile, plan.workspace)
         v_star = state.v.coeffs + dt * vel
         if noise.jump is not None:

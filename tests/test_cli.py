@@ -1,11 +1,17 @@
 """Command-line behavior: outputs, provenance headers, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stoldroyd
 from stoldroyd.cli import main
 from stoldroyd.monitor import CSV_COLUMNS
 from stoldroyd.noise import load_noise_path
+from test_stepping import README_DESK
 
 BASE_CONFIG = """
 [grid]
@@ -85,6 +91,26 @@ class TestSimulate:
         assert main(["simulate", "--config", config_file, "--out", str(out2)]) == 0
         assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
         assert (out1 / "event.json").read_bytes() == (out2 / "event.json").read_bytes()
+
+    def test_blas_threads_do_not_change_outputs(self, tmp_path):
+        """The README desk run, in a subprocess with OPENBLAS_NUM_THREADS=1 and
+        in one with 2, writes byte-identical output directories: the
+        transforms' matrix products do not depend on the BLAS thread count."""
+        config = tmp_path / "desk.ini"
+        config.write_text(README_DESK, encoding="utf-8")
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"blas_{threads}")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(stoldroyd.__file__).resolve().parents[1]))
+            code = "import sys; from stoldroyd.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run([sys.executable, "-c", code, "simulate", "--config", str(config),
+                            "--out", str(outs[-1])], env=env, check=True, timeout=300,
+                           stdout=subprocess.DEVNULL)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir()) and "energy.csv" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_seed_flag_overrides_config(self, config_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

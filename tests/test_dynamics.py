@@ -375,9 +375,8 @@ class TestLinearPassWithAProfile:
     @pytest.mark.parametrize("dim, M, n", [(2, 24, 6.0), (3, 14, 3.0), (3, 20, 5.0), (3, 26, 6.0)])
     def test_linear_pass_equals_the_operators_bitwise(self, dim, M, n):
         """The linear pass with a noise profile sends only [v, profile] through
-        the transforms; in 3D at these M its products outgrow the padded rows.
-        With the grid's workspace and with a plan's, its outputs equal the
-        operators one by one, bitwise."""
+        the transforms.  With the grid's workspace and with a plan's, its
+        outputs equal the operators one by one, bitwise."""
         grid = make_grid(dim, M, 2 * math.pi, n)
         v = truncate(random_field(grid, 4.0, "vector", seed=35), n)
         tau = truncate(random_field(grid, 4.0, "tensor", seed=36), n)

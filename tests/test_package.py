@@ -51,9 +51,11 @@ def test_one_step_call_site_inside_trajectory():
     assert _sites(is_step_call) == [("stoldroyd.stepping", "trajectory")]
 
 
-def test_fft_calls_only_inside_the_grid_transform_pair():
-    """Every `np.fft` use in the package sits in `SpectralGrid.inverse` or
-    `SpectralGrid.forward`."""
+def test_no_fft_in_the_package_and_dft_factors_only_in_the_grid():
+    """No module imports or calls `np.fft`: the one transform pair,
+    `SpectralGrid.inverse`/`forward`, runs dense DFT factors, which only the
+    spectral module's cached `_dft` builds and only the pair calls; every
+    `np.matmul` sits in the pair and its leading-axis helper."""
     def imports_fft(node):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             return False
@@ -61,10 +63,13 @@ def test_fft_calls_only_inside_the_grid_transform_pair():
         return any("fft" in n for n in names)
 
     assert _sites(imports_fft) == []
-    sites = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "fft"
-                   and getattr(node.value, "id", None) in ("np", "numpy"))
-    assert sorted(set(sites)) == [("stoldroyd.spectral", "forward"), ("stoldroyd.spectral", "inverse")]
-    assert len(sites) == 4
+    assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "fft") == []
+    assert callable(spectral._dft.cache_info)  # built once per grid size
+    calls = _sites(lambda node: isinstance(node, ast.Name) and node.id == "_dft")
+    assert sorted(calls) == [("stoldroyd.spectral", "forward"), ("stoldroyd.spectral", "inverse")]
+    products = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "matmul")
+    pair = ("inverse", "forward", "_lead_axis")
+    assert set(products) == {("stoldroyd.spectral", name) for name in pair}
 
 
 def test_every_grid_stores_the_dealias_box_with_no_layout_switch():

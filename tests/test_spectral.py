@@ -535,13 +535,14 @@ class TestHalfLayout:
         want = oracles.box_from_full(np.fft.fftn(noise, axes=axes, norm="forward"), dim)
         assert np.max(np.abs(box.forward(noise) - want)) <= 1e-15
 
-    @pytest.mark.parametrize("dim, M", [(2, 26), (3, 14)])
-    def test_transform_pair_with_a_padded_buffer_is_numpys_bitwise(self, dim, M):
-        """`inverse`/`forward`, with a reused padded buffer and without one,
-        equal `ifftn`/`fftn` over the leading axes of the zero-padded half
-        spectrum, with `irfft`/`rfft` over the last, bitwise.  The pair runs
-        twice on one buffer, and `forward` fills it in between, so a stale
-        padded region would show."""
+    @pytest.mark.parametrize("dim, M", [(2, 16), (2, 26), (2, 50), (2, 96),
+                                        (3, 14), (3, 26), (3, 32)])
+    def test_transform_pair_matches_numpys_zero_padded_pair(self, dim, M):
+        """`inverse`/`forward` equal `ifftn`/`fftn` over the leading axes of the
+        zero-padded half spectrum, with `irfft`/`rfft` over the last, to 1e-14
+        of the largest reference value; with a reused work buffer and without
+        one they agree bitwise, twice on one buffer, with `forward` filling
+        it in between."""
         box = make_grid(dim, M, 2 * math.pi, 4.0)
         K, lead = box.dealias_kmax, box.grid_axes[:-1]
 
@@ -554,16 +555,32 @@ class TestHalfLayout:
             half = np.fft.rfft(x, axis=-1, norm="forward")[..., :K + 1]
             return oracles.box_from_full(np.fft.fftn(half, axes=lead, norm="forward"), dim)
 
-        coeffs, samples, padded = box.workspace(dim)
+        coeffs, samples, work = box.workspace(dim)
         rng = np.random.default_rng(88)
         for seed in (86, 87):
             c = random_field(box, 2.0, "vector", seed=seed).coeffs
             x = rng.standard_normal((dim,) + box.points)
-            want_x, want_c = inverse_reference(c).tobytes(), forward_reference(x).tobytes()
-            assert box.inverse(c).tobytes() == want_x
-            assert box.forward(x).tobytes() == want_c
-            assert box.inverse(c, out=samples, padded=padded).tobytes() == want_x
-            assert box.forward(x, out=coeffs, padded=padded).tobytes() == want_c
+            want_x, want_c = inverse_reference(c), forward_reference(x)
+            got_x, got_c = box.inverse(c), box.forward(x)
+            assert np.max(np.abs(got_x - want_x)) <= 1e-14 * np.max(np.abs(want_x))
+            assert np.max(np.abs(got_c - want_c)) <= 1e-14 * np.max(np.abs(want_c))
+            assert box.inverse(c, out=samples, work=work).tobytes() == got_x.tobytes()
+            assert box.forward(x, out=coeffs, work=work).tobytes() == got_c.tobytes()
+
+    @pytest.mark.parametrize("dim, M", [(2, 16), (2, 26), (2, 50), (2, 96), (3, 14), (3, 26)])
+    def test_a_batch_equals_its_rows_alone_bitwise(self, dim, M):
+        """`inverse`/`forward` of a 16-row batch, through a work buffer and
+        without one, equal the calls on each row alone, bitwise."""
+        box = make_grid(dim, M, 2 * math.pi, 4.0)
+        rng = np.random.default_rng(89)
+        c = np.stack([random_field(box, 2.0, "scalar", rng=rng).coeffs for _ in range(16)])
+        x = rng.standard_normal((16,) + box.points)
+        coeffs, samples, work = box.workspace(16)
+        reused = box.inverse(c, out=samples, work=work), box.forward(x, out=coeffs, work=work)
+        for got_x, got_c in ((box.inverse(c), box.forward(x)), reused):
+            for r in range(16):
+                assert got_x[r].tobytes() == box.inverse(c[r]).tobytes()
+                assert got_c[r].tobytes() == box.forward(x[r]).tobytes()
 
     def test_relayout_between_sizes_and_layouts_commutes(self):
         """Box moves between sizes equal numpy's embedding and restriction of

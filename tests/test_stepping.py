@@ -1,4 +1,4 @@
-"""Integrator: closed forms, determinism, jump ordering, replay, FFT and
+"""Integrator: closed forms, determinism, jump ordering, replay, transform and
 memory budgets."""
 import math
 import sys
@@ -351,43 +351,12 @@ def desk_step_inputs():
     return run, sn
 
 
-def count_transforms(monkeypatch):
-    """Record every n-d transform call, complex or real, by name."""
-    calls = []
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-        def counted(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
 class TestTransformBudget:
-    def test_desk_step_makes_at_most_three_transforms(self, monkeypatch):
-        """One physical-space pass per step, noise product included: at most
-        3 n-d FFT calls and exactly one Leray projection."""
-        run, sn = desk_step_inputs()
-        calls = count_transforms(monkeypatch)
-        projections = []
-
-        def counted_projection(v, _original=leray_project):
-            projections.append(v)
-            return _original(v)
-
-        for module in list(sys.modules.values()):
-            if module is not None and module.__name__.startswith("stoldroyd") \
-                    and getattr(module, "leray_project", None) is leray_project:
-                monkeypatch.setattr(module, "leray_project", counted_projection)
-        out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)
-        assert np.all(np.isfinite(out.v.coeffs))
-        assert len(calls) <= 3
-        assert len(projections) == 1
-
     def test_half_layout_desk_step_makes_exactly_two_transforms(self, monkeypatch):
         """On its alias-free grid a desk step stores the dealias box of the
         half spectrum, and its one pass is one `inverse` and one `forward`,
-        of 16 and 7 rows: the symmetric stress sends its 3 distinct components."""
+        of 16 and 7 rows: the symmetric stress sends its 3 distinct components.
+        The step projects its velocity update once."""
         run, sn = desk_step_inputs()
         state, model = on_alias_free_grid(run.initial, run.noise)
         assert state.v.coeffs.shape == (2, 33, 17)
@@ -399,9 +368,20 @@ class TestTransformBudget:
                 return _original(grid, rows, *args, **kw)
 
             monkeypatch.setattr(SpectralGrid, name, counted)
+        projections = []
+
+        def counted_projection(v, _original=leray_project):
+            projections.append(v)
+            return _original(v)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("stoldroyd") \
+                    and getattr(module, "leray_project", None) is leray_project:
+                monkeypatch.setattr(module, "leray_project", counted_projection)
         out = step(state, run.params, model, sn, run.stepper.dt)
         assert out.v.grid is state.v.grid and np.all(np.isfinite(out.v.coeffs))
         assert calls == [("inverse", (16, 33, 17)), ("forward", (7, 50, 50))]
+        assert len(projections) == 1
 
     def test_bump_stress_step_forms_s_of_tau_once(self, monkeypatch):
         """S(tau) serves both the Ito correction (1/2) S(S(tau)) and the dW2
@@ -567,7 +547,7 @@ def plan_inputs(case):
     identity stress noise, a bump profile (tau loses its symmetry after the
     first step, so the pass sends more rows from the second), or the linear
     system (its pass sends only v and the noise profile), also in 3D on 14
-    modes, where its products outgrow the padded rows."""
+    modes."""
     state, noise = small_grid_inputs()
     if case == "linear_3d":
         grid = make_grid(3, 14, 2 * math.pi, 3.0)
