@@ -26,6 +26,5 @@ from .experiments import (  # noqa: F401
     inequality_suite,
     refinement_study,
     run_ensemble,
-    twin_uniqueness,
 )
 from .config import RunConfig, load_config, materialize  # noqa: F401

@@ -8,14 +8,14 @@ forcing, and the Ito correction coming from the Stratonovich stress noise,
 which the integrator forms and hands in.
 
 `explicit_terms` forms every quadratic term of a step in one physical-space
-pass: v, tau, a scalar noise profile and the gradients go out in one
-inverse transform, advection, stress transport, Q and the profile-times-v
-noise product are formed pointwise on real samples, and one forward
+pass: v, tau and a scalar noise profile go out in one inverse transform,
+which returns the samples of the gradients of v and tau too; advection,
+stress transport, Q and the profile-times-v noise product are formed
+pointwise on real samples, in rows the pass has spent, and one forward
 transform, which keeps the dealias box, and one ball mask bring them back
 (the transforms are dense DFT products over the box's modes alone).
-A symmetric tau sends only its d(d+1)/2 distinct components and their
-gradients.  The velocity terms stay unprojected, so the integrator projects
-its whole update once.
+A symmetric tau sends only its d(d+1)/2 distinct components.  The velocity
+terms stay unprojected, so the integrator projects its whole update once.
 """
 from __future__ import annotations
 
@@ -95,26 +95,31 @@ def deformation(v: VectorField) -> TensorField:
     return TensorField(v.grid, c, symmetric=True)
 
 
-def _q_pointwise(tau: np.ndarray, grad_v: np.ndarray, b: float) -> np.ndarray:
-    """Q = tau W - W tau - b (D tau + tau D) on physical samples.
+def _q_pointwise(tau: np.ndarray, row: np.ndarray, grad_v: np.ndarray, b: float,
+                 m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Q = tau W - W tau - b (D tau + tau D) on physical samples, formed in `m`.
 
     For symmetric tau, W tau = -(tau W)^T and D tau = (tau D)^T, so
     Q = P + P^T with P = tau (W - b D): one matrix product, and the explicit
     symmetrization gives zero symmetry defect by construction.  `grad_v` is
-    laid out as in `gradient_vector`: grad_v[a, c] = d_c v_a.
+    laid out as in `gradient_vector`: grad_v[a, c] = d_c v_a; tau's component
+    (a, c) is the row tau[row[a, c]].  Nothing is allocated: `grad_v` is spent
+    (it takes the gathered tau) and `p` is scratch.
     """
-    m = (0.5 * (1.0 - b)) * grad_v
-    m -= (0.5 * (1.0 + b)) * np.swapaxes(grad_v, 0, 1)
-    p = pointwise_matmul(tau, m)
-    return np.add(p, np.swapaxes(p, 0, 1), out=m)  # m is spent
+    np.multiply(np.swapaxes(grad_v, 0, 1), 0.5 * (1.0 + b), out=m)
+    grad_v *= 0.5 * (1.0 - b)
+    np.subtract(grad_v, m, out=m)  # W - b D
+    pointwise_matmul(tau.take(row, axis=0, out=grad_v, mode="wrap"), m, out=p)
+    return np.add(p, np.swapaxes(p, 0, 1), out=m)
 
 
 def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
     """Rotation/slip bilinear form Q(tau, grad v), dealiased; see `_q_pointwise`."""
-    grid = v.grid
-    ptau = grid.inverse(tau.coeffs)
+    grid, d = v.grid, v.grid.dim
+    ptau = grid.inverse(tau.coeffs.reshape((d * d,) + grid.shape))
     pgrad = grid.inverse(gradient_vector(v).coeffs)
-    return TensorField(grid, grid.forward(_q_pointwise(ptau, pgrad, b)), symmetric=True)
+    q = _q_pointwise(ptau, _tau_rows(d, False)[1], pgrad, b, *np.empty((2,) + pgrad.shape))
+    return TensorField(grid, grid.forward(q), symmetric=True)
 
 
 def advect_vector(v: VectorField, u: VectorField) -> VectorField:
@@ -123,14 +128,16 @@ def advect_vector(v: VectorField, u: VectorField) -> VectorField:
 
 
 @functools.lru_cache(maxsize=None)
-def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b) of the stress rows a pass sends (a <= b for a symmetric tau), each component's row."""
+def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The stress components a pass sends, as flat indices a d + b (a <= b for a
+    symmetric tau), and each component's row among them."""
     ta, tb = np.triu_indices(d) if symmetric else np.indices((d, d)).reshape(2, -1)
     row = np.empty((d, d), dtype=np.int64)
     row[tb, ta] = row[ta, tb] = np.arange(ta.size)  # the upper triangle written last
-    for shared in (ta, tb, row):  # cached: every pass reads the same arrays
+    flat = ta * d + tb
+    for shared in (flat, row):  # cached: every pass reads the same arrays
         shared.flags.writeable = False
-    return ta, tb, row
+    return flat, row
 
 
 def explicit_terms(
@@ -145,35 +152,36 @@ def explicit_terms(
     field `profile` (None without one).  Quadratic terms and the product are
     cut to the spectral ball.  The stress drift carries tau's symmetry flag;
     the caller, which formed `ito`, owns its symmetry.  The pass's buffers come
-    from `workspace(rows, extra)`, as `SpectralGrid.workspace` returns them; the noise
-    product is a view of them, valid until the next pass through them.
+    from `workspace(rows, grads, extra)`, as `SpectralGrid.workspace` returns them; the
+    noise product is a view of them, valid until the next pass through them.
     """
     grid = state.v.grid
-    d, shape = grid.dim, grid.shape
+    d, shape, points = grid.dim, grid.shape, grid.points
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
     # the term without gradients first: its temporary goes before the buffer
     stress = -params.a * state.tau.coeffs
-    # the gradients of [v, tau], read by the couplings before any transform;
+    # the fields [v, tau], whose gradients the couplings read before any transform;
     # a symmetric tau takes one row per distinct component, row[a, b] = row[b, a]
-    ta, tb, row = _tau_rows(d, state.tau.symmetric)
-    full = d + ta.size
-    # one inverse transform of the rows [v, tau, profile, grad v, grad tau], or [v, profile],
-    # and one forward of the products, which take sample rows of their own
-    rows = full if nonlinear else d
-    n_in, n_out = rows + p + (full * d if nonlinear else 0), (rows if nonlinear else 0) + p * d
-    buf, samples, work = workspace(n_in, n_out) if nonlinear or p else (None,) * 3
-    if nonlinear:
-        fields, grad = buf[:full], buf[full + p:].reshape((full, d) + shape)
+    flat, row = _tau_rows(d, state.tau.symmetric)
+    full = d + flat.size
+    # one inverse of [v, tau, profile], returning the gradients of [v, tau] too, or of
+    # [v, profile]; one forward of the products, which take sample rows of their own
+    rows, grads = (full, full) if nonlinear else (d, 0)
+    n_in, n_out = rows + p, (rows if nonlinear else 0) + p * d
+    buf, samples, work = workspace(n_in, grads, n_out) if nonlinear or p else (None,) * 3
+    if nonlinear:  # the spectral gradients and D(v) in work rows the transforms have not reached
+        fields, spare = buf[:full], np.ndarray((full + d, d) + shape, np.complex128, work.buffer)
+        grad, deform = spare[:full], spare[full:]
     else:
-        fields, grad = np.empty((full,) + shape, dtype=np.complex128), None
+        fields, grad, deform = np.empty((full,) + shape, dtype=np.complex128), None, None
     fields[:d] = state.v.coeffs
-    fields[d:] = state.tau.coeffs[ta, tb]
+    state.tau.coeffs.reshape((d * d,) + shape).take(flat, axis=0, out=fields[d:], mode="wrap")
     grad = np.multiply(grid.ixi, fields[:, np.newaxis], out=grad)
     grad_v, grad_tau = grad[:d], grad[d:]
     # the couplings in place, one at a time, so a step's peak memory stays put:
     # stress += mu2 D(v); vel = mu1 div(tau), summed from zero in b order as
     # `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
-    deform = np.add(grad_v, np.swapaxes(grad_v, 0, 1))
+    deform = np.add(grad_v, np.swapaxes(grad_v, 0, 1), out=deform)
     deform *= 0.5
     deform *= params.mu2
     stress += deform
@@ -190,19 +198,25 @@ def explicit_terms(
         buf[:d] = state.v.coeffs
     if p:
         buf[rows] = profile
-    phys = grid.inverse(buf, out=samples[:n_in], work=work)
-    out = samples[n_in:]
+    phys = grid.inverse(buf[:n_in], grads, out=samples[:n_in + grads * d], work=work)
+    out = samples[n_in + grads * d:]
     if nonlinear:
-        pgrad = phys[full + p:].reshape((full, d) + grid.points)
+        pgrad = phys[n_in:].reshape((full, d) + points)
         pointwise_transport(phys[:d], pgrad, out=out[:rows])
-        # Q is symmetrized before the transport of tau is added, keeping symmetry exact
-        out[d:rows] += _q_pointwise(phys[d:rows][row], pgrad[:d], params.b)[ta, tb]
+        # Q in spent rows (W - b D in tau's gradient rows, P in the work rows), symmetrized
+        # before tau's transport is added; take's mode="wrap" leaves `out` unbuffered
+        m = pgrad[d:].reshape((-1,) + points)[:d * d].reshape((d, d) + points)
+        scratch = np.ndarray((d * d,) + points, np.float64, work.buffer)
+        q = _q_pointwise(phys[d:rows], row, pgrad[:d], params.b, m, scratch.reshape(m.shape))
+        out[d:rows] += q.reshape(scratch.shape).take(flat, axis=0, out=scratch[:len(flat)],
+                                                     mode="wrap")
     if p:
         np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
     # the coefficient and work rows are spent: the forward transform reuses them
-    nl = grid.forward(out, out=buf[:n_out], work=work[:n_out])
+    nl = grid.forward(out, out=buf[:n_out], work=work)
     nl *= grid.ball_mask
     if nonlinear:
         vel -= nl[:d]
-        stress -= nl[d:rows][row]
+        spent = np.ndarray(stress.shape, np.complex128, work.buffer)
+        stress -= nl[d:rows].take(row, axis=0, out=spent, mode="wrap")
     return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), nl[-d:] if p else None

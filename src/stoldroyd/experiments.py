@@ -1,5 +1,5 @@
-"""Orchestrated studies: survival ensembles, refinement Cauchy checks,
-twin-run uniqueness probes, and the inequality verification suite.
+"""Orchestrated studies: survival ensembles, refinement Cauchy checks, and
+the inequality verification suite.
 
 Every study is deterministic given its master seed.  Run ``run_index`` of an
 ensemble always sees ``rng_for_run(master_seed, run_index)`` no matter how the
@@ -41,7 +41,6 @@ from .spectral import (
     linf_norm,
     make_grid,
     random_field,
-    relayout,
     truncate,
 )
 from .stepping import (
@@ -415,114 +414,6 @@ def refinement_study(
         window_ends=tuple(windows),
         decay_rate=decay_rate,
         master_seed=master_seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Twin-run uniqueness probes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwinReport:
-    """Determinism and pathwise-separation diagnostics for one configuration."""
-
-    dt: float
-    twin_identical: bool
-    perturbation: float
-    times: tuple[float, ...]
-    v_distance: tuple[float, ...]
-    tau_distance: tuple[float, ...]
-    growth_rate: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "twin/1",
-            "dt": self.dt,
-            "twin_identical": self.twin_identical,
-            "perturbation": self.perturbation,
-            "times": list(self.times),
-            "v_distance": list(self.v_distance),
-            "tau_distance": list(self.tau_distance),
-            "growth_rate": self.growth_rate,
-        }
-
-
-def twin_uniqueness(
-    initial: FlowState,
-    params: PhysicalParams,
-    noise: NoiseModel,
-    stepper: StepperConfig,
-    *,
-    master_seed: int,
-    threshold: float,
-    s: float = 2.0,
-    perturbation: float = 0.0,
-    perturbation_alpha: float = 4.0,
-) -> TwinReport:
-    """Run the same configuration twice and once perturbed, under common noise.
-
-    The twin check reruns (config, seed) from scratch and compares bitwise.
-    If ``perturbation`` is nonzero, a unit-L2 divergence-free field scaled by
-    it is added to the initial velocity and the pair is stepped in lockstep
-    through the recorded noise of the first run; per-time L2 distances are
-    reported along with a fitted exponential growth rate (a report, not a
-    verdict — the observed rate is configuration-dependent).
-    """
-    monitor = MonitorConfig(threshold=threshold, s=s)
-    recording = replace(stepper, record_noise=True)
-    first = simulate(initial, params, noise, recording, monitor, rng=rng_for_run(master_seed, 0))
-    second = simulate(initial, params, noise, recording, monitor, rng=rng_for_run(master_seed, 0))
-    twin_identical = (
-        np.array_equal(first.final_state.v.coeffs, second.final_state.v.coeffs)
-        and np.array_equal(first.final_state.tau.coeffs, second.final_state.tau.coeffs)
-        and first.records == second.records
-    )
-
-    host = initial.v.grid
-    dt = stepper.dt
-    grid, rows = host, [(initial, initial)]  # unperturbed: distance 0 at the start
-    if perturbation != 0.0:
-        # the pair steps on the run's alias-free grid; the bump is drawn on the
-        # caller's grid, whose size fixes the random draws
-        state_a, model = on_alias_free_grid(initial, noise)
-        grid = state_a.v.grid
-        bump = truncate(
-            random_field(host, perturbation_alpha, "vector", rng=rng_for_run(master_seed, 1)),
-            host.truncation_radius,
-        )
-        bump_coeffs = relayout(bump, grid).coeffs / hs_norm(bump, 0.0)
-        state_b = FlowState(
-            initial.t,
-            VectorField(grid, state_a.v.coeffs + perturbation * bump_coeffs,
-                        div_free=initial.v.div_free),
-            state_a.tau,
-        )
-        path = first.noise_path
-        draws = itertools.tee(map(path.step_noise, range(path.n_steps)))
-        rows = zip(trajectory(state_a, params, model, draws[0], dt),
-                   trajectory(state_b, params, model, draws[1], dt))
-    times, v_dist, tau_dist = [], [], []
-    for a, b in rows:
-        times.append(a.t)
-        v_dist.append(_l2_of(grid, b.v.coeffs - a.v.coeffs))
-        tau_dist.append(_l2_of(grid, b.tau.coeffs - a.tau.coeffs))
-        if not (math.isfinite(v_dist[-1]) and math.isfinite(tau_dist[-1])):
-            break
-
-    growth_rate = None
-    positive = [(t, d) for t, d in zip(times, v_dist) if d > 0.0 and math.isfinite(d)]
-    if len(positive) >= 2:
-        ts, ds = zip(*positive)
-        growth_rate = float(np.polyfit(ts, np.log(ds), 1)[0])
-
-    return TwinReport(
-        dt=dt,
-        twin_identical=twin_identical,
-        perturbation=perturbation,
-        times=tuple(times),
-        v_distance=tuple(v_dist),
-        tau_distance=tuple(tau_dist),
-        growth_rate=growth_rate,
     )
 
 

@@ -18,9 +18,11 @@ Fields are real, c(-k) = conj c(k), so a grid stores the dealias box with
 k_d >= 0 only: the leading axes hold k = 0..K, -K..-1 (k at index k mod
 2K+1), the last 0..K.  Sums over modes read the grid's plane `weight`, 2 on
 the planes k_d > 0 and 1 on the zero plane, the one plane that holds both k
-and -k.  `SpectralGrid.inverse`/`forward` are the one transform pair: dense
-DFT factors over the box's modes alone, one matrix product per axis (the
-sum-factorized transform of Deville, Fischer & Mund 2002), no zero-padding.
+and -k.  `SpectralGrid.inverse`/`forward` are the one transform pair: real DFT
+factors over the box's modes alone, one matrix product per axis (the sum-factorized
+transform of Deville, Fischer & Mund 2002), no zero-padding; the leading axes fold k
+with -k (the even-odd decomposition, Solomonoff 1992), and `inverse` returns gradient
+samples from the rows' own folded coefficients.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
@@ -120,57 +123,150 @@ class SpectralGrid:
         """Largest admissible truncation radius in |xi| units."""
         return _dealias_limit(self.modes_per_axis, self.box_length)
 
-    def workspace(self, rows: int, extra: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coefficient, sample (`extra` more) and work rows for `inverse(coeffs,
-        out=samples, work=work)` and back through `forward`: work[:, :M] holds the
-        planes k_d <= K of the samples, in 3D work[:, M:] the stage between the leading axes."""
-        M, K = self.modes_per_axis, self.dealias_kmax
-        work = (rows, M + (self.dim - 2) * (2 * K + 1)) + (M,) * (self.dim - 2) + (K + 1,)
-        coeffs = np.empty((rows,) + self.shape, dtype=np.complex128)
-        return coeffs, np.empty((rows + extra,) + self.points), np.empty(work, dtype=np.complex128)
+    def workspace(self, rows: int, grads: int = 0, extra: int = 0) -> tuple:
+        """Buffers for `inverse(coeffs, grads, out=samples[:rows + grads * dim], work=work)`
+        and `forward` of up to max(rows, extra) rows into the coefficient rows: those rows,
+        the samples with `extra` more, and a `_Work` (a bound: pages never cut stay untouched)."""
+        n, (B, H) = max(rows, extra) + self.dim * grads, self.shape[-2:]
+        coeffs = np.empty((max(rows, extra),) + self.shape, dtype=np.complex128)
+        work = _Work(2 * H * n * (self.modes_per_axis + B) ** (self.dim - 1))
+        return coeffs, np.empty((rows + grads * self.dim + extra,) + self.points), work
 
-    def inverse(self, coeffs: np.ndarray, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
-        """Real physical samples over the trailing mode axes: one matrix product
-        per leading axis by its synthesis factor, then one real product over the
-        last axis's (re, im) pairs (intermediates in `work` if given)."""
-        syn, _, syn_pairs, _ = _dft(self.modes_per_axis, self.dealias_kmax)
-        planes, mid = (None, None) if work is None else (work[:, :len(syn)], work[:, len(syn):])
-        for axis in self.grid_axes[-2::-1]:
-            coeffs = _lead_axis(syn, coeffs, axis, planes if axis == -self.dim else mid)
-        return np.matmul(coeffs.view(np.float64), syn_pairs, out=out)
+    def inverse(self, coeffs: np.ndarray, grads: int = 0, out: np.ndarray | None = None,
+                work: _Work | None = None) -> np.ndarray:
+        """Real samples of the rows of `coeffs`, then of the d derivatives of each of its
+        first `grads` rows (row len(coeffs) + dim r + a holds d_a of row r).  Every leading
+        axis is folded, k with -k (`_fold`); on each, innermost first, the [cos | sin] half
+        of `_dft`'s stacked factor takes all rows and the derivatives formed so far, its
+        [-k sin | k cos] half the gradient rows to their derivative.  The last axis is one
+        product over the (re, im) pairs of its planes, its derivative one more from the
+        same planes.  Intermediates go in `work` if given."""
+        d, M = self.dim, self.modes_per_axis
+        c = coeffs.reshape((-1,) + self.shape)
+        n, planes = len(c), M ** (d - 1)
+        out = np.empty((n + grads * d,) + self.points) if out is None else out
+        work, key = work or _Work(0), (grads, _layout(c), _layout(out))
+        if work.inverse[0] != key:
+            lead, syn, dsyn = _dft(M, self.dealias_kmax, self.box_length)[:3]
+            ops, region, f, derivs, work.start = [], work.region, c, [], 0  # derivs: d_a, a < d-1
+            for axis in self.grid_axes[-2::-1]:
+                f = _fold(f, axis, region, ops)
+            for axis in self.grid_axes[-2::-1]:
+                new = _lead_axis(lead[M:], f[:grads], axis, region, ops)
+                derivs = [_lead_axis(lead[:M], y, axis, region, ops) for y in derivs] + [new]
+                f = _lead_axis(lead[:M], f, axis, region, ops)
+            grad = out[n:].reshape((grads, d) + self.points)
+            for y, fac, o in ((f, syn, out[:n]), (f[:grads], dsyn, grad[:, -1]),
+                              *((y, syn, grad[:, a]) for a, y in enumerate(reversed(derivs)))):
+                y = y.view(np.float64).reshape(len(y), planes, len(fac), copy=False)
+                o = o.reshape(len(o), planes, M, copy=False)
+                ops.append(partial(np.matmul, y, fac, out=o))
+            work.inverse = key, ops
+        for op in work.inverse[1]:
+            op()
+        return out if grads else out.reshape(coeffs.shape[:coeffs.ndim - d] + self.points)
 
     def forward(self, samples: np.ndarray, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
-        """Dealias-box coefficients of real physical samples: one real product into
-        the (re, im) pairs of the planes k_d <= K, then one matrix product per
-        leading axis by its analysis factor (intermediates in `work` if given)."""
-        _, ana, _, ana_pairs = _dft(M := self.modes_per_axis, self.dealias_kmax)
-        planes, mid = (None, None) if work is None else (work[:, :M].view(np.float64), work[:, M:])
-        c = np.matmul(samples, ana_pairs, out=planes).view(np.complex128)
-        for axis in self.grid_axes[:-1]:
-            c = _lead_axis(ana, c, axis, out if axis == -2 else mid)
-        return c
+                work: _Work | None = None) -> np.ndarray:
+        """Dealias-box coefficients of real samples: one real product into the (re, im) pairs
+        of the planes k_d <= K, then on each leading axis one by the [cos | sin] half's transpose,
+        whose sums `_unfold` turns into the coefficients at k and -k (intermediates in `work`)."""
+        d, M = self.dim, self.modes_per_axis
+        x, lead = np.ascontiguousarray(samples), samples.shape[:samples.ndim - d]
+        out = np.empty(lead + self.shape, dtype=np.complex128) if out is None else out
+        work, key = work or _Work(0), (_layout(x), _layout(out))
+        if work.forward[0] != key:
+            ana, pairs = _dft(M, self.dealias_kmax, self.box_length)[3:]
+            region, planes, work.start = work.region, lead + (M ** (d - 1),), 0
+            c = region(lead + self.points[:-1] + self.shape[-1:])
+            ops = [partial(np.matmul, x.reshape(planes + (M,), copy=False), pairs,
+                           out=c.view(np.float64).reshape(planes + pairs.shape[1:], copy=False))]
+            for axis in self.grid_axes[:-1]:
+                y = _lead_axis(ana, c, axis, region, ops, first=True)
+                c = _unfold(y, axis, out if axis == -2 else region(y.shape), ops)
+            work.forward = key, ops
+        for op in work.forward[1]:
+            op()
+        return out
+
+
+class _Work:
+    """The pair's flat work buffer, and the calls of its last inverse and forward, kept with
+    their arguments' layout and replayed while it holds: a path's steps transform the same
+    buffers, so views are cut once (kept calls hold their arrays, so addresses stay theirs)."""
+
+    def __init__(self, size: int):
+        self.buffer, self.start = np.empty(size), 0
+        self.inverse = self.forward = (None, [])
+
+    def region(self, shape: tuple, first: int = 0) -> np.ndarray:
+        """The next complex array cut from the buffer after `start` (fresh past its end),
+        stored with axis `first` outermost."""
+        stored, size, start = list(shape), 2 * math.prod(shape), self.start
+        stored[0], stored[first], self.start = shape[first], shape[0], start + size
+        a = self.buffer[start:self.start] if self.start <= len(self.buffer) else np.empty(size)
+        return a.view(np.complex128).reshape(stored).swapaxes(0, first)
+
+
+def _layout(a: np.ndarray) -> tuple:
+    return a.ctypes.data, a.shape, a.strides
 
 
 @functools.lru_cache(maxsize=None)
-def _dft(M: int, K: int) -> tuple[np.ndarray, ...]:
-    """Dense DFT factors of one grid size, built once and shared by its grids (only the
-    pair reads them), phases from the exact integers k n mod M: a leading axis's synthesis
-    (M, 2K+1) and analysis (2K+1, M) with the 1/M; the last axis's real synthesis
-    (2(K+1), M), weighted 1 at k_d = 0 and 2 elsewhere, and analysis (M, 2(K+1))."""
-    k = (np.arange(2 * K + 1) + K) % (2 * K + 1) - K  # box order: 0..K, then -K..-1
-    syn = np.exp((2j * math.pi / M) * (np.outer(np.arange(M), k) % M))
-    pairs = syn[:, :K + 1].conj().view(np.float64)  # (cos, -sin); Im at k_d = 0 reads sin 0 = 0
+def _dft(M: int, K: int, L: float) -> tuple[np.ndarray, ...]:
+    """Real DFT factors of one grid size and box length, built once and shared by its grids
+    (only the pair reads them), phases from the exact integers k n mod M, k in fold order
+    (0..K, -1..-K), derivatives carrying 2 pi / L: a leading axis's synthesis of folded rows,
+    [cos | sin] over [-k sin | k cos] (2M, 2K+1); the last axis's of (re, im) pairs, (cos, -sin)
+    weighted 1 at k_d = 0 and 2 elsewhere, and k (-sin, -cos) alike; the analysis factors."""
+    k = np.r_[0:K + 1, -1:-K - 1:-1]
+    phase = (2 * math.pi / M) * (np.outer(np.arange(M), k) % M)
+    cos, sin, xi = np.cos(phase), np.sin(phase), (2 * math.pi / L) * k
+    syn = np.where(k >= 0, cos, -sin)  # sin(k n) at -k multiplies i (c_k - c_-k)
+    lead = np.concatenate([syn, -xi * np.where(k >= 0, sin, cos)])
+    pairs = (cos - 1j * sin)[:, :K + 1].view(np.float64)  # Im at k_d = 0 reads sin 0 = 0
+    dpairs = (-(sin + 1j * cos) * xi)[:, :K + 1].view(np.float64)
     w = np.repeat(np.where(np.arange(K + 1) == 0, 1.0, 2.0), 2)  # (re, im) of each plane
-    return tuple(np.ascontiguousarray(f) for f in (syn, syn.conj().T / M, (pairs * w).T, pairs / M))
+    factors = (lead, (pairs * w).T, (dpairs * w).T, syn.T / M, pairs / M)
+    return tuple(np.ascontiguousarray(f) for f in factors)
 
 
-def _lead_axis(mat: np.ndarray, c: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
-    """`mat` (m, n) times axis `axis` < -1 of `c`, into `out` if given: one batched np.matmul."""
-    lead, rest, m = c.shape[:axis], c.shape[axis + 1:], len(mat)
-    out = None if out is None else out.reshape(lead + (m, -1), copy=False)
-    return np.matmul(mat, c.reshape(lead + (c.shape[axis], -1)), out=out).reshape(lead + (m,) + rest)
+def _lead_axis(mat: np.ndarray, c: np.ndarray, axis: int, region, ops: list,
+               first: bool = False) -> np.ndarray:
+    """Real `mat` times axis `axis` < -1 of complex `c` into `region`'s next array (stored with
+    that axis outermost if `first`): one np.matmul per leading index, appended to `ops`."""
+    lead, cols = c.shape[:axis], 2 * math.prod(c.shape[axis + 1:])
+    out = region(lead + (len(mat),) + c.shape[axis + 1:], axis if first else 0)
+    x = c.view(np.float64).reshape(lead + (c.shape[axis], cols), copy=False)
+    y = out.view(np.float64).reshape(lead + (len(mat), cols), copy=False)
+    ops.append(partial(np.matmul, mat, x, out=y))
+    return out
+
+
+def _fold(c: np.ndarray, axis: int, region, ops: list) -> np.ndarray:
+    """`c` folded along `axis` by calls appended to `ops`, into `region`'s next array stored
+    with that axis outermost (each half one block): c_k + c_-k at k = 0..K (c_0 alone; as
+    2 c_k - (c_k - c_-k)), then i (c_k - c_-k) for k = 1..K."""
+    src, out = c.swapaxes(0, axis), region(c.shape, axis)
+    x, K = out.swapaxes(0, axis), len(src) // 2
+    p, q = x[1:K + 1], x[K + 1:]
+    ops += [partial(np.copyto, x[:K + 1], src[:K + 1]), partial(np.copyto, q, src[:K:-1]),
+            partial(np.subtract, p, q, out=q), partial(np.add, p, p, out=p),
+            partial(np.subtract, p, q, out=p), partial(np.multiply, q, 1j, out=q)]
+    return out
+
+
+def _unfold(c: np.ndarray, axis: int, out: np.ndarray, ops: list) -> np.ndarray:
+    """`c`'s cos sums C (k = 0..K) and sin sums S (k = 1..K) along `axis`, stored with it
+    outermost (spent), as coefficients in `out` by calls appended to `ops`: C - i S at k
+    (as 2 C - (C + i S)) and C + i S at -k."""
+    y, o = c.swapaxes(0, axis), out.swapaxes(0, axis)
+    K = len(y) // 2
+    p, q = y[1:K + 1], y[K + 1:]
+    ops += [partial(np.multiply, q, 1j, out=q), partial(np.add, p, q, out=q),
+            partial(np.add, p, p, out=p), partial(np.subtract, p, q, out=p),
+            partial(np.copyto, o[:K + 1], y[:K + 1]), partial(np.copyto, o[:K:-1], q)]
+    return out
 
 
 def _dealias_limit(modes_per_axis: int, box_length: float) -> float:
@@ -500,12 +596,13 @@ def dealiased_product(f: Field, g: Field) -> Field:
     return _like(g, c)
 
 
-def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pointwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product (a b)_ij = sum_k a_ik b_kj at every grid point.
 
-    `a` and `b` are physical samples with the two matrix axes leading.
+    `a` and `b` are physical samples with the two matrix axes leading.  The
+    result is written to `out` when given.
     """
-    return np.einsum("ik...,kj...->ij...", a, b)
+    return np.einsum("ik...,kj...->ij...", a, b, out=out)
 
 
 def pointwise_transport(v: np.ndarray, grad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

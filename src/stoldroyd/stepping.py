@@ -21,14 +21,15 @@ re-fed to the same configuration reproduces the trajectory bitwise, and one
 path can drive runs at different spectral cutoffs.
 
 `trajectory`, a lazy generator of states, is the one loop that steps a path:
-`simulate` stops one at `detect_stop` on its `energy_records`, refine zips
-several in lockstep over the same draws, and the twin probe zips a pair
-without records.  States hold the dealias box |k_a| <= K with k_d >= 0.
-Each trajectory builds one `StepPlan` for all its steps and shares it with no
-other path, so paths on one grid may run on threads; its states own their arrays.
+`simulate` stops one at `detect_stop` on its `energy_records`, and refine
+zips several in lockstep over the same draws.  States hold the dealias box
+|k_a| <= K with k_d >= 0.  Each trajectory builds one `StepPlan` for all its
+steps and shares it with no other path, so paths on one grid may run on
+threads; its states own their arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -149,17 +150,12 @@ def on_alias_free_grid(
 class StepPlan:
     """What every step of one path reuses: the viscous denominator 1 + nu dt |xi|^2, and
     rows overwritten each step: the Ito correction's, and the drift pass's and its
-    transforms' (allocated on first use, grown if a pass needs more rows)."""
+    transforms' (allocated on first use, again when a pass asks for other sizes)."""
 
     def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float):
         self.denominator = 1.0 + params.nu * dt * grid.xi_sq
         self.ito = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
-        self._grid, self._work = grid, None
-
-    def workspace(self, rows: int, extra: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._work is None or len(self._work[0]) < rows or len(self._work[1]) < rows + extra:
-            self._work = self._grid.workspace(rows, extra)
-        return tuple(a[:n] for a, n in zip(self._work, (rows, rows + extra, rows)))
+        self.workspace = functools.lru_cache(maxsize=1)(grid.workspace)
 
 
 def step(

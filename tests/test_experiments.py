@@ -1,12 +1,11 @@
-"""Studies layer: ensembles, refinement, twins, and the verification suite."""
+"""Studies layer: ensembles, refinement, and the verification suite."""
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from stoldroyd import experiments, monitor, stepping
+from stoldroyd import experiments, stepping
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.experiments import (
     EXACT_TOLERANCE,
@@ -14,7 +13,6 @@ from stoldroyd.experiments import (
     refinement_single_path,
     refinement_study,
     run_ensemble,
-    twin_uniqueness,
     wilson_interval,
 )
 from stoldroyd.noise import (
@@ -435,85 +433,6 @@ class TestRefinement:
         assert window == run.event.t_stop
 
 
-class TestTwinUniqueness:
-    def test_identical_seeds_bitwise_and_zero_distance(self):
-        state = ball_state(15, 16)
-        rep = twin_uniqueness(state, PARAMS, light_noise(), StepperConfig(dt=1e-3, horizon=5e-3),
-                              master_seed=30, threshold=1e6)
-        assert rep.twin_identical
-        assert rep.perturbation == 0.0
-        assert rep.v_distance == (0.0,)
-        assert rep.growth_rate is None
-
-    def test_perturbed_pair_reports_distances(self):
-        state = ball_state(17, 18)
-        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        rep = twin_uniqueness(state, PARAMS, light_noise(), stepper,
-                              master_seed=31, threshold=1e6, perturbation=1e-6)
-        assert rep.twin_identical
-        assert rep.v_distance[0] == pytest.approx(1e-6, rel=1e-12)
-        assert len(rep.times) == stepper.n_steps + 1
-        assert len(rep.v_distance) == len(rep.tau_distance) == len(rep.times)
-        assert all(math.isfinite(d) for d in rep.v_distance)
-        assert isinstance(rep.growth_rate, float)
-        # Short horizon, small data: separation stays small.
-        assert max(rep.v_distance) < 1e-2
-
-    def test_pair_loop_forms_no_energy_records(self, monkeypatch):
-        """The twin reads only states: beyond its two `simulate` runs, whose
-        records it compares, it makes no `monitor.energy` call."""
-        energy_calls, simulated = [], []
-        inner_energy, inner_simulate = monitor.energy, experiments.simulate
-
-        def counted_energy(*args, **kwargs):
-            energy_calls.append(args[0].t)
-            return inner_energy(*args, **kwargs)
-
-        def counted_simulate(*args, **kwargs):
-            result = inner_simulate(*args, **kwargs)
-            simulated.append(len(result.records))
-            return result
-
-        for module in list(sys.modules.values()):
-            if module is not None and module.__name__.startswith("stoldroyd") \
-                    and getattr(module, "energy", None) is inner_energy:
-                monkeypatch.setattr(module, "energy", counted_energy)
-        monkeypatch.setattr(experiments, "simulate", counted_simulate)
-        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        rep = twin_uniqueness(ball_state(17, 18), PARAMS, light_noise(), stepper,
-                              master_seed=31, threshold=1e6, perturbation=1e-6)
-        assert len(rep.times) == stepper.n_steps + 1
-        assert simulated == [stepper.n_steps + 1] * 2
-        assert len(energy_calls) == sum(simulated)
-
-    def test_pair_distances_equal_an_explicit_step_loop_bitwise(self):
-        state = ball_state(17, 18)
-        noise = light_noise()
-        stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        rep = twin_uniqueness(state, PARAMS, noise, stepper,
-                              master_seed=31, threshold=1e6, perturbation=1e-6)
-        run = simulate(state, PARAMS, noise, StepperConfig(dt=1e-3, horizon=5e-3, record_noise=True),
-                       MonitorConfig(threshold=1e6), rng=rng_for_run(31, 0))
-        a, model = on_alias_free_grid(state, noise)
-        host = state.v.grid
-        bump = truncate(random_field(host, 4.0, "vector", rng=rng_for_run(31, 1)),
-                        host.truncation_radius)
-        grid = a.v.grid
-        unit = relayout(bump, grid).coeffs / hs_norm(bump, 0.0)
-        b = FlowState(0.0, VectorField(grid, a.v.coeffs + 1e-6 * unit, div_free=True), a.tau)
-        # the L2 norm in the grid's layout, whose half spectra count interior planes twice
-        v_dist = [hs_norm(VectorField(grid, b.v.coeffs - a.v.coeffs), 0.0)]
-        tau_dist = [0.0]
-        for i in range(run.noise_path.n_steps):
-            sn = run.noise_path.step_noise(i)
-            a = step(a, PARAMS, model, sn, stepper.dt)
-            b = step(b, PARAMS, model, sn, stepper.dt)
-            v_dist.append(hs_norm(VectorField(grid, b.v.coeffs - a.v.coeffs), 0.0))
-            tau_dist.append(hs_norm(TensorField(grid, b.tau.coeffs - a.tau.coeffs), 0.0))
-        assert rep.v_distance == tuple(v_dist)
-        assert rep.tau_distance == tuple(tau_dist)
-
-
 class TestInequalitySuite:
     def test_trials_floor_enforced(self):
         with pytest.raises(ValueError, match="trials must be >= 100"):
@@ -546,12 +465,6 @@ class TestSummaries:
         blob = json.loads(json.dumps(res.to_dict()))
         assert blob["schema"] == "ensemble/1"
         assert blob["rho"] == [None] * 30  # horizon reached -> unobserved stopping time
-
-        rep = twin_uniqueness(state, PARAMS, NoiseModel(), StepperConfig(dt=1e-3, horizon=1e-3),
-                              master_seed=41, threshold=1e6)
-        twin_blob = json.loads(json.dumps(rep.to_dict()))
-        assert twin_blob["schema"] == "twin/1"
-        assert twin_blob["twin_identical"] is True
 
         base = make_grid(2, 32, 2 * math.pi, 8)
         iv = truncate(random_field(base, 5.0, "vector", seed=21), 8)

@@ -570,7 +570,8 @@ class TestHalfLayout:
     @pytest.mark.parametrize("dim, M", [(2, 16), (2, 26), (2, 50), (2, 96), (3, 14), (3, 26)])
     def test_a_batch_equals_its_rows_alone_bitwise(self, dim, M):
         """`inverse`/`forward` of a 16-row batch, through a work buffer and
-        without one, equal the calls on each row alone, bitwise."""
+        without one, equal the calls on each row alone, bitwise; so do the
+        gradient samples of an `inverse` with gradients of every row."""
         box = make_grid(dim, M, 2 * math.pi, 4.0)
         rng = np.random.default_rng(89)
         c = np.stack([random_field(box, 2.0, "scalar", rng=rng).coeffs for _ in range(16)])
@@ -581,6 +582,30 @@ class TestHalfLayout:
             for r in range(16):
                 assert got_x[r].tobytes() == box.inverse(c[r]).tobytes()
                 assert got_c[r].tobytes() == box.forward(x[r]).tobytes()
+        _, samples, work = box.workspace(16, 16)
+        for got in (box.inverse(c, 16), box.inverse(c, 16, out=samples, work=work)):
+            grads = got[16:].reshape((16, dim) + box.points)
+            for r in range(16):
+                alone = box.inverse(c[r:r + 1], 1)
+                assert got[r].tobytes() == alone[0].tobytes()
+                assert grads[r].tobytes() == alone[1:].tobytes()
+
+    @pytest.mark.parametrize("dim, M", [(2, 16), (2, 26), (2, 50), (2, 96),
+                                        (3, 14), (3, 26), (3, 32)])
+    def test_inverse_gradients_equal_the_inverse_of_the_gradient_rows(self, dim, M):
+        """`inverse(c, grads)` returns the samples of every row of c, bitwise
+        as without gradients, then d_a of each of the first `grads` rows, within
+        1e-14 of the largest value of the inverse of the rows i xi_a c, with a
+        workspace and without one."""
+        box = make_grid(dim, M, 2 * math.pi, 4.0)
+        rng = np.random.default_rng(90)
+        c = np.stack([random_field(box, 2.0, "scalar", rng=rng).coeffs for _ in range(5)])
+        want = box.inverse((box.ixi * c[:3, np.newaxis]).reshape((3 * dim,) + box.shape))
+        _, samples, work = box.workspace(5, 3)
+        for got in (box.inverse(c, 3), box.inverse(c, 3, out=samples, work=work)):
+            assert got.shape == (5 + 3 * dim,) + box.points
+            assert got[:5].tobytes() == box.inverse(c).tobytes()
+            assert np.max(np.abs(got[5:] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_relayout_between_sizes_and_layouts_commutes(self):
         """Box moves between sizes equal numpy's embedding and restriction of

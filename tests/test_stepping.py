@@ -36,6 +36,7 @@ from stoldroyd.spectral import (
 )
 from stoldroyd.stepping import (
     NoiseModel,
+    StepPlan,
     StepperConfig,
     on_alias_free_grid,
     simulate,
@@ -344,6 +345,13 @@ master_seed = 424242
 DESK_STEP_PEAK_BYTES = 3_117_160
 
 
+# traced allocation peak, beyond the new state, of a warm plan-driven step on
+# refine's finest box (2D, 96 modes, cutoff 32, README noise): 639 KiB when the
+# drift pass's Q products and stress gathers moved into its spent rows (1104
+# KiB before), the rest being the step's box-sized coefficient temporaries
+STEP_96_TRANSIENT_BYTES = 660 * 1024
+
+
 def desk_step_inputs():
     run = materialize(parse_config(README_DESK))
     assert all(ch is not None for ch in (run.noise.sigma, run.noise.stress, run.noise.jump))
@@ -355,7 +363,9 @@ class TestTransformBudget:
     def test_half_layout_desk_step_makes_exactly_two_transforms(self, monkeypatch):
         """On its alias-free grid a desk step stores the dealias box of the
         half spectrum, and its one pass is one `inverse` and one `forward`,
-        of 16 and 7 rows: the symmetric stress sends its 3 distinct components.
+        of 6 and 7 rows: v, the symmetric stress's 3 distinct components and
+        the noise profile go in, and `inverse` returns the gradients of the
+        first 5 too.
         The step projects its velocity update once."""
         run, sn = desk_step_inputs()
         state, model = on_alias_free_grid(run.initial, run.noise)
@@ -380,7 +390,7 @@ class TestTransformBudget:
                 monkeypatch.setattr(module, "leray_project", counted_projection)
         out = step(state, run.params, model, sn, run.stepper.dt)
         assert out.v.grid is state.v.grid and np.all(np.isfinite(out.v.coeffs))
-        assert calls == [("inverse", (16, 33, 17)), ("forward", (7, 50, 50))]
+        assert calls == [("inverse", (6, 33, 17)), ("forward", (7, 50, 50))]
         assert len(projections) == 1
 
     def test_bump_stress_step_forms_s_of_tau_once(self, monkeypatch):
@@ -396,7 +406,7 @@ class TestTransformBudget:
                             lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
         out = step(state, run.params, model, sn, run.stepper.dt)
         assert np.all(np.isfinite(out.tau.coeffs)) and not out.tau.symmetric
-        assert rows == [2, 2, 16]  # S(tau), S(S(tau)), the pass
+        assert rows == [2, 2, 6]  # S(tau), S(S(tau)), the pass
 
     def test_desk_step_and_energy_stay_within_memory_budget(self):
         """Allocation sizes are deterministic, so the traced peak is too."""
@@ -411,6 +421,26 @@ class TestTransformBudget:
         finally:
             tracemalloc.stop()
         assert peak <= DESK_STEP_PEAK_BYTES
+
+    def test_warm_plan_step_at_96_modes_allocates_little_beyond_its_state(self):
+        """A warm plan-driven step on a 96-mode box allocates its new state and
+        at most STEP_96_TRANSIENT_BYTES more at its peak: no sample-sized row
+        (72 KiB here) is allocated, since the pass forms its products in rows
+        it has spent."""
+        run = materialize(parse_config(README_DESK.replace("= 64", "= 96").replace("= 16", "= 32")))
+        assert run.initial.v.coeffs.shape == (2, 65, 33)
+        _, sn = desk_step_inputs()
+        plan = StepPlan(run.grid, run.params, run.stepper.dt)
+        for _ in range(2):
+            out = step(run.initial, run.params, run.noise, sn, run.stepper.dt, plan)
+        del out
+        tracemalloc.start()
+        try:
+            out = step(run.initial, run.params, run.noise, sn, run.stepper.dt, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.v.coeffs.nbytes + out.tau.coeffs.nbytes + STEP_96_TRANSIENT_BYTES
 
     @pytest.mark.parametrize("c0, c1", [(0.0, 0.2), (0.5, 0.0), (0.5, 0.2)])
     def test_sigma_increment_matches_separate_operations(self, c0, c1):
