@@ -3,8 +3,8 @@
 with the size of the initial data.
 
 Builds the run from an INI config, the file `stoldroyd ensemble` takes
-(`config.materialize`: `build_params`, `build_noise` and the other
-builders), and runs paired ensembles from its initial data at full and at
+(`config.materialize`, which builds the grid, parameters, noise model,
+stepper, monitor and initial data), and runs paired ensembles from its initial data at full and at
 half amplitude.  Both use the same master seed, so run k sees the same noise
 in both.  Prints the survival estimates with Wilson intervals at each of the
 config's `[ensemble]` deltas.  The half-amplitude curve should sit at or

@@ -1,15 +1,18 @@
 """INI run configuration: parsing, validation, canonical serialization, hashing.
 
 The format is flat ``key = value`` sections, chosen to stay hand-editable and
-diff-friendly across experiment sweeps.  Parsing is schema-driven: unknown
-sections or keys are rejected by name, every value is coerced to its declared
-type with an error naming the offending field, and defaults are materialized
-so that parse -> serialize -> parse is the identity on configurations.
+diff-friendly across experiment sweeps.  ``_SCHEMA`` declares each key once
+(type tag, default) and ``RunConfig`` is built from it.  Parsing is
+schema-driven: unknown sections or keys are rejected by name, every value is
+coerced to its declared type with an error naming the offending field, and
+defaults are materialized so that parse -> serialize -> parse is the identity.
 
 Numeric bounds are NOT re-checked here; they live with the objects that own
 them (grid, parameters, noise, stepper, monitor), and ``materialize`` builds
 all of those up front so a bad value fails before any run starts, with the
 owning module's message (which names the field and its bound).
+``draw_initial`` is the one rule for random initial data: the config's
+(``build_initial``) and each randomized ensemble member's.
 """
 from __future__ import annotations
 
@@ -17,7 +20,9 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass, replace
+
+import numpy as np
 
 from .dynamics import FlowState, PhysicalParams
 from .monitor import MonitorConfig
@@ -29,15 +34,7 @@ from .noise import (
     WienerQConfig,
     rng_for_run,
 )
-from .spectral import (
-    SpectralGrid,
-    TensorField,
-    VectorField,
-    hs_norm,
-    make_grid,
-    random_field,
-    truncate,
-)
+from .spectral import SpectralGrid, hs_norm, make_grid, random_field, truncate
 from .stepping import NoiseModel, StepperConfig
 
 # Stream index reserved for drawing initial data, disjoint from ensemble run
@@ -111,56 +108,26 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully typed, fully defaulted contents of one configuration file."""
-
-    grid_dim: int
-    grid_modes_per_axis: int
-    grid_box_length: float
-    grid_truncation_radius: float
-    nu: float
-    a: float
-    b: float
-    mu1: float
-    mu2: float
-    s: float
-    nonlinear: bool
-    lambda0: float
-    j_modes: int
-    decay: float
-    c0: float
-    c1: float
-    h_kind: str
-    c_h: float
-    bump_width: float
-    jump_rate: float
-    gamma_kind: str
-    gamma0: float
-    z_min: float
-    z_max: float
-    init_alpha: float
-    init_v_scale: float
-    init_tau_scale: float
-    dt: float
-    horizon: float
-    record_noise: bool
-    threshold: float
-    s_monitor: float
-    master_seed: int
-    ensemble_n_runs: int
-    ensemble_deltas: tuple[float, ...]
-    ensemble_randomize_initial: bool
-    refine_cutoffs: tuple[float, ...]
-    refine_n_paths: int
-
-
 # Each key's RunConfig field is the key, prefixed in these sections.
 _FIELD_PREFIX = {"grid": "grid_", "initial": "init_", "ensemble": "ensemble_", "refine": "refine_"}
+
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str, "floats": tuple[float, ...]}
 
 
 def _field_of(section: str, key: str) -> str:
     return _FIELD_PREFIX.get(section, "") + key
+
+
+# One frozen field per schema key, in schema order, typed by its tag; the module
+# is named so that instances pickle.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(_field_of(section, key), _TYPES[tag]) for section, keys in _SCHEMA.items()
+     for key, (tag, _) in keys.items()],
+    namespace={"__module__": __name__,
+               "__doc__": "Fully typed, fully defaulted contents of one configuration file."},
+    frozen=True,
+)
 
 
 def _coerce(section: str, key: str, tag: str, raw: str):
@@ -261,11 +228,6 @@ def build_grid(cfg: RunConfig) -> SpectralGrid:
     return make_grid(cfg.grid_dim, cfg.grid_modes_per_axis, cfg.grid_box_length, radius)
 
 
-def build_params(cfg: RunConfig) -> PhysicalParams:
-    return PhysicalParams(nu=cfg.nu, a=cfg.a, b=cfg.b, mu1=cfg.mu1, mu2=cfg.mu2,
-                          nonlinear=cfg.nonlinear)
-
-
 def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:
     """Channels switch off at zero: j_modes for the velocity noise, c_h for
     the stress noise, jump_rate for the jump channel."""
@@ -286,35 +248,28 @@ def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:
     return NoiseModel(wiener=wiener, sigma=sigma, stress=stress, jump=jump)
 
 
-def build_stepper(cfg: RunConfig) -> StepperConfig:
-    return StepperConfig(dt=cfg.dt, horizon=cfg.horizon, record_noise=cfg.record_noise)
+def draw_initial(grid: SpectralGrid, alpha: float, rng: np.random.Generator, v_norm: float,
+                 tau_norm: float, s: float, t: float = 0.0) -> FlowState:
+    """Initial data at time ``t`` drawn from ``rng``, v first, then tau.
 
-
-def build_monitor(cfg: RunConfig) -> MonitorConfig:
-    return MonitorConfig(threshold=cfg.threshold, s=cfg.s_monitor)
+    Fields are drawn with spectral decay ``alpha``, ball-truncated, and
+    scaled so their H^s norms equal ``v_norm`` and ``tau_norm``; a zero
+    target, or a drawn field of zero norm, gives the zero field.
+    """
+    fields = []
+    for kind, target in (("vector", v_norm), ("tensor", tau_norm)):
+        field = truncate(random_field(grid, alpha, kind, rng=rng), grid.truncation_radius)
+        norm = hs_norm(field, s)
+        scale = target / norm if target != 0.0 and norm > 0.0 else 0.0
+        fields.append(replace(field, coeffs=scale * field.coeffs))
+    return FlowState(t, *fields)
 
 
 def build_initial(cfg: RunConfig, grid: SpectralGrid, master_seed: int) -> FlowState:
-    """Deterministic initial data from the master seed's reserved stream.
-
-    Fields are drawn with spectral decay ``init_alpha``, ball-truncated, and
-    scaled so their H^s norms (s from [params]) equal v_scale and tau_scale;
-    a zero scale gives the zero field.
-    """
-    rng = rng_for_run(master_seed, INITIAL_DATA_STREAM)
-    v = truncate(random_field(grid, cfg.init_alpha, "vector", rng=rng),
-                 grid.truncation_radius)
-    tau = truncate(random_field(grid, cfg.init_alpha, "tensor", rng=rng),
-                   grid.truncation_radius)
-    v_norm = hs_norm(v, cfg.s)
-    tau_norm = hs_norm(tau, cfg.s)
-    v_scale = cfg.init_v_scale / v_norm if cfg.init_v_scale != 0.0 and v_norm > 0.0 else 0.0
-    tau_scale = cfg.init_tau_scale / tau_norm if cfg.init_tau_scale != 0.0 and tau_norm > 0.0 else 0.0
-    return FlowState(
-        0.0,
-        VectorField(grid, v_scale * v.coeffs, div_free=v.div_free),
-        TensorField(grid, tau_scale * tau.coeffs, symmetric=tau.symmetric),
-    )
+    """Deterministic initial data from the master seed's reserved stream,
+    with decay ``init_alpha`` and H^s norms (s from [params]) v_scale and tau_scale."""
+    return draw_initial(grid, cfg.init_alpha, rng_for_run(master_seed, INITIAL_DATA_STREAM),
+                        cfg.init_v_scale, cfg.init_tau_scale, cfg.s)
 
 
 @dataclass(frozen=True)
@@ -337,10 +292,13 @@ def materialize(cfg: RunConfig, master_seed: int | None = None) -> MaterializedR
     """
     seed = cfg.master_seed if master_seed is None else master_seed
     grid = build_grid(cfg)
-    params = build_params(cfg)
-    noise = build_noise(cfg, grid)
-    stepper = build_stepper(cfg)
-    monitor = build_monitor(cfg)
-    initial = build_initial(cfg, grid, seed)
-    return MaterializedRun(grid=grid, params=params, noise=noise, stepper=stepper,
-                           monitor=monitor, initial=initial, master_seed=seed)
+    return MaterializedRun(
+        grid=grid,
+        params=PhysicalParams(nu=cfg.nu, a=cfg.a, b=cfg.b, mu1=cfg.mu1, mu2=cfg.mu2,
+                              nonlinear=cfg.nonlinear),
+        noise=build_noise(cfg, grid),
+        stepper=StepperConfig(dt=cfg.dt, horizon=cfg.horizon, record_noise=cfg.record_noise),
+        monitor=MonitorConfig(threshold=cfg.threshold, s=cfg.s_monitor),
+        initial=build_initial(cfg, grid, seed),
+        master_seed=seed,
+    )

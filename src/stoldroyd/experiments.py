@@ -11,6 +11,7 @@ JSON-ready summary; file writing is the caller's business.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -18,6 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import draw_initial
 from .dynamics import FlowState, PhysicalParams, deformation, q_form
 from .monitor import MonitorConfig, detect_stop, energy_records
 from .noise import NoisePath, rng_for_run
@@ -124,22 +126,12 @@ def _ensemble_member(
     if randomize_initial:
         # Fresh data drawn before any noise so the stream stays aligned
         # across ensembles that share a master seed.
-        grid = initial.v.grid
-        v = truncate(random_field(grid, init_alpha, "vector", rng=rng), grid.truncation_radius)
-        tau = truncate(random_field(grid, init_alpha, "tensor", rng=rng), grid.truncation_radius)
-        v = _rescale(v, hs_norm(initial.v, monitor.s), monitor.s)
-        tau = _rescale(tau, hs_norm(initial.tau, monitor.s), monitor.s)
-        state = FlowState(initial.t, v, tau)
+        state = draw_initial(initial.v.grid, init_alpha, rng, hs_norm(initial.v, monitor.s),
+                             hs_norm(initial.tau, monitor.s), monitor.s, initial.t)
     result = simulate(state, params, noise, stepper, monitor, rng=rng)
     if result.event.kind == "horizon":
         return (math.inf, False, result.records)
     return (result.event.t_stop, result.event.kind == "divergence", result.records)
-
-
-def _rescale(field, target: float, s: float):
-    current = hs_norm(field, s)
-    scale = 0.0 if target == 0.0 else (target / current if current != 0.0 else 1.0)
-    return replace(field, coeffs=scale * field.coeffs)
 
 
 def run_ensemble(
@@ -185,13 +177,12 @@ def run_ensemble(
     monitor = MonitorConfig(threshold=threshold, s=s)
     stepper = replace(stepper, record_noise=False)  # members keep no noise path
 
-    outcomes = map_over_runs(
-        lambda idx: _ensemble_member(
-            idx, initial, params, noise, stepper, monitor,
-            master_seed, randomize_initial, init_alpha,
-        ),
-        range(n_runs),
-    )
+    # a partial of the module-level member pickles, so any Executor.map can send it;
+    # the member looks up `simulate` in this module at call time
+    member = functools.partial(_ensemble_member, initial=initial, params=params, noise=noise,
+                               stepper=stepper, monitor=monitor, master_seed=master_seed,
+                               randomize_initial=randomize_initial, init_alpha=init_alpha)
+    outcomes = map_over_runs(member, range(n_runs))
     rho, n_div = [], 0
     for idx, (t_stop, diverged, records) in enumerate(outcomes):
         rho.append(t_stop)

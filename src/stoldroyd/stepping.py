@@ -79,10 +79,10 @@ class StepperConfig:
     record_noise: bool = False
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
 
     @property
     def n_steps(self) -> int:
@@ -178,10 +178,15 @@ def step(
                    else stress.s_apply(s_tau).coeffs)  # S(S(tau)), then Ito's (1/2) cutoff of it
             ito *= grid.ball_mask
             ito *= 0.5
-        vel, sd, prod = explicit_terms(state, params, ito, profile, plan.workspace)
-        v_star = state.v.coeffs + dt * vel
+        # both drifts, the compensator and S(tau) are this step's own fresh arrays, so
+        # each product is formed in place (a sum only swaps its operands: same bits)
+        v_star, sd, prod = explicit_terms(state, params, ito, profile, plan.workspace)
+        v_star *= dt
+        v_star += state.v.coeffs
         if noise.jump is not None:
-            v_star -= dt * noise.jump.compensator(state.v).coeffs
+            comp = noise.jump.compensator(state.v).coeffs
+            v_star -= np.multiply(comp, dt, out=comp)
+            del comp  # freed before the projection's peak
         for part in (additive, prod):
             if part is not None:
                 v_star += part
@@ -192,10 +197,11 @@ def step(
         v_star *= grid.ball_mask
         v_new = leray_project(VectorField(grid, v_star))
 
-        tau_c = state.tau.coeffs + dt * sd.coeffs
+        tau_c = np.multiply(sd.coeffs, dt, out=sd.coeffs)
+        tau_c += state.tau.coeffs
         symmetric = state.tau.symmetric
         if stress is not None:
-            tau_c += sn.dw2 * s_tau.coeffs
+            tau_c += np.multiply(s_tau.coeffs, sn.dw2, out=s_tau.coeffs)
             symmetric = symmetric and stress.preserves_symmetry
         tau_c *= grid.ball_mask
     return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=symmetric))

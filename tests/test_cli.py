@@ -235,6 +235,21 @@ def test_bad_thread_count_exits_2_for_every_command(command, threads, config_fil
     assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "refine"])
+@pytest.mark.parametrize("field, value", [("dt", "inf"), ("dt", "nan"),
+                                          ("horizon", "inf"), ("horizon", "nan")])
+def test_non_finite_step_or_horizon_exits_2_naming_it(command, field, value, tmp_path, capsys):
+    """A non-finite dt or horizon is a config error, caught before any run."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(BASE_CONFIG.replace("dt = 0.001", "dt = " + value) if field == "dt"
+                   else BASE_CONFIG.replace("horizon = 0.005", "horizon = " + value),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    assert f"config error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestVerify:
     def test_default_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -1,19 +1,25 @@
 """Configuration parsing, round-trip identity, hashing, and builders."""
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from stoldroyd.config import (
+    _SCHEMA,
+    RunConfig,
     build_grid,
     build_initial,
     build_noise,
     config_hash,
+    draw_initial,
     load_config,
     materialize,
     parse_config,
     serialize_config,
 )
+from stoldroyd.noise import rng_for_run
 from stoldroyd.spectral import hs_norm
 
 MINIMAL = """
@@ -114,6 +120,48 @@ class TestParsing:
             parse_config(MINIMAL.replace("dt = 0.001", "dt = 0.001\ndt = 0.002"))
 
 
+# RunConfig's fields as the hand-written class declared them: name, type
+RUNCONFIG_FIELDS = [
+    *(("grid_" + k, int) for k in ("dim", "modes_per_axis")),
+    *(("grid_" + k, float) for k in ("box_length", "truncation_radius")),
+    *((k, float) for k in ("nu", "a", "b", "mu1", "mu2", "s")), ("nonlinear", bool),
+    ("lambda0", float), ("j_modes", int), ("decay", float), ("c0", float), ("c1", float),
+    ("h_kind", str), ("c_h", float), ("bump_width", float), ("jump_rate", float),
+    ("gamma_kind", str), ("gamma0", float), ("z_min", float), ("z_max", float),
+    *(("init_" + k, float) for k in ("alpha", "v_scale", "tau_scale")),
+    ("dt", float), ("horizon", float), ("record_noise", bool),
+    ("threshold", float), ("s_monitor", float), ("master_seed", int),
+    ("ensemble_n_runs", int), ("ensemble_deltas", tuple[float, ...]),
+    ("ensemble_randomize_initial", bool),
+    ("refine_cutoffs", tuple[float, ...]), ("refine_n_paths", int),
+]
+
+
+class TestRunConfigClass:
+    def test_fields_follow_the_schema(self):
+        """One field per schema key, in schema order, typed by its tag: the
+        names, order and types of the hand-written class."""
+        fields = dataclasses.fields(RunConfig)
+        assert [(f.name, f.type) for f in fields] == RUNCONFIG_FIELDS
+        keys = [key for keys in _SCHEMA.values() for key in keys]
+        assert len(fields) == len(keys) == 38
+        assert all(f.name.endswith(key) for f, key in zip(fields, keys))
+
+    def test_frozen_and_pickles(self):
+        cfg = parse_config(FULL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.dt = 0.5
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg and type(again) is RunConfig
+        assert config_hash(again) == config_hash(cfg)
+
+    def test_pinned_config_hash(self):
+        """The canonical text, and so every output's provenance hash, is that
+        of the hand-written class."""
+        assert config_hash(parse_config(FULL)) == "f3571b8282b7ac29"
+        assert config_hash(parse_config(MINIMAL)) == "f29afa4892db69d9"
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self):
         first = parse_config(FULL)
@@ -176,6 +224,13 @@ class TestBuilders:
         cfg = parse_config(FULL.replace("v_scale = 0.5", "v_scale = 0.0"))
         state = build_initial(cfg, build_grid(cfg), 42)
         assert np.all(state.v.coeffs == 0)
+
+    def test_drawn_field_of_zero_norm_gives_the_zero_field(self):
+        """Decay so steep that every drawn mode underflows: a nonzero target
+        still gives the zero field, not NaN."""
+        grid = build_grid(parse_config(MINIMAL))
+        state = draw_initial(grid, 5000.0, rng_for_run(1, 0), 0.5, 0.25, 2.0)
+        assert np.all(state.v.coeffs == 0) and np.all(state.tau.coeffs == 0)
 
     def test_materialize_seed_override(self):
         cfg = parse_config(FULL)

@@ -1,11 +1,13 @@
 """Studies layer: ensembles, refinement, and the verification suite."""
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from stoldroyd import experiments, stepping
+from stoldroyd.config import draw_initial
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.experiments import (
     EXACT_TOLERANCE,
@@ -136,6 +138,51 @@ class TestRunEnsemble:
         plain = run_ensemble(ball_state(3, 4), PARAMS, light_noise(),
                              StepperConfig(dt=1e-3, horizon=5e-3), **kwargs)
         assert recording == plain
+
+    @pytest.mark.parametrize("randomize_initial", [False, True])
+    def test_member_tasks_survive_a_pickle_round_trip(self, randomize_initial, monkeypatch):
+        """Each task `run_ensemble` maps, sent with its run index and its
+        result through a pickle round trip (as a process pool would), gives
+        the serial result; members still call `simulate` through this
+        module's global, so rebinding it reaches every member."""
+        def pickling_map(fn, xs):
+            for x in xs:
+                task, index = pickle.loads(pickle.dumps((fn, x)))
+                yield pickle.loads(pickle.dumps(task(index)))
+
+        state = ball_state(3, 4)
+        e0 = hs_norm(state.v, 2.0) ** 2 + hs_norm(state.tau, 2.0) ** 2
+        kwargs = dict(threshold=1.003 * e0, deltas=[1e-3, 3e-3], n_runs=30, master_seed=5,
+                      randomize_initial=randomize_initial)
+        stepper = StepperConfig(dt=1e-3, horizon=4e-3)
+        serial = run_ensemble(state, PARAMS, light_noise(), stepper, **kwargs)
+        assert 0.0 < serial.survival[-1] < serial.survival[0] < 1.0  # some members stop
+        calls = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda *a, **kw: calls.append(1) or simulate(*a, **kw))
+        pickled = run_ensemble(state, PARAMS, light_noise(), stepper,
+                               map_over_runs=pickling_map, **kwargs)
+        assert pickled == serial
+        assert len(calls) == 30
+
+    def test_randomized_member_draws_its_data_by_the_config_rule(self, monkeypatch):
+        """A randomized member starts from `draw_initial` on its own stream,
+        at the template's time, with the template's H^s norms at the
+        monitor's s."""
+        template = FlowState(0.25, ball_state(9, 10).v, ball_state(9, 10, scale=0.5).tau)
+        starts = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda state, *a, **kw: starts.append(state) or simulate(state, *a, **kw))
+        run_ensemble(template, PARAMS, NoiseModel(), StepperConfig(dt=1e-3, horizon=2e-3),
+                     threshold=1e3, deltas=[1e-3], n_runs=30, master_seed=11, s=1.5,
+                     randomize_initial=True, init_alpha=6.0)
+        for index in (0, 29):
+            want = draw_initial(GRID, 6.0, rng_for_run(11, index), hs_norm(template.v, 1.5),
+                                hs_norm(template.tau, 1.5), 1.5, 0.25)
+            got = starts[index]
+            assert got.t == 0.25
+            assert np.array_equal(got.v.coeffs, want.v.coeffs)
+            assert np.array_equal(got.tau.coeffs, want.tau.coeffs)
 
     def test_csv_sink_sees_each_run_before_the_next_starts(self):
         events = []

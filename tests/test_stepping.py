@@ -339,17 +339,17 @@ master_seed = 424242
 """
 
 
-# traced allocation peak of one desk step plus its energy record (README
-# config) when the noise product still had its own transforms and the
-# velocity was projected three times per step
-DESK_STEP_PEAK_BYTES = 3_117_160
+# traced allocation peak of one plan-less desk step plus its energy record
+# (README config): 1,981,688 B measured, bound 3 % above it
+DESK_STEP_PEAK_BYTES = 2_041_000
 
 
 # traced allocation peak, beyond the new state, of a warm plan-driven step on
-# refine's finest box (2D, 96 modes, cutoff 32, README noise): 639 KiB when the
-# drift pass's Q products and stress gathers moved into its spent rows (1104
-# KiB before), the rest being the step's box-sized coefficient temporaries
-STEP_96_TRANSIENT_BYTES = 660 * 1024
+# refine's finest box (2D, 96 modes, cutoff 32, README noise): 520,464 B
+# measured once the step formed its dt and dW2 products in its own fresh
+# arrays (656,808 B before), bound 3 % above it; the peak falls inside
+# `leray_project`, whose temporaries are the largest part of it
+STEP_96_TRANSIENT_BYTES = 524 * 1024
 
 
 def desk_step_inputs():
