@@ -57,6 +57,7 @@ def main(argv=None) -> None:
         s=run.monitor.s,
         randomize_initial=cfg.ensemble_randomize_initial,
         init_alpha=cfg.init_alpha,
+        init_s=cfg.s,
     )
 
     curves = {}

@@ -141,6 +141,7 @@ def cmd_ensemble(args) -> int:
         s=run.monitor.s,
         randomize_initial=cfg.ensemble_randomize_initial,
         init_alpha=cfg.init_alpha,
+        init_s=cfg.s,
         csv_sink=sink,
     )
     try:

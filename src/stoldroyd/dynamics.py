@@ -16,6 +16,8 @@ transform, which keeps the dealias box, and one ball mask bring them back
 (the transforms are dense DFT products over the box's modes alone).
 A symmetric tau sends only its d(d+1)/2 distinct components.  The velocity
 terms stay unprojected, so the integrator projects its whole update once.
+The pass's views are cut once per workspace (`_PassViews`), so a path's warm
+steps hand the transforms the same arrays, whose kept calls they replay.
 """
 from __future__ import annotations
 
@@ -140,6 +142,33 @@ def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     return flat, row
 
 
+class _PassViews:
+    """A pass's views of its workspace (`SpectralGrid.workspace`'s buffers), cut once and kept
+    as its `_Work.views`: `rows` field rows, `grads` of them with gradients, `p` profile (phi)
+    rows, tau's components `flat`; a pass without gradients gives its fields arrays of their own."""
+
+    def __init__(self, grid, rows, grads, p, flat, row, buf, samples, work):
+        d, shape, points, n_in, self.flat = grid.dim, grid.shape, grid.points, rows + p, flat
+        full, n = d + len(flat), n_in + grads * d  # n: sample rows of the inverse
+        fields = buf[:full] if grads else np.empty((full,) + shape, np.complex128)
+        # the spectral gradients and D(v), in work rows the transforms have not reached
+        spare = np.ndarray((full + d, d) + shape, np.complex128, work.buffer if grads else None)
+        self.v_rows, self.tau_rows, self.fields = fields[:d], fields[d:], fields[:, np.newaxis]
+        self.grad, self.deform, self.grad_vt = spare[:full], spare[full:], spare[:d].swapaxes(0, 1)
+        self.div = [(row[:, b] + d, b) for b in range(d)]  # grad's rows d_b tau_ab, b in order
+        self.coeffs_v, self.coeffs_phi, self.coeffs = buf[:d], buf[rows:n_in], buf[:n_in]
+        self.phys, self.out, self.nl = samples[:n], samples[n:], buf[:len(samples) - n]
+        self.phys_v, self.phys_tau, self.phys_phi = samples[:d], samples[d:rows], samples[rows:n_in]
+        self.out_rows, self.out_tau, self.prod = self.out[:rows], self.out[d:rows], self.out[-d:]
+        self.nl_v, self.nl_tau, self.nl_prod = self.nl[:d], self.nl[d:rows], self.nl[-d:]
+        if grads:  # Q in spent rows: W - b D in tau's gradient rows, P in the work rows
+            self.pgrad = self.phys[n_in:].reshape((full, d) + points)
+            self.q = self.pgrad[d:].reshape((-1,) + points)[:d * d]  # m, below, as flat rows
+            self.m = self.q.reshape((d, d) + points)
+            self.scratch = np.ndarray((d, d) + points, np.float64, work.buffer)
+            self.q_rows = self.scratch.reshape(self.q.shape)[:len(flat)]
+
+
 def explicit_terms(
     state: FlowState, params: PhysicalParams, ito, profile, workspace
 ) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
@@ -152,11 +181,10 @@ def explicit_terms(
     field `profile` (None without one).  Quadratic terms and the product are
     cut to the spectral ball.  The stress drift carries tau's symmetry flag;
     the caller, which formed `ito`, owns its symmetry.  The pass's buffers come
-    from `workspace(rows, grads, extra)`, as `SpectralGrid.workspace` returns them; the
-    noise product is a view of them, valid until the next pass through them.
+    from `workspace(rows, grads, extra)`, as `SpectralGrid.workspace` returns them, its
+    views kept with them; the noise product is a view, valid until the next pass.
     """
-    grid = state.v.grid
-    d, shape, points = grid.dim, grid.shape, grid.points
+    grid, d = state.v.grid, state.v.grid.dim
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
     # the term without gradients first: its temporary goes before the buffer
     stress = -params.a * state.tau.coeffs
@@ -167,56 +195,44 @@ def explicit_terms(
     # one inverse of [v, tau, profile], returning the gradients of [v, tau] too, or of
     # [v, profile]; one forward of the products, which take sample rows of their own
     rows, grads = (full, full) if nonlinear else (d, 0)
-    n_in, n_out = rows + p, (rows if nonlinear else 0) + p * d
-    buf, samples, work = workspace(n_in, grads, n_out) if nonlinear or p else (None,) * 3
-    if nonlinear:  # the spectral gradients and D(v) in work rows the transforms have not reached
-        fields, spare = buf[:full], np.ndarray((full + d, d) + shape, np.complex128, work.buffer)
-        grad, deform = spare[:full], spare[full:]
-    else:
-        fields, grad, deform = np.empty((full,) + shape, dtype=np.complex128), None, None
-    fields[:d] = state.v.coeffs
-    state.tau.coeffs.reshape((d * d,) + shape).take(flat, axis=0, out=fields[d:], mode="wrap")
-    grad = np.multiply(grid.ixi, fields[:, np.newaxis], out=grad)
-    grad_v, grad_tau = grad[:d], grad[d:]
+    buf, samples, work = workspace(rows + p, grads, (rows if nonlinear else 0) + p * d)
+    if work.views is None or work.views.flat is not flat:
+        work.views = _PassViews(grid, rows, grads, p, flat, row, buf, samples, work)
+    w = work.views
+    np.copyto(w.v_rows, state.v.coeffs)
+    state.tau.coeffs.reshape((d * d,) + grid.shape).take(flat, 0, w.tau_rows, "wrap")
+    np.multiply(grid.ixi, w.fields, out=w.grad)
     # the couplings in place, one at a time, so a step's peak memory stays put:
     # stress += mu2 D(v); vel = mu1 div(tau), summed from zero in b order as
     # `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
-    deform = np.add(grad_v, np.swapaxes(grad_v, 0, 1), out=deform)
+    deform = np.add(w.grad[:d], w.grad_vt, out=w.deform)
     deform *= 0.5
     deform *= params.mu2
     stress += deform
-    del deform
     if ito is not None:
         stress += ito
-    vel = np.zeros_like(grad_v[0])
-    for b in range(d):
-        vel += grad_tau[row[:, b], b]
+    vel = np.zeros((d,) + grid.shape, dtype=np.complex128)
+    for index in w.div:
+        vel += w.grad[index]
     vel *= params.mu1
     if not (nonlinear or p):
         return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), None
     if not nonlinear:
-        buf[:d] = state.v.coeffs
+        np.copyto(w.coeffs_v, state.v.coeffs)
     if p:
-        buf[rows] = profile
-    phys = grid.inverse(buf[:n_in], grads, out=samples[:n_in + grads * d], work=work)
-    out = samples[n_in + grads * d:]
+        np.copyto(w.coeffs_phi, profile)
+    grid.inverse(w.coeffs, grads, out=w.phys, work=work)
     if nonlinear:
-        pgrad = phys[n_in:].reshape((full, d) + points)
-        pointwise_transport(phys[:d], pgrad, out=out[:rows])
-        # Q in spent rows (W - b D in tau's gradient rows, P in the work rows), symmetrized
-        # before tau's transport is added; take's mode="wrap" leaves `out` unbuffered
-        m = pgrad[d:].reshape((-1,) + points)[:d * d].reshape((d, d) + points)
-        scratch = np.ndarray((d * d,) + points, np.float64, work.buffer)
-        q = _q_pointwise(phys[d:rows], row, pgrad[:d], params.b, m, scratch.reshape(m.shape))
-        out[d:rows] += q.reshape(scratch.shape).take(flat, axis=0, out=scratch[:len(flat)],
-                                                     mode="wrap")
+        pointwise_transport(w.phys_v, w.pgrad, out=w.out_rows)
+        # Q symmetrized before tau's transport is added; take's mode="wrap" leaves `out` unbuffered
+        _q_pointwise(w.phys_tau, row, w.pgrad[:d], params.b, w.m, w.scratch)
+        w.out_tau += w.q.take(flat, axis=0, out=w.q_rows, mode="wrap")
     if p:
-        np.multiply(phys[rows], phys[:d], out=out[n_out - d:])
+        np.multiply(w.phys_phi, w.phys_v, out=w.prod)
     # the coefficient and work rows are spent: the forward transform reuses them
-    nl = grid.forward(out, out=buf[:n_out], work=work)
+    nl = grid.forward(w.out, out=w.nl, work=work)
     nl *= grid.ball_mask
     if nonlinear:
-        vel -= nl[:d]
-        spent = np.ndarray(stress.shape, np.complex128, work.buffer)
-        stress -= nl[d:rows].take(row, axis=0, out=spent, mode="wrap")
-    return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), nl[-d:] if p else None
+        vel -= w.nl_v
+        stress -= w.nl_tau.take(row, axis=0, out=w.deform, mode="wrap")  # D(v)'s spent rows
+    return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), w.nl_prod if p else None

@@ -119,6 +119,7 @@ def _ensemble_member(
     master_seed: int,
     randomize_initial: bool,
     init_alpha: float,
+    init_s: float,
 ) -> tuple[float, bool, list]:
     """One seeded run; returns (stopping time, diverged flag, energy records)."""
     rng = rng_for_run(master_seed, run_index)
@@ -126,8 +127,8 @@ def _ensemble_member(
     if randomize_initial:
         # Fresh data drawn before any noise so the stream stays aligned
         # across ensembles that share a master seed.
-        state = draw_initial(initial.v.grid, init_alpha, rng, hs_norm(initial.v, monitor.s),
-                             hs_norm(initial.tau, monitor.s), monitor.s, initial.t)
+        state = draw_initial(initial.v.grid, init_alpha, rng, hs_norm(initial.v, init_s),
+                             hs_norm(initial.tau, init_s), init_s, initial.t)
     result = simulate(state, params, noise, stepper, monitor, rng=rng)
     if result.event.kind == "horizon":
         return (math.inf, False, result.records)
@@ -147,6 +148,7 @@ def run_ensemble(
     s: float = 2.0,
     randomize_initial: bool = False,
     init_alpha: float = 4.0,
+    init_s: float | None = None,
     map_over_runs: Callable = map,
     csv_sink: Callable[[int, list], None] | None = None,
 ) -> EnsembleResult:
@@ -160,8 +162,8 @@ def run_ensemble(
     order either way.  ``csv_sink`` (if given) receives each run's energy
     records as that run is folded, so with the serial ``map`` run i is written
     before run i + 1 starts; only the stopping times and divergence flags are
-    kept.
-    """
+    kept.  With ``randomize_initial`` each member draws data of decay ``init_alpha``
+    at the template's H^init_s norms (``init_s``, the config's ``[params] s``, or ``s``)."""
     if n_runs < 30:
         raise ValueError(f"n_runs must be >= 30 for ensemble statistics, got {n_runs}")
     grid_deltas = tuple(sorted(float(d) for d in deltas))
@@ -181,7 +183,8 @@ def run_ensemble(
     # the member looks up `simulate` in this module at call time
     member = functools.partial(_ensemble_member, initial=initial, params=params, noise=noise,
                                stepper=stepper, monitor=monitor, master_seed=master_seed,
-                               randomize_initial=randomize_initial, init_alpha=init_alpha)
+                               randomize_initial=randomize_initial, init_alpha=init_alpha,
+                               init_s=s if init_s is None else init_s)
     outcomes = map_over_runs(member, range(n_runs))
     rho, n_div = [], 0
     for idx, (t_stop, diverged, records) in enumerate(outcomes):

@@ -126,12 +126,12 @@ def _polarizations(kv: tuple[int, ...]) -> list[np.ndarray]:
     return [p1, p2]
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """`np.add.at` of `values` into complex zeros: the same sums, one `bincount` per part."""
-    flat = np.empty(size, dtype=np.complex128)
-    flat.real = np.bincount(index, values.real, size)
-    flat.imag = np.bincount(index, values.imag, size)
-    return flat
+def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """`values` added at flat `index` into complex zeros of `shape` by one `np.add.at`, in
+    index order."""
+    out = np.zeros(shape, dtype=np.complex128)
+    np.add.at(out.reshape(-1), index, values)
+    return out
 
 
 class VelocityNoiseBasis:
@@ -175,6 +175,7 @@ class VelocityNoiseBasis:
         self._index_by_component = (np.arange(grid.dim)[:, np.newaxis] * math.prod(grid.shape)
                                     + self._index).ravel()
         self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))[held]
+        self._p = self.p[self._j].T  # the polarization of each held coefficient, (dim, held)
         self.k_sq = np.sum(self.k ** 2, axis=1).astype(float)
         self._smooth = math.sqrt(2.0) / (1.0 + self.k_sq)
 
@@ -182,16 +183,14 @@ class VelocityNoiseBasis:
         """sum_j weights[j] * sqrt(2) * e_j as a vector field."""
         grid = self.grid
         signed = math.sqrt(2.0) * weights[self._j] * self._coef
-        flat = _scatter(self._index_by_component, (signed * self.p[self._j].T).ravel(),
-                        grid.dim * math.prod(grid.shape))
-        return VectorField(grid, flat.reshape((grid.dim,) + grid.shape), div_free=True)
+        c = _scatter(self._index_by_component, (signed * self._p).ravel(), (grid.dim,) + grid.shape)
+        return VectorField(grid, c, div_free=True)
 
     def assemble_profile(self, weights: np.ndarray) -> ScalarField:
         """sum_j weights[j] * phi_j as a scalar field."""
         grid = self.grid
-        flat = _scatter(self._index, (weights * self._smooth)[self._j] * self._coef,
-                        math.prod(grid.shape))
-        return ScalarField(grid, flat.reshape(grid.shape))
+        c = _scatter(self._index, (weights * self._smooth)[self._j] * self._coef, grid.shape)
+        return ScalarField(grid, c)
 
     def e_j(self, j: int) -> VectorField:
         return self.assemble_velocity(np.eye(self.J)[j])

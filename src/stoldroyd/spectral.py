@@ -140,13 +140,14 @@ class SpectralGrid:
         of `_dft`'s stacked factor takes all rows and the derivatives formed so far, its
         [-k sin | k cos] half the gradient rows to their derivative.  The last axis is one
         product over the (re, im) pairs of its planes, its derivative one more from the
-        same planes.  Intermediates go in `work` if given."""
+        same planes.  Intermediates go in `work` if given; a call on the same `coeffs` and
+        `out` objects as the last one through it replays that call's kept list."""
         d, M = self.dim, self.modes_per_axis
-        c = coeffs.reshape((-1,) + self.shape)
-        n, planes = len(c), M ** (d - 1)
-        out = np.empty((n + grads * d,) + self.points) if out is None else out
-        work, key = work or _Work(0), (grads, _layout(c), _layout(out))
-        if work.inverse[0] != key:
+        kept = (work := work or _Work(0)).inverse
+        if kept[0] is not coeffs or kept[1] is not out or kept[2] != grads:
+            c = coeffs.reshape((-1,) + self.shape)
+            n, planes = len(c), M ** (d - 1)
+            out = np.empty((n + grads * d,) + self.points) if out is None else out
             lead, syn, dsyn = _dft(M, self.dealias_kmax, self.box_length)[:3]
             ops, region, f, derivs, work.start = [], work.region, c, [], 0  # derivs: d_a, a < d-1
             for axis in self.grid_axes[-2::-1]:
@@ -161,21 +162,23 @@ class SpectralGrid:
                 y = y.view(np.float64).reshape(len(y), planes, len(fac), copy=False)
                 o = o.reshape(len(o), planes, M, copy=False)
                 ops.append(partial(np.matmul, y, fac, out=o))
-            work.inverse = key, ops
-        for op in work.inverse[1]:
+            key = coeffs if np.may_share_memory(c, coeffs) else None  # a copy keys nothing
+            work.inverse = kept = key, out, grads, ops
+        for op in kept[3]:
             op()
-        return out if grads else out.reshape(coeffs.shape[:coeffs.ndim - d] + self.points)
+        return kept[1] if grads else kept[1].reshape(coeffs.shape[:coeffs.ndim - d] + self.points)
 
     def forward(self, samples: np.ndarray, out: np.ndarray | None = None,
                 work: _Work | None = None) -> np.ndarray:
         """Dealias-box coefficients of real samples: one real product into the (re, im) pairs
         of the planes k_d <= K, then on each leading axis one by the [cos | sin] half's transpose,
-        whose sums `_unfold` turns into the coefficients at k and -k (intermediates in `work`)."""
+        whose sums `_unfold` turns into the coefficients at k and -k (intermediates in `work`;
+        a call on the same `samples` and `out` objects as the last one replays its list)."""
         d, M = self.dim, self.modes_per_axis
-        x, lead = np.ascontiguousarray(samples), samples.shape[:samples.ndim - d]
-        out = np.empty(lead + self.shape, dtype=np.complex128) if out is None else out
-        work, key = work or _Work(0), (_layout(x), _layout(out))
-        if work.forward[0] != key:
+        kept = (work := work or _Work(0)).forward
+        if kept[0] is not samples or kept[1] is not out:
+            x, lead = np.ascontiguousarray(samples), samples.shape[:samples.ndim - d]
+            out = np.empty(lead + self.shape, dtype=np.complex128) if out is None else out
             ana, pairs = _dft(M, self.dealias_kmax, self.box_length)[3:]
             region, planes, work.start = work.region, lead + (M ** (d - 1),), 0
             c = region(lead + self.points[:-1] + self.shape[-1:])
@@ -184,20 +187,21 @@ class SpectralGrid:
             for axis in self.grid_axes[:-1]:
                 y = _lead_axis(ana, c, axis, region, ops, first=True)
                 c = _unfold(y, axis, out if axis == -2 else region(y.shape), ops)
-            work.forward = key, ops
-        for op in work.forward[1]:
+            work.forward = kept = samples if x is samples else None, out, ops  # as in `inverse`
+        for op in kept[2]:
             op()
-        return out
+        return kept[1]
 
 
 class _Work:
-    """The pair's flat work buffer, and the calls of its last inverse and forward, kept with
-    their arguments' layout and replayed while it holds: a path's steps transform the same
-    buffers, so views are cut once (kept calls hold their arrays, so addresses stay theirs)."""
+    """The pair's flat work buffer, and the calls of its last inverse and forward, kept with the
+    arrays they read and write, and replayed while those same objects (by identity; kept, no
+    other array takes their ids) come back: a path's steps transform the same views, so a warm
+    call only runs its list.  `views`: what a caller cuts from the buffers once (the pass's)."""
 
     def __init__(self, size: int):
         self.buffer, self.start = np.empty(size), 0
-        self.inverse = self.forward = (None, [])
+        self.inverse, self.forward, self.views = (None, None, 0, []), (None, None, []), None
 
     def region(self, shape: tuple, first: int = 0) -> np.ndarray:
         """The next complex array cut from the buffer after `start` (fresh past its end),
@@ -206,10 +210,6 @@ class _Work:
         stored[0], stored[first], self.start = shape[first], shape[0], start + size
         a = self.buffer[start:self.start] if self.start <= len(self.buffer) else np.empty(size)
         return a.view(np.complex128).reshape(stored).swapaxes(0, first)
-
-
-def _layout(a: np.ndarray) -> tuple:
-    return a.ctypes.data, a.shape, a.strides
 
 
 @functools.lru_cache(maxsize=None)
@@ -533,9 +533,10 @@ def leray_project(v: VectorField) -> VectorField:
     The mean mode (xi = 0) is left unchanged; constants are divergence-free.
     """
     g = v.grid
-    xi_dot_v = np.sum(g.xi * v.coeffs, axis=0)
-    c = v.coeffs - g.xi * (xi_dot_v / g.xi_sq_safe)[np.newaxis]
-    return VectorField(g, c, div_free=True)
+    c = g.xi * v.coeffs  # the one box-sized temporary: the result is formed in it
+    s = c.sum(0)
+    s /= g.xi_sq_safe
+    return VectorField(g, np.subtract(v.coeffs, np.multiply(g.xi, s, out=c), out=c), div_free=True)
 
 
 def divergence_defect(v: VectorField) -> float:

@@ -148,9 +148,9 @@ def on_alias_free_grid(
 
 
 class StepPlan:
-    """What every step of one path reuses: the viscous denominator 1 + nu dt |xi|^2, and
-    rows overwritten each step: the Ito correction's, and the drift pass's and its
-    transforms' (allocated on first use, again when a pass asks for other sizes)."""
+    """What every step of one path reuses: 1 + nu dt |xi|^2, the viscous denominator, and
+    rows overwritten each step: the Ito correction's, and the drift pass's with the views
+    and transform calls its `_Work` keeps (made on first use, anew for other sizes)."""
 
     def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float):
         self.denominator = 1.0 + params.nu * dt * grid.xi_sq

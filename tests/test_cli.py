@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import stoldroyd
+from stoldroyd import experiments
 from stoldroyd.cli import main
 from stoldroyd.monitor import CSV_COLUMNS
 from stoldroyd.noise import load_noise_path
+from stoldroyd.spectral import hs_norm
+from stoldroyd.stepping import simulate
 from test_stepping import README_DESK
 
 BASE_CONFIG = """
@@ -194,6 +197,26 @@ class TestEnsemble:
             (parallel / "ensemble.json").read_bytes()
         assert (serial / "runs" / "run_0007.csv").read_bytes() == \
             (parallel / "runs" / "run_0007.csv").read_bytes()
+
+    def test_randomized_members_scale_at_the_params_index(self, tmp_path, monkeypatch):
+        """With randomize_initial, a member's data take the config's H^s norms
+        at `[params] s`, not at the monitor's `s_monitor`."""
+        config = tmp_path / "run.ini"
+        config.write_text(BASE_CONFIG.replace("= 32", "= 16").replace("radius = 8", "radius = 5")
+                          .replace("mu2 = 1.0", "mu2 = 1.0\ns = 1.0")
+                          .replace("scale = 0.5", "scale = 0.8")
+                          .replace("threshold = 1000000.0", "threshold = 1000000.0\ns_monitor = 2.0")
+                          .replace("horizon = 0.005", "horizon = 0.002")
+                          .replace("[refine]", "randomize_initial = true\n\n[refine]"),
+                          encoding="utf-8")
+        starts = []
+        monkeypatch.setattr(experiments, "simulate",
+                            lambda state, *a, **kw: starts.append(state) or simulate(state, *a, **kw))
+        assert main(["ensemble", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(starts) == 30
+        assert abs(hs_norm(starts[0].v, 1.0) - 0.8) <= 1e-12
+        assert abs(hs_norm(starts[0].tau, 1.0) - 0.8) <= 1e-12
+        assert abs(hs_norm(starts[0].v, 2.0) - 0.8) > 1e-3  # the two indices differ here
 
     def test_bad_thread_count_exits_2(self, config_file, tmp_path, capsys):
         code = main(["ensemble", "--config", config_file,

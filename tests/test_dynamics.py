@@ -393,3 +393,47 @@ class TestLinearPassWithAProfile:
             assert np.array_equal(got_vel, vel)
             assert np.array_equal(got_stress.coeffs, stress) and got_stress.symmetric
             assert np.array_equal(got_prod, prod)
+
+
+
+class TestPassViewsPerWorkspace:
+    @pytest.mark.parametrize("dim, M, n", [(2, 16, 5.0), (3, 14, 3.0)])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("with_profile", [True, False])
+    def test_plan_pass_cuts_its_views_once_and_equals_fresh_buffers(self, dim, M, n, nonlinear,
+                                                                    with_profile):
+        """Through a plan's workspace, the pass cuts its views once and replays
+        its transform calls on later states, and cuts them again when tau's
+        symmetry changes the rows it sends; every output equals the pass on
+        fresh buffers (the grid's workspace), bitwise."""
+        grid = make_grid(dim, M, 2 * math.pi, n)
+        params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
+        sigma = SigmaInstance(grid, WienerQConfig(lambda0=0.1, J=4), c0=0.3, c1=0.2)
+        plan = StepPlan(grid, params, 1e-3)
+        works = []
+
+        def workspace(*sizes):
+            buffers = plan.workspace(*sizes)
+            works.append(buffers[2])
+            return buffers
+
+        seen = []
+        for k, symmetric in enumerate((True, True, True, False, False)):
+            tau = TensorField(grid, ball_field("tensor", 50 + k, grid).coeffs, symmetric=symmetric)
+            state = FlowState(0.0, ball_field("vector", 40 + k, grid), tau)
+            profile = sigma.parts(np.full(4, 0.01 * (k + 1)))[1] if with_profile else None
+            got = explicit_terms(state, params, None, profile, workspace)
+            want = explicit_terms(state, params, None, profile, grid.workspace)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].coeffs.tobytes() == want[1].coeffs.tobytes()
+            assert got[1].symmetric == symmetric
+            assert (got[2] is None) == (want[2] is None) == (profile is None)
+            if profile is not None:
+                assert got[2].tobytes() == want[2].tobytes()
+            seen.append((works[-1].views, works[-1].inverse[-1], works[-1].forward[-1]))
+        # symmetric passes share their views and lists; the first asymmetric pass cuts anew
+        # (a linear pass without a profile makes no transform: its lists stay the empty ones)
+        transforms = nonlinear or with_profile
+        for i, j, same in ((0, 1, True), (0, 2, True), (0, 3, False), (3, 4, True)):
+            assert (seen[i][0] is seen[j][0]) == same
+            assert all((a is b) == (same or not transforms) for a, b in zip(seen[i][1:], seen[j][1:]))

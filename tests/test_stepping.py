@@ -345,11 +345,12 @@ DESK_STEP_PEAK_BYTES = 2_041_000
 
 
 # traced allocation peak, beyond the new state, of a warm plan-driven step on
-# refine's finest box (2D, 96 modes, cutoff 32, README noise): 520,464 B
-# measured once the step formed its dt and dW2 products in its own fresh
-# arrays (656,808 B before), bound 3 % above it; the peak falls inside
-# `leray_project`, whose temporaries are the largest part of it
-STEP_96_TRANSIENT_BYTES = 524 * 1024
+# refine's finest box (2D, 96 modes, cutoff 32, README noise): 484,728 B
+# measured once `leray_project` formed its result in its first temporary
+# (520,464 B before; 656,808 B before the step formed its dt and dW2 products
+# in its own fresh arrays), bound 3 % above it; the peak falls inside
+# `leray_project`, whose one box-sized temporary is the largest part of it
+STEP_96_TRANSIENT_BYTES = 488 * 1024
 
 
 def desk_step_inputs():
