@@ -14,7 +14,6 @@ from .spectral import (  # noqa: F401
     TensorField,
     make_grid,
     hs_norm,
-    hs_inner,
     truncate,
     leray_project,
     random_field,

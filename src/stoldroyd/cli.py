@@ -217,8 +217,6 @@ def cmd_verify(args) -> int:
     for name, violation in report.max_violation.items():
         verdict = "PASS" if violation <= EXACT_TOLERANCE else "FAIL"
         print(f"{verdict}  {name:28s} max violation {violation:.3e}")
-    for name, value in report.fitted_constants.items():
-        print(f"      {name:28s} fitted constant {value:.4f}")
     print(f"suite {'PASSED' if report.passed else 'FAILED'} "
           f"({report.trials} trials, tolerance {EXACT_TOLERANCE:g})")
     if args.out is not None:

@@ -3,8 +3,7 @@
 * Velocity: a Q-Wiener process expanded over a fixed catalogue of low-mode,
   divergence-free, unit-RMS trigonometric fields e_j with trace-class weights
   lambda_j = lambda0 * j^(-decay), acted on by an affine diffusion
-  sigma(v) e_j = c0 * psi_j + c1 * (phi_j * v).  Affinity keeps the growth
-  and Lipschitz constants analytic instead of assumed.
+  sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
 * Stress: a single scalar Brownian motion multiplying S(tau) = h tau
   (pointwise matrix product).  The Stratonovich-to-Ito correction
   (1/2) S^2(tau) is consumed in `stepping.step`, which forms S(tau) once for
@@ -86,12 +85,6 @@ class WienerQConfig:
     @property
     def trace(self) -> float:
         return float(self.eigenvalues.sum())
-
-    @property
-    def tail_bound(self) -> float:
-        """Analytic bound on the discarded tail sum_{j>J} lambda_j
-        (integral comparison: sum j^-p <= J^(1-p)/(p-1))."""
-        return self.lambda0 * self.J ** (1.0 - self.decay) / (self.decay - 1.0)
 
 
 def _halfspace_wavevectors(dim: int, count: int) -> list[tuple[int, ...]]:
@@ -176,8 +169,7 @@ class VelocityNoiseBasis:
                                     + self._index).ravel()
         self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))[held]
         self._p = self.p[self._j].T  # the polarization of each held coefficient, (dim, held)
-        self.k_sq = np.sum(self.k ** 2, axis=1).astype(float)
-        self._smooth = math.sqrt(2.0) / (1.0 + self.k_sq)
+        self._smooth = math.sqrt(2.0) / (1.0 + np.sum(self.k ** 2, axis=1).astype(float))
 
     def assemble_velocity(self, weights: np.ndarray) -> VectorField:
         """sum_j weights[j] * sqrt(2) * e_j as a vector field."""
@@ -197,12 +189,6 @@ class VelocityNoiseBasis:
 
     def phi_j(self, j: int) -> ScalarField:
         return self.assemble_profile(np.eye(self.J)[j])
-
-    def peetre_factors(self, s: float) -> np.ndarray:
-        """Multiplier bounds A_j(s) with ||phi_j * v||_{H^s} <= A_j ||v||_{H^s}."""
-        abs_s = abs(s)
-        l1_phi = math.sqrt(2.0) / (1.0 + self.k_sq)  # sum of |phi_hat| over the pair
-        return 2.0 ** (abs_s / 2.0) * l1_phi * (1.0 + self.k_sq) ** (abs_s / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +223,6 @@ class SigmaInstance:
         w = self._sqrt_lambda * dw1
         return (None if self.c0 == 0.0 else self.basis.assemble_velocity(self.c0 * w).coeffs,
                 None if self.c1 == 0.0 else self.basis.assemble_profile(self.c1 * w).coeffs)
-
-    def growth_constant(self, s: float, jump: "JumpOperator | None" = None) -> float:
-        """Analytic K with sum_j lambda_j ||sigma(v) e_j||_{H^s}^2
-        + integral ||G(v,z)||^2 lambda(dz) <= K (1 + ||v||_{H^s}^2)."""
-        lam = self.wiener.eigenvalues
-        e_norms_sq = (1.0 + self.basis.k_sq) ** s  # ||e_j||_{H^s}^2 exactly
-        a_sq = self.basis.peetre_factors(s) ** 2
-        k_sigma = 2.0 * float(np.sum(lam * (self.c0 ** 2 * e_norms_sq + self.c1 ** 2 * a_sq)))
-        k_jump = 0.0 if jump is None else jump.second_moment_bound()
-        return k_sigma + k_jump
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +278,6 @@ class StressNoiseInstance:
         ptau = self.grid.inverse(tau.coeffs)
         return TensorField(self.grid, self.grid.forward(pointwise_matmul(self._h_samples, ptau)))
 
-    def h_operator_sup(self) -> float:
-        """sup_x of the spectral (operator) norm of the matrix h(x)."""
-        if self.h_kind == "identity":
-            return abs(self.c_h)
-        d = self.grid.dim
-        mats = np.moveaxis(self._h_samples, (0, 1), (-2, -1)).reshape(-1, d, d)
-        return float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max())
-
 
 # ---------------------------------------------------------------------------
 # compound-Poisson jump channel
@@ -346,14 +314,6 @@ class JumpConfig:
             return self.gamma0
         return self.gamma0 * 0.5 * (self.z_min + self.z_max)
 
-    @property
-    def gamma_sq_bar(self) -> float:
-        """Mean of gamma^2 under the uniform mark law (closed form)."""
-        if self.gamma_kind == "constant":
-            return self.gamma0 ** 2
-        width = self.z_max - self.z_min
-        return self.gamma0 ** 2 * (self.z_max ** 3 - self.z_min ** 3) / (3.0 * width)
-
 
 class JumpOperator:
     """G(v, z) = gamma(z) * (kappa * v) with kappa_hat = (1+|xi|^2)^(-1)."""
@@ -377,10 +337,6 @@ class JumpOperator:
     def compensator(self, v: VectorField) -> VectorField:
         """integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)."""
         return VectorField(self.grid, self._compensator * v.coeffs, div_free=v.div_free)
-
-    def second_moment_bound(self) -> float:
-        """integral ||G(v,z)||^2 lambda(dz) <= this * ||v||^2 (kappa <= 1)."""
-        return self.config.rate * self.config.gamma_sq_bar
 
 
 # ---------------------------------------------------------------------------

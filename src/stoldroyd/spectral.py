@@ -46,7 +46,6 @@ __all__ = [
     "hs_norm",
     "hs_inner",
     "l2_inner",
-    "linf_norm",
     "bessel",
     "truncate",
     "gradient_scalar",
@@ -481,13 +480,6 @@ def hs_inner(f: Field, g: Field, s: float) -> float:
 
 def l2_inner(f: Field, g: Field) -> float:
     return hs_inner(f, g, 0.0)
-
-
-def linf_norm(f: Field) -> float:
-    """Sup norm over grid points; vector/tensor use the pointwise Euclidean/
-    Frobenius magnitude."""
-    a = to_physical(f) ** 2
-    return float(np.sqrt(np.max(a.sum(axis=tuple(range(a.ndim - f.grid.dim))))))
 
 
 def bessel(f: Field, r: float) -> Field:

@@ -9,10 +9,9 @@ for the one-line-per-criterion pass/fail report; add ``-s`` to see the
 measured numbers behind each verdict.  Desk scale throughout (2D, a 64-mode
 box, dt = 1e-3) except where a criterion itself dictates otherwise; those
 choices are noted inline.  The Monte Carlo items (4, 5, 7) dominate the cost;
-the whole gate takes about two minutes on a 2-core host.
+the whole gate takes a little over a minute on a 2-core host.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -263,10 +262,8 @@ def test_criterion_7_survival_monotonicity():
         v0 = _normalized(_ball_field("vector", 31), amplitude, 2.0)
         tau0 = _normalized(truncate(random_field(DESK, 4.0, "tensor", seed=32), 16.0),
                            amplitude, 2.0)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            return run_ensemble(FlowState(0.0, v0, tau0), params, noise, stepper,
-                                threshold=1.6, deltas=deltas, n_runs=200,
-                                master_seed=424242, map_over_runs=pool.map)
+        return run_ensemble(FlowState(0.0, v0, tau0), params, noise, stepper,
+                            threshold=1.6, deltas=deltas, n_runs=200, master_seed=424242)
 
     full = ensemble(0.8)
     half = ensemble(0.4)

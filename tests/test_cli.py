@@ -280,8 +280,11 @@ class TestVerify:
         captured = capsys.readouterr().out
         assert "suite PASSED" in captured
         assert "FAIL" not in captured.splitlines()[0]
+        assert "fitted constant" not in captured
         report = json.loads((out / "verify.json").read_text())
-        assert report["schema"] == "verify/1"
+        assert set(report) == {"schema", "master_seed", "trials", "tolerance", "passed",
+                               "max_violation"}
+        assert report["schema"] == "verify/2"
         assert report["passed"] is True
 
     def test_too_few_trials_exits_2(self, capsys):

@@ -82,3 +82,22 @@ def test_every_grid_stores_the_dealias_box_with_no_layout_switch():
     assert not fields & {"box", "dealias_mask"}
     assert _sites(lambda node: isinstance(node, ast.Attribute)
                   and node.attr in ("box", "dealias_mask")) == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_imported_name_is_read(module):
+    """No stale imports: every name a package module imports (other than
+    `__future__` features) is read by some `ast.Name` in that module.
+    `MODULES` holds the submodules only, not `__init__`, whose imports are
+    the package's re-exports."""
+    tree = ast.parse(inspect.getsource(module))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - read) == [], f"{module.__name__} imports names it never reads"
