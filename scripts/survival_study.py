@@ -13,6 +13,7 @@ above the full one everywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -43,9 +44,12 @@ def main(argv=None) -> None:
     parser.add_argument("--runs", type=int, help="ensemble members per curve "
                                                  "(default: the config's n_runs)")
     parser.add_argument("--seed", type=int, help="master seed (default: the config's)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel workers")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="parallel workers (1, the default, runs members in-process)")
     parser.add_argument("--out", help="optional JSON file for both curves")
     args = parser.parse_args(argv)
+    if args.threads < 1:  # as `stoldroyd ensemble`: exit 2
+        parser.error(f"threads must be >= 1, got {args.threads}")
 
     cfg = load_config(args.config)
     run = materialize(cfg, args.seed)
@@ -61,11 +65,13 @@ def main(argv=None) -> None:
     )
 
     curves = {}
-    with ThreadPoolExecutor(max_workers=max(args.threads, 1)) as pool:
+    # at 1 thread the members run in-process, as `stoldroyd ensemble` runs them
+    with ThreadPoolExecutor(args.threads) if args.threads > 1 else contextlib.nullcontext() as pool:
+        if pool is not None:
+            kwargs["map_over_runs"] = pool.map
         for label, initial in [("full amplitude", run.initial),
                                ("half amplitude", halved(run.initial))]:
-            result = run_ensemble(initial, run.params, run.noise, run.stepper,
-                                  map_over_runs=pool.map, **kwargs)
+            result = run_ensemble(initial, run.params, run.noise, run.stepper, **kwargs)
             print_curve(label, result)
             curves[label] = result.to_dict()
 

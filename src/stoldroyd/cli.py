@@ -233,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, needs_out=True, runs=None):
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--out", help="output directory" if needs_out else
                        "optional output directory for the JSON report")
-        p.add_argument("--runs", type=int, default=None,
-                       help="override the number of runs (ensemble) or trials (verify)")
+        if runs is not None:  # only the commands that read it offer --runs
+            p.add_argument("--runs", type=int, default=None, help=f"override the number of {runs}")
         p.add_argument("--threads", type=int, default=1,
                        help="parallel workers for ensemble members")
         p.add_argument("--seed", type=int, default=None,
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_ens = sub.add_parser("ensemble", help="estimate the stopping-time survival curve")
-    common(p_ens)
+    common(p_ens, runs="runs")
     p_ens.set_defaults(handler=cmd_ensemble)
 
     p_ref = sub.add_parser("refine", help="compare truncation cutoffs under common noise")
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref.set_defaults(handler=cmd_refine)
 
     p_ver = sub.add_parser("verify", help="run the exact-identity verification suite")
-    common(p_ver, needs_out=False)
+    common(p_ver, needs_out=False, runs="trials")
     p_ver.set_defaults(handler=cmd_verify)
 
     return parser

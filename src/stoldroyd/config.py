@@ -67,9 +67,7 @@ _SCHEMA = {
         "decay": ("float", 2.0),
         "c0": ("float", 0.0),
         "c1": ("float", 0.0),
-        "h_kind": ("str", "identity"),
         "c_h": ("float", 0.0),
-        "bump_width": ("float", 1.0),
         "jump_rate": ("float", 0.0),
         "gamma_kind": ("str", "constant"),
         "gamma0": ("float", 0.0),
@@ -236,10 +234,7 @@ def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:
     if cfg.j_modes > 0:
         wiener = WienerQConfig(lambda0=cfg.lambda0, J=cfg.j_modes, decay=cfg.decay)
         sigma = SigmaInstance(grid, wiener, c0=cfg.c0, c1=cfg.c1)
-    stress = None
-    if cfg.c_h != 0.0:
-        stress = StressNoiseInstance(grid, cfg.h_kind, c_h=cfg.c_h,
-                                     bump_width=cfg.bump_width)
+    stress = StressNoiseInstance(grid, cfg.c_h) if cfg.c_h != 0.0 else None
     jump = None
     if cfg.jump_rate > 0.0:
         jump = JumpOperator(grid, JumpConfig(rate=cfg.jump_rate, z_min=cfg.z_min,

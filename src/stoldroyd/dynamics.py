@@ -14,10 +14,11 @@ stress transport, Q and the profile-times-v noise product are formed
 pointwise on real samples, in rows the pass has spent, and one forward
 transform, which keeps the dealias box, and one ball mask bring them back
 (the transforms are dense DFT products over the box's modes alone).
-A symmetric tau sends only its d(d+1)/2 distinct components.  The velocity
-terms stay unprojected, so the integrator projects its whole update once.
-The pass's views are cut once per workspace (`_PassViews`), so a path's warm
-steps hand the transforms the same arrays, whose kept calls they replay.
+tau is symmetric (`stepping.trajectory` checks a path's initial tau), so it
+sends only its d(d+1)/2 distinct components.  The velocity terms stay
+unprojected, so the integrator projects its whole update once.  The pass's
+views are cut once per workspace (`_PassViews`), so a path's warm steps hand
+the transforms the same arrays, whose kept calls they replay.
 """
 from __future__ import annotations
 
@@ -116,11 +117,13 @@ def _q_pointwise(tau: np.ndarray, row: np.ndarray, grad_v: np.ndarray, b: float,
 
 
 def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
-    """Rotation/slip bilinear form Q(tau, grad v), dealiased; see `_q_pointwise`."""
+    """Rotation/slip bilinear form Q(tau, grad v) of a symmetric tau, dealiased; see
+    `_q_pointwise`."""
     grid, d = v.grid, v.grid.dim
-    ptau = grid.inverse(tau.coeffs.reshape((d * d,) + grid.shape))
+    flat, row = _tau_rows(d)
+    ptau = grid.inverse(tau.coeffs.reshape((d * d,) + grid.shape)[flat])
     pgrad = grid.inverse(gradient_vector(v).coeffs)
-    q = _q_pointwise(ptau, _tau_rows(d, False)[1], pgrad, b, *np.empty((2,) + pgrad.shape))
+    q = _q_pointwise(ptau, row, pgrad, b, *np.empty((2,) + pgrad.shape))
     return TensorField(grid, grid.forward(q), symmetric=True)
 
 
@@ -130,10 +133,10 @@ def advect_vector(v: VectorField, u: VectorField) -> VectorField:
 
 
 @functools.lru_cache(maxsize=None)
-def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The stress components a pass sends, as flat indices a d + b (a <= b for a
-    symmetric tau), and each component's row among them."""
-    ta, tb = np.triu_indices(d) if symmetric else np.indices((d, d)).reshape(2, -1)
+def _tau_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct components of a symmetric tau that a pass sends, as flat indices
+    a d + b with a <= b, and each component's row among them."""
+    ta, tb = np.triu_indices(d)
     row = np.empty((d, d), dtype=np.int64)
     row[tb, ta] = row[ta, tb] = np.arange(ta.size)  # the upper triangle written last
     flat = ta * d + tb
@@ -145,11 +148,12 @@ def _tau_rows(d: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
 class _PassViews:
     """A pass's views of its workspace (`SpectralGrid.workspace`'s buffers), cut once and kept
     as its `_Work.views`: `rows` field rows, `grads` of them with gradients, `p` profile (phi)
-    rows, tau's components `flat`; a pass without gradients gives its fields arrays of their own."""
+    rows, tau's component rows `row`; a pass without gradients gives its fields arrays of
+    their own."""
 
-    def __init__(self, grid, rows, grads, p, flat, row, buf, samples, work):
-        d, shape, points, n_in, self.flat = grid.dim, grid.shape, grid.points, rows + p, flat
-        full, n = d + len(flat), n_in + grads * d  # n: sample rows of the inverse
+    def __init__(self, grid, rows, grads, p, row, buf, samples, work):
+        d, shape, points, n_in = grid.dim, grid.shape, grid.points, rows + p
+        full, n = d + d * (d + 1) // 2, n_in + grads * d  # n: sample rows of the inverse
         fields = buf[:full] if grads else np.empty((full,) + shape, np.complex128)
         # the spectral gradients and D(v), in work rows the transforms have not reached
         spare = np.ndarray((full + d, d) + shape, np.complex128, work.buffer if grads else None)
@@ -166,7 +170,7 @@ class _PassViews:
             self.q = self.pgrad[d:].reshape((-1,) + points)[:d * d]  # m, below, as flat rows
             self.m = self.q.reshape((d, d) + points)
             self.scratch = np.ndarray((d, d) + points, np.float64, work.buffer)
-            self.q_rows = self.scratch.reshape(self.q.shape)[:len(flat)]
+            self.q_rows = self.scratch.reshape(self.q.shape)[:full - d]
 
 
 def explicit_terms(
@@ -179,8 +183,9 @@ def explicit_terms(
     plus `ito`, the coefficients of the stress noise's Ito correction (None
     without one).  The third output is the product of v with the scalar
     field `profile` (None without one).  Quadratic terms and the product are
-    cut to the spectral ball.  The stress drift carries tau's symmetry flag;
-    the caller, which formed `ito`, owns its symmetry.  The pass's buffers come
+    cut to the spectral ball.  tau must be symmetric: the pass reads only its
+    distinct components.  The stress drift carries tau's symmetry flag; the
+    caller, which formed `ito`, owns its symmetry.  The pass's buffers come
     from `workspace(rows, grads, extra)`, as `SpectralGrid.workspace` returns them, its
     views kept with them; the noise product is a view, valid until the next pass.
     """
@@ -189,15 +194,15 @@ def explicit_terms(
     # the term without gradients first: its temporary goes before the buffer
     stress = -params.a * state.tau.coeffs
     # the fields [v, tau], whose gradients the couplings read before any transform;
-    # a symmetric tau takes one row per distinct component, row[a, b] = row[b, a]
-    flat, row = _tau_rows(d, state.tau.symmetric)
+    # tau takes one row per distinct component, row[a, b] = row[b, a]
+    flat, row = _tau_rows(d)
     full = d + flat.size
     # one inverse of [v, tau, profile], returning the gradients of [v, tau] too, or of
     # [v, profile]; one forward of the products, which take sample rows of their own
     rows, grads = (full, full) if nonlinear else (d, 0)
     buf, samples, work = workspace(rows + p, grads, (rows if nonlinear else 0) + p * d)
-    if work.views is None or work.views.flat is not flat:
-        work.views = _PassViews(grid, rows, grads, p, flat, row, buf, samples, work)
+    if work.views is None:
+        work.views = _PassViews(grid, rows, grads, p, row, buf, samples, work)
     w = work.views
     np.copyto(w.v_rows, state.v.coeffs)
     state.tau.coeffs.reshape((d * d,) + grid.shape).take(flat, 0, w.tau_rows, "wrap")

@@ -4,10 +4,10 @@
   divergence-free, unit-RMS trigonometric fields e_j with trace-class weights
   lambda_j = lambda0 * j^(-decay), acted on by an affine diffusion
   sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
-* Stress: a single scalar Brownian motion multiplying S(tau) = h tau
-  (pointwise matrix product).  The Stratonovich-to-Ito correction
-  (1/2) S^2(tau) is consumed in `stepping.step`, which forms S(tau) once for
-  both the correction and the increment.
+* Stress: a single scalar Brownian motion multiplying S(tau) = c_h tau.
+  The Stratonovich-to-Ito correction (1/2) S^2(tau) = (c_h / 2) S(tau) is
+  consumed in `stepping.step`, which forms S(tau) once for both the
+  correction and the increment.
 * Jumps: a compound Poisson channel G(v, z) = gamma(z) * (kappa * v) with a
   smoothing multiplier kappa_hat = (1+|xi|^2)^(-1), compensated exactly in
   closed form.
@@ -30,7 +30,6 @@ from .spectral import (
     SpectralGrid,
     TensorField,
     VectorField,
-    pointwise_matmul,
 )
 
 __all__ = [
@@ -230,53 +229,19 @@ class SigmaInstance:
 # ---------------------------------------------------------------------------
 
 class StressNoiseInstance:
-    """S(tau) = h tau with h either c_h * identity or a smooth bump profile
-    times the all-ones matrix.
+    """S(tau) = c_h tau: it multiplies coefficients directly (no transform),
+    keeps tau symmetric, and makes the scalar linear SDE per coefficient
+    exact up to the scheme error."""
 
-    The identity kind multiplies coefficients directly (no transform), keeps
-    tau symmetric, and makes the scalar linear SDE per coefficient exact up to
-    the scheme error — the bump kind exercises the symmetry-defect tracking.
-    Never symmetrizes its output.
-    """
-
-    def __init__(self, grid: SpectralGrid, h_kind: str = "identity", c_h: float = 0.0,
-                 bump_width: float = 1.0):
-        if h_kind not in ("identity", "bump"):
-            raise ValueError(f"h_kind must be 'identity' or 'bump', got {h_kind!r}")
+    def __init__(self, grid: SpectralGrid, c_h: float = 0.0):
         self.grid = grid
-        self.h_kind = h_kind
         self.c_h = float(c_h)
-        self.bump_width = bump_width
-        self.preserves_symmetry = h_kind == "identity"
-        if h_kind == "bump":
-            x = np.meshgrid(
-                *[np.linspace(0, grid.box_length, grid.modes_per_axis, endpoint=False)] * grid.dim,
-                indexing="ij",
-            )
-            kappa = 1.0 / bump_width ** 2
-            profile = np.ones(grid.points)
-            for xa in x:
-                profile = profile * np.exp(kappa * (np.cos(2 * math.pi * xa / grid.box_length) - 1.0))
-            ones = np.ones((grid.dim, grid.dim))
-            phys = self.c_h * np.einsum("ab,...->ab...", ones, profile)
-            c = grid.forward(phys)
-            self.h = TensorField(grid, c, symmetric=True)
-            # physical samples of the dealiased profile, the left factor of every product
-            self._h_samples = grid.inverse(c)
-        else:
-            c = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
-            for a in range(grid.dim):
-                c[(a, a) + (0,) * grid.dim] = self.c_h
-            self.h = TensorField(grid, c, symmetric=True)
 
     def on(self, grid: SpectralGrid) -> "StressNoiseInstance":
-        return StressNoiseInstance(grid, self.h_kind, self.c_h, self.bump_width)
+        return StressNoiseInstance(grid, self.c_h)
 
     def s_apply(self, tau: TensorField) -> TensorField:
-        if self.h_kind == "identity":
-            return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
-        ptau = self.grid.inverse(tau.coeffs)
-        return TensorField(self.grid, self.grid.forward(pointwise_matmul(self._h_samples, ptau)))
+        return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
 
 
 # ---------------------------------------------------------------------------

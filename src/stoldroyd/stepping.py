@@ -127,18 +127,17 @@ def on_alias_free_grid(
     (n defaults to the state grid's radius) is the Galerkin system of the
     state's grid: `alias_free_modes` sized for the noise basis.
 
-    The state's grid size is kept for a bump stress profile, which is
-    sampled per grid, and for a state with mass outside the ball |xi| <= n,
-    whose products a smaller grid would alias.  Without `n`, a grid whose
-    size does not change returns the inputs themselves; with it, the cutoff
-    always gets a grid object of its own.
+    The state's grid size is kept for a state with mass outside the ball
+    |xi| <= n, whose products a smaller grid would alias.  Without `n`, a
+    grid whose size does not change returns the inputs themselves; with it,
+    the cutoff always gets a grid object of its own.
     """
     host = state.v.grid
     radius = host.truncation_radius if n is None else n
     outside = host.xi_sq > radius * radius
     outside_ball = any(np.any(f.coeffs[..., outside]) for f in (state.v, state.tau))
     modes = host.modes_per_axis
-    if not outside_ball and (noise.stress is None or noise.stress.h_kind != "bump"):
+    if not outside_ball:
         kmax = noise.sigma.basis.kmax if noise.sigma is not None else 0
         modes = alias_free_modes(host, radius, kmax)
     if n is None and modes == host.modes_per_axis:
@@ -174,9 +173,8 @@ def step(
         s_tau = ito = None
         if stress is not None:
             s_tau = stress.s_apply(state.tau)
-            ito = (np.multiply(s_tau.coeffs, stress.c_h, out=plan.ito) if stress.h_kind == "identity"
-                   else stress.s_apply(s_tau).coeffs)  # S(S(tau)), then Ito's (1/2) cutoff of it
-            ito *= grid.ball_mask
+            ito = np.multiply(s_tau.coeffs, stress.c_h, out=plan.ito)  # S(S(tau)) = c_h S(tau),
+            ito *= grid.ball_mask  # then Ito's (1/2) cutoff of it
             ito *= 0.5
         # both drifts, the compensator and S(tau) are this step's own fresh arrays, so
         # each product is formed in place (a sum only swaps its operands: same bits)
@@ -199,12 +197,10 @@ def step(
 
         tau_c = np.multiply(sd.coeffs, dt, out=sd.coeffs)
         tau_c += state.tau.coeffs
-        symmetric = state.tau.symmetric
         if stress is not None:
             tau_c += np.multiply(s_tau.coeffs, sn.dw2, out=s_tau.coeffs)
-            symmetric = symmetric and stress.preserves_symmetry
         tau_c *= grid.ball_mask
-    return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=symmetric))
+    return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=state.tau.symmetric))
 
 
 def trajectory(
@@ -216,7 +212,16 @@ def trajectory(
 ) -> Iterator[FlowState]:
     """Yield the state at the start and after each step, one step per draw
     pulled from `noise_steps`, lazily: a consumer that stops pulling draws no
-    more noise.  One `StepPlan` serves every step of the path."""
+    more noise.  One `StepPlan` serves every step of the path.
+
+    The drift pass sends only tau's distinct components, so the first pull
+    raises ValueError for a tau that is not bitwise equal to its transpose;
+    a step writes symmetric bits from symmetric ones, so later states are
+    not checked."""
+    c = state.tau.coeffs
+    if c.tobytes() != np.swapaxes(c, 0, 1).tobytes():
+        raise ValueError("the initial stress tau is not symmetric: tau must equal its "
+                         "transpose bit for bit")
     yield state
     plan = StepPlan(state.v.grid, params, dt)
     for sn in noise_steps:

@@ -156,7 +156,7 @@ def test_criterion_4_stratonovich_strong_order():
     tau0 = TensorField(grid, tc, symmetric=True)
     v0 = VectorField(grid, np.zeros((2,) + grid.shape, dtype=complex), div_free=True)
     params = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
-    noise = NoiseModel(stress=StressNoiseInstance(grid, "identity", c_h=c_h))
+    noise = NoiseModel(stress=StressNoiseInstance(grid, c_h=c_h))
 
     dts = (1e-2, 5e-3, 2.5e-3)
     errors = []
@@ -223,7 +223,7 @@ def test_criterion_6_galerkin_refinement_decay():
     noise = NoiseModel(
         wiener=w,
         sigma=SigmaInstance(base, w, c0=0.3, c1=0.1),
-        stress=StressNoiseInstance(base, "identity", c_h=0.2),
+        stress=StressNoiseInstance(base, c_h=0.2),
         jump=JumpOperator(base, JumpConfig(rate=1.0, gamma_kind="constant", gamma0=0.05)),
     )
 
@@ -251,7 +251,7 @@ def test_criterion_7_survival_monotonicity():
     noise = NoiseModel(
         wiener=w,
         sigma=SigmaInstance(DESK, w, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(DESK, "identity", c_h=0.3),
+        stress=StressNoiseInstance(DESK, c_h=0.3),
         jump=JumpOperator(DESK, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
     )
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
@@ -335,7 +335,7 @@ def test_criterion_8_reproducibility(tmp_path):
     noise = NoiseModel(
         wiener=w,
         sigma=SigmaInstance(DESK, w, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(DESK, "identity", c_h=0.3),
+        stress=StressNoiseInstance(DESK, c_h=0.3),
         jump=JumpOperator(DESK, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
     )
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)

@@ -258,6 +258,18 @@ def test_bad_thread_count_exits_2_for_every_command(command, threads, config_fil
     assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "refine"])
+def test_runs_flag_exits_2_where_it_is_not_read(command, config_file, tmp_path, capsys):
+    """Only `ensemble` and `verify` read --runs; elsewhere the flag is refused, not
+    silently ignored, and nothing is run."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--config", config_file, "--out", str(out), "--runs", "5"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --runs 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "ensemble", "refine"])
 @pytest.mark.parametrize("field, value", [("dt", "inf"), ("dt", "nan"),
                                           ("horizon", "inf"), ("horizon", "nan")])

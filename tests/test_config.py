@@ -78,7 +78,6 @@ class TestParsing:
         assert cfg.s == 2.0
         assert cfg.nonlinear is True
         assert cfg.j_modes == 0
-        assert cfg.h_kind == "identity"
         assert cfg.ensemble_deltas == (0.01,)
         assert cfg.refine_cutoffs == (8.0, 16.0)
         assert cfg.master_seed == 42
@@ -115,18 +114,25 @@ class TestParsing:
                                         "deltas = 0.001,0.002 , 0.005"))
         assert cfg.ensemble_deltas == (0.001, 0.002, 0.005)
 
+    @pytest.mark.parametrize("key", ["h_kind = bump", "bump_width = 0.5"])
+    def test_deleted_stress_profile_keys_are_unknown(self, key):
+        name = key.split()[0]
+        with pytest.raises(ValueError, match=rf"unknown key '{name}' in section \[noise\]"):
+            parse_config(FULL.replace("c_h = 0.15", f"c_h = 0.15\n{key}"))
+
     def test_duplicate_key_is_malformed(self):
         with pytest.raises(ValueError, match="malformed config"):
             parse_config(MINIMAL.replace("dt = 0.001", "dt = 0.001\ndt = 0.002"))
 
 
-# RunConfig's fields as the hand-written class declared them: name, type
+# RunConfig's fields as the hand-written class declared them, less the stress
+# profile's `h_kind` and `bump_width`: name, type
 RUNCONFIG_FIELDS = [
     *(("grid_" + k, int) for k in ("dim", "modes_per_axis")),
     *(("grid_" + k, float) for k in ("box_length", "truncation_radius")),
     *((k, float) for k in ("nu", "a", "b", "mu1", "mu2", "s")), ("nonlinear", bool),
     ("lambda0", float), ("j_modes", int), ("decay", float), ("c0", float), ("c1", float),
-    ("h_kind", str), ("c_h", float), ("bump_width", float), ("jump_rate", float),
+    ("c_h", float), ("jump_rate", float),
     ("gamma_kind", str), ("gamma0", float), ("z_min", float), ("z_max", float),
     *(("init_" + k, float) for k in ("alpha", "v_scale", "tau_scale")),
     ("dt", float), ("horizon", float), ("record_noise", bool),
@@ -140,11 +146,11 @@ RUNCONFIG_FIELDS = [
 class TestRunConfigClass:
     def test_fields_follow_the_schema(self):
         """One field per schema key, in schema order, typed by its tag: the
-        names, order and types of the hand-written class."""
+        names, order and types of the hand-written class, less two keys."""
         fields = dataclasses.fields(RunConfig)
         assert [(f.name, f.type) for f in fields] == RUNCONFIG_FIELDS
         keys = [key for keys in _SCHEMA.values() for key in keys]
-        assert len(fields) == len(keys) == 38
+        assert len(fields) == len(keys) == 36
         assert all(f.name.endswith(key) for f, key in zip(fields, keys))
 
     def test_frozen_and_pickles(self):
@@ -157,9 +163,9 @@ class TestRunConfigClass:
 
     def test_pinned_config_hash(self):
         """The canonical text, and so every output's provenance hash, is that
-        of the hand-written class."""
-        assert config_hash(parse_config(FULL)) == "f3571b8282b7ac29"
-        assert config_hash(parse_config(MINIMAL)) == "f29afa4892db69d9"
+        of the hand-written class without the `h_kind` and `bump_width` lines."""
+        assert config_hash(parse_config(FULL)) == "73679fda440cdfbf"
+        assert config_hash(parse_config(MINIMAL)) == "bc341c531ab4a48b"
 
 
 class TestRoundTrip:

@@ -343,11 +343,11 @@ class TestCouplingsFromTheDriftPass:
 
 class TestSymmetricStressRows:
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_symmetric_pass_equals_the_unflagged_pass_bitwise(self, monkeypatch, dim):
-        """A symmetric tau sends only its d(d+1)/2 distinct components through
-        the pass's one inverse, which returns their gradients too; the outputs
-        equal, bitwise, those of the same coefficients flagged non-symmetric,
-        which send all d^2.  Only field rows go in: v, tau and the profile."""
+    def test_pass_sends_only_the_distinct_components(self, monkeypatch, dim):
+        """tau sends only its d(d+1)/2 distinct components through the pass's
+        one inverse, which returns their gradients too, and the stress drift
+        is symmetric bit for bit.  Only field rows go in: v, tau and the
+        profile."""
         M, n = (24, 6.0) if dim == 2 else (14, 3.0)
         grid = make_grid(dim, M, 2 * math.pi, n)
         v = truncate(random_field(grid, 4.0, "vector", seed=33), n)
@@ -359,16 +359,10 @@ class TestSymmetricStressRows:
         inner = spectral.SpectralGrid.inverse
         monkeypatch.setattr(spectral.SpectralGrid, "inverse",
                             lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
-        outputs = []
-        for symmetric in (True, False):
-            state = FlowState(0.0, v, TensorField(grid, tau.coeffs, symmetric=symmetric))
-            outputs.append(dynamics.explicit_terms(state, PARAMS, None, profile, grid.workspace))
-        d = dim
-        assert rows == [d + d * (d + 1) // 2 + 1, d + d * d + 1]
-        (vel_s, stress_s, prod_s), (vel_n, stress_n, prod_n) = outputs
-        assert np.array_equal(vel_s, vel_n) and np.array_equal(prod_s, prod_n)
-        assert np.array_equal(stress_s.coeffs, stress_n.coeffs)
-        assert stress_s.symmetric and not stress_n.symmetric
+        _, stress, _ = dynamics.explicit_terms(FlowState(0.0, v, tau), PARAMS, None, profile,
+                                               grid.workspace)
+        assert rows == [dim + dim * (dim + 1) // 2 + 1]
+        assert np.array_equal(stress.coeffs, np.swapaxes(stress.coeffs, 0, 1)) and stress.symmetric
 
 
 class TestLinearPassWithAProfile:
@@ -403,8 +397,7 @@ class TestPassViewsPerWorkspace:
     def test_plan_pass_cuts_its_views_once_and_equals_fresh_buffers(self, dim, M, n, nonlinear,
                                                                     with_profile):
         """Through a plan's workspace, the pass cuts its views once and replays
-        its transform calls on later states, and cuts them again when tau's
-        symmetry changes the rows it sends; every output equals the pass on
+        its transform calls on later states; every output equals the pass on
         fresh buffers (the grid's workspace), bitwise."""
         grid = make_grid(dim, M, 2 * math.pi, n)
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
@@ -418,22 +411,20 @@ class TestPassViewsPerWorkspace:
             return buffers
 
         seen = []
-        for k, symmetric in enumerate((True, True, True, False, False)):
-            tau = TensorField(grid, ball_field("tensor", 50 + k, grid).coeffs, symmetric=symmetric)
-            state = FlowState(0.0, ball_field("vector", 40 + k, grid), tau)
+        for k in range(3):
+            state = FlowState(0.0, ball_field("vector", 40 + k, grid),
+                              ball_field("tensor", 50 + k, grid))
             profile = sigma.parts(np.full(4, 0.01 * (k + 1)))[1] if with_profile else None
             got = explicit_terms(state, params, None, profile, workspace)
             want = explicit_terms(state, params, None, profile, grid.workspace)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].coeffs.tobytes() == want[1].coeffs.tobytes()
-            assert got[1].symmetric == symmetric
+            assert got[1].symmetric
             assert (got[2] is None) == (want[2] is None) == (profile is None)
             if profile is not None:
                 assert got[2].tobytes() == want[2].tobytes()
             seen.append((works[-1].views, works[-1].inverse[-1], works[-1].forward[-1]))
-        # symmetric passes share their views and lists; the first asymmetric pass cuts anew
-        # (a linear pass without a profile makes no transform: its lists stay the empty ones)
-        transforms = nonlinear or with_profile
-        for i, j, same in ((0, 1, True), (0, 2, True), (0, 3, False), (3, 4, True)):
-            assert (seen[i][0] is seen[j][0]) == same
-            assert all((a is b) == (same or not transforms) for a, b in zip(seen[i][1:], seen[j][1:]))
+        # every pass shares the first one's views and lists (a linear pass without a
+        # profile makes no transform: its lists stay the empty ones)
+        for later in seen[1:]:
+            assert all(a is b for a, b in zip(seen[0], later))

@@ -59,7 +59,7 @@ def light_noise(grid=GRID):
     return NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1),
-        stress=StressNoiseInstance(grid, "identity", c_h=0.1),
+        stress=StressNoiseInstance(grid, c_h=0.1),
         jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05)),
     )
 
@@ -246,7 +246,7 @@ def refine_noise(grid):
     return NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1),
-        stress=StressNoiseInstance(grid, "identity", c_h=0.1),
+        stress=StressNoiseInstance(grid, c_h=0.1),
         jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05)),
     )
 
@@ -359,20 +359,6 @@ class TestRefinement:
                     want[2] += stepper.dt * experiments._grad_sq_of(grid, dv)
             assert [sup_v, sup_tau, grad_int] == want and min(want) > 0.0
 
-    def test_bump_stress_noise_keeps_host_grid(self, monkeypatch):
-        base = make_grid(2, 48, 2 * math.pi, 16)
-        iv = truncate(random_field(base, 6.0, "vector", seed=13), 16)
-        it = truncate(random_field(base, 6.0, "tensor", seed=14), 16)
-        stepper = StepperConfig(dt=1e-3, horizon=2e-3)
-        for h_kind, sizes in (("bump", {4.0: 48, 8.0: 48}), ("identity", {4.0: 14, 8.0: 26})):
-            model = refine_noise(base)
-            model.stress = StressNoiseInstance(base, h_kind, c_h=0.1)
-            path = recorded_path(model, base, stepper.dt, stepper.n_steps)
-            trajectories = record_steps(monkeypatch)
-            refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, model,
-                                   threshold=1e6)
-            assert {c: traj[0].v.grid.modes_per_axis for c, traj in trajectories.items()} == sizes
-
     def test_wide_noise_basis_widens_small_cutoff_grid(self, monkeypatch):
         """J = 81 reaches |k| = 5, which the 14-mode grid of cutoff 4 cannot
         hold; the cutoff gets 16 modes instead of an error."""
@@ -419,7 +405,7 @@ class TestRefinement:
         confined = NoiseModel(
             wiener=wiener,
             sigma=SigmaInstance(base, wiener, c0=0.3, c1=0.0),
-            stress=StressNoiseInstance(base, "identity", c_h=0.2),
+            stress=StressNoiseInstance(base, c_h=0.2),
             jump=JumpOperator(base, JumpConfig(rate=5.0, gamma_kind="linear", gamma0=0.3)),
         )
         res = refinement_study(iv, it, params, StepperConfig(dt=1e-3, horizon=1e-2),

@@ -5,11 +5,12 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import stoldroyd
-from stoldroyd import spectral
+from stoldroyd import config, spectral
 
 MODULES = [importlib.import_module(f"stoldroyd.{info.name}")
            for info in pkgutil.iter_modules(stoldroyd.__path__)]
@@ -101,3 +102,28 @@ def test_every_imported_name_is_read(module):
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(imported - read) == [], f"{module.__name__} imports names it never reads"
+
+
+# config.py's generic code, which reads every field by name (`getattr`), not as a knob
+CONFIG_GENERIC = {"_field_of", "_coerce", "parse_config", "load_config", "_format",
+                  "serialize_config", "config_hash"}
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_every_config_key_is_read():
+    """No dead knobs: every `RunConfig` field is read as `cfg.<field>` (the
+    program's one name for a run's config) in the package, outside config.py's
+    generic parse/serialize code, or in scripts/."""
+    sources = [(inspect.getsource(m), CONFIG_GENERIC if m is config else set()) for m in MODULES]
+    sources += [(path.read_text(encoding="utf-8"), set()) for path in sorted(SCRIPTS.glob("*.py"))]
+    read = set()
+    for source, skip in sources:
+        tree = ast.parse(source)
+        skipped = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name in skip for node in ast.walk(f)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                 and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+                 and id(node) not in skipped}
+    fields = [f.name for f in dataclasses.fields(config.RunConfig)]
+    assert [name for name in fields if name not in read] == []

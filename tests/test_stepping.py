@@ -11,6 +11,7 @@ import pytest
 
 from stoldroyd.config import materialize, parse_config
 from stoldroyd.dynamics import FlowState, PhysicalParams
+from stoldroyd.experiments import refinement_study
 from stoldroyd.monitor import MonitorConfig, StoppingEvent, detect_stop, energy
 from stoldroyd.noise import (
     JumpConfig,
@@ -74,7 +75,7 @@ def full_noise_model(grid=GRID):
     return NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.3, c1=0.2),
-        stress=StressNoiseInstance(grid, "identity", c_h=0.25),
+        stress=StressNoiseInstance(grid, c_h=0.25),
         jump=JumpOperator(grid, JumpConfig(rate=3.0, gamma_kind="constant", gamma0=0.1)),
     )
 
@@ -117,7 +118,7 @@ class TestClosedForms:
         noise = NoiseModel(
             wiener=wiener,
             sigma=SigmaInstance(GRID, wiener, c0=0.0, c1=0.5),  # multiplicative only
-            stress=StressNoiseInstance(GRID, "identity", c_h=0.4),
+            stress=StressNoiseInstance(GRID, c_h=0.4),
         )
         params = PhysicalParams(nu=0.1, a=0.3, b=0.2, mu1=1.0, mu2=1.0)
         res = simulate(FlowState(0.0, v0, tau0), params, noise,
@@ -150,7 +151,7 @@ class TestClosedForms:
         tau_c[1, 1, -1, 0] = 1.0
         tau0 = TensorField(grid, tau_c, symmetric=True)
         params = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
-        noise = NoiseModel(stress=StressNoiseInstance(grid, "identity", c_h=c_h))
+        noise = NoiseModel(stress=StressNoiseInstance(grid, c_h=c_h))
         stepper = StepperConfig(dt=1e-4, horizon=0.25, record_noise=True)
         res = simulate(FlowState(0.0, v0, tau0), params, noise, stepper, MON,
                        rng=rng_for_run(4, 0))
@@ -394,21 +395,6 @@ class TestTransformBudget:
         assert calls == [("inverse", (6, 33, 17)), ("forward", (7, 50, 50))]
         assert len(projections) == 1
 
-    def test_bump_stress_step_forms_s_of_tau_once(self, monkeypatch):
-        """S(tau) serves both the Ito correction (1/2) S(S(tau)) and the dW2
-        increment: besides its one pass, a bump desk step makes two inverse
-        transforms for the stress noise, not three."""
-        run, sn = desk_step_inputs()
-        noise = replace(run.noise, stress=StressNoiseInstance(run.grid, "bump", c_h=0.3))
-        state, model = on_alias_free_grid(run.initial, noise)
-        rows = []
-        inner = SpectralGrid.inverse
-        monkeypatch.setattr(SpectralGrid, "inverse",
-                            lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
-        out = step(state, run.params, model, sn, run.stepper.dt)
-        assert np.all(np.isfinite(out.tau.coeffs)) and not out.tau.symmetric
-        assert rows == [2, 2, 6]  # S(tau), S(S(tau)), the pass
-
     def test_desk_step_and_energy_stay_within_memory_budget(self):
         """Allocation sizes are deterministic, so the traced peak is too."""
         run, sn = desk_step_inputs()
@@ -495,7 +481,7 @@ def small_grid_inputs():
     noise = NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(grid, "identity", c_h=0.3),
+        stress=StressNoiseInstance(grid, c_h=0.3),
         jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
     )
     v0 = truncate(random_field(grid, 4.0, "vector", seed=60), 5)
@@ -511,15 +497,7 @@ def full_spectrum_step(state, params, noise, sn, dt):
     d, M = grid.dim, grid.modes_per_axis
     xi, dealias, ball = oracles.full_geometry(d, M, grid.truncation_radius, grid.box_length)
     xi_sq = np.sum(xi * xi, axis=0)
-    axes = tuple(range(-d, 0))
-    v, tau, h = (oracles.full_from_box(c, d, M)
-                 for c in (state.v.coeffs, state.tau.coeffs, noise.stress.h.coeffs))
-
-    def s_apply(t):  # S(t) = h t, a pointwise matrix product kept to the dealias box
-        ph, pt = (np.fft.ifftn(c, axes=axes, norm="forward") for c in (h, t))
-        return np.fft.fftn(np.einsum("ik...,kj...->ij...", ph, pt), axes=axes,
-                           norm="forward") * dealias
-
+    v, tau = (oracles.full_from_box(c, d, M) for c in (state.v.coeffs, state.tau.coeffs))
     grad_v = 1j * xi[np.newaxis] * v[:, np.newaxis]
     if params.nonlinear:
         adv_v, adv_tau, q = oracles.oldroyd_quadratic_terms(xi, v, tau, params.b, dealias & ball)
@@ -534,51 +512,53 @@ def full_spectrum_step(state, params, noise, sn, dt):
     v_star = v_star / (1.0 + params.nu * dt * xi_sq)
     for _, z in sn.jumps:
         v_star = v_star + jump.gamma(z) * kappa * v_star
-    s_tau = s_apply(tau)
+    c_h = noise.stress.c_h
+    s_tau = c_h * tau  # S(tau)
     tau_new = (tau + dt * (-adv_tau - q - params.a * tau
                            + params.mu2 * 0.5 * (grad_v + np.swapaxes(grad_v, 0, 1))
-                           + 0.5 * s_apply(s_tau) * ball)
+                           + 0.5 * c_h * s_tau * ball)
                + sn.dw2 * s_tau) * ball
     return (oracles.box_from_full(oracles.leray_project_modes(xi, v_star * ball), d),
             oracles.box_from_full(tau_new, d))
 
 
 class TestHalfLayoutStep:
-    @pytest.mark.parametrize("dim, h_kind, nonlinear", [
-        (2, "identity", True), (2, "bump", True), (2, "identity", False), (3, "identity", True),
-        (3, "bump", True), (3, "identity", False),
-    ])
-    def test_step_on_half_spectra_matches_the_full_layout(self, dim, h_kind, nonlinear):
-        """Every channel on: a step on the box layout (the half spectrum cut
-        to the dealias box) is the full spectrum's step to rounding."""
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_step_on_half_spectra_matches_the_full_layout(self, dim, nonlinear):
+        """Every channel on: each of 3 steps on the box layout (the half
+        spectrum cut to the dealias box) is the full spectrum's step from the
+        previous state to rounding, so a fault that shows only once the
+        first step has moved tau is caught too."""
         M, n = (24, 6.0) if dim == 2 else (14, 3.0)
         box = make_grid(dim, M, 2 * math.pi, n)
         wiener = WienerQConfig(lambda0=0.1, J=4)
         noise = NoiseModel(
             wiener=wiener,
             sigma=SigmaInstance(box, wiener, c0=0.5, c1=0.2),
-            stress=StressNoiseInstance(box, h_kind, c_h=0.3),
+            stress=StressNoiseInstance(box, c_h=0.3),
             jump=JumpOperator(box, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
         )
         v = truncate(random_field(box, 4.0, "vector", seed=92), n)
         tau = truncate(random_field(box, 4.0, "tensor", seed=93), n)
         state = FlowState(0.0, v, tau)
         params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0, nonlinear=nonlinear)
-        sn = StepNoise(dw1=np.full(4, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
-        got = step(state, params, noise, sn, 1e-3)
         K = box.dealias_kmax
-        assert got.v.coeffs.shape[1:] == (2 * K + 1,) * (dim - 1) + (K + 1,)
-        for g, w in zip((got.v, got.tau), full_spectrum_step(state, params, noise, sn, 1e-3)):
-            assert np.max(np.abs(g.coeffs - w)) <= 1e-13 * np.max(np.abs(w))
-        assert got.tau.symmetric == (h_kind == "identity")
+        for k in range(3):
+            sn = StepNoise(dw1=np.full(4, 0.03 * (k + 1)), dw2=0.02 * (-1) ** k,
+                           jumps=((0.0004, 0.5),) if k != 1 else ())
+            got = step(state, params, noise, sn, 1e-3)
+            assert got.v.coeffs.shape[1:] == (2 * K + 1,) * (dim - 1) + (K + 1,)
+            for g, w in zip((got.v, got.tau), full_spectrum_step(state, params, noise, sn, 1e-3)):
+                assert np.max(np.abs(g.coeffs - w)) <= 1e-13 * np.max(np.abs(w))
+            assert got.tau.symmetric
+            state = got
 
 
 def plan_inputs(case):
-    """small_grid_inputs with every channel on, as the survival ensemble steps:
-    identity stress noise, a bump profile (tau loses its symmetry after the
-    first step, so the pass sends more rows from the second), or the linear
-    system (its pass sends only v and the noise profile), also in 3D on 14
-    modes."""
+    """small_grid_inputs with every channel on, as the survival ensemble steps,
+    or the linear system (its pass sends only v and the noise profile), also
+    in 3D on 14 modes."""
     state, noise = small_grid_inputs()
     if case == "linear_3d":
         grid = make_grid(3, 14, 2 * math.pi, 3.0)
@@ -587,8 +567,6 @@ def plan_inputs(case):
         noise = noise.on(grid)
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0,
                             nonlinear=not case.startswith("linear"))
-    if case == "bump":
-        noise = replace(noise, stress=StressNoiseInstance(state.v.grid, "bump", c_h=0.3))
     return state, noise, params
 
 
@@ -610,7 +588,7 @@ class TestStepPlan:
     """`trajectory` builds one `StepPlan` per path and reuses its buffers on
     every step; none of that may change a bit or leak between paths."""
 
-    @pytest.mark.parametrize("case", ["identity", "bump", "linear", "linear_3d"])
+    @pytest.mark.parametrize("case", ["identity", "linear", "linear_3d"])
     def test_trajectory_equals_plan_less_steps(self, case):
         """Each state equals repeated `step` calls without a plan, bitwise,
         and owns its arrays: no two states share memory."""
@@ -621,7 +599,7 @@ class TestStepPlan:
             want.append(step(want[-1], params, noise, sn, 1e-3))
         got = list(trajectory(state, params, noise, draws, 1e-3))
         assert_same_states(got, want)
-        assert got[-1].tau.symmetric == (case != "bump")
+        assert got[-1].tau.symmetric
         arrays = [a for s in got for a in (s.v.coeffs, s.tau.coeffs)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
@@ -666,6 +644,35 @@ class TestStepPlan:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, serial):
             assert_same_states(got, want)
+
+
+class TestSymmetricStress:
+    @pytest.mark.parametrize("caller", ["trajectory", "simulate", "refinement_study"])
+    def test_an_initial_tau_with_an_antisymmetric_part_is_rejected(self, caller):
+        """The drift pass reads only tau's distinct components, so every path
+        refuses, on its first state, a tau that is not bitwise equal to its
+        transpose, whatever its flag says; the same tau made symmetric runs."""
+        state, noise, params = plan_inputs("identity")
+        grid, c = state.v.grid, state.tau.coeffs.copy()
+        part = 1e-3 * c[0, 0]  # a real field's coefficients: tau stays real
+        c[0, 1] += part
+        c[1, 0] -= part
+        stepper = StepperConfig(dt=1e-3, horizon=3e-3)
+
+        def run(tau_coeffs):
+            tau = TensorField(grid, tau_coeffs, symmetric=True)
+            if caller == "trajectory":
+                return list(trajectory(FlowState(0.0, state.v, tau), params, noise,
+                                       sampled(noise, 90, 3), 1e-3))
+            if caller == "simulate":
+                return simulate(FlowState(0.0, state.v, tau), params, noise, stepper, MON,
+                                rng=rng_for_run(90, 0))
+            return refinement_study(state.v, tau, params, stepper, [3.0, 5.0], noise,
+                                    threshold=1e6, n_paths=1, master_seed=90)
+
+        with pytest.raises(ValueError, match="stress tau is not symmetric"):
+            run(c)
+        assert run(0.5 * (c + np.swapaxes(c, 0, 1))) is not None
 
 
 class TestAliasFreeSimulate:
@@ -718,20 +725,17 @@ class TestAliasFreeSimulate:
         for got, want in ((res.final_state.v, state.v), (res.final_state.tau, state.tau)):
             assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
-    @pytest.mark.parametrize("case", ["alias_free_host", "bump", "mass_outside_ball"])
+    @pytest.mark.parametrize("case", ["alias_free_host", "mass_outside_ball"])
     def test_unreduced_runs_equal_host_loop_bitwise(self, case):
-        """A grid the rule cannot shrink, a bump profile (sampled per grid),
-        and data outside the ball (whose products would alias) all keep the
-        caller's grid: the rule hands back its inputs, and the run equals
-        the host loop on them bitwise."""
+        """A grid the rule cannot shrink and data outside the ball (whose
+        products would alias) both keep the caller's grid: the rule hands
+        back its inputs, and the run equals the host loop on them bitwise."""
         if case == "alias_free_host":
             initial, noise = small_grid_inputs()
         else:
             run, _ = desk_step_inputs()
             initial, noise = run.initial, run.noise
         host = initial.v.grid
-        if case == "bump":
-            noise = replace(noise, stress=StressNoiseInstance(run.grid, "bump", c_h=0.3))
         if case == "mass_outside_ball":  # the field lies in the dealias box
             shell = random_field(run.grid, 4.0, "vector", seed=62).coeffs * ~run.grid.ball_mask
             initial = FlowState(0.0, VectorField(run.grid, initial.v.coeffs + 1e-3 * shell),
@@ -775,7 +779,3 @@ class TestAliasFreeSimulate:
         a = moved.sampler(rng_for_run(67, 0)).sample_step(1e-3)
         b = noise.sampler(rng_for_run(67, 0)).sample_step(1e-3)
         assert np.array_equal(a.dw1, b.dw1) and (a.dw2, a.jumps) == (b.dw2, b.jumps)
-        # a bump profile keeps its width: rebuilt on a grid of the same size it is the same
-        bump = StressNoiseInstance(host, "bump", c_h=0.3, bump_width=0.7)
-        again = bump.on(make_grid(2, 64, 2 * math.pi, 8))
-        assert np.array_equal(again.h.coeffs, bump.h.coeffs)
