@@ -233,23 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True, runs=None):
+    def common(p, needs_out=True, runs=None, members=False):
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--out", help="output directory" if needs_out else
                        "optional output directory for the JSON report")
         if runs is not None:  # only the commands that read it offer --runs
             p.add_argument("--runs", type=int, default=None, help=f"override the number of {runs}")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for ensemble members")
+                       help="parallel workers for ensemble members" if members else
+                       "accepted and ignored: this command runs no ensemble members")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed, overriding the config")
+        p.set_defaults(parser=p)  # the parser that reports this command's stray arguments
 
     p_sim = sub.add_parser("simulate", help="run one path and write its diagnostics")
     common(p_sim)
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_ens = sub.add_parser("ensemble", help="estimate the stopping-time survival curve")
-    common(p_ens, runs="runs")
+    common(p_ens, runs="runs", members=True)
     p_ens.set_defaults(handler=cmd_ensemble)
 
     p_ref = sub.add_parser("refine", help="compare truncation cutoffs under common noise")
@@ -264,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.threads < 1:
             raise _CommandError(2, f"threads must be >= 1, got {args.threads}")

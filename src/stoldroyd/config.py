@@ -7,10 +7,11 @@ schema-driven: unknown sections or keys are rejected by name, every value is
 coerced to its declared type with an error naming the offending field, and
 defaults are materialized so that parse -> serialize -> parse is the identity.
 
-Numeric bounds are NOT re-checked here; they live with the objects that own
-them (grid, parameters, noise, stepper, monitor), and ``materialize`` builds
-all of those up front so a bad value fails before any run starts, with the
-owning module's message (which names the field and its bound).
+Every float must be finite; other numeric bounds are NOT checked here: they
+live with the objects that own them (grid, parameters, noise, stepper,
+monitor), and ``materialize`` builds all of those up front so a bad value
+fails before any run starts, with the owning module's message (which names
+the field and its bound).
 ``draw_initial`` is the one rule for random initial data: the config's
 (``build_initial``) and each randomized ensemble member's.
 """
@@ -30,7 +31,6 @@ from .noise import (
     JumpConfig,
     JumpOperator,
     SigmaInstance,
-    StressNoiseInstance,
     WienerQConfig,
     rng_for_run,
 )
@@ -134,21 +134,22 @@ def _coerce(section: str, key: str, tag: str, raw: str):
     try:
         if tag == "int":
             return int(text)
-        if tag == "float":
-            return float(text)
         if tag == "bool":
             word = text.lower()
             if word not in _BOOL_WORDS:
                 raise ValueError
             return _BOOL_WORDS[word]
-        if tag == "floats":
-            parts = [p.strip() for p in text.split(",") if p.strip()]
-            if not parts:
-                raise ValueError
-            return tuple(float(p) for p in parts)
-        return text
+        if tag == "str":
+            return text
+        parts = [p.strip() for p in text.split(",") if p.strip()] if tag == "floats" else [text]
+        if not parts:
+            raise ValueError
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"{where}: expected {tag}, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{key} must be finite, got {text!r} in [{section}]")
+    return values if tag == "floats" else values[0]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -222,7 +223,7 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def build_grid(cfg: RunConfig) -> SpectralGrid:
-    radius = cfg.grid_truncation_radius if cfg.grid_truncation_radius > 0.0 else None
+    radius = None if cfg.grid_truncation_radius == 0.0 else cfg.grid_truncation_radius
     return make_grid(cfg.grid_dim, cfg.grid_modes_per_axis, cfg.grid_box_length, radius)
 
 
@@ -234,13 +235,12 @@ def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:
     if cfg.j_modes > 0:
         wiener = WienerQConfig(lambda0=cfg.lambda0, J=cfg.j_modes, decay=cfg.decay)
         sigma = SigmaInstance(grid, wiener, c0=cfg.c0, c1=cfg.c1)
-    stress = StressNoiseInstance(grid, cfg.c_h) if cfg.c_h != 0.0 else None
     jump = None
     if cfg.jump_rate > 0.0:
         jump = JumpOperator(grid, JumpConfig(rate=cfg.jump_rate, z_min=cfg.z_min,
                                              z_max=cfg.z_max, gamma_kind=cfg.gamma_kind,
                                              gamma0=cfg.gamma0))
-    return NoiseModel(wiener=wiener, sigma=sigma, stress=stress, jump=jump)
+    return NoiseModel(wiener=wiener, sigma=sigma, c_h=cfg.c_h, jump=jump)
 
 
 def draw_initial(grid: SpectralGrid, alpha: float, rng: np.random.Generator, v_norm: float,

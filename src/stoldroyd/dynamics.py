@@ -95,7 +95,7 @@ def deformation(v: VectorField) -> TensorField:
     """
     g = gradient_vector(v).coeffs
     c = 0.5 * (g + np.swapaxes(g, 0, 1))
-    return TensorField(v.grid, c, symmetric=True)
+    return TensorField(v.grid, c)
 
 
 def _q_pointwise(tau: np.ndarray, row: np.ndarray, grad_v: np.ndarray, b: float,
@@ -124,7 +124,7 @@ def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
     ptau = grid.inverse(tau.coeffs.reshape((d * d,) + grid.shape)[flat])
     pgrad = grid.inverse(gradient_vector(v).coeffs)
     q = _q_pointwise(ptau, row, pgrad, b, *np.empty((2,) + pgrad.shape))
-    return TensorField(grid, grid.forward(q), symmetric=True)
+    return TensorField(grid, grid.forward(q))
 
 
 def advect_vector(v: VectorField, u: VectorField) -> VectorField:
@@ -184,10 +184,10 @@ def explicit_terms(
     without one).  The third output is the product of v with the scalar
     field `profile` (None without one).  Quadratic terms and the product are
     cut to the spectral ball.  tau must be symmetric: the pass reads only its
-    distinct components.  The stress drift carries tau's symmetry flag; the
-    caller, which formed `ito`, owns its symmetry.  The pass's buffers come
-    from `workspace(rows, grads, extra)`, as `SpectralGrid.workspace` returns them, its
-    views kept with them; the noise product is a view, valid until the next pass.
+    distinct components; the caller, which formed `ito`, owns its symmetry.
+    The pass's buffers come from `workspace(rows, grads, extra)`, as
+    `SpectralGrid.workspace` returns them, its views kept with them; the noise
+    product is a view, valid until the next pass.
     """
     grid, d = state.v.grid, state.v.grid.dim
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
@@ -221,7 +221,7 @@ def explicit_terms(
         vel += w.grad[index]
     vel *= params.mu1
     if not (nonlinear or p):
-        return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), None
+        return vel, TensorField(grid, stress), None
     if not nonlinear:
         np.copyto(w.coeffs_v, state.v.coeffs)
     if p:
@@ -240,4 +240,4 @@ def explicit_terms(
     if nonlinear:
         vel -= w.nl_v
         stress -= w.nl_tau.take(row, axis=0, out=w.deform, mode="wrap")  # D(v)'s spent rows
-    return vel, TensorField(grid, stress, symmetric=state.tau.symmetric), w.nl_prod if p else None
+    return vel, TensorField(grid, stress), w.nl_prod if p else None

@@ -4,10 +4,10 @@
   divergence-free, unit-RMS trigonometric fields e_j with trace-class weights
   lambda_j = lambda0 * j^(-decay), acted on by an affine diffusion
   sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
-* Stress: a single scalar Brownian motion multiplying S(tau) = c_h tau.
-  The Stratonovich-to-Ito correction (1/2) S^2(tau) = (c_h / 2) S(tau) is
-  consumed in `stepping.step`, which forms S(tau) once for both the
-  correction and the increment.
+* Stress: a single scalar Brownian motion multiplying S(tau) = c_h tau, a
+  number, so it has no object here: `stepping.step` forms S(tau) once for
+  both the increment and the Stratonovich-to-Ito correction
+  (1/2) S^2(tau) = (c_h / 2) S(tau).
 * Jumps: a compound Poisson channel G(v, z) = gamma(z) * (kappa * v) with a
   smoothing multiplier kappa_hat = (1+|xi|^2)^(-1), compensated exactly in
   closed form.
@@ -25,18 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    ScalarField,
-    SpectralGrid,
-    TensorField,
-    VectorField,
-)
+from .spectral import ScalarField, SpectralGrid, VectorField
 
 __all__ = [
     "WienerQConfig",
     "VelocityNoiseBasis",
     "SigmaInstance",
-    "StressNoiseInstance",
     "JumpConfig",
     "JumpOperator",
     "StepNoise",
@@ -175,7 +169,7 @@ class VelocityNoiseBasis:
         grid = self.grid
         signed = math.sqrt(2.0) * weights[self._j] * self._coef
         c = _scatter(self._index_by_component, (signed * self._p).ravel(), (grid.dim,) + grid.shape)
-        return VectorField(grid, c, div_free=True)
+        return VectorField(grid, c)
 
     def assemble_profile(self, weights: np.ndarray) -> ScalarField:
         """sum_j weights[j] * phi_j as a scalar field."""
@@ -222,26 +216,6 @@ class SigmaInstance:
         w = self._sqrt_lambda * dw1
         return (None if self.c0 == 0.0 else self.basis.assemble_velocity(self.c0 * w).coeffs,
                 None if self.c1 == 0.0 else self.basis.assemble_profile(self.c1 * w).coeffs)
-
-
-# ---------------------------------------------------------------------------
-# stress noise
-# ---------------------------------------------------------------------------
-
-class StressNoiseInstance:
-    """S(tau) = c_h tau: it multiplies coefficients directly (no transform),
-    keeps tau symmetric, and makes the scalar linear SDE per coefficient
-    exact up to the scheme error."""
-
-    def __init__(self, grid: SpectralGrid, c_h: float = 0.0):
-        self.grid = grid
-        self.c_h = float(c_h)
-
-    def on(self, grid: SpectralGrid) -> "StressNoiseInstance":
-        return StressNoiseInstance(grid, self.c_h)
-
-    def s_apply(self, tau: TensorField) -> TensorField:
-        return TensorField(self.grid, self.c_h * tau.coeffs, symmetric=tau.symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +267,11 @@ class JumpOperator:
         return JumpOperator(grid, self.config)
 
     def jump_increment(self, v: VectorField, z: float) -> VectorField:
-        return VectorField(
-            self.grid,
-            self.config.gamma(z) * self._kappa * v.coeffs,
-            div_free=v.div_free,
-        )
+        return VectorField(self.grid, self.config.gamma(z) * self._kappa * v.coeffs)
 
     def compensator(self, v: VectorField) -> VectorField:
         """integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)."""
-        return VectorField(self.grid, self._compensator * v.coeffs, div_free=v.div_free)
+        return VectorField(self.grid, self._compensator * v.coeffs)
 
 
 # ---------------------------------------------------------------------------

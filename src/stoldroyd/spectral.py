@@ -379,8 +379,8 @@ def alias_free_modes(grid: SpectralGrid, n: float, kmax: int = 0) -> int:
 def relayout(f: "Field", grid: SpectralGrid) -> "Field":
     """`f` on `grid`, whose box may hold more or fewer modes: the shared blocks
     of modes are copied, a larger box is zero elsewhere (embedding), a smaller
-    one drops what it cannot hold (restriction).  Flags are kept; a box of the
-    same shape shares the coefficient array."""
+    one drops what it cannot hold (restriction).  A box of the same shape
+    shares the coefficient array."""
     if f.grid.shape == grid.shape:
         return replace(f, grid=grid)
     return replace(f, grid=grid, coeffs=_copy_blocks(f.coeffs, f.grid.runs, grid.runs))
@@ -404,7 +404,6 @@ class ScalarField:
 class VectorField:
     grid: SpectralGrid
     coeffs: np.ndarray  # shape (dim,) + grid.shape, complex
-    div_free: bool = False
 
     @property
     def rank(self) -> int:
@@ -415,7 +414,6 @@ class VectorField:
 class TensorField:
     grid: SpectralGrid
     coeffs: np.ndarray  # shape (dim, dim) + grid.shape, complex
-    symmetric: bool = False
 
     @property
     def rank(self) -> int:
@@ -423,14 +421,6 @@ class TensorField:
 
 
 Field = ScalarField | VectorField | TensorField
-
-
-def _like(f: Field, coeffs: np.ndarray, **flags) -> Field:
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, coeffs)
-    if isinstance(f, VectorField):
-        return VectorField(f.grid, coeffs, div_free=flags.get("div_free", f.div_free))
-    return TensorField(f.grid, coeffs, symmetric=flags.get("symmetric", f.symmetric))
 
 
 def _check_same_grid(f: Field, g: Field) -> None:
@@ -485,7 +475,7 @@ def l2_inner(f: Field, g: Field) -> float:
 def bessel(f: Field, r: float) -> Field:
     """Apply the smoothing/roughening multiplier (1+|xi|^2)^(r/2)."""
     w = (1.0 + f.grid.xi_sq) ** (r / 2.0)
-    return _like(f, f.coeffs * w)
+    return type(f)(f.grid, f.coeffs * w)
 
 
 def truncate(f: Field, n: float) -> Field:
@@ -493,7 +483,7 @@ def truncate(f: Field, n: float) -> Field:
     if not n > 0:
         raise ValueError(f"truncation radius must be positive, got {n}")
     mask = f.grid.ball_mask if n == f.grid.truncation_radius else f.grid.xi_sq <= n * n
-    return _like(f, f.coeffs * mask)
+    return type(f)(f.grid, f.coeffs * mask)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +518,7 @@ def leray_project(v: VectorField) -> VectorField:
     c = g.xi * v.coeffs  # the one box-sized temporary: the result is formed in it
     s = c.sum(0)
     s /= g.xi_sq_safe
-    return VectorField(g, np.subtract(v.coeffs, np.multiply(g.xi, s, out=c), out=c), div_free=True)
+    return VectorField(g, np.subtract(v.coeffs, np.multiply(g.xi, s, out=c), out=c))
 
 
 def divergence_defect(v: VectorField) -> float:
@@ -586,7 +576,7 @@ def dealiased_product(f: Field, g: Field) -> Field:
     pf = to_physical(f)
     pg = to_physical(g)
     c = grid.forward(pf * pg)  # broadcasting over leading component axes
-    return _like(g, c)
+    return type(g)(grid, c)
 
 
 def pointwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -682,4 +672,4 @@ def random_field(
     comps = [[_random_scalar_coeffs(grid, draw, rng) for _ in range(grid.dim)]
              for _ in range(grid.dim)]
     c = np.stack([np.stack(row) for row in comps])
-    return TensorField(grid, 0.5 * (c + np.swapaxes(c, 0, 1)), symmetric=True)
+    return TensorField(grid, 0.5 * (c + np.swapaxes(c, 0, 1)))

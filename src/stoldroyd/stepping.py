@@ -45,7 +45,6 @@ from .noise import (
     NoiseSampler,
     SigmaInstance,
     StepNoise,
-    StressNoiseInstance,
     WienerQConfig,
 )
 from .spectral import (
@@ -96,11 +95,12 @@ class StepperConfig:
 
 @dataclass
 class NoiseModel:
-    """The channels actually driving a run; None switches a channel off."""
+    """The channels actually driving a run; None switches a channel off, and so
+    does c_h = 0 for the stress noise S(tau) = c_h tau."""
 
     wiener: WienerQConfig | None = None
     sigma: SigmaInstance | None = None
-    stress: StressNoiseInstance | None = None
+    c_h: float = 0.0
     jump: JumpOperator | None = None
 
     @property
@@ -115,9 +115,9 @@ class NoiseModel:
         return (grid.dim, float(grid.box_length), self.J)
 
     def on(self, grid: SpectralGrid) -> "NoiseModel":
-        """The same channels rebuilt on `grid`."""
-        return NoiseModel(self.wiener, *(None if ch is None else ch.on(grid)
-                                         for ch in (self.sigma, self.stress, self.jump)))
+        """The same channels on `grid`: sigma and the jumps rebuilt, c_h kept."""
+        sigma, jump = (None if ch is None else ch.on(grid) for ch in (self.sigma, self.jump))
+        return NoiseModel(self.wiener, sigma, self.c_h, jump)
 
 
 def on_alias_free_grid(
@@ -165,15 +165,16 @@ def step(
     dt: float,
     plan: StepPlan | None = None,
 ) -> FlowState:
-    """Advance one step (update order: module docstring); without a `plan`, build one."""
-    grid, sigma, stress = state.v.grid, noise.sigma, noise.stress
+    """Advance one step (update order: module docstring); without a `plan`, build one.
+    S(tau) = c_h tau is formed as `noise.c_h` times tau's coefficients."""
+    grid, sigma, c_h = state.v.grid, noise.sigma, noise.c_h
     plan = StepPlan(grid, params, dt) if plan is None else plan
     with np.errstate(over="ignore", invalid="ignore"):
         additive, profile = sigma.parts(sn.dw1) if sigma is not None else (None, None)
         s_tau = ito = None
-        if stress is not None:
-            s_tau = stress.s_apply(state.tau)
-            ito = np.multiply(s_tau.coeffs, stress.c_h, out=plan.ito)  # S(S(tau)) = c_h S(tau),
+        if c_h != 0.0:
+            s_tau = c_h * state.tau.coeffs
+            ito = np.multiply(s_tau, c_h, out=plan.ito)  # S(S(tau)) = c_h S(tau),
             ito *= grid.ball_mask  # then Ito's (1/2) cutoff of it
             ito *= 0.5
         # both drifts, the compensator and S(tau) are this step's own fresh arrays, so
@@ -197,10 +198,10 @@ def step(
 
         tau_c = np.multiply(sd.coeffs, dt, out=sd.coeffs)
         tau_c += state.tau.coeffs
-        if stress is not None:
-            tau_c += np.multiply(s_tau.coeffs, sn.dw2, out=s_tau.coeffs)
+        if s_tau is not None:
+            tau_c += np.multiply(s_tau, sn.dw2, out=s_tau)
         tau_c *= grid.ball_mask
-    return FlowState(state.t + dt, v_new, TensorField(grid, tau_c, symmetric=state.tau.symmetric))
+    return FlowState(state.t + dt, v_new, TensorField(grid, tau_c))
 
 
 def trajectory(

@@ -96,6 +96,12 @@ def random_coeffs_full(dim: int, M: int, alpha: float, rng: np.random.Generator,
     return c + np.conj(np.roll(np.flip(c, axes), 1, axes))
 
 
+def equals_its_transpose(tau_hat: np.ndarray) -> bool:
+    """Whether a tensor's coefficients (matrix axes leading) equal their
+    transpose bit for bit."""
+    return tau_hat.tobytes() == np.swapaxes(tau_hat, 0, 1).tobytes()
+
+
 def stokes_discrete_factor(nu: float, dt: float, xi_sq: float, n_steps: int) -> float:
     """Exact per-mode amplification of the semi-implicit viscous solve."""
     return (1.0 + nu * dt * xi_sq) ** (-n_steps)

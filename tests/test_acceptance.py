@@ -24,7 +24,6 @@ from stoldroyd.noise import (
     JumpConfig,
     JumpOperator,
     SigmaInstance,
-    StressNoiseInstance,
     WienerQConfig,
     rng_for_run,
 )
@@ -56,13 +55,13 @@ def _ball_field(kind, seed, alpha=4.0, grid=DESK):
 def _normalized(field, target, s):
     scale = target / hs_norm(field, s)
     if isinstance(field, VectorField):
-        return VectorField(field.grid, field.coeffs * scale, div_free=field.div_free)
-    return TensorField(field.grid, field.coeffs * scale, symmetric=field.symmetric)
+        return VectorField(field.grid, field.coeffs * scale)
+    return TensorField(field.grid, field.coeffs * scale)
 
 
 def _zero_tau(grid):
     shape = (grid.dim, grid.dim) + grid.shape
-    return TensorField(grid, np.zeros(shape, dtype=complex), symmetric=True)
+    return TensorField(grid, np.zeros(shape, dtype=complex))
 
 
 def test_criterion_1_exact_spectral_identities():
@@ -128,7 +127,7 @@ def test_criterion_3_viscous_closed_form():
     perp = np.array([-k[1], k[0]], dtype=float)
     perp /= np.linalg.norm(perp)
     coeffs[:, k[0], k[1]] = perp
-    v0 = VectorField(DESK, coeffs, div_free=True)
+    v0 = VectorField(DESK, coeffs)
     params = PhysicalParams(nu=nu, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
     stepper = StepperConfig(dt=1e-3, horizon=1.0)
     res = simulate(FlowState(0.0, v0, _zero_tau(DESK)), params, NoiseModel(), stepper,
@@ -153,10 +152,10 @@ def test_criterion_4_stratonovich_strong_order():
     for i in (0, 1):
         tc[i, i, 1, 0] = 1.0
         tc[i, i, -1, 0] = 1.0
-    tau0 = TensorField(grid, tc, symmetric=True)
-    v0 = VectorField(grid, np.zeros((2,) + grid.shape, dtype=complex), div_free=True)
+    tau0 = TensorField(grid, tc)
+    v0 = VectorField(grid, np.zeros((2,) + grid.shape, dtype=complex))
     params = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
-    noise = NoiseModel(stress=StressNoiseInstance(grid, c_h=c_h))
+    noise = NoiseModel(c_h=c_h)
 
     dts = (1e-2, 5e-3, 2.5e-3)
     errors = []
@@ -223,7 +222,7 @@ def test_criterion_6_galerkin_refinement_decay():
     noise = NoiseModel(
         wiener=w,
         sigma=SigmaInstance(base, w, c0=0.3, c1=0.1),
-        stress=StressNoiseInstance(base, c_h=0.2),
+        c_h=0.2,
         jump=JumpOperator(base, JumpConfig(rate=1.0, gamma_kind="constant", gamma0=0.05)),
     )
 
@@ -251,7 +250,7 @@ def test_criterion_7_survival_monotonicity():
     noise = NoiseModel(
         wiener=w,
         sigma=SigmaInstance(DESK, w, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(DESK, c_h=0.3),
+        c_h=0.3,
         jump=JumpOperator(DESK, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
     )
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
@@ -335,7 +334,7 @@ def test_criterion_8_reproducibility(tmp_path):
     noise = NoiseModel(
         wiener=w,
         sigma=SigmaInstance(DESK, w, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(DESK, c_h=0.3),
+        c_h=0.3,
         jump=JumpOperator(DESK, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
     )
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)

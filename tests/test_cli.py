@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, provenance headers, exit codes."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import stoldroyd
 from stoldroyd import experiments
 from stoldroyd.cli import main
+from stoldroyd.config import _SCHEMA, build_grid, load_config
 from stoldroyd.monitor import CSV_COLUMNS
 from stoldroyd.noise import load_noise_path
 from stoldroyd.spectral import hs_norm
@@ -283,6 +285,48 @@ def test_non_finite_step_or_horizon_exits_2_naming_it(command, field, value, tmp
     assert main([command, "--config", str(bad), "--out", str(out)]) == 2
     assert f"config error: {field} must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key, (tag, _) in keys.items() if tag in ("float", "floats")]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("section, key", _FLOAT_KEYS, ids=[key for _, key in _FLOAT_KEYS])
+def test_non_finite_float_value_exits_2_naming_its_key(section, key, value, tmp_path, capsys):
+    """Every float and float-list key of the schema, a key added later included,
+    refuses inf and nan at parse time rather than running on them."""
+    text = re.sub(rf"^{key} = .*\n", "", BASE_CONFIG, flags=re.MULTILINE)
+    if f"[{section}]\n" not in text:
+        text += f"\n[{section}]\n"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_a_zero_truncation_radius_means_the_dealias_limit(tmp_path, capsys):
+    """A negative radius is refused by name; 0 runs at the dealias limit."""
+    for radius, code in (("-5", 2), ("0", 0)):
+        cfg = tmp_path / f"radius_{radius}.ini"
+        cfg.write_text(BASE_CONFIG.replace("truncation_radius = 8",
+                                           f"truncation_radius = {radius}"), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / radius)]) == code
+    assert "truncation_radius must be positive, got -5" in capsys.readouterr().err
+    grid = build_grid(load_config(cfg))
+    assert grid.truncation_radius == grid.dealias_limit
+
+
+@pytest.mark.parametrize("command", ["simulate", "refine"])
+def test_refused_flag_prints_the_subcommand_usage(command, config_file, tmp_path, capsys):
+    """A flag a command does not take is reported with that command's usage line."""
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--config", config_file, "--out", str(tmp_path / "out"), "--runs", "5"])
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: stoldroyd {command} ")
 
 
 class TestVerify:

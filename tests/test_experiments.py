@@ -22,7 +22,6 @@ from stoldroyd.noise import (
     JumpOperator,
     NoisePath,
     SigmaInstance,
-    StressNoiseInstance,
     WienerQConfig,
     rng_for_run,
 )
@@ -49,8 +48,8 @@ def ball_state(seed_v, seed_tau, scale=1.0, grid=GRID):
     tau = truncate(random_field(grid, 5.0, "tensor", seed=seed_tau), grid.truncation_radius)
     return FlowState(
         0.0,
-        VectorField(grid, scale * v.coeffs, div_free=True),
-        TensorField(grid, scale * tau.coeffs, symmetric=True),
+        VectorField(grid, scale * v.coeffs),
+        TensorField(grid, scale * tau.coeffs),
     )
 
 
@@ -59,7 +58,7 @@ def light_noise(grid=GRID):
     return NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1),
-        stress=StressNoiseInstance(grid, c_h=0.1),
+        c_h=0.1,
         jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05)),
     )
 
@@ -87,8 +86,8 @@ class TestRunEnsemble:
     def test_zero_data_zero_noise_survives_everywhere(self):
         zero = FlowState(
             0.0,
-            VectorField(GRID, np.zeros((2,) + GRID.shape, dtype=complex), div_free=True),
-            TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex), symmetric=True),
+            VectorField(GRID, np.zeros((2,) + GRID.shape, dtype=complex)),
+            TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex)),
         )
         res = run_ensemble(zero, PARAMS, NoiseModel(), StepperConfig(dt=1e-3, horizon=5e-3),
                            threshold=1.0, deltas=[1e-3, 3e-3], n_runs=30, master_seed=1)
@@ -246,7 +245,7 @@ def refine_noise(grid):
     return NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1),
-        stress=StressNoiseInstance(grid, c_h=0.1),
+        c_h=0.1,
         jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05)),
     )
 
@@ -318,8 +317,8 @@ class TestRefinement:
         for c, traj in trajectories.items():
             assert len(traj) == stepper.n_steps
             host = make_grid(2, 48, 2 * math.pi, c)
-            state = FlowState(0.0, VectorField(host, truncate(iv, c).coeffs, div_free=True),
-                              TensorField(host, truncate(it, c).coeffs, symmetric=True))
+            state = FlowState(0.0, VectorField(host, truncate(iv, c).coeffs),
+                              TensorField(host, truncate(it, c).coeffs))
             noise = refine_noise(host)
             for i, reduced in enumerate(traj):
                 state = step(state, PARAMS, noise, path.step_noise(i), stepper.dt)
@@ -405,7 +404,7 @@ class TestRefinement:
         confined = NoiseModel(
             wiener=wiener,
             sigma=SigmaInstance(base, wiener, c0=0.3, c1=0.0),
-            stress=StressNoiseInstance(base, c_h=0.2),
+            c_h=0.2,
             jump=JumpOperator(base, JumpConfig(rate=5.0, gamma_kind="linear", gamma0=0.3)),
         )
         res = refinement_study(iv, it, params, StepperConfig(dt=1e-3, horizon=1e-2),
@@ -452,8 +451,8 @@ class TestRefinement:
         stepper = StepperConfig(dt=1e-3, horizon=2e-2)
         model = refine_noise(base)
         path = recorded_path(model, base, stepper.dt, stepper.n_steps)
-        initial = FlowState(0.0, VectorField(base, iv.coeffs, div_free=True),
-                            TensorField(base, it.coeffs, symmetric=True))
+        initial = FlowState(0.0, VectorField(base, iv.coeffs),
+                            TensorField(base, it.coeffs))
         free = simulate(initial, PARAMS, model, stepper, MonitorConfig(threshold=1e6),
                         noise_path=path)
         threshold = 0.5 * (free.records[0].e_n + max(r.e_n for r in free.records))

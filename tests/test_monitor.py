@@ -40,8 +40,8 @@ def make_record(t, e_n, finite=True):
 
 
 def zero_state():
-    v = VectorField(GRID, np.zeros((2,) + GRID.shape, dtype=complex), div_free=True)
-    tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex), symmetric=True)
+    v = VectorField(GRID, np.zeros((2,) + GRID.shape, dtype=complex))
+    tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex))
     return FlowState(0.0, v, tau)
 
 
@@ -57,7 +57,7 @@ class TestEnergy:
         c = np.zeros((3,) + g3.shape, dtype=complex)
         c[0][1, 1, 1] = 1.0 / math.sqrt(2.0)
         v = VectorField(g3, c)
-        tau = TensorField(g3, np.zeros((3, 3) + g3.shape, dtype=complex), symmetric=True)
+        tau = TensorField(g3, np.zeros((3, 3) + g3.shape, dtype=complex))
         params = PhysicalParams(nu=0.5, a=0.0, b=0.0, mu1=1.0, mu2=1.0)
         rec = energy(FlowState(0.0, v, tau), 1.0, params)
         assert rec.v_hs2 == pytest.approx(4.0, rel=1e-14)

@@ -13,7 +13,6 @@ from stoldroyd.noise import (
     NoiseSampler,
     SigmaInstance,
     StepNoise,
-    StressNoiseInstance,
     VelocityNoiseBasis,
     WienerQConfig,
     _halfspace_wavevectors,
@@ -120,15 +119,6 @@ class TestVelocityNoiseBasis:
             VelocityNoiseBasis(tiny, 40)
 
 
-def dealiased_matmul(h_hat, tau_hat, M):
-    """The pointwise product h tau of two box tensors through numpy transforms
-    of their full spectra, cut to the dealias box."""
-    ph, pt = (np.fft.ifftn(oracles.full_from_box(c, 2, M), axes=(-2, -1), norm="forward")
-              for c in (h_hat, tau_hat))
-    prod = np.einsum("ik...,kj...->ij...", ph, pt)
-    return oracles.box_from_full(np.fft.fftn(prod, axes=(-2, -1), norm="forward"), 2)
-
-
 class TestHalfLayoutChannels:
     """Every channel holds, on the half spectrum k_d >= 0 cut to the dealias
     box, the coefficients of the full spectrum built with numpy."""
@@ -153,18 +143,6 @@ class TestHalfLayoutChannels:
         assert np.array_equal(basis.assemble_velocity(w).coeffs,
                               oracles.box_from_full(velocity, dim))
         assert np.array_equal(basis.assemble_profile(w).coeffs, oracles.box_from_full(profile, dim))
-
-    def test_stress_noise_matches_the_full_layout(self):
-        grid = make_grid(2, 32, 2 * math.pi, 8)
-        tau = truncate(random_field(grid, 4.0, "tensor", seed=91), 8)
-        sn = StressNoiseInstance(grid, c_h=0.3)
-        h = 0.3 * np.einsum("ab,...->ab...", np.eye(2), np.ones((32, 32)))
-        want_h = oracles.box_from_full(np.fft.fftn(h, axes=(-2, -1), norm="forward"), 2)
-        got = sn.s_apply(sn.s_apply(tau))
-        want = dealiased_matmul(want_h, dealiased_matmul(want_h, tau.coeffs, 32), 32)
-        assert got.coeffs.shape == (2, 2, 21, 11)
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got.coeffs - want)) <= 1e-14 * scale
 
 
 class TestSampleIncrement:
@@ -215,7 +193,7 @@ class TestSampleIncrement:
 def noise_step(sigma, v, dw):
     """Velocity after one step from (v, tau = 0) with only the velocity noise
     `sigma` acting (none for None); drift and viscosity are off."""
-    tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex), symmetric=True)
+    tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex))
     model = NoiseModel() if sigma is None else NoiseModel(wiener=sigma.wiener, sigma=sigma)
     sn = StepNoise(dw1=np.asarray(dw, dtype=float), dw2=0.0, jumps=())
     return step(FlowState(0.0, v, tau), NOISE_ONLY, model, sn, 1e-3).v.coeffs
@@ -277,17 +255,8 @@ class TestSigmaInstance:
         dw = rng_for_run(8, 0).standard_normal(WIENER.J)
         v = ball_vector(8)
         base = noise_step(sigma, v, dw)
-        doubled = noise_step(sigma, VectorField(GRID, 2.0 * v.coeffs, div_free=True), dw)
+        doubled = noise_step(sigma, VectorField(GRID, 2.0 * v.coeffs), dw)
         assert np.array_equal(doubled, 2.0 * base)
-
-
-class TestStressNoise:
-    def test_scalar_multiple(self):
-        sn = StressNoiseInstance(GRID, c_h=0.6)
-        tau = truncate(random_field(GRID, 4.0, "tensor", seed=9), 16)
-        assert np.array_equal(sn.s_apply(tau).coeffs, 0.6 * tau.coeffs)
-        assert np.allclose(sn.s_apply(sn.s_apply(tau)).coeffs, 0.36 * tau.coeffs, rtol=1e-14)
-        assert sn.s_apply(tau).symmetric
 
 
 class TestJumps:

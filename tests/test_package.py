@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stoldroyd
-from stoldroyd import config, spectral
+from stoldroyd import config, spectral, stepping
 
 MODULES = [importlib.import_module(f"stoldroyd.{info.name}")
            for info in pkgutil.iter_modules(stoldroyd.__path__)]
@@ -83,6 +83,20 @@ def test_every_grid_stores_the_dealias_box_with_no_layout_switch():
     assert not fields & {"box", "dealias_mask"}
     assert _sites(lambda node: isinstance(node, ast.Attribute)
                   and node.attr in ("box", "dealias_mask")) == []
+
+
+def test_a_field_is_its_grid_and_coefficients():
+    """Fields carry no property flags: divergence-free velocity and symmetric
+    stress are kept by the scheme, not claimed by a field.  The stress noise
+    is its number c_h, and no package module reads an attribute, or passes a
+    keyword, named `symmetric` or `div_free`."""
+    for cls in (spectral.ScalarField, spectral.VectorField, spectral.TensorField):
+        assert [f.name for f in dataclasses.fields(cls)] == ["grid", "coeffs"]
+    assert [f.name for f in dataclasses.fields(stepping.NoiseModel)] == [
+        "wiener", "sigma", "c_h", "jump"]
+    flags = ("symmetric", "div_free")
+    assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr in flags) == []
+    assert _sites(lambda node: isinstance(node, ast.keyword) and node.arg in flags) == []
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -172,7 +172,7 @@ class TestAliasFreeGrids:
         f = truncate(random_field(small, 4.0, "tensor", seed=40), 8.0)
         embedded = relayout(f, big)
         assert embedded.grid is big and embedded.coeffs.shape == (2, 2, 33, 17)
-        assert embedded.symmetric
+        assert oracles.equals_its_transpose(embedded.coeffs)
         assert np.array_equal(relayout(embedded, small).coeffs, f.coeffs)
         assert hs_norm(embedded, 2.0) == pytest.approx(hs_norm(f, 2.0), rel=1e-14)
         mode = relayout(single_mode(small, (-2, 3)), big).coeffs
@@ -312,7 +312,7 @@ class TestDifferentialOperators:
         A = np.array([[1 + 0.5j, 0.3 - 0.2j], [0.3 - 0.2j, -0.8 + 0.1j]])
         c = np.zeros((2, 2) + GRID.shape, dtype=complex)
         c[:, :, k[0], k[1]] = A
-        tau = TensorField(GRID, c, symmetric=True)
+        tau = TensorField(GRID, c)
         got = oracles.divergence_modes(GRID.xi, divergence_tensor(tau).coeffs)[k]
         want = oracles.double_divergence_single_mode(np.array(k, float), A)
         assert got == pytest.approx(want, rel=1e-14)
@@ -336,7 +336,6 @@ class TestLerayProjection:
         ])
         w = leray_project(VectorField(GRID, c))
         assert divergence_defect(w) <= 1e-12
-        assert w.div_free
 
     def test_idempotent(self):
         c = np.stack([
@@ -698,12 +697,11 @@ class TestRandomFields:
 
     def test_divergence_free_kind(self):
         v = random_field(GRID, 4.0, "vector", seed=61)
-        assert v.div_free
         assert divergence_defect(v) <= 1e-12
 
     def test_tensor_kind_symmetric(self):
         tau = random_field(GRID, 4.0, "tensor", seed=62)
-        assert tau.symmetric
+        assert oracles.equals_its_transpose(tau.coeffs)
         assert symmetry_defect(tau) == 0.0
 
     def test_same_seed_reproduces(self):

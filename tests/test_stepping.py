@@ -19,7 +19,6 @@ from stoldroyd.noise import (
     NoisePath,
     SigmaInstance,
     StepNoise,
-    StressNoiseInstance,
     WienerQConfig,
     rng_for_run,
 )
@@ -52,9 +51,8 @@ MON = MonitorConfig(threshold=1e9, s=2.0)
 
 
 def zero_fields(grid=GRID):
-    v = VectorField(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex), div_free=True)
-    tau = TensorField(grid, np.zeros((grid.dim, grid.dim) + grid.shape, dtype=complex),
-                      symmetric=True)
+    v = VectorField(grid, np.zeros((grid.dim,) + grid.shape, dtype=complex))
+    tau = TensorField(grid, np.zeros((grid.dim, grid.dim) + grid.shape, dtype=complex))
     return v, tau
 
 
@@ -67,7 +65,7 @@ def perpendicular_mode(grid, k, amp=1.0):
     c[:, k[0], k[1]] = amp * perp
     if k[1] == 0:
         c[:, -k[0], 0] = np.conj(amp * perp)
-    return VectorField(grid, c, div_free=True)
+    return VectorField(grid, c)
 
 
 def full_noise_model(grid=GRID):
@@ -75,7 +73,7 @@ def full_noise_model(grid=GRID):
     return NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.3, c1=0.2),
-        stress=StressNoiseInstance(grid, c_h=0.25),
+        c_h=0.25,
         jump=JumpOperator(grid, JumpConfig(rate=3.0, gamma_kind="constant", gamma0=0.1)),
     )
 
@@ -118,7 +116,7 @@ class TestClosedForms:
         noise = NoiseModel(
             wiener=wiener,
             sigma=SigmaInstance(GRID, wiener, c0=0.0, c1=0.5),  # multiplicative only
-            stress=StressNoiseInstance(GRID, c_h=0.4),
+            c_h=0.4,
         )
         params = PhysicalParams(nu=0.1, a=0.3, b=0.2, mu1=1.0, mu2=1.0)
         res = simulate(FlowState(0.0, v0, tau0), params, noise,
@@ -143,15 +141,15 @@ class TestClosedForms:
         tau0 * exp(c W(t)); the order fit lives in the acceptance suite."""
         grid = make_grid(2, 16, 2 * math.pi, 4)
         c_h = 0.5
-        v0 = VectorField(grid, np.zeros((2,) + grid.shape, dtype=complex), div_free=True)
+        v0 = VectorField(grid, np.zeros((2,) + grid.shape, dtype=complex))
         tau_c = np.zeros((2, 2) + grid.shape, dtype=complex)
         tau_c[0, 0, 1, 0] = 1.0
         tau_c[0, 0, -1, 0] = 1.0
         tau_c[1, 1, 1, 0] = 1.0
         tau_c[1, 1, -1, 0] = 1.0
-        tau0 = TensorField(grid, tau_c, symmetric=True)
+        tau0 = TensorField(grid, tau_c)
         params = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
-        noise = NoiseModel(stress=StressNoiseInstance(grid, c_h=c_h))
+        noise = NoiseModel(c_h=c_h)
         stepper = StepperConfig(dt=1e-4, horizon=0.25, record_noise=True)
         res = simulate(FlowState(0.0, v0, tau0), params, noise, stepper, MON,
                        rng=rng_for_run(4, 0))
@@ -290,8 +288,7 @@ class TestStoppingIntegration:
 
     def test_divergence_recorded_not_raised(self):
         """A deliberately unstable run ends as a divergence event, not a crash."""
-        v0 = VectorField(GRID, 1e6 * truncate(random_field(GRID, 2.0, "vector", seed=15), 16).coeffs,
-                         div_free=True)
+        v0 = VectorField(GRID, 1e6 * truncate(random_field(GRID, 2.0, "vector", seed=15), 16).coeffs)
         tau0 = truncate(random_field(GRID, 2.0, "tensor", seed=16), 16)
         params = PhysicalParams(nu=0.0, a=0.0, b=0.9, mu1=5.0, mu2=5.0)
         res = simulate(FlowState(0.0, v0, tau0), params, NoiseModel(),
@@ -356,7 +353,7 @@ STEP_96_TRANSIENT_BYTES = 488 * 1024
 
 def desk_step_inputs():
     run = materialize(parse_config(README_DESK))
-    assert all(ch is not None for ch in (run.noise.sigma, run.noise.stress, run.noise.jump))
+    assert run.noise.sigma is not None and run.noise.c_h != 0.0 and run.noise.jump is not None
     sn = StepNoise(dw1=np.full(run.noise.J, 0.03), dw2=0.02, jumps=((0.0004, 0.5),))
     return run, sn
 
@@ -372,7 +369,8 @@ class TestTransformBudget:
         run, sn = desk_step_inputs()
         state, model = on_alias_free_grid(run.initial, run.noise)
         assert state.v.coeffs.shape == (2, 33, 17)
-        assert state.tau.symmetric and state.tau.coeffs.shape == (2, 2, 33, 17)
+        assert state.tau.coeffs.shape == (2, 2, 33, 17)
+        assert oracles.equals_its_transpose(state.tau.coeffs)
         calls = []
         for name in ("inverse", "forward"):
             def counted(grid, rows, *args, _original=getattr(SpectralGrid, name), _name=name, **kw):
@@ -436,7 +434,7 @@ class TestTransformBudget:
         run, _ = desk_step_inputs()
         grid, wiener = run.grid, run.noise.wiener
         sigma = SigmaInstance(grid, wiener, c0=c0, c1=c1)
-        noise = NoiseModel(wiener=wiener, sigma=sigma, stress=run.noise.stress)
+        noise = NoiseModel(wiener=wiener, sigma=sigma, c_h=run.noise.c_h)
         params = replace(run.params, nu=0.0)  # the viscous solve would rescale the increment
         dw = rng_for_run(50, 0).standard_normal(wiener.J)
 
@@ -481,7 +479,7 @@ def small_grid_inputs():
     noise = NoiseModel(
         wiener=wiener,
         sigma=SigmaInstance(grid, wiener, c0=0.5, c1=0.2),
-        stress=StressNoiseInstance(grid, c_h=0.3),
+        c_h=0.3,
         jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
     )
     v0 = truncate(random_field(grid, 4.0, "vector", seed=60), 5)
@@ -512,7 +510,7 @@ def full_spectrum_step(state, params, noise, sn, dt):
     v_star = v_star / (1.0 + params.nu * dt * xi_sq)
     for _, z in sn.jumps:
         v_star = v_star + jump.gamma(z) * kappa * v_star
-    c_h = noise.stress.c_h
+    c_h = noise.c_h
     s_tau = c_h * tau  # S(tau)
     tau_new = (tau + dt * (-adv_tau - q - params.a * tau
                            + params.mu2 * 0.5 * (grad_v + np.swapaxes(grad_v, 0, 1))
@@ -536,7 +534,7 @@ class TestHalfLayoutStep:
         noise = NoiseModel(
             wiener=wiener,
             sigma=SigmaInstance(box, wiener, c0=0.5, c1=0.2),
-            stress=StressNoiseInstance(box, c_h=0.3),
+            c_h=0.3,
             jump=JumpOperator(box, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
         )
         v = truncate(random_field(box, 4.0, "vector", seed=92), n)
@@ -551,7 +549,7 @@ class TestHalfLayoutStep:
             assert got.v.coeffs.shape[1:] == (2 * K + 1,) * (dim - 1) + (K + 1,)
             for g, w in zip((got.v, got.tau), full_spectrum_step(state, params, noise, sn, 1e-3)):
                 assert np.max(np.abs(g.coeffs - w)) <= 1e-13 * np.max(np.abs(w))
-            assert got.tau.symmetric
+            assert oracles.equals_its_transpose(got.tau.coeffs)
             state = got
 
 
@@ -578,7 +576,7 @@ def sampled(noise, seed, n=20):
 def assert_same_states(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.t, a.v.div_free, a.tau.symmetric) == (b.t, b.v.div_free, b.tau.symmetric)
+        assert a.t == b.t
         assert np.all(np.isfinite(a.v.coeffs)) and np.all(np.isfinite(a.tau.coeffs))
         assert a.v.coeffs.tobytes() == b.v.coeffs.tobytes()
         assert a.tau.coeffs.tobytes() == b.tau.coeffs.tobytes()
@@ -599,7 +597,7 @@ class TestStepPlan:
             want.append(step(want[-1], params, noise, sn, 1e-3))
         got = list(trajectory(state, params, noise, draws, 1e-3))
         assert_same_states(got, want)
-        assert got[-1].tau.symmetric
+        assert oracles.equals_its_transpose(got[-1].tau.coeffs)
         arrays = [a for s in got for a in (s.v.coeffs, s.tau.coeffs)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
@@ -609,8 +607,8 @@ class TestStepPlan:
         own run: no step reads what the other path's step left behind."""
         state, noise, params = plan_inputs("identity")
         grid = state.v.grid
-        other = FlowState(0.0, VectorField(grid, -0.5 * state.v.coeffs, div_free=True),
-                          TensorField(grid, 1.5 * state.tau.coeffs, symmetric=True))
+        other = FlowState(0.0, VectorField(grid, -0.5 * state.v.coeffs),
+                          TensorField(grid, 1.5 * state.tau.coeffs))
         runs = [(state, sampled(noise, 81)), (other, sampled(noise, 82))]
         alone = [list(trajectory(s, params, noise, d, 1e-3)) for s, d in runs]
         rows = list(zip(*(trajectory(s, params, noise, d, 1e-3) for s, d in runs)))
@@ -622,7 +620,7 @@ class TestStepPlan:
         noise model with a short switch interval, equal the serial runs."""
         state, noise, params = plan_inputs("identity")
         grid = state.v.grid
-        inputs = [(FlowState(0.0, VectorField(grid, a * state.v.coeffs, div_free=True), state.tau),
+        inputs = [(FlowState(0.0, VectorField(grid, a * state.v.coeffs), state.tau),
                    sampled(noise, 83 + i, 40)) for i, a in enumerate((1.0, 0.5, -0.7, 1.3))]
         serial = [list(trajectory(s, params, noise, d, 1e-3)) for s, d in inputs]
         results = [None] * len(inputs)
@@ -651,7 +649,7 @@ class TestSymmetricStress:
     def test_an_initial_tau_with_an_antisymmetric_part_is_rejected(self, caller):
         """The drift pass reads only tau's distinct components, so every path
         refuses, on its first state, a tau that is not bitwise equal to its
-        transpose, whatever its flag says; the same tau made symmetric runs."""
+        transpose; the same tau made symmetric runs."""
         state, noise, params = plan_inputs("identity")
         grid, c = state.v.grid, state.tau.coeffs.copy()
         part = 1e-3 * c[0, 0]  # a real field's coefficients: tau stays real
@@ -660,7 +658,7 @@ class TestSymmetricStress:
         stepper = StepperConfig(dt=1e-3, horizon=3e-3)
 
         def run(tau_coeffs):
-            tau = TensorField(grid, tau_coeffs, symmetric=True)
+            tau = TensorField(grid, tau_coeffs)
             if caller == "trajectory":
                 return list(trajectory(FlowState(0.0, state.v, tau), params, noise,
                                        sampled(noise, 90, 3), 1e-3))
@@ -713,8 +711,8 @@ class TestAliasFreeSimulate:
         run, _ = desk_step_inputs()
         v0 = truncate(random_field(run.grid, 0.0, "vector", seed=68), 16)
         tau0 = truncate(random_field(run.grid, 0.0, "tensor", seed=69), 16)
-        initial = FlowState(0.0, VectorField(run.grid, 0.05 * v0.coeffs, div_free=True),
-                            TensorField(run.grid, 0.05 * tau0.coeffs, symmetric=True))
+        initial = FlowState(0.0, VectorField(run.grid, 0.05 * v0.coeffs),
+                            TensorField(run.grid, 0.05 * tau0.coeffs))
         stepper = StepperConfig(dt=1e-3, horizon=3e-3)
         mon = MonitorConfig(threshold=1e9, s=2.0)
         res = simulate(initial, run.params, run.noise, stepper, mon, rng=rng_for_run(70, 0))
@@ -760,16 +758,13 @@ class TestAliasFreeSimulate:
         reduced = make_grid(2, 50, 2 * math.pi, 16)
         moved = noise.on(reduced)
         assert moved.wiener is noise.wiener and moved.signature(reduced) == noise.signature(host)
+        assert moved.c_h == noise.c_h
         v = truncate(random_field(host, 4.0, "vector", seed=64), 16)
-        tau = truncate(random_field(host, 4.0, "tensor", seed=65), 16)
-        v_small, tau_small = relayout(v, reduced), relayout(tau, reduced)
+        v_small = relayout(v, reduced)
         dw1 = rng_for_run(66, 0).standard_normal(noise.J)
         for got, want in zip(moved.sigma.parts(dw1), noise.sigma.parts(dw1)):
             assert np.array_equal(got, relayout(VectorField(host, want), reduced).coeffs)
         pairs = [
-            (moved.stress.s_apply(tau_small), noise.stress.s_apply(tau)),
-            (moved.stress.s_apply(moved.stress.s_apply(tau_small)),
-             noise.stress.s_apply(noise.stress.s_apply(tau))),
             (moved.jump.compensator(v_small), noise.jump.compensator(v)),
             (moved.jump.jump_increment(v_small, 0.4), noise.jump.jump_increment(v, 0.4)),
         ]
