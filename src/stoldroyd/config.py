@@ -228,18 +228,22 @@ def build_grid(cfg: RunConfig) -> SpectralGrid:
 
 
 def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:
-    """Channels switch off at zero: j_modes for the velocity noise, c_h for
-    the stress noise, jump_rate for the jump channel."""
-    wiener = None
-    sigma = None
-    if cfg.j_modes > 0:
-        wiener = WienerQConfig(lambda0=cfg.lambda0, J=cfg.j_modes, decay=cfg.decay)
-        sigma = SigmaInstance(grid, wiener, c0=cfg.c0, c1=cfg.c1)
-    jump = None
-    if cfg.jump_rate > 0.0:
-        jump = JumpOperator(grid, JumpConfig(rate=cfg.jump_rate, z_min=cfg.z_min,
-                                             z_max=cfg.z_max, gamma_kind=cfg.gamma_kind,
-                                             gamma0=cfg.gamma0))
+    """Channels switch off at zero, and only there: j_modes for the velocity noise, c_h for
+    the stress noise, jump_rate for the jumps; other values meet the channel's checks."""
+    wiener = sigma = jump = None
+    try:
+        if cfg.j_modes != 0:
+            wiener = WienerQConfig(lambda0=cfg.lambda0, J=cfg.j_modes, decay=cfg.decay)
+            sigma = SigmaInstance(grid, wiener, c0=cfg.c0, c1=cfg.c1)
+    except ValueError as exc:
+        raise ValueError(f"j_modes = {cfg.j_modes}: {exc}") from None
+    try:
+        if cfg.jump_rate != 0.0:
+            jump = JumpOperator(grid, JumpConfig(rate=cfg.jump_rate, z_min=cfg.z_min,
+                                                 z_max=cfg.z_max, gamma_kind=cfg.gamma_kind,
+                                                 gamma0=cfg.gamma0))
+    except ValueError as exc:
+        raise ValueError(f"jump_rate = {cfg.jump_rate!r}: {exc}") from None
     return NoiseModel(wiener=wiener, sigma=sigma, c_h=cfg.c_h, jump=jump)
 
 

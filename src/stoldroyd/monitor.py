@@ -10,7 +10,8 @@ the explicit placement of the gradient term in the stepping loop).  The first
 sample time with E_N strictly above the threshold N is the stopping time; it
 is resolved to one step.  NaN/Inf or E_N beyond a hard cap is recorded as a
 separate `divergence` event so blow-up statistics never conflate numerical
-overflow with a genuine threshold crossing.
+overflow with a genuine threshold crossing.  A record is one weighted reduction
+per field, and its symmetry column skips the formula where it reads exactly 0.0.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams
-from .spectral import _sq_amplitude, symmetry_defect
+from .spectral import SpectralGrid, symmetry_defect
 
 __all__ = [
     "MonitorConfig",
@@ -63,10 +64,9 @@ class EnergyRecord:
 
     @property
     def finite(self) -> bool:
-        return all(
-            math.isfinite(x)
-            for x in (self.v_hs2, self.tau_hs2, self.gradv_hs2, self.cum_diss, self.e_n)
-        )
+        isfinite = math.isfinite
+        return (isfinite(self.v_hs2) and isfinite(self.tau_hs2) and isfinite(self.gradv_hs2)
+                and isfinite(self.cum_diss) and isfinite(self.e_n))
 
 
 @dataclass(frozen=True)
@@ -76,29 +76,35 @@ class StoppingEvent:
     e_n: float
 
 
+def _weights(grid: SpectralGrid, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1+|xi|^2)^s times the plane weight, a power of two, so folding it in moves
+    no bit of a product; and the rows 1 and |xi|^2."""
+    w = ((1.0 + grid.xi_sq) ** s * grid.weight).ravel()
+    return w, np.stack((np.ones_like(w), grid.xi_sq.ravel()))
+
+
+def _amplitude(coeffs: np.ndarray, rows: int) -> np.ndarray:
+    """re^2 + im^2 per mode, summed over `rows` component rows as `_sq_amplitude` sums."""
+    a = coeffs.real ** 2
+    a += coeffs.imag ** 2
+    return np.add.reduce(a.reshape(rows, -1), 0)
+
+
 def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float = 0.0,
-           w: np.ndarray | None = None) -> EnergyRecord:
-    """One energy sample; `cum_diss` is the dissipation integral accumulated
-    so far by the caller's quadrature, `w` the grid's (1+|xi|^2)^s if known.
-    Each field's squared amplitude is formed once and read by both its sums;
-    gradv_hs2 = ||grad v||_{H^s}^2 via the exact multiplier |xi|^2 (1+|xi|^2)^s."""
-    grid = state.v.grid
-    w = (1.0 + grid.xi_sq) ** s if w is None else w
-    wv = w * _sq_amplitude(grid, state.v.coeffs)
-    tau_amp = _sq_amplitude(grid, state.tau.coeffs)
-    v_hs2 = float(wv.sum())
-    tau_hs2 = float((w * tau_amp).sum())
-    gradv_hs2 = float((grid.xi_sq * wv).sum())
+           w: tuple | None = None) -> EnergyRecord:
+    """One energy sample; `cum_diss` is the dissipation integral accumulated so far
+    by the caller's quadrature, `w` the grid's `_weights` if known.  One reduction
+    of v's weighted amplitude against the rows 1 and |xi|^2 gives v_hs2 and
+    gradv_hs2 = ||grad v||_{H^s}^2, each with the bits of its own `.sum()`."""
+    grid, v, tau = state.v.grid, state.v.coeffs, state.tau.coeffs
+    w, rows = _weights(grid, s) if w is None else w
+    v_hs2, gradv_hs2 = np.add.reduce(rows * (w * _amplitude(v, grid.dim)), 1).tolist()
+    tau_hs2 = float(np.add.reduce(w * _amplitude(tau, grid.dim ** 2)))
     e_n = params.mu2 * v_hs2 + params.mu1 * tau_hs2 + 2.0 * params.mu2 * params.nu * cum_diss
-    return EnergyRecord(
-        t=state.t,
-        v_hs2=v_hs2,
-        tau_hs2=tau_hs2,
-        gradv_hs2=gradv_hs2,
-        cum_diss=cum_diss,
-        e_n=e_n,
-        sym_defect=symmetry_defect(state.tau, float(tau_amp.sum())),
-    )
+    # equal finite bits make every difference +0.0, so the formula would read 0.0
+    symmetric = math.isfinite(tau_hs2) and tau.tobytes() == tau.swapaxes(0, 1).tobytes()
+    return EnergyRecord(state.t, v_hs2, tau_hs2, gradv_hs2, cum_diss, e_n,
+                        0.0 if symmetric else symmetry_defect(state.tau))
 
 
 def energy_records(
@@ -109,31 +115,31 @@ def energy_records(
     cum_diss = gradv_hs2 = 0.0
     grid = w = None
     for state in states:
-        if state.v.grid is not grid:  # the weight (1+|xi|^2)^s, once per grid
-            grid, w = state.v.grid, (1.0 + state.v.grid.xi_sq) ** s
+        if state.v.grid is not grid:  # the weights, once per grid
+            grid, w = state.v.grid, _weights(state.v.grid, s)
         rec = energy(state, s, params, cum_diss + dt * gradv_hs2, w)
         cum_diss, gradv_hs2 = rec.cum_diss, rec.gradv_hs2
         yield state, rec
 
 
-def detect_stop(records: Sequence[EnergyRecord], threshold: float) -> StoppingEvent | None:
-    """First record breaking the run: divergence dominates at a sample where
-    both fire; None means survival through the whole series."""
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    for rec in records:
-        if not rec.finite or rec.e_n > DIVERGENCE_CAP:
-            return StoppingEvent(kind="divergence", t_stop=rec.t, e_n=rec.e_n)
-        if rec.e_n > threshold:  # strict: equality survives
-            return StoppingEvent(kind="threshold_N", t_stop=rec.t, e_n=rec.e_n)
+def _stop_event(rec: EnergyRecord, threshold: float) -> StoppingEvent | None:
+    """The stop rule for one record: divergence dominates where both fire."""
+    if not rec.finite or rec.e_n > DIVERGENCE_CAP:
+        return StoppingEvent(kind="divergence", t_stop=rec.t, e_n=rec.e_n)
+    if rec.e_n > threshold:  # strict: equality survives
+        return StoppingEvent(kind="threshold_N", t_stop=rec.t, e_n=rec.e_n)
     return None
 
 
-def write_energy_csv(
-    records: Iterable[EnergyRecord],
-    stream: TextIO,
-    header_comments: Sequence[str] = (),
-) -> None:
+def detect_stop(records: Sequence[EnergyRecord], threshold: float) -> StoppingEvent | None:
+    """First record breaking the run (`_stop_event`); None: survival throughout."""
+    if not threshold > 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    return next(filter(None, (_stop_event(rec, threshold) for rec in records)), None)
+
+
+def write_energy_csv(records: Iterable[EnergyRecord], stream: TextIO,
+                     header_comments: Sequence[str] = ()) -> None:
     """Write the series with the fixed column order; floats use repr so a
     rerun with the same seed is byte-identical."""
     for line in header_comments:
@@ -141,4 +147,4 @@ def write_energy_csv(
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for rec in records:
         row = (rec.t, rec.v_hs2, rec.tau_hs2, rec.gradv_hs2, rec.cum_diss, rec.e_n, rec.sym_defect)
-        stream.write(",".join(repr(x) for x in row) + "\n")
+        stream.write(",".join(map(repr, row)) + "\n")

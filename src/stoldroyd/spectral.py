@@ -545,10 +545,9 @@ def hermitian_defect(f: Field) -> float:
     return float(np.max(np.abs(c - flipped)) / scale)
 
 
-def symmetry_defect(tau: TensorField, norm_sq: float | None = None) -> float:
-    """Relative L2 asymmetry ||tau - tau^T|| / ||tau|| (0 for the zero field);
-    `norm_sq`, the weighted sum of |coefficients|^2, saves a pass when the caller has it."""
-    norm_sq = float(_sq_amplitude(tau.grid, tau.coeffs).sum()) if norm_sq is None else norm_sq
+def symmetry_defect(tau: TensorField) -> float:
+    """Relative L2 asymmetry ||tau - tau^T|| / ||tau|| (0 for the zero field)."""
+    norm_sq = float(_sq_amplitude(tau.grid, tau.coeffs).sum())
     if norm_sq == 0:
         return 0.0
     diff = tau.coeffs - np.swapaxes(tau.coeffs, 0, 1)

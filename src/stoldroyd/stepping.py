@@ -21,9 +21,9 @@ re-fed to the same configuration reproduces the trajectory bitwise, and one
 path can drive runs at different spectral cutoffs.
 
 `trajectory`, a lazy generator of states, is the one loop that steps a path:
-`simulate` stops one at `detect_stop` on its `energy_records`, and refine
-zips several in lockstep over the same draws.  States hold the dealias box
-|k_a| <= K with k_d >= 0.  Each trajectory builds one `StepPlan` for all its
+`simulate` stops one by the monitor's stop rule on its `energy_records`, and
+refine zips several in lockstep over the same draws.  States hold the dealias
+box |k_a| <= K with k_d >= 0.  Each trajectory builds one `StepPlan` for all its
 steps and shares it with no other path, so paths on one grid may run on
 threads; its states own their arrays.
 """
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import FlowState, PhysicalParams, explicit_terms
-from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, detect_stop, energy_records
+from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, _stop_event, energy_records
 from .noise import (
     JumpConfig,
     JumpOperator,
@@ -292,7 +292,7 @@ def simulate(
     states = trajectory(initial, params, noise, draws, stepper.dt)
     for state, rec in energy_records(states, monitor.s, params, stepper.dt):
         records.append(rec)
-        event = detect_stop([rec], monitor.threshold)
+        event = _stop_event(rec, monitor.threshold)
         if event is not None:
             break
     if event is None:

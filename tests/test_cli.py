@@ -11,7 +11,7 @@ import pytest
 import stoldroyd
 from stoldroyd import experiments
 from stoldroyd.cli import main
-from stoldroyd.config import _SCHEMA, build_grid, load_config
+from stoldroyd.config import _SCHEMA, build_grid, load_config, materialize
 from stoldroyd.monitor import CSV_COLUMNS
 from stoldroyd.noise import load_noise_path
 from stoldroyd.spectral import hs_norm
@@ -64,6 +64,18 @@ n_paths = 2
 """
 
 
+DIVERGENT_EVENT = """{
+  "schema": "event/1",
+  "config_hash": "08515bbf09c17eca",
+  "master_seed": 42,
+  "kind": "divergence",
+  "t_stop": 0.007,
+  "e_n": 11749971929250.4,
+  "n_records": 8
+}
+"""
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "run.ini"
@@ -96,6 +108,22 @@ class TestSimulate:
         assert main(["simulate", "--config", config_file, "--out", str(out2)]) == 0
         assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
         assert (out1 / "event.json").read_bytes() == (out2 / "event.json").read_bytes()
+
+    def test_divergent_run_writes_its_pinned_last_row_and_event(self, tmp_path):
+        """Data 2000x the base scale crosses the divergence cap at t = 0.007.
+        The last energy row and the event are pinned byte for byte: the
+        monitor's reductions keep the bits of the per-term sums."""
+        cfg = tmp_path / "divergent.ini"
+        cfg.write_text(BASE_CONFIG.replace("v_scale = 0.5", "v_scale = 1000.0")
+                       .replace("tau_scale = 0.5", "tau_scale = 1000.0")
+                       .replace("horizon = 0.005", "horizon = 0.05")
+                       .replace("threshold = 1000000.0", "threshold = 1e300"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "energy.csv").read_text().splitlines()[-1] == (
+            "0.007,11222960622.182976,11738697497661.762,468207502990.42834,"
+            "51470966.45560687,11749971929250.4,0.0")
+        assert (out / "event.json").read_text() == DIVERGENT_EVENT
 
     def test_blas_threads_do_not_change_outputs(self, tmp_path):
         """The README desk run, in a subprocess with OPENBLAS_NUM_THREADS=1 and
@@ -318,6 +346,24 @@ def test_only_a_zero_truncation_radius_means_the_dealias_limit(tmp_path, capsys)
     assert "truncation_radius must be positive, got -5" in capsys.readouterr().err
     grid = build_grid(load_config(cfg))
     assert grid.truncation_radius == grid.dealias_limit
+
+
+@pytest.mark.parametrize("key, negative, owner_error", [
+    ("j_modes", "-3", "J must be >= 1, got -3"),
+    ("jump_rate", "-1.0", "rate must be >= 0, got -1.0"),
+])
+def test_only_zero_switches_a_noise_channel_off(key, negative, owner_error, tmp_path, capsys):
+    """A negative switch goes to its channel's own check and is refused by
+    its key, not run with the channel off; 0 still switches the channel off."""
+    for value, code in ((negative, 2), ("0", 0)):
+        cfg = tmp_path / f"{key}_{value}.ini"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", BASE_CONFIG, flags=re.M),
+                       encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / value)]) == code
+    assert f"config error: {key} = {negative}: {owner_error}" in capsys.readouterr().err
+    off = materialize(load_config(cfg)).noise
+    channel = (off.wiener, off.sigma) if key == "j_modes" else (off.jump,)
+    assert channel == (None,) * len(channel)
 
 
 @pytest.mark.parametrize("command", ["simulate", "refine"])

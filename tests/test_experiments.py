@@ -2,6 +2,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,13 @@ class TestWilsonInterval:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="positive sample count"):
             wilson_interval(0, 0)
+
+
+# growth of the traced peak of `run_ensemble` from 30 to 120 members, warm
+# (GRID, light noise, 2 steps): 1,199 B measured (1,313 B before the monitor's
+# weights were built per `energy_records`); a module-level weight cache grew it
+# by 219,970 B when keyed by id(grid) and by 1,659,220 B when keyed by the grid
+ENSEMBLE_PEAK_GROWTH_BYTES = 16 * 1024
 
 
 class TestRunEnsemble:
@@ -195,6 +203,28 @@ class TestRunEnsemble:
                      threshold=1e3, deltas=[1e-3], n_runs=30, master_seed=5,
                      map_over_runs=serial_map, csv_sink=lambda i, records: events.append(("sink", i)))
         assert events == [e for i in range(30) for e in (("start", i), ("sink", i))]
+
+    def test_memory_stays_flat_in_n_runs(self):
+        """The traced peak of a 120-member ensemble exceeds a 30-member one's by
+        at most ENSEMBLE_PEAK_GROWTH_BYTES: a member keeps only its stopping time
+        once folded.  Every member steps on a grid of its own (the alias-free
+        grid is smaller than GRID), so anything kept per grid grows with n_runs."""
+        state, noise = ball_state(3, 4), light_noise()
+        assert on_alias_free_grid(state, noise)[0].v.grid.modes_per_axis < GRID.modes_per_axis
+
+        def peak(n_runs):
+            run = dict(threshold=1e3, deltas=[1e-3], n_runs=n_runs, master_seed=5,
+                       csv_sink=lambda i, records: None)
+            tracemalloc.start()
+            try:
+                run_ensemble(state, PARAMS, noise, StepperConfig(dt=1e-3, horizon=2e-3), **run)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for n_runs in (30, 120):  # first-use allocations that stay cached
+            peak(n_runs)
+        assert peak(120) - peak(30) <= ENSEMBLE_PEAK_GROWTH_BYTES
 
     def test_amplitude_pairing_with_deterministic_threshold(self):
         """Data above the threshold stops at t = 0; half of it survives."""

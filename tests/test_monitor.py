@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stoldroyd import monitor
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.monitor import (
     CSV_COLUMNS,
@@ -23,6 +24,7 @@ from stoldroyd.spectral import (
     make_grid,
     random_field,
     relayout,
+    symmetry_defect,
     to_physical,
     truncate,
 )
@@ -107,6 +109,92 @@ class TestEnergyRecords:
             assert state is want_state
             assert rec == energy(state, 1.5, PARAMS, cum_diss)
             cum_diss += dt * rec.gradv_hs2
+
+    def test_weights_are_built_once_per_grid(self, monkeypatch):
+        """Five states on two grids: `energy_records` builds the weights twice,
+        once for each grid, in the order the grids appear."""
+        built = []
+        inner = monitor._weights
+        monkeypatch.setattr(monitor, "_weights", lambda grid, s: built.append(grid) or inner(grid, s))
+        small = make_grid(2, 50, 2 * math.pi, 16)
+        v = truncate(random_field(GRID, 4.0, "vector", seed=50), 16)
+        tau = truncate(random_field(GRID, 4.0, "tensor", seed=51), 16)
+        states = [FlowState(0.01 * k, relayout(v, grid), relayout(tau, grid))
+                  for k, grid in enumerate((GRID, GRID, GRID, small, small))]
+        assert len(list(energy_records(iter(states), 1.5, PARAMS, 0.01))) == 5
+        assert built == [GRID, small]
+
+
+def _edited_stress(edit):
+    """A symmetric ball stress on GRID, then `edit` applied to its coefficients."""
+    tau = truncate(random_field(GRID, 4.0, "tensor", seed=8), 16).coeffs.copy()
+    edit(tau)
+    return TensorField(GRID, tau)
+
+
+def _set_pair(upper, lower):
+    """An edit writing the off-diagonal pair of one mode: tau_01 = upper, tau_10 = lower."""
+    def edit(tau):
+        tau[0, 1, 1, 2], tau[1, 0, 1, 2] = upper, lower
+    return edit
+
+
+def _set_diagonal(value):
+    def edit(tau):
+        tau[0, 0, 1, 2] = value
+    return edit
+
+
+def _scaled_by_1e200_after(edit):
+    """Finite entries whose squares overflow."""
+    def scaled(tau):
+        edit(tau)
+        tau *= 1e200
+    return scaled
+
+
+def _keep(tau):
+    pass
+
+
+_STRESS_EDITS = {
+    "symmetric": _keep,
+    "asymmetric": _set_pair(0.25, -0.5),
+    "zero": lambda tau: tau.fill(0.0),
+    "inf_diagonal": _set_diagonal(np.inf),
+    "nan_diagonal": _set_diagonal(np.nan),
+    "inf_pair": _set_pair(np.inf, np.inf),
+    "signed_zero_pair": _set_pair(-0.0, 0.0),
+    "overflowing_squares": _scaled_by_1e200_after(_keep),
+    "overflowing_asymmetric": _scaled_by_1e200_after(_set_pair(0.25, -0.5)),
+}
+
+
+class TestSymmetryColumn:
+    """`energy` reads the column as 0.0 without the formula when tau's bits
+    equal its transpose's and tau_hs2 is finite, and runs the formula
+    otherwise; either way the column holds the formula's bits."""
+
+    @pytest.mark.parametrize("edit", _STRESS_EDITS.values(), ids=_STRESS_EDITS.keys())
+    def test_column_holds_the_formula_bits(self, edit):
+        tau = _edited_stress(edit)
+        v = truncate(random_field(GRID, 4.0, "vector", seed=7), 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = energy(FlowState(0.0, v, tau), 2.0, PARAMS).sym_defect
+            want = symmetry_defect(tau)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("name", _STRESS_EDITS)
+    def test_formula_runs_only_off_the_fast_path(self, name, monkeypatch):
+        """Only the symmetric and the zero stress skip the formula: the others
+        have unequal bits (the signed-zero pair) or a non-finite tau_hs2."""
+        calls = []
+        monkeypatch.setattr(monitor, "symmetry_defect", lambda t: calls.append(t) or 0.0)
+        tau = _edited_stress(_STRESS_EDITS[name])
+        v = truncate(random_field(GRID, 4.0, "vector", seed=7), 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy(FlowState(0.0, v, tau), 2.0, PARAMS)
+        assert len(calls) == (0 if name in ("symmetric", "zero") else 1)
 
 
 class TestDetectStop:
