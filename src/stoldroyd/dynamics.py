@@ -159,7 +159,7 @@ class _PassViews:
         spare = np.ndarray((full + d, d) + shape, np.complex128, work.buffer if grads else None)
         self.v_rows, self.tau_rows, self.fields = fields[:d], fields[d:], fields[:, np.newaxis]
         self.grad, self.deform, self.grad_vt = spare[:full], spare[full:], spare[:d].swapaxes(0, 1)
-        self.div = [(row[:, b] + d, b) for b in range(d)]  # grad's rows d_b tau_ab, b in order
+        self.div = (row.T + d, np.arange(d)[:, np.newaxis])  # grad's rows d_b tau_ab, [b, a]
         self.coeffs_v, self.coeffs_phi, self.coeffs = buf[:d], buf[rows:n_in], buf[:n_in]
         self.phys, self.out, self.nl = samples[:n], samples[n:], buf[:len(samples) - n]
         self.phys_v, self.phys_tau, self.phys_phi = samples[:d], samples[d:rows], samples[rows:n_in]
@@ -208,17 +208,14 @@ def explicit_terms(
     state.tau.coeffs.reshape((d * d,) + grid.shape).take(flat, 0, w.tau_rows, "wrap")
     np.multiply(grid.ixi, w.fields, out=w.grad)
     # the couplings in place, one at a time, so a step's peak memory stays put:
-    # stress += mu2 D(v); vel = mu1 div(tau), summed from zero in b order as
-    # `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
+    # stress += mu2 D(v), scaled once by 0.5 mu2 (0.5 is exact); vel = mu1 div(tau),
+    # summed in b order as `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
     deform = np.add(w.grad[:d], w.grad_vt, out=w.deform)
-    deform *= 0.5
-    deform *= params.mu2
+    deform *= 0.5 * params.mu2
     stress += deform
     if ito is not None:
         stress += ito
-    vel = np.zeros((d,) + grid.shape, dtype=np.complex128)
-    for index in w.div:
-        vel += w.grad[index]
+    vel = np.add.reduce(w.grad[w.div], axis=0)
     vel *= params.mu1
     if not (nonlinear or p):
         return vel, TensorField(grid, stress), None

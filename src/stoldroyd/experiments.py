@@ -45,7 +45,7 @@ from .spectral import (
 from .stepping import (
     NoiseModel,
     StepperConfig,
-    _check_replay_compatible,
+    _replayed_draws,
     on_alias_free_grid,
     simulate,
     trajectory,
@@ -308,8 +308,7 @@ def refinement_single_path(
     integral of the squared L2 gradient of the v-difference) and the window
     end time.
     """
-    _check_replay_compatible(noise_path, stepper, noise.signature(initial_v.grid))
-    draws = map(noise_path.step_noise, range(stepper.n_steps))
+    draws = _replayed_draws(noise_path, stepper, noise.signature(initial_v.grid))
     paths = []
     for c, cut_draws in zip(cutoffs, itertools.tee(draws, len(cutoffs))):
         state, model = on_alias_free_grid(

@@ -5,9 +5,9 @@
   lambda_j = lambda0 * j^(-decay), acted on by an affine diffusion
   sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
 * Stress: a single scalar Brownian motion multiplying S(tau) = c_h tau, a
-  number, so it has no object here: `stepping.step` forms S(tau) once for
-  both the increment and the Stratonovich-to-Ito correction
-  (1/2) S^2(tau) = (c_h / 2) S(tau).
+  number, so it has no object here: `stepping.step` forms the increment
+  S(tau) dW2 and the Stratonovich-to-Ito correction
+  (1/2) S^2(tau) = (c_h^2 / 2) tau as multiples of tau.
 * Jumps: a compound Poisson channel G(v, z) = gamma(z) * (kappa * v) with a
   smoothing multiplier kappa_hat = (1+|xi|^2)^(-1), compensated exactly in
   closed form.
@@ -193,10 +193,13 @@ class SigmaInstance:
 
     Affine in v: with w_j = sqrt(lambda_j) dW_j, the full increment
     sum_j w_j sigma(v) e_j is c0 * sum_j w_j e_j + c1 * Phi v with the single
-    profile Phi = sum_j w_j phi_j, so one product covers every j.  `parts`
-    gives the two spectral pieces; `stepping.step` forms the product in the
-    drift's physical-space pass and truncates and projects the velocity
-    update as a whole.
+    profile Phi = sum_j w_j phi_j, so one product covers every j.  Both parts
+    are linear in dW, so the instance keeps, per grid, the J columns
+    c0 sqrt(lambda_j) e_j stacked over c1 sqrt(lambda_j) phi_j, taken from the
+    basis, at the few modes where some column is nonzero.  `parts` gives the
+    two spectral pieces; `stepping.step` forms the product in the drift's
+    physical-space pass and truncates and projects the velocity update as a
+    whole.
     """
 
     def __init__(self, grid: SpectralGrid, wiener: WienerQConfig, c0: float, c1: float):
@@ -204,18 +207,26 @@ class SigmaInstance:
         self.wiener = wiener
         self.c0 = float(c0)
         self.c1 = float(c1)
-        self.basis = VelocityNoiseBasis(grid, wiener.J)
-        self._sqrt_lambda = np.sqrt(wiener.eigenvalues)
+        self.basis = basis = VelocityNoiseBasis(grid, wiener.J)
+        columns = np.stack([np.concatenate([self.c0 * s * basis.e_j(j).coeffs,
+                                            self.c1 * s * basis.phi_j(j).coeffs[np.newaxis]])
+                            for j, s in enumerate(np.sqrt(wiener.eigenvalues))])
+        columns = columns.reshape(wiener.J, -1)
+        self._index = np.flatnonzero(np.any(columns, axis=0))
+        self._columns = columns[:, self._index]
 
     def on(self, grid: SpectralGrid) -> "SigmaInstance":
         return SigmaInstance(grid, self.wiener, self.c0, self.c1)
 
     def parts(self, dw1: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Coefficients of c0 * sum_j w_j e_j and of c1 * Phi, the multiplier
-        of v; None for a part whose amplitude is 0."""
-        w = self._sqrt_lambda * dw1
-        return (None if self.c0 == 0.0 else self.basis.assemble_velocity(self.c0 * w).coeffs,
-                None if self.c1 == 0.0 else self.basis.assemble_profile(self.c1 * w).coeffs)
+        of v; None for a part whose amplitude is 0.  Both come from one
+        product of dW1 with the kept columns, summed in j order without BLAS
+        (whose bits could depend on its thread count), into an array of this
+        call's own: paths on one grid may run on threads."""
+        out = np.zeros((self.grid.dim + 1,) + self.grid.shape, dtype=np.complex128)
+        out.put(self._index, np.add.reduce(dw1[:, np.newaxis] * self._columns, axis=0))
+        return (None if self.c0 == 0.0 else out[:-1], None if self.c1 == 0.0 else out[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,18 @@ One step, in order:
 1. explicit velocity update: v* = v + dt * (nonstiff drift - jump
    compensator) + Wiener increment sigma(v) dW1, with the multiplicative
    product c1 Phi v formed in the drift's physical-space pass;
-2. per-mode implicit viscous solve v* <- v* / (1 + nu dt |xi|^2), which is
-   unconditionally contractive (and the identity when nu = 0);
-3. jumps from (t, t+dt] applied sequentially in time order to the
+2. per-mode implicit viscous solve and spectral-ball cutoff as one factor,
+   v* <- v* * ball / (1 + nu dt |xi|^2), unconditionally contractive (the
+   cutoff alone when nu = 0); the cutoff acts mode by mode and commutes with
+   every per-mode factor, so cutting once here equals cutting each term;
+3. jumps from (t, t+dt] applied sequentially in time order to the cut
    post-diffusion state — each uses the pre-jump (left-limit) velocity;
-4. one spectral-ball cutoff and one Leray projection of the whole update;
-   both act mode by mode and commute with every per-mode factor above, so
-   applying them once here equals applying them to each term;
-5. explicit stress update tau <- cutoff[ tau + dt * stress drift
-   (Ito correction (1/2) cutoff S(S(tau)) included) + S(tau) dW2 ], with
-   S(tau) formed once for both.
+   per-mode multipliers, they keep it in the ball;
+4. one Leray projection of the whole update, which commutes likewise;
+5. explicit stress update tau <- cutoff[ (1 + c_h dW2) tau + dt * stress
+   drift ], the drift with the Ito correction (1/2) S(S(tau)) =
+   (c_h^2 / 2) tau: S(tau) = c_h tau, so both are single multiples of tau,
+   and the final cutoff cuts the correction too.
 
 Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
@@ -147,12 +149,13 @@ def on_alias_free_grid(
 
 
 class StepPlan:
-    """What every step of one path reuses: 1 + nu dt |xi|^2, the viscous denominator, and
-    rows overwritten each step: the Ito correction's, and the drift pass's with the views
-    and transform calls its `_Work` keeps (made on first use, anew for other sizes)."""
+    """What every step of one path reuses: `damping`, the ball cutoff over the viscous
+    denominator, ball_mask / (1 + nu dt |xi|^2), and rows overwritten each step: the stress
+    noise's, and the drift pass's with the views and transform calls its `_Work` keeps (made
+    on first use, anew for other sizes)."""
 
     def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float):
-        self.denominator = 1.0 + params.nu * dt * grid.xi_sq
+        self.damping = grid.ball_mask / (1.0 + params.nu * dt * grid.xi_sq)
         self.ito = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
         self.workspace = functools.lru_cache(maxsize=1)(grid.workspace)
 
@@ -166,19 +169,15 @@ def step(
     plan: StepPlan | None = None,
 ) -> FlowState:
     """Advance one step (update order: module docstring); without a `plan`, build one.
-    S(tau) = c_h tau is formed as `noise.c_h` times tau's coefficients."""
+    S(tau) = c_h tau is a number times tau, so the stress noise is two multiples of tau."""
     grid, sigma, c_h = state.v.grid, noise.sigma, noise.c_h
     plan = StepPlan(grid, params, dt) if plan is None else plan
     with np.errstate(over="ignore", invalid="ignore"):
         additive, profile = sigma.parts(sn.dw1) if sigma is not None else (None, None)
-        s_tau = ito = None
-        if c_h != 0.0:
-            s_tau = c_h * state.tau.coeffs
-            ito = np.multiply(s_tau, c_h, out=plan.ito)  # S(S(tau)) = c_h S(tau),
-            ito *= grid.ball_mask  # then Ito's (1/2) cutoff of it
-            ito *= 0.5
-        # both drifts, the compensator and S(tau) are this step's own fresh arrays, so
-        # each product is formed in place (a sum only swaps its operands: same bits)
+        # Ito's (1/2) S(S(tau)); the cutoff of the new tau cuts it to the ball
+        ito = None if c_h == 0.0 else np.multiply(state.tau.coeffs, 0.5 * c_h * c_h, out=plan.ito)
+        # both drifts and the compensator are this step's own fresh arrays, so each
+        # product is formed in place (a sum only swaps its operands: same bits)
         v_star, sd, prod = explicit_terms(state, params, ito, profile, plan.workspace)
         v_star *= dt
         v_star += state.v.coeffs
@@ -189,17 +188,15 @@ def step(
         for part in (additive, prod):
             if part is not None:
                 v_star += part
-        v_star /= plan.denominator
+        v_star *= plan.damping
         if noise.jump is not None:
             for _, z in sn.jumps:
                 v_star += noise.jump.jump_increment(VectorField(grid, v_star), z).coeffs
-        v_star *= grid.ball_mask
         v_new = leray_project(VectorField(grid, v_star))
 
         tau_c = np.multiply(sd.coeffs, dt, out=sd.coeffs)
-        tau_c += state.tau.coeffs
-        if s_tau is not None:
-            tau_c += np.multiply(s_tau, sn.dw2, out=s_tau)
+        # tau + S(tau) dW2, in the Ito rows the pass has spent
+        tau_c += np.multiply(state.tau.coeffs, 1.0 + c_h * sn.dw2, out=plan.ito)
         tau_c *= grid.ball_mask
     return FlowState(state.t + dt, v_new, TensorField(grid, tau_c))
 
@@ -238,17 +235,27 @@ class SimulationResult:
     noise_path: NoisePath | None = None
 
 
-def _check_replay_compatible(path: NoisePath, stepper: StepperConfig, signature: tuple) -> None:
+def _replayed_draws(
+    path: NoisePath, stepper: StepperConfig, signature: tuple
+) -> Iterator[StepNoise]:
+    """`path`'s draws for `stepper`'s steps, its dt and basis checked now.  Its length is
+    checked only when the run pulls a step the path lacks, so a recorded run that
+    stopped early replays from its own shorter path."""
     if path.dt != stepper.dt:
         raise ValueError(f"noise path dt {path.dt} does not match stepper dt {stepper.dt}")
     if tuple(path.signature) != tuple(signature):
         raise ValueError(
             f"noise path basis {tuple(path.signature)} does not match run basis {tuple(signature)}"
         )
-    if path.n_steps < stepper.n_steps:
-        raise ValueError(
-            f"noise path holds {path.n_steps} steps, run needs {stepper.n_steps}"
-        )
+
+    def draws():
+        for i in range(stepper.n_steps):
+            if i == path.n_steps:
+                raise ValueError(
+                    f"noise path holds {path.n_steps} steps, run needs {stepper.n_steps}")
+            yield path.step_noise(i)
+
+    return draws()
 
 
 def simulate(
@@ -263,8 +270,9 @@ def simulate(
     """Run until the horizon, a threshold crossing, or divergence.
 
     Noise comes from `rng` (fresh sampling) or from `noise_path` (replay of a
-    recorded run; dt, basis, and length are validated; the path may come from
-    a run at another spectral cutoff, since the basis is cutoff-independent).
+    recorded run; dt and basis are validated, and the length once the run
+    pulls a step; the path may come from a run at another spectral cutoff,
+    since the basis is cutoff-independent).
     Deterministic: (initial, configs, seed) fixes the trajectory bitwise.
 
     The run steps on the smallest alias-free grid for the initial grid's
@@ -277,8 +285,7 @@ def simulate(
     initial, noise = on_alias_free_grid(initial, noise)
     signature = noise.signature(host)
     if noise_path is not None:
-        _check_replay_compatible(noise_path, stepper, signature)
-        draws = map(noise_path.step_noise, range(stepper.n_steps))
+        draws = _replayed_draws(noise_path, stepper, signature)
     else:
         if rng is None:
             raise ValueError("simulate needs an rng unless a noise_path is replayed")

@@ -70,7 +70,7 @@ DIVERGENT_EVENT = """{
   "master_seed": 42,
   "kind": "divergence",
   "t_stop": 0.007,
-  "e_n": 11749971929250.4,
+  "e_n": 11749971929250.393,
   "n_records": 8
 }
 """
@@ -121,8 +121,8 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "energy.csv").read_text().splitlines()[-1] == (
-            "0.007,11222960622.182976,11738697497661.762,468207502990.42834,"
-            "51470966.45560687,11749971929250.4,0.0")
+            "0.007,11222960622.18297,11738697497661.754,468207502990.42804,"
+            "51470966.45560683,11749971929250.393,0.0")
         assert (out / "event.json").read_text() == DIVERGENT_EVENT
 
     def test_blas_threads_do_not_change_outputs(self, tmp_path):

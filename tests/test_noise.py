@@ -213,6 +213,29 @@ class TestSigmaInstance:
         v = ball_vector(1)
         assert np.array_equal(noise_step(sigma, v, dw), noise_step(None, v, dw))
 
+    @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12), (3, 14, 3)])
+    def test_parts_equal_the_basis_sums(self, dim, M, J):
+        """Each part, one product of dW1 with the columns kept per grid, equals the
+        basis' own sum within 1e-15 of its largest coefficient: the columns
+        are summed in another order.  Several entries share a mode here: cos
+        and sin of one k, 3D's two polarizations, and in 2D the -k of a k on
+        the zero plane.  Two calls share no memory."""
+        grid = make_grid(dim, M, 2 * math.pi)
+        wiener = WienerQConfig(lambda0=0.7, J=J)
+        sigma = SigmaInstance(grid, wiener, c0=0.6, c1=1.3)
+        dw1 = rng_for_run(91, J).standard_normal(J)
+        w = np.sqrt(wiener.eigenvalues) * dw1
+        additive, profile = sigma.parts(dw1)
+        for got, want in ((additive, sigma.basis.assemble_velocity(0.6 * w).coeffs),
+                          (profile, sigma.basis.assemble_profile(1.3 * w).coeffs)):
+            assert got.shape == want.shape and np.any(want)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        again = sigma.parts(dw1)
+        for a in (additive, profile):
+            assert not any(np.shares_memory(a, b) for b in again)
+        assert SigmaInstance(grid, wiener, c0=0.0, c1=1.3).parts(dw1)[0] is None
+        assert SigmaInstance(grid, wiener, c0=0.6, c1=0.0).parts(dw1)[1] is None
+
     def test_additive_only_ignores_velocity(self):
         """With c1 = 0 no product is formed: the step adds exactly c0 Sigma."""
         sigma = SigmaInstance(GRID, WIENER, c0=0.7, c1=0.0)

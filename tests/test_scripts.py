@@ -99,3 +99,34 @@ def test_survival_study_one_thread_runs_members_in_process(tmp_path, monkeypatch
         kwargs.get("map_over_runs", map)) or ensemble(*args, **kwargs))
     script.main(["--config", str(config)])
     assert maps == [map, map]
+
+
+def load_pairs():
+    path = SCRIPT.parent / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_verdict_applies_the_claim_rule():
+    """Nine wins of ten and a median gain beyond the parent's quartile
+    distance make a claim; a tie counts for neither side."""
+    pairs = load_pairs()
+    parent = [100.0, 104.0, 98.0, 101.0, 103.0, 99.0, 102.0, 100.0, 97.0, 105.0]
+    change = [p + 10.0 for p in parent[:9]] + [parent[9]]  # nine wins and a tie
+    held = pairs.verdict(parent, change, "higher", 0.25)
+    assert held["wins"] == 9 and held["pairs"] == 10
+    assert held["parent_iqr"] == 3.5  # inclusive quartiles 99.25 and 102.75
+    assert held["claim_holds"] and held["within_bound"]
+    # the same wins by less than the quartile distance make no claim
+    small = pairs.verdict(parent, [p + 1.0 for p in parent[:9]] + [parent[9]], "higher", 0.25)
+    assert small["wins"] == 9 and not small["claim_holds"]
+    # eight wins of ten make no claim, however large the gain
+    eight = pairs.verdict(parent, change[:8] + parent[8:], "higher", 0.25)
+    assert eight["wins"] == 8 and not eight["claim_holds"]
+    # where lower is better the same readings are losses: about 10 % worse
+    lower = pairs.verdict(parent, change, "lower", 0.25)
+    assert lower["wins"] == 0 and not lower["claim_holds"] and lower["within_bound"]
+    assert not pairs.verdict(parent, change, "lower", 0.05)["within_bound"]
+    assert pairs.verdict(change, parent, "lower", 0.05)["claim_holds"]

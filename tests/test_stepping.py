@@ -19,6 +19,7 @@ from stoldroyd.noise import (
     NoisePath,
     SigmaInstance,
     StepNoise,
+    VelocityNoiseBasis,
     WienerQConfig,
     rng_for_run,
 )
@@ -226,6 +227,27 @@ class TestDeterminismAndReplay:
         assert np.array_equal(first.final_state.v.coeffs, second.final_state.v.coeffs)
         assert np.array_equal(first.final_state.tau.coeffs, second.final_state.tau.coeffs)
         assert first.records == second.records
+
+    def test_threshold_stopped_run_replays_from_its_own_path(self):
+        """A recorded run that stopped early holds fewer steps than its stepper
+        asks for; replayed with that stepper, it stops at the same step with
+        equal records, event and final state, bitwise."""
+        v0, tau0 = zero_fields()
+        params = PhysicalParams(nu=0.2, a=0.1, b=0.4, mu1=0.6, mu2=0.8)
+        stepper = StepperConfig(dt=1e-3, horizon=0.05, record_noise=True)
+        mon = MonitorConfig(threshold=3e-4, s=2.0)
+        noise = full_noise_model()
+        first = simulate(FlowState(0.0, v0, tau0), params, noise, stepper, mon,
+                         rng=rng_for_run(43, 0))
+        assert first.event.kind == "threshold_N"
+        assert first.noise_path.n_steps < stepper.n_steps
+        second = simulate(FlowState(0.0, v0, tau0), params, noise, stepper, mon,
+                          noise_path=first.noise_path)
+        assert second.records == first.records
+        assert second.event == first.event
+        for got, want in ((second.final_state.v, first.final_state.v),
+                          (second.final_state.tau, first.final_state.tau)):
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_replay_mismatches_rejected(self):
         v0, tau0 = zero_fields()
@@ -642,6 +664,20 @@ class TestStepPlan:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, serial):
             assert_same_states(got, want)
+
+    def test_warm_steps_assemble_no_basis_field(self, monkeypatch):
+        """sigma's columns are formed with the noise model, so no step
+        assembles a field from the noise basis."""
+        state, noise, params = plan_inputs("identity")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a step assembled a noise-basis field")
+
+        for name in ("assemble_velocity", "assemble_profile"):
+            monkeypatch.setattr(VelocityNoiseBasis, name, forbidden)
+        states = list(trajectory(state, params, noise, sampled(noise, 84, 3), 1e-3))
+        assert len(states) == 4
+        assert all(np.all(np.isfinite(s.v.coeffs)) for s in states)
 
 
 class TestSymmetricStress:
