@@ -3,9 +3,9 @@
 The velocity drift splits into a stiff viscous part (handled implicitly by
 the integrator) and an explicit part: minus the truncated self-advection plus
 the stress-divergence coupling.  The stress drift is fully explicit:
-transport, relaxation, the bilinear rotation/slip form Q, the deformation
-forcing, and the Ito correction coming from the Stratonovich stress noise,
-which the integrator forms and hands in.
+transport, relaxation, the bilinear rotation/slip form Q and the deformation
+forcing.  Relaxation, a multiple of tau like the stress noise and its Ito
+correction, is the integrator's; the pass here forms the terms needing gradients.
 
 `explicit_terms` forms every quadratic term of a step in one physical-space
 pass: v, tau and a scalar noise profile go out in one inverse transform,
@@ -155,10 +155,10 @@ class _PassViews:
         d, shape, points, n_in = grid.dim, grid.shape, grid.points, rows + p
         full, n = d + d * (d + 1) // 2, n_in + grads * d  # n: sample rows of the inverse
         fields = buf[:full] if grads else np.empty((full,) + shape, np.complex128)
-        # the spectral gradients and D(v), in work rows the transforms have not reached
+        # the gradients, and rows to gather a full tau into: work rows no transform reaches
         spare = np.ndarray((full + d, d) + shape, np.complex128, work.buffer if grads else None)
         self.v_rows, self.tau_rows, self.fields = fields[:d], fields[d:], fields[:, np.newaxis]
-        self.grad, self.deform, self.grad_vt = spare[:full], spare[full:], spare[:d].swapaxes(0, 1)
+        self.grad, self.gather, self.grad_vt = spare[:full], spare[full:], spare[:d].swapaxes(0, 1)
         self.div = (row.T + d, np.arange(d)[:, np.newaxis])  # grad's rows d_b tau_ab, [b, a]
         self.coeffs_v, self.coeffs_phi, self.coeffs = buf[:d], buf[rows:n_in], buf[:n_in]
         self.phys, self.out, self.nl = samples[:n], samples[n:], buf[:len(samples) - n]
@@ -174,25 +174,19 @@ class _PassViews:
 
 
 def explicit_terms(
-    state: FlowState, params: PhysicalParams, ito, profile, workspace
-) -> tuple[np.ndarray, TensorField, np.ndarray | None]:
-    """Unprojected nonstiff velocity drift, stress drift, and noise product.
-
-    Velocity: -(v.grad)v + mu1 div(tau); nu Laplacian(v) is left to the
-    implicit solve.  Stress: -(v.grad)tau - a tau - Q(tau, grad v) + mu2 D(v),
-    plus `ito`, the coefficients of the stress noise's Ito correction (None
-    without one).  The third output is the product of v with the scalar
-    field `profile` (None without one).  Quadratic terms and the product are
-    cut to the spectral ball.  tau must be symmetric: the pass reads only its
-    distinct components; the caller, which formed `ito`, owns its symmetry.
-    The pass's buffers come from `workspace(rows, grads, extra)`, as
-    `SpectralGrid.workspace` returns them, its views kept with them; the noise
-    product is a view, valid until the next pass.
-    """
+    state: FlowState, params: PhysicalParams, profile, workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Coefficients of the unprojected nonstiff velocity drift, the stress drift's gradient
+    part, and the noise product.  Velocity: -(v.grad)v + mu1 div(tau); nu Laplacian(v) is
+    left to the implicit solve.  Stress: mu2 D(v) - (v.grad)tau - Q(tau, grad v); the
+    relaxation -a tau, a multiple of tau, is left to the integrator.  The noise product is v
+    times the scalar field `profile` (None without one).  Quadratic terms and the product
+    are cut to the spectral ball.  tau must be symmetric: the pass reads only its distinct
+    components.  The pass's buffers come from `workspace(rows, grads, extra)`, as
+    `SpectralGrid.workspace` returns them, its views kept with them; the noise product is a
+    view, valid until the next pass."""
     grid, d = state.v.grid, state.v.grid.dim
     nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
-    # the term without gradients first: its temporary goes before the buffer
-    stress = -params.a * state.tau.coeffs
     # the fields [v, tau], whose gradients the couplings read before any transform;
     # tau takes one row per distinct component, row[a, b] = row[b, a]
     flat, row = _tau_rows(d)
@@ -207,18 +201,15 @@ def explicit_terms(
     np.copyto(w.v_rows, state.v.coeffs)
     state.tau.coeffs.reshape((d * d,) + grid.shape).take(flat, 0, w.tau_rows, "wrap")
     np.multiply(grid.ixi, w.fields, out=w.grad)
-    # the couplings in place, one at a time, so a step's peak memory stays put:
-    # stress += mu2 D(v), scaled once by 0.5 mu2 (0.5 is exact); vel = mu1 div(tau),
-    # summed in b order as `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
-    deform = np.add(w.grad[:d], w.grad_vt, out=w.deform)
-    deform *= 0.5 * params.mu2
-    stress += deform
-    if ito is not None:
-        stress += ito
+    # the couplings, one at a time, so a step's peak memory stays put: the stress drift
+    # is a fresh array from mu2 D(v), scaled once by 0.5 mu2 (0.5 is exact); vel = mu1
+    # div(tau), summed in b order as `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
+    stress = np.add(w.grad[:d], w.grad_vt)
+    stress *= 0.5 * params.mu2
     vel = np.add.reduce(w.grad[w.div], axis=0)
     vel *= params.mu1
     if not (nonlinear or p):
-        return vel, TensorField(grid, stress), None
+        return vel, stress, None
     if not nonlinear:
         np.copyto(w.coeffs_v, state.v.coeffs)
     if p:
@@ -236,5 +227,5 @@ def explicit_terms(
     nl *= grid.ball_mask
     if nonlinear:
         vel -= w.nl_v
-        stress -= w.nl_tau.take(row, axis=0, out=w.deform, mode="wrap")  # D(v)'s spent rows
-    return vel, TensorField(grid, stress), w.nl_prod if p else None
+        stress -= w.nl_tau.take(row, axis=0, out=w.gather, mode="wrap")
+    return vel, stress, w.nl_prod if p else None

@@ -319,21 +319,22 @@ def refinement_single_path(
     sup_v, sup_tau, grad_int = ([0.0] * (len(cutoffs) - 1) for _ in range(3))
     diffs = []
     window_end = stepper.actual_horizon
-    for row in zip(*paths):
-        states, records = zip(*row)
-        del row  # else zip's cached row tuple keeps an older row's states alive
-        # left-endpoint quadrature: the previous row's differences
-        for p, (grid, dv) in enumerate(diffs):
-            grad_int[p] += stepper.dt * _grad_sq_of(grid, dv)
-        diffs = []
-        for p, (lo, hi) in enumerate(zip(states, states[1:])):
-            grid, dv = hi.v.grid, _difference(hi.v, lo.v)
-            sup_v[p] = max(sup_v[p], _l2_of(grid, dv))
-            sup_tau[p] = max(sup_tau[p], _l2_of(grid, _difference(hi.tau, lo.tau)))
-            diffs.append((grid, dv))
-        if detect_stop(records, threshold) is not None:
-            window_end = states[0].t
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging row closes the window
+        for row in zip(*paths):
+            states, records = zip(*row)
+            del row  # else zip's cached row tuple keeps an older row's states alive
+            # left-endpoint quadrature: the previous row's differences
+            for p, (grid, dv) in enumerate(diffs):
+                grad_int[p] += stepper.dt * _grad_sq_of(grid, dv)
+            diffs = []
+            for p, (lo, hi) in enumerate(zip(states, states[1:])):
+                grid, dv = hi.v.grid, _difference(hi.v, lo.v)
+                sup_v[p] = max(sup_v[p], _l2_of(grid, dv))
+                sup_tau[p] = max(sup_tau[p], _l2_of(grid, _difference(hi.tau, lo.tau)))
+                diffs.append((grid, dv))
+            if detect_stop(records, threshold) is not None:
+                window_end = states[0].t
+                break
 
     return list(zip(sup_v, sup_tau, grad_int)), window_end
 

@@ -5,9 +5,9 @@
   lambda_j = lambda0 * j^(-decay), acted on by an affine diffusion
   sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
 * Stress: a single scalar Brownian motion multiplying S(tau) = c_h tau, a
-  number, so it has no object here: `stepping.step` forms the increment
-  S(tau) dW2 and the Stratonovich-to-Ito correction
-  (1/2) S^2(tau) = (c_h^2 / 2) tau as multiples of tau.
+  number, so it has no object here: `stepping.step` folds the increment
+  S(tau) dW2 and the Stratonovich-to-Ito correction (1/2) S^2(tau) =
+  (c_h^2 / 2) tau into the one multiple of tau it applies per step.
 * Jumps: a compound Poisson channel G(v, z) = gamma(z) * (kappa * v) with a
   smoothing multiplier kappa_hat = (1+|xi|^2)^(-1), compensated exactly in
   closed form.
@@ -195,11 +195,10 @@ class SigmaInstance:
     sum_j w_j sigma(v) e_j is c0 * sum_j w_j e_j + c1 * Phi v with the single
     profile Phi = sum_j w_j phi_j, so one product covers every j.  Both parts
     are linear in dW, so the instance keeps, per grid, the J columns
-    c0 sqrt(lambda_j) e_j stacked over c1 sqrt(lambda_j) phi_j, taken from the
-    basis, at the few modes where some column is nonzero.  `parts` gives the
-    two spectral pieces; `stepping.step` forms the product in the drift's
-    physical-space pass and truncates and projects the velocity update as a
-    whole.
+    c0 sqrt(lambda_j) e_j stacked over c1 sqrt(lambda_j) phi_j, at the few
+    modes where some column is nonzero, formed from the basis's held
+    coefficients as the basis assembles them.  `parts` gives the two pieces;
+    `stepping.step` forms the product in the drift's physical-space pass.
     """
 
     def __init__(self, grid: SpectralGrid, wiener: WienerQConfig, c0: float, c1: float):
@@ -207,24 +206,33 @@ class SigmaInstance:
         self.wiener = wiener
         self.c0 = float(c0)
         self.c1 = float(c1)
-        self.basis = basis = VelocityNoiseBasis(grid, wiener.J)
-        columns = np.stack([np.concatenate([self.c0 * s * basis.e_j(j).coeffs,
-                                            self.c1 * s * basis.phi_j(j).coeffs[np.newaxis]])
-                            for j, s in enumerate(np.sqrt(wiener.eigenvalues))])
-        columns = columns.reshape(wiener.J, -1)
-        self._index = np.flatnonzero(np.any(columns, axis=0))
-        self._columns = columns[:, self._index]
+        self.basis = b = VelocityNoiseBasis(grid, wiener.J)
+        # a unit weight's entries at each held coefficient, flat in the (d + 1) box rows
+        # (e_j's d components, then phi_j), added into zeros as `_scatter` adds
+        phi = grid.dim * math.prod(grid.shape)  # phi's row
+        flat = np.r_[b._index_by_component, phi + b._index]
+        column = np.zeros(phi + math.prod(grid.shape), dtype=np.intp)  # of each held entry
+        column[flat] = 1
+        index = np.flatnonzero(column)
+        column[index] = np.arange(index.size)
+        table = np.zeros((wiener.J, index.size), dtype=np.complex128)
+        np.add.at(table, (np.tile(b._j, grid.dim + 1), column[flat]),
+                  np.r_[(math.sqrt(2.0) * b._coef * b._p).ravel(), b._smooth[b._j] * b._coef])
+        amplitude = np.where(index < phi, self.c0, self.c1)
+        columns = np.sqrt(wiener.eigenvalues)[:, np.newaxis] * amplitude * table
+        kept = np.any(columns, axis=0)
+        self._index, self._columns = index[kept], columns[:, kept]
 
     def on(self, grid: SpectralGrid) -> "SigmaInstance":
         return SigmaInstance(grid, self.wiener, self.c0, self.c1)
 
-    def parts(self, dw1: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    def parts(self, dw1: np.ndarray, out=None) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Coefficients of c0 * sum_j w_j e_j and of c1 * Phi, the multiplier
         of v; None for a part whose amplitude is 0.  Both come from one
         product of dW1 with the kept columns, summed in j order without BLAS
-        (whose bits could depend on its thread count), into an array of this
-        call's own: paths on one grid may run on threads."""
-        out = np.zeros((self.grid.dim + 1,) + self.grid.shape, dtype=np.complex128)
+        (whose bits could depend on its thread count), put at the kept modes of
+        `out`, (d + 1) box rows zero elsewhere (one path's), or of fresh zeros."""
+        out = np.zeros((self.grid.dim + 1,) + self.grid.shape, complex) if out is None else out
         out.put(self._index, np.add.reduce(dw1[:, np.newaxis] * self._columns, axis=0))
         return (None if self.c0 == 0.0 else out[:-1], None if self.c1 == 0.0 else out[-1])
 
@@ -272,7 +280,7 @@ class JumpOperator:
         self.grid = grid
         self.config = config
         self._kappa = 1.0 / (1.0 + grid.xi_sq)
-        self._compensator = config.rate * config.gamma_bar * self._kappa
+        self.multiplier = config.rate * config.gamma_bar * self._kappa  # the compensator's
 
     def on(self, grid: SpectralGrid) -> "JumpOperator":
         return JumpOperator(grid, self.config)
@@ -282,7 +290,7 @@ class JumpOperator:
 
     def compensator(self, v: VectorField) -> VectorField:
         """integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)."""
-        return VectorField(self.grid, self._compensator * v.coeffs)
+        return VectorField(self.grid, self.multiplier * v.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +321,8 @@ class NoiseSampler:
         if dt < 0:
             raise ValueError(f"dt must be >= 0, got {dt}")
         scale = math.sqrt(dt)
-        dw1 = scale * self.rng.standard_normal(self.J)
-        dw2 = scale * float(self.rng.standard_normal())
+        normals = self.rng.standard_normal(self.J + 1)  # the stream of dW1's draws, then dW2's
+        dw1, dw2 = scale * normals[:-1], scale * float(normals[-1])
         count = int(self.rng.poisson(self.jump_config.rate * dt))
         if count == 0:  # zero-size draws would leave the stream where it is
             return StepNoise(dw1=dw1, dw2=dw2, jumps=())

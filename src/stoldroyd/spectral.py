@@ -516,7 +516,7 @@ def leray_project(v: VectorField) -> VectorField:
     """
     g = v.grid
     c = g.xi * v.coeffs  # the one box-sized temporary: the result is formed in it
-    s = c.sum(0)
+    s = np.add.reduce(c, 0)
     s /= g.xi_sq_safe
     return VectorField(g, np.subtract(v.coeffs, np.multiply(g.xi, s, out=c), out=c))
 

@@ -2,21 +2,20 @@
 
 One step, in order:
 
-1. explicit velocity update: v* = v + dt * (nonstiff drift - jump
-   compensator) + Wiener increment sigma(v) dW1, with the multiplicative
-   product c1 Phi v formed in the drift's physical-space pass;
+1. explicit velocity update: v* = dt * nonstiff drift + (1 - dt * compensator
+   multiplier) v + Wiener increment sigma(v) dW1, the product c1 Phi v formed
+   in the drift's physical-space pass;
 2. per-mode implicit viscous solve and spectral-ball cutoff as one factor,
-   v* <- v* * ball / (1 + nu dt |xi|^2), unconditionally contractive (the
-   cutoff alone when nu = 0); the cutoff acts mode by mode and commutes with
-   every per-mode factor, so cutting once here equals cutting each term;
+   v* <- v* * ball / (1 + nu dt |xi|^2), unconditionally contractive; the cutoff
+   commutes with every per-mode factor, so cutting once equals cutting each term;
 3. jumps from (t, t+dt] applied sequentially in time order to the cut
    post-diffusion state — each uses the pre-jump (left-limit) velocity;
    per-mode multipliers, they keep it in the ball;
 4. one Leray projection of the whole update, which commutes likewise;
-5. explicit stress update tau <- cutoff[ (1 + c_h dW2) tau + dt * stress
-   drift ], the drift with the Ito correction (1/2) S(S(tau)) =
-   (c_h^2 / 2) tau: S(tau) = c_h tau, so both are single multiples of tau,
-   and the final cutoff cuts the correction too.
+5. explicit stress update tau <- cutoff[ dt * gradient drift + theta tau ]:
+   relaxation -a tau, the Ito correction (c_h^2 / 2) tau and the increment
+   c_h dW2 tau are multiples of tau, so theta = 1 + c_h dW2 + dt (c_h^2 / 2 - a)
+   is one number per step.
 
 Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
@@ -149,14 +148,16 @@ def on_alias_free_grid(
 
 
 class StepPlan:
-    """What every step of one path reuses: `damping`, the ball cutoff over the viscous
-    denominator, ball_mask / (1 + nu dt |xi|^2), and rows overwritten each step: the stress
-    noise's, and the drift pass's with the views and transform calls its `_Work` keeps (made
-    on first use, anew for other sizes)."""
+    """What every step of one path reuses: `damping`, ball_mask / (1 + nu dt |xi|^2);
+    `keep`, v's factor 1 - dt * the compensator's multiplier (None without jumps); `parts`,
+    sigma's rows, zeroed once (None without sigma); `scratch`, rows for keep v and theta tau;
+    and the drift pass's rows with the views and transform calls its `_Work` keeps."""
 
-    def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float):
+    def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float, noise: NoiseModel):
         self.damping = grid.ball_mask / (1.0 + params.nu * dt * grid.xi_sq)
-        self.ito = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
+        self.keep = None if noise.jump is None else 1.0 - dt * noise.jump.multiplier
+        self.parts = None if noise.sigma is None else np.zeros((grid.dim + 1, *grid.shape), complex)
+        self.scratch = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
         self.workspace = functools.lru_cache(maxsize=1)(grid.workspace)
 
 
@@ -169,35 +170,30 @@ def step(
     plan: StepPlan | None = None,
 ) -> FlowState:
     """Advance one step (update order: module docstring); without a `plan`, build one.
-    S(tau) = c_h tau is a number times tau, so the stress noise is two multiples of tau."""
+    Every per-mode factor of v and tau is applied here.  `simulate` and refine step under
+    `np.errstate(over="ignore", invalid="ignore")`; a bare caller owns its error state."""
     grid, sigma, c_h = state.v.grid, noise.sigma, noise.c_h
-    plan = StepPlan(grid, params, dt) if plan is None else plan
-    with np.errstate(over="ignore", invalid="ignore"):
-        additive, profile = sigma.parts(sn.dw1) if sigma is not None else (None, None)
-        # Ito's (1/2) S(S(tau)); the cutoff of the new tau cuts it to the ball
-        ito = None if c_h == 0.0 else np.multiply(state.tau.coeffs, 0.5 * c_h * c_h, out=plan.ito)
-        # both drifts and the compensator are this step's own fresh arrays, so each
-        # product is formed in place (a sum only swaps its operands: same bits)
-        v_star, sd, prod = explicit_terms(state, params, ito, profile, plan.workspace)
-        v_star *= dt
-        v_star += state.v.coeffs
-        if noise.jump is not None:
-            comp = noise.jump.compensator(state.v).coeffs
-            v_star -= np.multiply(comp, dt, out=comp)
-            del comp  # freed before the projection's peak
-        for part in (additive, prod):
-            if part is not None:
-                v_star += part
-        v_star *= plan.damping
-        if noise.jump is not None:
-            for _, z in sn.jumps:
-                v_star += noise.jump.jump_increment(VectorField(grid, v_star), z).coeffs
-        v_new = leray_project(VectorField(grid, v_star))
+    plan = StepPlan(grid, params, dt, noise) if plan is None else plan
+    additive, profile = sigma.parts(sn.dw1, plan.parts) if sigma is not None else (None, None)
+    # both drifts are this step's own fresh arrays, so each product is formed in place
+    v_star, sd, prod = explicit_terms(state, params, profile, plan.workspace)
+    v_star *= dt
+    v_star += state.v.coeffs if noise.jump is None else np.multiply(
+        state.v.coeffs, plan.keep, out=plan.scratch[0])
+    for part in (additive, prod):
+        if part is not None:
+            v_star += part
+    v_star *= plan.damping
+    if noise.jump is not None:
+        for _, z in sn.jumps:
+            v_star += noise.jump.jump_increment(VectorField(grid, v_star), z).coeffs
+    v_new = leray_project(VectorField(grid, v_star))
 
-        tau_c = np.multiply(sd.coeffs, dt, out=sd.coeffs)
-        # tau + S(tau) dW2, in the Ito rows the pass has spent
-        tau_c += np.multiply(state.tau.coeffs, 1.0 + c_h * sn.dw2, out=plan.ito)
-        tau_c *= grid.ball_mask
+    # entries (i, j) and (j, i) get the same arithmetic: tau stays symmetric bit for bit
+    theta = 1.0 + c_h * sn.dw2 + dt * (0.5 * c_h * c_h - params.a)
+    tau_c = np.multiply(sd, dt, out=sd)
+    tau_c += np.multiply(state.tau.coeffs, theta, out=plan.scratch)
+    tau_c *= grid.ball_mask
     return FlowState(state.t + dt, v_new, TensorField(grid, tau_c))
 
 
@@ -221,7 +217,7 @@ def trajectory(
         raise ValueError("the initial stress tau is not symmetric: tau must equal its "
                          "transpose bit for bit")
     yield state
-    plan = StepPlan(state.v.grid, params, dt)
+    plan = StepPlan(state.v.grid, params, dt, noise)
     for sn in noise_steps:
         state = step(state, params, noise, sn, dt, plan)
         yield state
@@ -297,11 +293,12 @@ def simulate(
 
     records, event = [], None
     states = trajectory(initial, params, noise, draws, stepper.dt)
-    for state, rec in energy_records(states, monitor.s, params, stepper.dt):
-        records.append(rec)
-        event = _stop_event(rec, monitor.threshold)
-        if event is not None:
-            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run stops on its records
+        for state, rec in energy_records(states, monitor.s, params, stepper.dt):
+            records.append(rec)
+            event = _stop_event(rec, monitor.threshold)
+            if event is not None:
+                break
     if event is None:
         event = StoppingEvent(kind="horizon", t_stop=stepper.actual_horizon, e_n=records[-1].e_n)
 

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,9 @@ import pytest
 import stoldroyd
 from stoldroyd import experiments
 from stoldroyd.cli import main
-from stoldroyd.config import _SCHEMA, build_grid, load_config, materialize
+from stoldroyd.config import _SCHEMA, build_grid, load_config, materialize, parse_config
 from stoldroyd.monitor import CSV_COLUMNS
-from stoldroyd.noise import load_noise_path
+from stoldroyd.noise import load_noise_path, rng_for_run
 from stoldroyd.spectral import hs_norm
 from stoldroyd.stepping import simulate
 from test_stepping import README_DESK
@@ -70,10 +72,19 @@ DIVERGENT_EVENT = """{
   "master_seed": 42,
   "kind": "divergence",
   "t_stop": 0.007,
-  "e_n": 11749971929250.393,
+  "e_n": 11749971929250.346,
   "n_records": 8
 }
 """
+
+
+def divergent_config(scale="1000.0"):
+    """BASE_CONFIG's data at `scale` (2000x the base scale by default), past the
+    divergence cap before t = 0.05."""
+    return (BASE_CONFIG.replace("v_scale = 0.5", f"v_scale = {scale}")
+            .replace("tau_scale = 0.5", f"tau_scale = {scale}")
+            .replace("horizon = 0.005", "horizon = 0.05")
+            .replace("threshold = 1000000.0", "threshold = 1e300"))
 
 
 @pytest.fixture
@@ -114,16 +125,30 @@ class TestSimulate:
         The last energy row and the event are pinned byte for byte: the
         monitor's reductions keep the bits of the per-term sums."""
         cfg = tmp_path / "divergent.ini"
-        cfg.write_text(BASE_CONFIG.replace("v_scale = 0.5", "v_scale = 1000.0")
-                       .replace("tau_scale = 0.5", "tau_scale = 1000.0")
-                       .replace("horizon = 0.005", "horizon = 0.05")
-                       .replace("threshold = 1000000.0", "threshold = 1e300"), encoding="utf-8")
+        cfg.write_text(divergent_config(), encoding="utf-8")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "energy.csv").read_text().splitlines()[-1] == (
-            "0.007,11222960622.18297,11738697497661.754,468207502990.42804,"
-            "51470966.45560683,11749971929250.393,0.0")
+            "0.007,11222960622.182934,11738697497661.707,468207502990.4265,"
+            "51470966.455606714,11749971929250.346,0.0")
         assert (out / "event.json").read_text() == DIVERGENT_EVENT
+
+    @pytest.mark.parametrize("scale", ["1000.0", "1e200"])
+    def test_divergent_data_raise_no_runtime_warning(self, scale):
+        """`simulate`'s record loop and refine's row loop own the error state of
+        the steps and records they run, so diverging data raise no RuntimeWarning
+        even where warnings are errors; at 1e200 the first record overflows."""
+        run = materialize(parse_config(divergent_config(scale)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = simulate(run.initial, run.params, run.noise,
+                              replace(run.stepper, record_noise=True), run.monitor,
+                              rng=rng_for_run(run.master_seed, 0))
+            _, window = experiments.refinement_single_path(
+                run.initial.v, run.initial.tau, run.params, run.stepper, [4.0, 8.0],
+                result.noise_path, run.noise, threshold=run.monitor.threshold)
+        assert result.event.kind == "divergence"
+        assert window == result.event.t_stop
 
     def test_blas_threads_do_not_change_outputs(self, tmp_path):
         """The README desk run, in a subprocess with OPENBLAS_NUM_THREADS=1 and

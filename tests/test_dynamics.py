@@ -44,9 +44,12 @@ def ball_field(kind, seed, grid=GRID, alpha=4.0):
 
 
 def drift(state, params):
-    """Leray-projected nonstiff velocity drift and the stress drift."""
-    vel, stress, _ = explicit_terms(state, params, None, None, state.v.grid.workspace)
-    return leray_project(VectorField(state.v.grid, vel)), stress
+    """Leray-projected nonstiff velocity drift and the stress drift: the pass's
+    gradient part with the relaxation -a tau, which the step applies, added."""
+    grid = state.v.grid
+    vel, stress, _ = explicit_terms(state, params, None, grid.workspace)
+    return (leray_project(VectorField(grid, vel)),
+            TensorField(grid, stress - params.a * state.tau.coeffs))
 
 
 def zero_state(grid=GRID):
@@ -360,10 +363,10 @@ class TestSymmetricStressRows:
         inner = spectral.SpectralGrid.inverse
         monkeypatch.setattr(spectral.SpectralGrid, "inverse",
                             lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
-        _, stress, _ = dynamics.explicit_terms(FlowState(0.0, v, tau), PARAMS, None, profile,
+        _, stress, _ = dynamics.explicit_terms(FlowState(0.0, v, tau), PARAMS, profile,
                                                grid.workspace)
         assert rows == [dim + dim * (dim + 1) // 2 + 1]
-        assert oracles.equals_its_transpose(stress.coeffs)
+        assert oracles.equals_its_transpose(stress)
 
 
 class TestLinearPassWithAProfile:
@@ -379,15 +382,15 @@ class TestLinearPassWithAProfile:
         profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
         vel = params.mu1 * divergence_tensor(tau).coeffs
-        stress = -params.a * tau.coeffs + params.mu2 * deformation(v).coeffs
+        stress = params.mu2 * deformation(v).coeffs  # the relaxation is the step's
         prod = grid.forward(grid.inverse(profile) * grid.inverse(v.coeffs)) * grid.ball_mask
-        plan = StepPlan(grid, params, 1e-3)
+        plan = StepPlan(grid, params, 1e-3, NoiseModel())
         for workspace in (grid.workspace, plan.workspace, plan.workspace):
             got_vel, got_stress, got_prod = explicit_terms(
-                FlowState(0.0, v, tau), params, None, profile, workspace)
+                FlowState(0.0, v, tau), params, profile, workspace)
             assert np.array_equal(got_vel, vel)
-            assert np.array_equal(got_stress.coeffs, stress)
-            assert oracles.equals_its_transpose(got_stress.coeffs)
+            assert np.array_equal(got_stress, stress)
+            assert oracles.equals_its_transpose(got_stress)
             assert np.array_equal(got_prod, prod)
 
 
@@ -404,7 +407,7 @@ class TestPassViewsPerWorkspace:
         grid = make_grid(dim, M, 2 * math.pi, n)
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
         sigma = SigmaInstance(grid, WienerQConfig(lambda0=0.1, J=4), c0=0.3, c1=0.2)
-        plan = StepPlan(grid, params, 1e-3)
+        plan = StepPlan(grid, params, 1e-3, NoiseModel())
         works = []
 
         def workspace(*sizes):
@@ -417,11 +420,11 @@ class TestPassViewsPerWorkspace:
             state = FlowState(0.0, ball_field("vector", 40 + k, grid),
                               ball_field("tensor", 50 + k, grid))
             profile = sigma.parts(np.full(4, 0.01 * (k + 1)))[1] if with_profile else None
-            got = explicit_terms(state, params, None, profile, workspace)
-            want = explicit_terms(state, params, None, profile, grid.workspace)
+            got = explicit_terms(state, params, profile, workspace)
+            want = explicit_terms(state, params, profile, grid.workspace)
             assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].coeffs.tobytes() == want[1].coeffs.tobytes()
-            assert oracles.equals_its_transpose(got[1].coeffs)
+            assert got[1].tobytes() == want[1].tobytes()
+            assert oracles.equals_its_transpose(got[1])
             assert (got[2] is None) == (want[2] is None) == (profile is None)
             if profile is not None:
                 assert got[2].tobytes() == want[2].tobytes()

@@ -236,6 +236,38 @@ class TestSigmaInstance:
         assert SigmaInstance(grid, wiener, c0=0.0, c1=1.3).parts(dw1)[0] is None
         assert SigmaInstance(grid, wiener, c0=0.6, c1=0.0).parts(dw1)[1] is None
 
+    @pytest.mark.parametrize("J", [3, 8, 12, 81])
+    @pytest.mark.parametrize("dim, M", [(2, 16), (2, 26), (2, 50), (2, 96), (3, 12), (3, 14)])
+    def test_kept_columns_equal_the_dense_construction(self, dim, M, J):
+        """The kept modes and columns, formed from the basis's held coefficients,
+        equal bit for bit those of the J box-sized fields c0 sqrt(lambda_j) e_j
+        over c1 sqrt(lambda_j) phi_j and their nonzero modes, also where several
+        entries share a mode, for an amplitude below zero or at zero."""
+        grid = make_grid(dim, M, 2 * math.pi)
+        wiener = WienerQConfig(lambda0=0.7, J=J)
+        for c0, c1 in ((0.6, 1.3), (-0.6, 0.0), (0.0, -1.3)):
+            sigma = SigmaInstance(grid, wiener, c0=c0, c1=c1)
+            columns = np.stack([np.concatenate([c0 * s * sigma.basis.e_j(j).coeffs,
+                                                c1 * s * sigma.basis.phi_j(j).coeffs[np.newaxis]])
+                                for j, s in enumerate(np.sqrt(wiener.eigenvalues))])
+            columns = columns.reshape(J, -1)
+            index = np.flatnonzero(np.any(columns, axis=0))
+            assert sigma._index.tobytes() == index.tobytes()
+            assert sigma._columns.shape == (J, index.size)
+            assert sigma._columns.tobytes() == columns[:, index].tobytes()
+
+    def test_parts_into_a_plans_rows_equal_fresh_parts(self):
+        """Rows zeroed once take every later call's parts: `parts` writes only
+        its kept modes, so each call equals one into fresh zeros, bitwise."""
+        sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
+        rows = np.zeros((GRID.dim + 1,) + GRID.shape, dtype=np.complex128)
+        rng = rng_for_run(9, 0)
+        for _ in range(3):
+            dw = rng.standard_normal(WIENER.J)
+            got, want = sigma.parts(dw, rows), sigma.parts(dw)
+            assert all(np.shares_memory(part, rows) for part in got)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_additive_only_ignores_velocity(self):
         """With c1 = 0 no product is formed: the step adds exactly c0 Sigma."""
         sigma = SigmaInstance(GRID, WIENER, c0=0.7, c1=0.0)
@@ -322,6 +354,28 @@ class TestJumps:
             assert got.jumps == tuple(zip(offsets, marks))
             counts.append(count)
         assert counts.count(0) > 100 and max(counts) >= 3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_normal_draw_equals_the_two_call_order(self, seed):
+        """One draw of J + 1 normals per step gives the stream of a draw of J
+        and then one, with the jump draws interleaved: 200 steps equal a
+        two-call sampler's bitwise."""
+        cfg = JumpConfig(rate=300.0, z_min=-1.0, z_max=2.0, gamma0=1.0)
+        J, dt = 6, 2e-3
+        sampler = NoiseSampler(J, cfg, rng_for_run(seed, 0))
+        ref = rng_for_run(seed, 0)
+        for _ in range(200):
+            got = sampler.sample_step(dt)
+            dw1 = math.sqrt(dt) * ref.standard_normal(J)
+            dw2 = math.sqrt(dt) * float(ref.standard_normal())
+            count = int(ref.poisson(cfg.rate * dt))
+            jumps = ()
+            if count:
+                offsets = np.sort(ref.uniform(0.0, dt, size=count))
+                marks = ref.uniform(cfg.z_min, cfg.z_max, size=count)
+                jumps = tuple((float(t), float(z)) for t, z in zip(offsets, marks))
+            assert got.dw1.tobytes() == dw1.tobytes()
+            assert got.dw2 == dw2 and got.jumps == jumps
 
     def test_compensator_constant_gamma(self):
         cfg = JumpConfig(rate=2.5, gamma_kind="constant", gamma0=0.3)

@@ -130,3 +130,20 @@ def test_bench_pairs_verdict_applies_the_claim_rule():
     assert lower["wins"] == 0 and not lower["claim_holds"] and lower["within_bound"]
     assert not pairs.verdict(parent, change, "lower", 0.05)["within_bound"]
     assert pairs.verdict(change, parent, "lower", 0.05)["claim_holds"]
+
+
+def test_step_budget_prints_positive_warm_minima(tmp_path, capsys):
+    """The step budget runs on a config's stepping grid and prints one JSON
+    object with a positive warm minimum per part, in microseconds."""
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    path = SCRIPT.parent / "step_budget.py"
+    spec = importlib.util.spec_from_file_location("step_budget", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(["--config", str(config), "--calls", "20", "--repeats", "2"])
+    report = json.loads(capsys.readouterr().out)
+    parts = ("step_us", "energy_us", "sample_step_us", "transform_pair_us")
+    assert set(report) == set(parts) | {"modes_per_axis", "shape"}
+    assert all(report[name] > 0 for name in parts)
+    assert report["modes_per_axis"] == 16 and report["shape"] == [11, 6]

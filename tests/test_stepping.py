@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stoldroyd.config import materialize, parse_config
-from stoldroyd.dynamics import FlowState, PhysicalParams
+from stoldroyd.dynamics import FlowState, PhysicalParams, explicit_terms
 from stoldroyd.experiments import refinement_study
 from stoldroyd.monitor import MonitorConfig, StoppingEvent, detect_stop, energy
 from stoldroyd.noise import (
@@ -173,14 +173,30 @@ class TestJumpHandling:
         sn = StepNoise(dw1=np.zeros(0), dw2=0.0, jumps=((0.002, 0.5), (0.007, -0.25)))
         out = step(FlowState(0.0, v0, tau0), params, noise, sn, dt)
 
-        v1 = v0.coeffs - dt * op.compensator(v0).coeffs
-        v1 = v1 / 1.0
+        v1 = v0.coeffs * (1.0 - dt * op.multiplier)  # v's own factor, 1 here: gamma_bar = 0
         vf = VectorField(GRID, v1)
         for z in (0.5, -0.25):
             inc = truncate(op.jump_increment(vf, z), 16)
             vf = VectorField(GRID, vf.coeffs + inc.coeffs)
         want = leray_project(truncate(vf, 16.0)).coeffs
         assert np.array_equal(out.v.coeffs, want)
+
+    def test_compensator_enters_as_the_velocitys_own_factor(self):
+        """With gamma_bar != 0 the compensator is v's per-mode factor
+        1 - dt rate gamma_bar kappa, added to dt times the drift before the
+        viscous cutoff; bitwise."""
+        cfg = JumpConfig(rate=3.0, gamma_kind="constant", gamma0=0.4)
+        params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9)
+        state = FlowState(0.0, truncate(random_field(GRID, 4.0, "vector", seed=8), 16),
+                          truncate(random_field(GRID, 4.0, "tensor", seed=9), 16))
+        dt = 0.01
+        out = step(state, params, NoiseModel(jump=JumpOperator(GRID, cfg)),
+                   StepNoise(dw1=np.zeros(0), dw2=0.0, jumps=()), dt)
+        vel, _, _ = explicit_terms(state, params, None, GRID.workspace)
+        keep = 1.0 - dt * (cfg.rate * cfg.gamma_bar * (1.0 / (1.0 + GRID.xi_sq)))
+        v_star = (vel * dt + state.v.coeffs * keep) * (
+            GRID.ball_mask / (1.0 + params.nu * dt * GRID.xi_sq))
+        assert np.array_equal(out.v.coeffs, leray_project(VectorField(GRID, v_star)).coeffs)
 
     def test_pure_jump_run_stays_divergence_free_and_truncated(self):
         cfg = JumpConfig(rate=50.0, gamma_kind="constant", gamma0=0.2)
@@ -437,7 +453,7 @@ class TestTransformBudget:
         run = materialize(parse_config(README_DESK.replace("= 64", "= 96").replace("= 16", "= 32")))
         assert run.initial.v.coeffs.shape == (2, 65, 33)
         _, sn = desk_step_inputs()
-        plan = StepPlan(run.grid, run.params, run.stepper.dt)
+        plan = StepPlan(run.grid, run.params, run.stepper.dt, run.noise)
         for _ in range(2):
             out = step(run.initial, run.params, run.noise, sn, run.stepper.dt, plan)
         del out
