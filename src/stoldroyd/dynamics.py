@@ -3,8 +3,8 @@
 The velocity drift splits into a stiff viscous part (handled implicitly by
 the integrator) and an explicit part: minus the truncated self-advection plus
 the stress-divergence coupling.  The stress drift is fully explicit:
-transport, relaxation, the bilinear rotation/slip form Q and the deformation
-forcing.  Relaxation, a multiple of tau like the stress noise and its Ito
+transport, relaxation, the bilinear rotation/slip form Q and the forcing
+mu2 D(v).  Relaxation, a multiple of tau like the stress noise and its Ito
 correction, is the integrator's; the pass here forms the terms needing gradients.
 
 `explicit_terms` forms every quadratic term of a step in one physical-space
@@ -19,6 +19,12 @@ sends only its d(d+1)/2 distinct components.  The velocity terms stay
 unprojected, so the integrator projects its whole update once.  The pass's
 views are cut once per workspace (`_PassViews`), so a path's warm steps hand
 the transforms the same arrays, whose kept calls they replay.
+
+The pass is the package's one home of these terms: the couplings, Q and the
+noise product have no operator of their own, and `experiments.inequality_suite`
+measures the energy identities on the pass's outputs.  `advect_vector`, transport
+of one field by another, serves the off-diagonal skew-symmetry check of the
+acceptance gate, which the pass, transporting v by itself, cannot form.
 """
 from __future__ import annotations
 
@@ -30,18 +36,15 @@ import numpy as np
 from .spectral import (
     TensorField,
     VectorField,
-    convect_vector,
+    _check_same_grid,
     gradient_vector,
     pointwise_matmul,
     pointwise_transport,
-    truncate,
 )
 
 __all__ = [
     "PhysicalParams",
     "FlowState",
-    "deformation",
-    "q_form",
     "advect_vector",
     "explicit_terms",
 ]
@@ -87,17 +90,6 @@ class FlowState:
     tau: TensorField
 
 
-def deformation(v: VectorField) -> TensorField:
-    """Symmetric velocity-gradient part D(v) = (grad v + grad v^T)/2.
-
-    The output is symmetric to the last bit: entry (i,j) and entry (j,i) are
-    the same floating-point sum.
-    """
-    g = gradient_vector(v).coeffs
-    c = 0.5 * (g + np.swapaxes(g, 0, 1))
-    return TensorField(v.grid, c)
-
-
 def _q_pointwise(tau: np.ndarray, row: np.ndarray, grad_v: np.ndarray, b: float,
                  m: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Q = tau W - W tau - b (D tau + tau D) on physical samples, formed in `m`.
@@ -116,20 +108,13 @@ def _q_pointwise(tau: np.ndarray, row: np.ndarray, grad_v: np.ndarray, b: float,
     return np.add(p, np.swapaxes(p, 0, 1), out=m)
 
 
-def q_form(tau: TensorField, v: VectorField, b: float) -> TensorField:
-    """Rotation/slip bilinear form Q(tau, grad v) of a symmetric tau, dealiased; see
-    `_q_pointwise`."""
-    grid, d = v.grid, v.grid.dim
-    flat, row = _tau_rows(d)
-    ptau = grid.inverse(tau.coeffs.reshape((d * d,) + grid.shape)[flat])
-    pgrad = grid.inverse(gradient_vector(v).coeffs)
-    q = _q_pointwise(ptau, row, pgrad, b, *np.empty((2,) + pgrad.shape))
-    return TensorField(grid, grid.forward(q))
-
-
 def advect_vector(v: VectorField, u: VectorField) -> VectorField:
-    """Truncated transport (v . grad) u."""
-    return truncate(convect_vector(v, u), v.grid.truncation_radius)
+    """Transport (v . grad) u, componentwise, dealiased and cut to the spectral ball."""
+    _check_same_grid(v, u)
+    grid = v.grid
+    pgrad = grid.inverse(gradient_vector(u).coeffs)
+    return VectorField(grid, grid.forward(pointwise_transport(grid.inverse(v.coeffs), pgrad))
+                       * grid.ball_mask)
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,7 +188,7 @@ def explicit_terms(
     np.multiply(grid.ixi, w.fields, out=w.grad)
     # the couplings, one at a time, so a step's peak memory stays put: the stress drift
     # is a fresh array from mu2 D(v), scaled once by 0.5 mu2 (0.5 is exact); vel = mu1
-    # div(tau), summed in b order as `divergence_tensor` sums (div tau)_a = sum_b d_b tau_ab
+    # div(tau), (div tau)_a = sum_b d_b tau_ab summed in b order
     stress = np.add(w.grad[:d], w.grad_vt)
     stress *= 0.5 * params.mu2
     vel = np.add.reduce(w.grad[w.div], axis=0)

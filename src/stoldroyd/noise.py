@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ScalarField, SpectralGrid, VectorField
+from .spectral import SpectralGrid, VectorField
 
 __all__ = [
     "WienerQConfig",
@@ -75,10 +75,6 @@ class WienerQConfig:
         j = np.arange(1, self.J + 1, dtype=float)
         return self.lambda0 * j ** (-self.decay)
 
-    @property
-    def trace(self) -> float:
-        return float(self.eigenvalues.sum())
-
 
 def _halfspace_wavevectors(dim: int, count: int) -> list[tuple[int, ...]]:
     """First `count` integer wavevectors from the lexicographic half-lattice,
@@ -112,14 +108,6 @@ def _polarizations(kv: tuple[int, ...]) -> list[np.ndarray]:
     return [p1, p2]
 
 
-def _scatter(index: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
-    """`values` added at flat `index` into complex zeros of `shape` by one `np.add.at`, in
-    index order."""
-    out = np.zeros(shape, dtype=np.complex128)
-    np.add.at(out.reshape(-1), index, values)
-    return out
-
-
 class VelocityNoiseBasis:
     """Catalogue of J divergence-free unit-RMS fields e_j and the matching
     smoothed scalar profiles phi_j.
@@ -128,7 +116,9 @@ class VelocityNoiseBasis:
     polarization perpendicular to k_j: each field occupies the +-k_j mode
     pair, has physical RMS exactly 1, and is identical on every grid that
     contains the pair.  phi_j drops the polarization and weighs the profile by
-    (1 + |k_j|^2)^(-1) so the multiplicative channel is smoothing.
+    (1 + |k_j|^2)^(-1) so the multiplicative channel is smoothing.  The basis
+    holds each field's wavevector, polarization and held coefficients;
+    `SigmaInstance` forms the fields from them.
     """
 
     def __init__(self, grid: SpectralGrid, J: int):
@@ -164,25 +154,6 @@ class VelocityNoiseBasis:
         self._p = self.p[self._j].T  # the polarization of each held coefficient, (dim, held)
         self._smooth = math.sqrt(2.0) / (1.0 + np.sum(self.k ** 2, axis=1).astype(float))
 
-    def assemble_velocity(self, weights: np.ndarray) -> VectorField:
-        """sum_j weights[j] * sqrt(2) * e_j as a vector field."""
-        grid = self.grid
-        signed = math.sqrt(2.0) * weights[self._j] * self._coef
-        c = _scatter(self._index_by_component, (signed * self._p).ravel(), (grid.dim,) + grid.shape)
-        return VectorField(grid, c)
-
-    def assemble_profile(self, weights: np.ndarray) -> ScalarField:
-        """sum_j weights[j] * phi_j as a scalar field."""
-        grid = self.grid
-        c = _scatter(self._index, (weights * self._smooth)[self._j] * self._coef, grid.shape)
-        return ScalarField(grid, c)
-
-    def e_j(self, j: int) -> VectorField:
-        return self.assemble_velocity(np.eye(self.J)[j])
-
-    def phi_j(self, j: int) -> ScalarField:
-        return self.assemble_profile(np.eye(self.J)[j])
-
 
 # ---------------------------------------------------------------------------
 # affine velocity diffusion
@@ -197,7 +168,7 @@ class SigmaInstance:
     are linear in dW, so the instance keeps, per grid, the J columns
     c0 sqrt(lambda_j) e_j stacked over c1 sqrt(lambda_j) phi_j, at the few
     modes where some column is nonzero, formed from the basis's held
-    coefficients as the basis assembles them.  `parts` gives the two pieces;
+    coefficients.  `parts` gives the two pieces;
     `stepping.step` forms the product in the drift's physical-space pass.
     """
 
@@ -208,7 +179,7 @@ class SigmaInstance:
         self.c1 = float(c1)
         self.basis = b = VelocityNoiseBasis(grid, wiener.J)
         # a unit weight's entries at each held coefficient, flat in the (d + 1) box rows
-        # (e_j's d components, then phi_j), added into zeros as `_scatter` adds
+        # (e_j's d components, then phi_j), added into zeros in index order
         phi = grid.dim * math.prod(grid.shape)  # phi's row
         flat = np.r_[b._index_by_component, phi + b._index]
         column = np.zeros(phi + math.prod(grid.shape), dtype=np.intp)  # of each held entry
@@ -280,17 +251,14 @@ class JumpOperator:
         self.grid = grid
         self.config = config
         self._kappa = 1.0 / (1.0 + grid.xi_sq)
-        self.multiplier = config.rate * config.gamma_bar * self._kappa  # the compensator's
+        # the compensator integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)
+        self.multiplier = config.rate * config.gamma_bar * self._kappa
 
     def on(self, grid: SpectralGrid) -> "JumpOperator":
         return JumpOperator(grid, self.config)
 
     def jump_increment(self, v: VectorField, z: float) -> VectorField:
         return VectorField(self.grid, self.config.gamma(z) * self._kappa * v.coeffs)
-
-    def compensator(self, v: VectorField) -> VectorField:
-        """integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)."""
-        return VectorField(self.grid, self.multiplier * v.coeffs)
 
 
 # ---------------------------------------------------------------------------

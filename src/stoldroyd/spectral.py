@@ -23,6 +23,11 @@ factors over the box's modes alone, one matrix product per axis (the sum-factori
 transform of Deville, Fischer & Mund 2002), no zero-padding; the leading axes fold k
 with -k (the even-odd decomposition, Solomonoff 1992), and `inverse` returns gradient
 samples from the rows' own folded coefficients.
+
+The module's operators on coefficients are exact multipliers (gradient, Bessel
+lift, cutoff, Leray projection), norms and defects.  It forms no product of
+fields: `dynamics` forms them from the pointwise products below, a step's all in
+one pass through the pair (`explicit_terms`).
 """
 from __future__ import annotations
 
@@ -42,24 +47,18 @@ __all__ = [
     "make_grid",
     "alias_free_modes",
     "relayout",
-    "to_physical",
     "hs_norm",
     "hs_inner",
     "l2_inner",
     "bessel",
     "truncate",
-    "gradient_scalar",
     "gradient_vector",
-    "divergence_tensor",
     "leray_project",
     "divergence_defect",
     "hermitian_defect",
     "symmetry_defect",
-    "dealiased_product",
     "pointwise_matmul",
     "pointwise_transport",
-    "convect_vector",
-    "commutator_bessel_product",
     "random_field",
 ]
 
@@ -116,11 +115,6 @@ class SpectralGrid:
     def dealias_kmax(self) -> int:
         """Largest per-axis integer |k| kept by the 2/3 rule."""
         return self.modes_per_axis // 3
-
-    @property
-    def dealias_limit(self) -> float:
-        """Largest admissible truncation radius in |xi| units."""
-        return _dealias_limit(self.modes_per_axis, self.box_length)
 
     def workspace(self, rows: int, grads: int = 0, extra: int = 0) -> tuple:
         """Buffers for `inverse(coeffs, grads, out=samples[:rows + grads * dim], work=work)`
@@ -395,29 +389,17 @@ class ScalarField:
     grid: SpectralGrid
     coeffs: np.ndarray  # shape grid.shape, complex
 
-    @property
-    def rank(self) -> int:
-        return 0
-
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
     grid: SpectralGrid
     coeffs: np.ndarray  # shape (dim,) + grid.shape, complex
 
-    @property
-    def rank(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True, eq=False)
 class TensorField:
     grid: SpectralGrid
     coeffs: np.ndarray  # shape (dim, dim) + grid.shape, complex
-
-    @property
-    def rank(self) -> int:
-        return 2
 
 
 Field = ScalarField | VectorField | TensorField
@@ -427,15 +409,6 @@ def _check_same_grid(f: Field, g: Field) -> None:
     a, b = f.grid, g.grid
     if (a.shape, a.points, a.box_length) != (b.shape, b.points, b.box_length):
         raise ValueError("fields live on different grids")
-
-
-# ---------------------------------------------------------------------------
-# transforms
-# ---------------------------------------------------------------------------
-
-def to_physical(f: Field) -> np.ndarray:
-    """Inverse transform to real physical samples; see `SpectralGrid.inverse`."""
-    return f.grid.inverse(f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -490,23 +463,11 @@ def truncate(f: Field, n: float) -> Field:
 # differential operators (exact multipliers)
 # ---------------------------------------------------------------------------
 
-def gradient_scalar(f: ScalarField) -> VectorField:
-    """grad f: component a is i*xi_a * f_hat."""
-    c = f.grid.ixi * f.coeffs[np.newaxis]
-    return VectorField(f.grid, c)
-
-
 def gradient_vector(v: VectorField) -> TensorField:
     """Velocity gradient with rows = components: (grad v)_{ab} = d_b v_a."""
     g = v.grid
     c = g.ixi[np.newaxis, :] * v.coeffs[:, np.newaxis]
     return TensorField(g, c)
-
-
-def divergence_tensor(tau: TensorField) -> VectorField:
-    """Row-wise divergence: (div tau)_a = sum_b d_b tau_{ab}."""
-    c = np.sum(tau.grid.ixi[np.newaxis, :] * tau.coeffs, axis=1)
-    return VectorField(tau.grid, c)
 
 
 def leray_project(v: VectorField) -> VectorField:
@@ -556,27 +517,8 @@ def symmetry_defect(tau: TensorField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dealiased products
+# pointwise products of physical samples
 # ---------------------------------------------------------------------------
-
-def dealiased_product(f: Field, g: Field) -> Field:
-    """Pointwise product via physical space, kept to the dealias box.
-
-    scalar*scalar -> scalar; scalar*vector or scalar*tensor broadcasts the
-    scalar over components.  The retained product modes are exact
-    convolutions of the inputs' modes.
-    """
-    _check_same_grid(f, g)
-    if f.rank != 0 and g.rank == 0:
-        f, g = g, f
-    if f.rank != 0:
-        raise ValueError("one factor must be a scalar field")
-    grid = g.grid
-    pf = to_physical(f)
-    pg = to_physical(g)
-    c = grid.forward(pf * pg)  # broadcasting over leading component axes
-    return type(g)(grid, c)
-
 
 def pointwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product (a b)_ij = sum_k a_ik b_kj at every grid point.
@@ -596,27 +538,6 @@ def pointwise_transport(v: np.ndarray, grad: np.ndarray, out: np.ndarray | None 
     The result is written to `out` when given.
     """
     return np.einsum("c...,nc...->n...", v, grad, out=out)
-
-
-def convect_vector(v: VectorField, u: VectorField) -> VectorField:
-    """(v . grad) u, componentwise, dealiased (no spectral-ball cutoff here)."""
-    _check_same_grid(v, u)
-    grid = v.grid
-    pv = grid.inverse(v.coeffs)
-    pgrad = grid.inverse(gradient_vector(u).coeffs)
-    return VectorField(grid, grid.forward(pointwise_transport(pv, pgrad)))
-
-
-def commutator_bessel_product(f: ScalarField, g: ScalarField, s: float) -> ScalarField:
-    """K(f, g) = J^s(f g) - f (J^s g) with J^s the Bessel multiplier.
-
-    Bilinear in (f, g) exactly; the size of K is what commutator estimates
-    control, so this is the quantity the verification suite measures.
-    """
-    fg = dealiased_product(f, g)
-    lhs = bessel(fg, s)
-    rhs = dealiased_product(f, bessel(g, s))
-    return ScalarField(f.grid, lhs.coeffs - rhs.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,12 @@ def vorticity_modes(xi: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     return 0.5 * (g - np.swapaxes(g, 0, 1))
 
 
+def deformation_modes(xi: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
+    """Symmetric part D(v) = (grad v + grad v^T)/2, with (grad v)_ab = i xi_b v_hat_a."""
+    g = 1j * np.asarray(xi)[np.newaxis] * np.asarray(v_hat)[:, np.newaxis]
+    return 0.5 * (g + np.swapaxes(g, 0, 1))
+
+
 def oldroyd_quadratic_terms(xi, v_hat, tau_hat, b: float, keep):
     """(v.grad)v, (v.grad)tau and Q = tau W - W tau - b (D tau + tau D), one
     component at a time.
@@ -182,6 +188,26 @@ def dealiased_scalar_product(f_hat, v_hat, keep):
                     norm="forward") * keep
         for a in range(v_hat.shape[0])
     ])
+
+
+def noise_basis_modes(k, p, kind, weights, M: int):
+    """sum_j weights[j] e_j and sum_j weights[j] phi_j over all M^d modes (FFT
+    order), one entry at a time: e_j = sqrt(2) p_j cos(k_j.x) (kind 0) or
+    sqrt(2) p_j sin(k_j.x) (kind 1), cos and sin having the coefficients
+    (1/2, 1/2) and (-i/2, i/2) at (k_j, -k_j), and phi_j the scalar cos or sin
+    weighed by sqrt(2) / (1 + |k_j|^2).  Entries of weight 0 add nothing and
+    are skipped."""
+    dim = len(k[0])
+    velocity = np.zeros((dim,) + (M,) * dim, dtype=complex)
+    profile = np.zeros((M,) * dim, dtype=complex)
+    for j in np.flatnonzero(weights):
+        smooth = math.sqrt(2.0) / (1.0 + float(np.sum(k[j] ** 2)))
+        pair = (0.5 + 0.0j, 0.5 + 0.0j) if kind[j] == 0 else (-0.5j, 0.5j)
+        for sign, coef in zip((1, -1), pair):
+            mode = tuple(sign * k[j] % M)
+            velocity[(slice(None),) + mode] += math.sqrt(2.0) * weights[j] * coef * p[j]
+            profile[mode] += weights[j] * smooth * coef
+    return velocity, profile
 
 
 def sigma_increment(xi, dealias, ball, additive_hat, profile_hat, v_hat):

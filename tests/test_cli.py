@@ -16,7 +16,7 @@ from stoldroyd.cli import main
 from stoldroyd.config import _SCHEMA, build_grid, load_config, materialize, parse_config
 from stoldroyd.monitor import CSV_COLUMNS
 from stoldroyd.noise import load_noise_path, rng_for_run
-from stoldroyd.spectral import hs_norm
+from stoldroyd.spectral import _dealias_limit, hs_norm
 from stoldroyd.stepping import simulate
 from test_stepping import README_DESK
 
@@ -370,7 +370,7 @@ def test_only_a_zero_truncation_radius_means_the_dealias_limit(tmp_path, capsys)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / radius)]) == code
     assert "truncation_radius must be positive, got -5" in capsys.readouterr().err
     grid = build_grid(load_config(cfg))
-    assert grid.truncation_radius == grid.dealias_limit
+    assert grid.truncation_radius == _dealias_limit(grid.modes_per_axis, grid.box_length)
 
 
 @pytest.mark.parametrize("key, negative, owner_error", [
@@ -411,7 +411,7 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         assert set(report) == {"schema", "master_seed", "trials", "tolerance", "passed",
                                "max_violation"}
-        assert report["schema"] == "verify/2"
+        assert report["schema"] == "verify/3"
         assert report["passed"] is True
 
     def test_too_few_trials_exits_2(self, capsys):

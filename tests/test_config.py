@@ -20,7 +20,7 @@ from stoldroyd.config import (
     serialize_config,
 )
 from stoldroyd.noise import rng_for_run
-from stoldroyd.spectral import divergence_defect, hs_norm
+from stoldroyd.spectral import _dealias_limit, divergence_defect, hs_norm
 
 MINIMAL = """
 [grid]
@@ -197,7 +197,7 @@ class TestBuilders:
     def test_zero_radius_means_dealias_limit(self):
         cfg = parse_config(MINIMAL)
         grid = build_grid(cfg)
-        assert grid.truncation_radius == grid.dealias_limit
+        assert grid.truncation_radius == _dealias_limit(grid.modes_per_axis, grid.box_length)
 
     def test_noise_channels_switch_off_at_zero(self):
         off = build_noise(parse_config(MINIMAL), build_grid(parse_config(MINIMAL)))

@@ -1,24 +1,16 @@
-"""Drift assembly: deformation/vorticity, the Q form, advection, couplings."""
+"""The drift pass: deformation/vorticity, the Q form, advection, couplings."""
 import math
 
 import numpy as np
 import pytest
 
 from stoldroyd import dynamics, spectral
-from stoldroyd.dynamics import (
-    FlowState,
-    PhysicalParams,
-    advect_vector,
-    deformation,
-    explicit_terms,
-    q_form,
-)
-from stoldroyd.noise import SigmaInstance, WienerQConfig, rng_for_run
+from stoldroyd.dynamics import FlowState, PhysicalParams, advect_vector, explicit_terms
+from stoldroyd.noise import SigmaInstance, WienerQConfig
 from stoldroyd.spectral import (
     TensorField,
     VectorField,
     divergence_defect,
-    divergence_tensor,
     gradient_vector,
     hs_norm,
     l2_inner,
@@ -26,15 +18,16 @@ from stoldroyd.spectral import (
     make_grid,
     random_field,
     symmetry_defect,
-    to_physical,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, StepPlan, step
+from stoldroyd.stepping import NoiseModel, StepPlan
 
 import oracles
 
 GRID = make_grid(2, 64, 2 * math.pi, 16)
+GRID_3D = make_grid(3, 20, 2 * math.pi, 5)
 PARAMS = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9)
+BOTH_DIMS = pytest.mark.parametrize("grid", [GRID, GRID_3D], ids=["2d", "3d"])
 
 
 def ball_field(kind, seed, grid=GRID, alpha=4.0):
@@ -50,6 +43,24 @@ def drift(state, params):
     vel, stress, _ = explicit_terms(state, params, None, grid.workspace)
     return (leray_project(VectorField(grid, vel)),
             TensorField(grid, stress - params.a * state.tau.coeffs))
+
+
+def pass_stress(v, tau, params):
+    """The pass's stress output with the quadratic terms on, tau's transport
+    and Q(tau, grad v) among them, as a field."""
+    return TensorField(v.grid, explicit_terms(FlowState(0.0, v, tau), params, None,
+                                              v.grid.workspace)[1])
+
+
+def pass_deformation(v):
+    """D(v) as the pass forms it: the linear pass's stress output at mu2 = 1."""
+    unit = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=1.0, nonlinear=False)
+    return pass_stress(v, zero_state(v.grid).tau, unit)
+
+
+def divergence_rows(xi, tau_hat):
+    """Row-wise divergence (div tau)_a = sum_b d_b tau_ab from the scalar oracle."""
+    return np.array([oracles.divergence_modes(xi, row) for row in tau_hat])
 
 
 def zero_state(grid=GRID):
@@ -81,7 +92,7 @@ class TestPhysicalParams:
 class TestDeformationVorticity:
     def test_zero_velocity(self):
         st = zero_state()
-        assert np.all(deformation(st.v).coeffs == 0)
+        assert np.all(pass_deformation(st.v).coeffs == 0)
         assert np.all(oracles.vorticity_modes(GRID.xi, st.v.coeffs) == 0)
 
     def test_single_mode_formula(self):
@@ -90,14 +101,14 @@ class TestDeformationVorticity:
         vhat = np.array([1.0 + 0.5j, -0.7 + 0.2j])
         c = np.zeros((2,) + GRID.shape, dtype=complex)
         c[:, k[0], k[1]] = vhat
-        d = deformation(VectorField(GRID, c))
+        d = pass_deformation(VectorField(GRID, c))
         xi = np.array([-3.0, 2.0])
         want = 0.5j * (np.outer(vhat, xi) + np.outer(xi, vhat))
         got = d.coeffs[:, :, k[0], k[1]]
         assert np.allclose(got, want, rtol=1e-14, atol=0)
 
     def test_deformation_exactly_symmetric(self):
-        d = deformation(ball_field("vector", 1))
+        d = pass_deformation(ball_field("vector", 1))
         assert symmetry_defect(d) == 0.0
         assert oracles.equals_its_transpose(d.coeffs)
 
@@ -108,36 +119,44 @@ class TestDeformationVorticity:
     def test_parts_sum_to_gradient(self):
         """D + W reconstructs grad v (up to the one rounding each half takes)."""
         v = ball_field("vector", 3)
-        total = deformation(v).coeffs + oracles.vorticity_modes(GRID.xi, v.coeffs)
+        total = pass_deformation(v).coeffs + oracles.vorticity_modes(GRID.xi, v.coeffs)
         g = gradient_vector(v).coeffs
         assert np.max(np.abs(total - g)) <= 1e-15 * np.max(np.abs(g))
 
 
 class TestQForm:
-    def test_identity_stress_gives_slip_term_only(self):
-        """tau = I commutes with W, so Q = -2 b D(v)."""
-        v = ball_field("vector", 4)
-        c = np.zeros((2, 2) + GRID.shape, dtype=complex)
-        c[0, 0, 0, 0] = 1.0
-        c[1, 1, 0, 0] = 1.0
-        tau = TensorField(GRID, c)
+    """Q on the pass's stress output, mu2 = 0: -(v.grad)tau - Q(tau, grad v)."""
+
+    QUADRATIC = PhysicalParams(nu=0.1, a=0.0, b=0.0, mu1=0.0, mu2=0.0)
+
+    @BOTH_DIMS
+    def test_identity_stress_gives_slip_term_only(self, grid):
+        """tau = I commutes with W and is not transported, so the output is
+        -Q = 2 b D(v)."""
+        v = ball_field("vector", 4, grid)
+        c = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=complex)
+        c[(*np.diag_indices(grid.dim),) + (0,) * grid.dim] = 1.0
+        tau = TensorField(grid, c)
         b = 0.25
-        q = q_form(tau, v, b)
-        want = -2.0 * b * deformation(v).coeffs
+        got = pass_stress(v, tau, PhysicalParams(nu=0.1, a=0.0, b=b, mu1=0.0, mu2=0.0))
+        want = 2.0 * b * oracles.deformation_modes(grid.xi, v.coeffs)
         scale = np.max(np.abs(want))
-        assert np.max(np.abs(q.coeffs - want)) <= 1e-13 * scale
+        assert np.max(np.abs(got.coeffs - want)) <= 1e-13 * scale
 
     def test_zero_velocity_gives_zero(self):
         tau = ball_field("tensor", 5)
-        q = q_form(tau, zero_state().v, 0.7)
-        assert np.all(q.coeffs == 0)
+        got = pass_stress(zero_state().v, tau, PhysicalParams(nu=0.1, a=0.0, b=0.7, mu1=0.0,
+                                                              mu2=0.0))
+        assert np.all(got.coeffs == 0)
 
-    def test_corotational_energy_neutrality(self):
-        """b = 0: (Q(tau, grad v), tau)_L2 vanishes by the trace identity."""
+    @BOTH_DIMS
+    def test_corotational_energy_neutrality(self, grid):
+        """b = 0: (Q(tau, grad v), tau)_L2 vanishes by the trace identity, and
+        the transport term by skew-symmetry."""
         for seed in range(10):
-            v = ball_field("vector", seed)
-            tau = ball_field("tensor", seed + 50)
-            q = q_form(tau, v, 0.0)
+            v = ball_field("vector", seed, grid)
+            tau = ball_field("tensor", seed + 50, grid)
+            q = pass_stress(v, tau, self.QUADRATIC)
             val = abs(l2_inner(q, tau))
             scale = hs_norm(q, 0.0) * hs_norm(tau, 0.0)
             assert val <= 1e-10 * scale
@@ -145,17 +164,18 @@ class TestQForm:
     def test_output_exactly_symmetric(self):
         v = ball_field("vector", 6)
         tau = ball_field("tensor", 7)
-        q = q_form(tau, v, 0.4)
+        q = pass_stress(v, tau, PhysicalParams(nu=0.1, a=0.0, b=0.4, mu1=0.0, mu2=0.0))
         assert symmetry_defect(q) == 0.0
         assert oracles.equals_its_transpose(q.coeffs)
 
     def test_bilinearity(self):
         v = ball_field("vector", 8)
         tau = ball_field("tensor", 9)
-        base = q_form(tau, v, 0.4)
-        doubled = q_form(TensorField(GRID, 2.0 * tau.coeffs), v, 0.4)
+        params = PhysicalParams(nu=0.1, a=0.0, b=0.4, mu1=0.0, mu2=0.0)
+        base = pass_stress(v, tau, params)
+        doubled = pass_stress(v, TensorField(GRID, 2.0 * tau.coeffs), params)
         assert np.array_equal(doubled.coeffs, 2.0 * base.coeffs)  # power of two: exact
-        scaled = q_form(TensorField(GRID, 0.3 * tau.coeffs), v, 0.4)
+        scaled = pass_stress(v, TensorField(GRID, 0.3 * tau.coeffs), params)
         assert np.allclose(scaled.coeffs, 0.3 * base.coeffs, rtol=1e-12, atol=1e-16)
 
 
@@ -175,16 +195,28 @@ class TestAdvection:
             scale = hs_norm(v, 1.0) * hs_norm(u, 1.0) * hs_norm(u, 0.0)
             assert val <= 1e-10 * scale
 
+    @BOTH_DIMS
+    def test_pass_self_advection_is_skew(self, grid):
+        """((v.grad)v, v) = 0 on the pass's velocity output with mu1 = mu2 = 0."""
+        params = PhysicalParams(nu=0.1, a=0.0, b=0.3, mu1=0.0, mu2=0.0)
+        for seed in range(10):
+            v = ball_field("vector", seed + 250, grid)
+            tau = ball_field("tensor", seed + 260, grid)
+            vel, _, _ = explicit_terms(FlowState(0.0, v, tau), params, None, grid.workspace)
+            adv = VectorField(grid, vel)
+            assert abs(l2_inner(adv, v)) <= 1e-10 * hs_norm(adv, 0.0) * hs_norm(v, 0.0)
+
     def test_divergence_form_identity(self):
         """(v.grad)u = div(v (x) u) for divergence-free v."""
         v = ball_field("vector", 11)
         u = ball_field("vector", 12)
         adv = advect_vector(v, u)
-        pv, pu = to_physical(v), to_physical(u)
+        pv, pu = GRID.inverse(v.coeffs), GRID.inverse(u.coeffs)
         # row-wise divergence wants T_ab = u_a v_b: (div T)_a = (v.grad)u_a + u_a div v
         outer = np.einsum("a...,b...->ab...", pu, pv)
         chat = oracles.box_from_full(np.fft.fftn(outer, axes=(-2, -1), norm="forward"), 2)
-        div_form = truncate(divergence_tensor(TensorField(GRID, chat)), GRID.truncation_radius)
+        div_form = truncate(VectorField(GRID, divergence_rows(GRID.xi, chat)),
+                            GRID.truncation_radius)
         scale = hs_norm(adv, 0.0)
         assert np.max(np.abs(adv.coeffs - div_form.coeffs)) <= 1e-10 * scale
 
@@ -229,14 +261,33 @@ class TestVelocityDrift:
         vd, _ = drift(st, PARAMS)
         assert divergence_defect(vd) <= 1e-12
 
-    def test_coupling_cancellation(self):
-        """(div tau, v) + (D(v), tau) = 0: the coupling does no net work."""
+    @BOTH_DIMS
+    def test_coupling_cancellation(self, grid):
+        """(div tau, v) + (D(v), tau) = 0: the linear pass's couplings mu1 div(tau)
+        and mu2 D(v) do no net work."""
+        linear = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
         for seed in range(10):
-            v = ball_field("vector", seed + 300)
-            tau = ball_field("tensor", seed + 400)
-            total = l2_inner(divergence_tensor(tau), v) + l2_inner(deformation(v), tau)
+            v = ball_field("vector", seed + 300, grid)
+            tau = ball_field("tensor", seed + 400, grid)
+            vel, stress, _ = explicit_terms(FlowState(0.0, v, tau), linear, None, grid.workspace)
+            total = (l2_inner(VectorField(grid, vel), v) / linear.mu1
+                     + l2_inner(TensorField(grid, stress), tau) / linear.mu2)
             scale = hs_norm(tau, 1.0) * hs_norm(v, 1.0)
             assert abs(total) <= 1e-10 * scale
+
+    def test_double_divergence_matches_hand_computation(self):
+        """The linear pass's div(tau) at one mode of a symmetric tau, its
+        divergence taken by the oracle: div(div tau) = -xi^T tau_hat xi."""
+        k = (2, 3)
+        A = np.array([[1 + 0.5j, 0.3 - 0.2j], [0.3 - 0.2j, -0.8 + 0.1j]])
+        c = np.zeros((2, 2) + GRID.shape, dtype=complex)
+        c[:, :, k[0], k[1]] = A
+        unit = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=1.0, mu2=0.0, nonlinear=False)
+        vel, _, _ = explicit_terms(FlowState(0.0, zero_state().v, TensorField(GRID, c)), unit,
+                                   None, GRID.workspace)
+        got = oracles.divergence_modes(GRID.xi, vel)[k]
+        want = oracles.double_divergence_single_mode(np.array(k, float), A)
+        assert got == pytest.approx(want, rel=1e-14)
 
 
 class TestStressDrift:
@@ -250,7 +301,7 @@ class TestStressDrift:
         v = ball_field("vector", 18)
         st = FlowState(0.0, v, zero_state().tau)
         _, d = drift(st, PARAMS)
-        assert np.array_equal(d.coeffs, PARAMS.mu2 * deformation(v).coeffs)
+        assert np.array_equal(d.coeffs, PARAMS.mu2 * oracles.deformation_modes(GRID.xi, v.coeffs))
 
     def test_one_mode_against_direct_convolution(self):
         """Assemble every drift term independently at one mode by summing the
@@ -299,50 +350,32 @@ class TestStressDrift:
         st = FlowState(0.0, v, tau)
         linear = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
         dv, d = drift(st, linear)
-        want = -linear.a * tau.coeffs + linear.mu2 * deformation(v).coeffs
+        want = -linear.a * tau.coeffs + linear.mu2 * oracles.deformation_modes(GRID.xi, v.coeffs)
         assert np.array_equal(d.coeffs, want)
         want_v = leray_project(
-            VectorField(GRID, linear.mu1 * divergence_tensor(tau).coeffs)
+            VectorField(GRID, linear.mu1 * divergence_rows(GRID.xi, tau.coeffs))
         ).coeffs
         assert np.array_equal(dv.coeffs, want_v)
 
-    def test_quadratic_terms_match_per_component_reference(self):
+    @pytest.mark.parametrize("dim, M, n", [(2, 64, 16.0), (3, 20, 5.0), (3, 26, 8.0)])
+    def test_quadratic_terms_match_per_component_reference(self, dim, M, n):
         """All three quadratic terms against the slow oracle, on random ball fields."""
         b = 0.3
         params = PhysicalParams(nu=0.1, a=0.0, b=b, mu1=0.0, mu2=0.0)
-        xi, dealias, ball = oracles.full_geometry(2, 64, GRID.truncation_radius)
+        grid = GRID if (dim, M, n) == (2, 64, 16.0) else make_grid(dim, M, 2 * math.pi, n)
+        xi, dealias, ball = oracles.full_geometry(dim, M, grid.truncation_radius)
         keep = dealias & ball
         for seed in range(3):
-            v = ball_field("vector", seed + 600)
-            tau = ball_field("tensor", seed + 700)
+            v = ball_field("vector", seed + 600, grid)
+            tau = ball_field("tensor", seed + 700, grid)
             vd, sd = drift(FlowState(0.0, v, tau), params)
-            adv_v, adv_tau, q = (oracles.box_from_full(t, 2) for t in oracles.oldroyd_quadratic_terms(
-                xi, oracles.full_from_box(v.coeffs, 2, 64), oracles.full_from_box(tau.coeffs, 2, 64),
-                b, keep))
-            want_v = leray_project(VectorField(GRID, -adv_v)).coeffs
+            adv_v, adv_tau, q = (oracles.box_from_full(t, dim) for t in oracles.oldroyd_quadratic_terms(
+                xi, oracles.full_from_box(v.coeffs, dim, M),
+                oracles.full_from_box(tau.coeffs, dim, M), b, keep))
+            want_v = leray_project(VectorField(grid, -adv_v)).coeffs
             want_tau = -(adv_tau + q)
             assert np.max(np.abs(vd.coeffs - want_v)) <= 1e-12 * np.max(np.abs(want_v))
             assert np.max(np.abs(sd.coeffs - want_tau)) <= 1e-12 * np.max(np.abs(want_tau))
-
-
-class TestCouplingsFromTheDriftPass:
-    @pytest.mark.parametrize("nonlinear", [True, False])
-    def test_step_calls_neither_coupling_helper(self, monkeypatch, nonlinear):
-        """mu1 div(tau) and mu2 D(v) are read off the gradient rows the drift
-        pass forms, with or without the quadratic terms."""
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a step formed a coupling through a helper")
-
-        for module in (dynamics, spectral):
-            for name in ("deformation", "divergence_tensor"):
-                monkeypatch.setattr(module, name, forbidden, raising=False)
-        wiener = WienerQConfig(lambda0=0.1, J=4)
-        noise = NoiseModel(wiener=wiener, sigma=SigmaInstance(GRID, wiener, c0=0.3, c1=0.2))
-        params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
-        sn = noise.sampler(rng_for_run(1, 0)).sample_step(1e-3)
-        new = step(FlowState(0.0, ball_field("vector", 31), ball_field("tensor", 32)),
-                   params, noise, sn, 1e-3)
-        assert np.all(np.isfinite(new.v.coeffs)) and np.all(np.isfinite(new.tau.coeffs))
 
 
 class TestSymmetricStressRows:
@@ -374,15 +407,15 @@ class TestLinearPassWithAProfile:
     def test_linear_pass_equals_the_operators_bitwise(self, dim, M, n):
         """The linear pass with a noise profile sends only [v, profile] through
         the transforms.  With the grid's workspace and with a plan's, its
-        outputs equal the operators one by one, bitwise."""
+        outputs equal the per-term oracles, summed in the same order, bitwise."""
         grid = make_grid(dim, M, 2 * math.pi, n)
         v = truncate(random_field(grid, 4.0, "vector", seed=35), n)
         tau = truncate(random_field(grid, 4.0, "tensor", seed=36), n)
         wiener = WienerQConfig(lambda0=0.1, J=4)
         profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
-        vel = params.mu1 * divergence_tensor(tau).coeffs
-        stress = params.mu2 * deformation(v).coeffs  # the relaxation is the step's
+        vel = params.mu1 * divergence_rows(grid.xi, tau.coeffs)
+        stress = params.mu2 * oracles.deformation_modes(grid.xi, v.coeffs)  # no relaxation
         prod = grid.forward(grid.inverse(profile) * grid.inverse(v.coeffs)) * grid.ball_mask
         plan = StepPlan(grid, params, 1e-3, NoiseModel())
         for workspace in (grid.workspace, plan.workspace, plan.workspace):

@@ -1,13 +1,18 @@
 """Studies layer: ensembles, refinement, and the verification suite."""
+import __future__
+import inspect
 import json
 import math
 import pickle
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stoldroyd import experiments, stepping
+from stoldroyd import dynamics, experiments, stepping
 from stoldroyd.config import draw_initial
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.experiments import (
@@ -27,6 +32,7 @@ from stoldroyd.noise import (
     rng_for_run,
 )
 from stoldroyd.spectral import (
+    ScalarField,
     TensorField,
     VectorField,
     hs_norm,
@@ -505,12 +511,89 @@ class TestInequalitySuite:
         assert rep.passed
         assert set(rep.max_violation) == {
             "leray_divergence", "transport_orthogonality", "coupling_cancellation",
-            "truncation_contraction", "truncation_idempotence", "truncation_composition",
-            "truncation_decay", "interpolation", "commutator_additivity",
-            "commutator_homogeneity",
+            "corotational_cancellation", "truncation_contraction", "truncation_idempotence",
+            "truncation_composition", "truncation_decay", "interpolation",
+            "commutator_additivity", "commutator_homogeneity",
         }
         assert all(v <= EXACT_TOLERANCE for v in rep.max_violation.values())
         assert rep.max_violation["leray_divergence"] <= 1e-12
+
+    @staticmethod
+    def mutated(function, old, new):
+        """`function` compiled from its own source with the one occurrence of
+        `old` replaced by `new`, in a copy of its module's namespace."""
+        module = inspect.getmodule(function)
+        source = textwrap.dedent(inspect.getsource(function))
+        assert source.count(old) == 1
+        namespace = dict(vars(module))
+        code = compile(source.replace(old, new), module.__file__, "exec",
+                       flags=__future__.annotations.compiler_flag, dont_inherit=True)
+        exec(code, namespace)
+        return namespace[function.__name__]
+
+    def failed_rows(self, seed):
+        rep = inequality_suite(seed, trials=100)
+        failed = {name for name, v in rep.max_violation.items() if v > EXACT_TOLERANCE}
+        assert rep.passed == (not failed)
+        return failed
+
+    def test_a_pass_whose_q_is_not_symmetrized_fails_the_corotational_row(self, monkeypatch):
+        """Q = 2P in place of P + P^T: the pass keeps P's upper triangle, and the
+        corotational form no longer drops out of the stress energy."""
+        monkeypatch.setattr(dynamics, "_q_pointwise", self.mutated(
+            dynamics._q_pointwise, "np.add(p, np.swapaxes(p, 0, 1), out=m)", "np.add(p, p, out=m)"))
+        assert self.failed_rows(3) == {"corotational_cancellation"}
+
+    def test_a_pass_without_mu1_div_tau_fails_the_coupling_row(self, monkeypatch):
+        """Without the velocity's mu1 div(tau), the stress's mu2 D(v) does work
+        that nothing cancels."""
+        monkeypatch.setattr(experiments, "explicit_terms", self.mutated(
+            dynamics.explicit_terms, "vel *= params.mu1", "vel *= 0.0"))
+        assert self.failed_rows(3) == {"coupling_cancellation"}
+
+
+class TestProfileCommutator:
+    """K(phi, u) = J^s(phi u) - phi J^s u with the drift pass's profile product:
+    only structural facts are asserted."""
+
+    @staticmethod
+    def commutator(phi, u, s):
+        return experiments._profile_commutator(phi.coeffs, u, s, GRID.workspace)
+
+    @given(lam=st.floats(min_value=-8.0, max_value=8.0).filter(lambda x: abs(x) > 1e-3))
+    @settings(max_examples=15, deadline=None)
+    def test_homogeneity_in_phi(self, lam):
+        f = random_field(GRID, 4.0, "scalar", seed=70)
+        u = random_field(GRID, 4.0, "vector", seed=71)
+        base = self.commutator(f, u, 1.5)
+        scaled = self.commutator(ScalarField(GRID, lam * f.coeffs), u, 1.5)
+        # K is a difference of two terms each about |lam| times its size, so
+        # rounding is measured against the field's scale, not each coefficient
+        atol = 1e-14 * np.max(np.abs(lam * base))
+        assert np.allclose(scaled, lam * base, rtol=1e-12, atol=atol)
+
+    def test_homogeneity_in_u(self):
+        f = random_field(GRID, 4.0, "scalar", seed=72)
+        u = random_field(GRID, 4.0, "vector", seed=73)
+        base = self.commutator(f, u, 1.5)
+        scaled = self.commutator(f, VectorField(GRID, -3.0 * u.coeffs), 1.5)
+        assert np.allclose(scaled, -3.0 * base, rtol=1e-12, atol=1e-15)
+
+    def test_additivity_in_phi(self):
+        f1 = random_field(GRID, 4.0, "scalar", seed=74)
+        f2 = random_field(GRID, 4.0, "scalar", seed=75)
+        u = random_field(GRID, 4.0, "vector", seed=76)
+        k1 = self.commutator(f1, u, 2.0)
+        k2 = self.commutator(f2, u, 2.0)
+        ksum = self.commutator(ScalarField(GRID, f1.coeffs + f2.coeffs), u, 2.0)
+        assert np.allclose(ksum, k1 + k2, rtol=1e-12, atol=1e-15)
+
+    def test_constant_phi_gives_zero_commutator(self):
+        c = np.zeros(GRID.shape, dtype=complex)
+        c[0, 0] = 2.0
+        u = random_field(GRID, 4.0, "vector", seed=77)
+        k = self.commutator(ScalarField(GRID, c), u, 2.0)
+        assert hs_norm(VectorField(GRID, k), 0.0) <= 1e-12 * hs_norm(u, 2.0)
 
 
 class TestSummaries:

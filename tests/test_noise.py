@@ -21,6 +21,7 @@ from stoldroyd.noise import (
     save_noise_path,
 )
 from stoldroyd.spectral import (
+    ScalarField,
     TensorField,
     VectorField,
     bessel,
@@ -45,11 +46,25 @@ def ball_vector(seed, grid=GRID):
     return truncate(random_field(grid, 4.0, "vector", seed=seed), grid.truncation_radius)
 
 
+def basis_fields(basis, weights):
+    """sum_j weights[j] e_j and sum_j weights[j] phi_j on the basis's grid, from
+    the dense oracle over all modes, kept to the grid's box."""
+    grid = basis.grid
+    velocity, profile = oracles.noise_basis_modes(basis.k, basis.p, basis.kind, weights,
+                                                  grid.modes_per_axis)
+    return (VectorField(grid, oracles.box_from_full(velocity, grid.dim)),
+            ScalarField(grid, oracles.box_from_full(profile, grid.dim)))
+
+
+def basis_field(basis, j):
+    """e_j and phi_j on the basis's grid."""
+    return basis_fields(basis, np.eye(basis.J)[j])
+
+
 class TestWienerQConfig:
     def test_eigenvalue_ladder(self):
         w = WienerQConfig(lambda0=2.0, J=4)
         assert np.allclose(w.eigenvalues, [2.0, 0.5, 2.0 / 9.0, 0.125])
-        assert w.trace == pytest.approx(sum(w.eigenvalues))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="lambda0"):
@@ -64,14 +79,14 @@ class TestVelocityNoiseBasis:
     def test_unit_rms_divergence_free_hermitian(self):
         basis = VelocityNoiseBasis(GRID, 8)
         for j in range(8):
-            e = basis.e_j(j)
+            e = basis_field(basis, j)[0]
             assert hs_norm(e, 0.0) == pytest.approx(1.0, rel=1e-12)
             assert divergence_defect(e) <= 1e-12
             assert hermitian_defect(e) <= 1e-14
 
     def test_orthonormal_family(self):
         basis = VelocityNoiseBasis(GRID, 8)
-        fields = [basis.e_j(j) for j in range(8)]
+        fields = [basis_field(basis, j)[0] for j in range(8)]
         from stoldroyd.spectral import l2_inner
 
         for i in range(8):
@@ -96,7 +111,7 @@ class TestVelocityNoiseBasis:
 
     def test_profile_smoothing_weights(self):
         basis = VelocityNoiseBasis(GRID, 4)
-        phi = basis.phi_j(0)
+        phi = basis_field(basis, 0)[1]
         k = tuple(basis.k[0])
         want = math.sqrt(2.0) / (1.0 + sum(c * c for c in k)) * 0.5
         assert phi.coeffs[k] == pytest.approx(want, rel=1e-14)
@@ -119,43 +134,18 @@ class TestVelocityNoiseBasis:
             VelocityNoiseBasis(tiny, 40)
 
 
-class TestHalfLayoutChannels:
-    """Every channel holds, on the half spectrum k_d >= 0 cut to the dealias
-    box, the coefficients of the full spectrum built with numpy."""
-
-    @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12)])
-    def test_basis_writes_the_stored_half_of_each_pair_bitwise(self, dim, M, J):
-        """cos(k.x) has (1/2, 1/2) at +-k, sin(k.x) (-i/2, +i/2); the grid
-        keeps the coefficients with k_d >= 0."""
-        box = make_grid(dim, M, 2 * math.pi)
-        assert box.shape == (2 * box.dealias_kmax + 1,) * (dim - 1) + (box.dealias_kmax + 1,)
-        w = rng_for_run(90, 0).standard_normal(J)
-        basis = VelocityNoiseBasis(box, J)
-        velocity = np.zeros((dim,) + (M,) * dim, dtype=complex)
-        profile = np.zeros((M,) * dim, dtype=complex)
-        for j in range(J):
-            smooth = math.sqrt(2.0) / (1.0 + float(np.sum(basis.k[j] ** 2)))
-            pair = (0.5 + 0.0j, 0.5 + 0.0j) if basis.kind[j] == 0 else (-0.5j, 0.5j)
-            for sign, coef in zip((1, -1), pair):
-                mode = tuple(sign * basis.k[j] % M)
-                velocity[(slice(None),) + mode] += math.sqrt(2.0) * w[j] * coef * basis.p[j]
-                profile[mode] += w[j] * smooth * coef
-        assert np.array_equal(basis.assemble_velocity(w).coeffs,
-                              oracles.box_from_full(velocity, dim))
-        assert np.array_equal(basis.assemble_profile(w).coeffs, oracles.box_from_full(profile, dim))
-
-
 class TestSampleIncrement:
     @staticmethod
-    def increment(sampler, basis, dt):
-        """One step's dW_j and the field sum_j sqrt(lambda_j) dW_j e_j."""
+    def increment(sampler, sigma, dt):
+        """One step's dW_j and the field sum_j sqrt(lambda_j) dW_j e_j, sigma's
+        additive part at c0 = 1."""
         dw1 = sampler.sample_step(dt).dw1
-        return dw1, basis.assemble_velocity(np.sqrt(WIENER.eigenvalues) * dw1)
+        return dw1, VectorField(GRID, sigma.parts(dw1)[0])
 
     def test_zero_dt_gives_zero(self):
-        basis = VelocityNoiseBasis(GRID, WIENER.J)
+        sigma = SigmaInstance(GRID, WIENER, c0=1.0, c1=0.0)
         sampler = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng_for_run(1, 0))
-        dw1, field = self.increment(sampler, basis, 0.0)
+        dw1, field = self.increment(sampler, sigma, 0.0)
         assert np.all(dw1 == 0)
         assert np.all(field.coeffs == 0)
 
@@ -178,14 +168,14 @@ class TestSampleIncrement:
         """E ||sum sqrt(lambda_j) dW_j e_j||^2_{L2} = dt * sum lambda_j."""
         dt = 0.1
         n = 4000
-        basis = VelocityNoiseBasis(GRID, WIENER.J)
+        sigma = SigmaInstance(GRID, WIENER, c0=1.0, c1=0.0)
         rng = rng_for_run(13, 0)
         sampler = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng)
         sq = np.empty(n)
         for i in range(n):
-            _, field = self.increment(sampler, basis, dt)
+            _, field = self.increment(sampler, sigma, dt)
             sq[i] = hs_norm(field, 0.0) ** 2
-        want = dt * WIENER.trace
+        want = dt * float(np.sum(WIENER.eigenvalues))
         se = float(np.std(sq, ddof=1) / math.sqrt(n))
         assert abs(float(np.mean(sq)) - want) <= 3 * se
 
@@ -216,8 +206,8 @@ class TestSigmaInstance:
     @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12), (3, 14, 3)])
     def test_parts_equal_the_basis_sums(self, dim, M, J):
         """Each part, one product of dW1 with the columns kept per grid, equals the
-        basis' own sum within 1e-15 of its largest coefficient: the columns
-        are summed in another order.  Several entries share a mode here: cos
+        dense sum over the basis within 1e-15 of its largest coefficient: the
+        columns are summed in another order.  Several entries share a mode here: cos
         and sin of one k, 3D's two polarizations, and in 2D the -k of a k on
         the zero plane.  Two calls share no memory."""
         grid = make_grid(dim, M, 2 * math.pi)
@@ -226,8 +216,8 @@ class TestSigmaInstance:
         dw1 = rng_for_run(91, J).standard_normal(J)
         w = np.sqrt(wiener.eigenvalues) * dw1
         additive, profile = sigma.parts(dw1)
-        for got, want in ((additive, sigma.basis.assemble_velocity(0.6 * w).coeffs),
-                          (profile, sigma.basis.assemble_profile(1.3 * w).coeffs)):
+        velocity, phi = basis_fields(sigma.basis, 0.6 * w)[0], basis_fields(sigma.basis, 1.3 * w)[1]
+        for got, want in ((additive, velocity.coeffs), (profile, phi.coeffs)):
             assert got.shape == want.shape and np.any(want)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
         again = sigma.parts(dw1)
@@ -245,11 +235,12 @@ class TestSigmaInstance:
         entries share a mode, for an amplitude below zero or at zero."""
         grid = make_grid(dim, M, 2 * math.pi)
         wiener = WienerQConfig(lambda0=0.7, J=J)
+        basis = VelocityNoiseBasis(grid, J)
+        units = [basis_field(basis, j) for j in range(J)]
         for c0, c1 in ((0.6, 1.3), (-0.6, 0.0), (0.0, -1.3)):
             sigma = SigmaInstance(grid, wiener, c0=c0, c1=c1)
-            columns = np.stack([np.concatenate([c0 * s * sigma.basis.e_j(j).coeffs,
-                                                c1 * s * sigma.basis.phi_j(j).coeffs[np.newaxis]])
-                                for j, s in enumerate(np.sqrt(wiener.eigenvalues))])
+            columns = np.stack([np.concatenate([c0 * s * e.coeffs, c1 * s * phi.coeffs[np.newaxis]])
+                                for s, (e, phi) in zip(np.sqrt(wiener.eigenvalues), units)])
             columns = columns.reshape(J, -1)
             index = np.flatnonzero(np.any(columns, axis=0))
             assert sigma._index.tobytes() == index.tobytes()
@@ -378,12 +369,12 @@ class TestJumps:
             assert got.dw2 == dw2 and got.jumps == jumps
 
     def test_compensator_constant_gamma(self):
+        """The compensator rate * gamma_bar * (kappa * v) is the multiplier times v."""
         cfg = JumpConfig(rate=2.5, gamma_kind="constant", gamma0=0.3)
         op = JumpOperator(GRID, cfg)
         v = ball_vector(21)
-        comp = op.compensator(v)
         want = 2.5 * 0.3 * bessel(v, -2.0).coeffs
-        assert np.allclose(comp.coeffs, want, rtol=1e-14, atol=0)
+        assert np.allclose(op.multiplier * v.coeffs, want, rtol=1e-14, atol=0)
 
     def test_jump_count_mean(self):
         """Mean count over many steps sits within 3 standard errors of rate*dt."""

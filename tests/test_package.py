@@ -141,3 +141,46 @@ def test_every_config_key_is_read():
                  and id(node) not in skipped}
     fields = [f.name for f in dataclasses.fields(config.RunConfig)]
     assert [name for name in fields if name not in read] == []
+
+
+# public names with no reader in src/ or scripts/, each with the reader it has
+OUTSIDE_READERS = {
+    "advect_vector": "tests/test_acceptance.py, criterion 1's off-diagonal skew-symmetry",
+    "hermitian_defect": "bench/workloads.py, the reference check",
+    "load_noise_path": "tests, which reload a recorded noise path",
+}
+
+
+def _public_definitions(tree):
+    """(name, node) of every public top-level function and class, and of every
+    public method of a top-level class; dunder methods are not public."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((m.name, m) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def test_every_public_definition_has_a_reader():
+    """No API that only tests call: every public function, class and method in
+    src/ is read, as a name or an attribute, in src/ or scripts/ outside its own
+    definition, or is listed in `OUTSIDE_READERS` with the reader it has.  A
+    listed name that gains a reader in src/ or scripts/ leaves the list."""
+    trees = {m.__name__: ast.parse(inspect.getsource(m)) for m in MODULES}
+    scripts = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SCRIPTS.glob("*.py"))}
+    reads = {}
+    for source, tree in {**trees, **scripts}.items():
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(getattr(node, "ctx", None), ast.Load) and name:
+                reads.setdefault(name, []).append((source, node.lineno))
+    unread = set()
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            if not any(source != module or not node.lineno <= line <= node.end_lineno
+                       for source, line in reads.get(name, [])):
+                unread.add(name)
+    assert sorted(unread - set(OUTSIDE_READERS)) == []
+    assert sorted(set(OUTSIDE_READERS) - unread) == []

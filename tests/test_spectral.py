@@ -1,4 +1,4 @@
-"""Grid construction, Sobolev calculus, truncation, Leray, dealiased products."""
+"""Grid construction, Sobolev calculus, truncation, Leray, the transform pair's products."""
 import math
 from functools import partial
 
@@ -14,12 +14,7 @@ from stoldroyd.spectral import (
     VectorField,
     alias_free_modes,
     bessel,
-    commutator_bessel_product,
-    convect_vector,
-    dealiased_product,
     divergence_defect,
-    divergence_tensor,
-    gradient_scalar,
     gradient_vector,
     hermitian_defect,
     hs_inner,
@@ -31,7 +26,6 @@ from stoldroyd.spectral import (
     random_field,
     relayout,
     symmetry_defect,
-    to_physical,
     truncate,
 )
 
@@ -39,6 +33,14 @@ import oracles
 
 GRID = make_grid(2, 64, 2 * math.pi, 16)
 SMALL = make_grid(2, 32, 2 * math.pi, 8)
+
+
+def product(f, g):
+    """f g through the transform pair, kept to the dealias box: the product the
+    drift pass forms, before its ball cutoff.  A scalar f broadcasts over g's
+    components."""
+    grid = f.grid
+    return type(g)(grid, grid.forward(grid.inverse(f.coeffs) * grid.inverse(g.coeffs)))
 
 
 def single_mode(grid, k, amplitude=1.0, rank=0):
@@ -95,7 +97,7 @@ class TestMakeGrid:
             for L in (2 * math.pi, 3.0):
                 g = spectral.SpectralGrid(2, M, L, 1.0)  # scalars only: no mode arrays
                 assert g.dealias_kmax == int(math.floor(fraction * (M / 2) + 1e-12))
-                assert g.dealias_limit == fraction * (M / 2) * (2 * math.pi / L)
+                assert spectral._dealias_limit(M, L) == fraction * (M / 2) * (2 * math.pi / L)
         for M in (8, 26, 50, 96):
             assert make_grid(2, M, 3.0).truncation_radius == fraction * (M / 2) * (2 * math.pi / 3.0)
 
@@ -126,7 +128,7 @@ class TestAliasFreeGrids:
         for modes, aliased in ((3 * k, True), (alias_free_modes(self.HOST, k), False)):
             grid = make_grid(2, modes, 2 * math.pi, float(k))
             f = single_mode(grid, (0, k))
-            prod = truncate(dealiased_product(f, f), float(k)).coeffs
+            prod = truncate(product(f, f), float(k)).coeffs
             prod[0, 0] -= 2.0
             assert (np.max(np.abs(prod)) > 0.5) == aliased
 
@@ -137,7 +139,7 @@ class TestAliasFreeGrids:
         cases = []
         for host_modes, L in ((48, 2 * math.pi), (96, 3.0), (64, 4 * math.pi)):
             host = make_grid(2, host_modes, L)
-            for n in np.linspace(0.4, host.dealias_limit, 23):
+            for n in np.linspace(0.4, spectral._dealias_limit(host_modes, L), 23):
                 for kmax in (0, 2, 5, 9):
                     k = int(math.floor(n * L / (2 * math.pi) + 1e-9))
                     want = host_modes
@@ -197,13 +199,13 @@ class TestSobolevNorms:
     @pytest.mark.parametrize("kind,rank", [("scalar", 0), ("vector", 1), ("tensor", 2)])
     def test_plancherel_matches_physical_rms(self, kind, rank):
         f = random_field(GRID, alpha=4.0, kind=kind, seed=11)
-        rms = oracles.rms_norm_components(to_physical(f), GRID.dim)
+        rms = oracles.rms_norm_components(GRID.inverse(f.coeffs), GRID.dim)
         assert hs_norm(f, 0.0) == pytest.approx(rms, rel=1e-12)
 
     def test_inner_product_matches_physical_quadrature(self):
         f = random_field(GRID, alpha=4.0, kind="scalar", seed=3)
         g = random_field(GRID, alpha=4.0, kind="scalar", seed=4)
-        want = oracles.l2_inner_physical(to_physical(f), to_physical(g), GRID.dim)
+        want = oracles.l2_inner_physical(GRID.inverse(f.coeffs), GRID.inverse(g.coeffs), GRID.dim)
         assert l2_inner(f, g) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_grid_mismatch_rejected(self):
@@ -279,16 +281,6 @@ class TestTruncation:
 
 
 class TestDifferentialOperators:
-    def test_constant_has_zero_gradient(self):
-        f = single_mode(GRID, (0, 0), 2.5)
-        assert np.all(gradient_scalar(f).coeffs == 0)
-
-    def test_gradient_single_mode(self):
-        f = single_mode(GRID, (3, 4), 1.0)
-        g = gradient_scalar(f)
-        assert g.coeffs[0][3, 4] == 3j
-        assert g.coeffs[1][3, 4] == 4j
-
     def test_gradient_vector_rows_are_components(self):
         """(grad v)_{ab} = d_b v_a."""
         v = single_mode(GRID, (2, 5), 1.0, rank=1)
@@ -307,16 +299,6 @@ class TestDifferentialOperators:
         v = VectorField(GRID, c)
         assert np.all(oracles.divergence_modes(GRID.xi, v.coeffs) == 0)
 
-    def test_double_divergence_matches_hand_computation(self):
-        k = (2, 3)
-        A = np.array([[1 + 0.5j, 0.3 - 0.2j], [0.3 - 0.2j, -0.8 + 0.1j]])
-        c = np.zeros((2, 2) + GRID.shape, dtype=complex)
-        c[:, :, k[0], k[1]] = A
-        tau = TensorField(GRID, c)
-        got = oracles.divergence_modes(GRID.xi, divergence_tensor(tau).coeffs)[k]
-        want = oracles.double_divergence_single_mode(np.array(k, float), A)
-        assert got == pytest.approx(want, rel=1e-14)
-
 
 class TestLerayProjection:
     def test_divergence_free_input_unchanged(self):
@@ -326,7 +308,7 @@ class TestLerayProjection:
 
     def test_pure_gradient_annihilated(self):
         phi = random_field(GRID, 4.0, "scalar", seed=13)
-        g = gradient_scalar(phi)
+        g = VectorField(GRID, GRID.ixi * phi.coeffs)
         assert hs_norm(leray_project(g), 0.0) <= 1e-14 * hs_norm(g, 0.0)
 
     def test_output_divergence_defect(self):
@@ -378,11 +360,11 @@ class TestLerayProjection:
         assert v.coeffs[0][0, 0] == 3.0
 
 
-class TestDealiasedProducts:
+class TestPairProducts:
     def test_multiplication_by_one(self):
         one = single_mode(GRID, (0, 0), 1.0)
         g = random_field(GRID, 4.0, "scalar", seed=30)
-        prod = dealiased_product(one, g)
+        prod = product(one, g)
         assert np.max(np.abs(prod.coeffs - g.coeffs)) <= 1e-13 * np.max(np.abs(g.coeffs))
 
     def test_two_single_modes_convolve(self):
@@ -392,7 +374,7 @@ class TestDealiasedProducts:
         a1, a2 = 0.7 + 0.2j, -1.1 + 0.5j
         f = single_mode(GRID, (2, 1), a1)
         g = single_mode(GRID, (-3, 2), np.conj(a2))
-        prod = dealiased_product(f, g)
+        prod = product(f, g)
         assert prod.coeffs[-5, 1] == pytest.approx(np.conj(a1 * a2), rel=1e-13)
         assert prod.coeffs[-1, 3] == pytest.approx(a1 * np.conj(a2), rel=1e-13)
         other = prod.coeffs.copy()
@@ -403,7 +385,7 @@ class TestDealiasedProducts:
         """Product mode beyond the dealias cutoff is zeroed, not wrapped."""
         f = single_mode(GRID, (0, 21), 1.0)
         g = single_mode(GRID, (0, 21), 1.0)
-        prod = dealiased_product(f, g).coeffs  # true mode (0,42) aliases to (0,-22)
+        prod = product(f, g).coeffs  # true mode (0,42) aliases to (0,-22)
         assert prod[0, 0] == pytest.approx(2.0, rel=1e-13)  # the mean of 4 cos^2
         prod[0, 0] = 0
         assert np.max(np.abs(prod)) <= 1e-13
@@ -411,31 +393,19 @@ class TestDealiasedProducts:
     def test_scalar_times_vector_broadcasts(self):
         f = random_field(GRID, 4.0, "scalar", seed=31)
         v = random_field(GRID, 4.0, "vector", seed=32)
-        prod = dealiased_product(f, v)
-        comp0 = dealiased_product(f, ScalarField(GRID, v.coeffs[0]))
+        prod = product(f, v)
+        comp0 = product(f, ScalarField(GRID, v.coeffs[0]))
         assert np.allclose(prod.coeffs[0], comp0.coeffs, rtol=0, atol=1e-15)
-
-    def test_two_vectors_rejected(self):
-        v = random_field(GRID, 4.0, "vector", seed=33)
-        with pytest.raises(ValueError, match="scalar"):
-            dealiased_product(v, v)
-
-    def test_advection_skew_symmetry(self):
-        """((f.grad) g, g)_L2 = 0 for divergence-free f, over random pairs."""
-        worst = 0.0
-        for seed in range(20):
-            f = random_field(GRID, 4.0, "vector", seed=seed)
-            g = random_field(GRID, 4.0, "vector", seed=seed + 500)
-            adv = convect_vector(f, g)
-            val = abs(l2_inner(adv, g))
-            scale = hs_norm(f, 1.0) * hs_norm(g, 1.0) * hs_norm(g, 0.0)
-            worst = max(worst, val / scale)
-        assert worst <= 1e-10
+        want = oracles.dealiased_scalar_product(oracles.full_from_box(f.coeffs, 2, 64),
+                                                oracles.full_from_box(v.coeffs, 2, 64),
+                                                oracles.full_geometry(2, 64, 16.0)[1])
+        scale = np.max(np.abs(prod.coeffs))
+        assert np.max(np.abs(prod.coeffs - oracles.box_from_full(want, 2))) <= 1e-13 * scale
 
     def test_tensor_matmul_pointwise(self):
         a = random_field(SMALL, 4.0, "tensor", seed=40)
         b = random_field(SMALL, 4.0, "tensor", seed=41)
-        pa, pb = to_physical(a).real, to_physical(b).real
+        pa, pb = SMALL.inverse(a.coeffs), SMALL.inverse(b.coeffs)
         prod = pointwise_matmul(pa, pb)
         want = np.zeros_like(prod)
         for i in range(2):
@@ -454,17 +424,17 @@ class TestHermitianSymmetry:
     def test_preserved_by_operations(self):
         f = random_field(GRID, 4.0, "scalar", seed=51)
         v = random_field(GRID, 4.0, "vector", seed=52)
-        assert hermitian_defect(gradient_scalar(f)) <= 1e-13
+        assert hermitian_defect(VectorField(GRID, GRID.ixi * f.coeffs)) <= 1e-13
         assert hermitian_defect(leray_project(v)) <= 1e-13
         assert hermitian_defect(truncate(f, 8.0)) <= 1e-13
         assert hermitian_defect(bessel(f, 1.5)) <= 1e-13
-        assert hermitian_defect(dealiased_product(f, v)) <= 1e-12
+        assert hermitian_defect(product(f, v)) <= 1e-12
 
     def test_physical_field_is_real(self):
         """The samples are real by construction; the full spectrum they stand
         for is Hermitian, so numpy's complex inverse of it is real too."""
         f = random_field(GRID, 4.0, "scalar", seed=53)
-        assert to_physical(f).dtype == np.float64
+        assert GRID.inverse(f.coeffs).dtype == np.float64
         phys = np.fft.ifftn(oracles.full_from_box(f.coeffs, 2, 64), norm="forward")
         assert np.max(np.abs(phys.imag)) <= 1e-13 * np.max(np.abs(phys.real))
 
@@ -716,43 +686,3 @@ class TestRandomFields:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             random_field(GRID, 4.0, "spinor", seed=0)
-
-
-class TestCommutator:
-    """K(f,g) = J^s(fg) - f J^s g: only structural facts are asserted."""
-
-    @given(lam=st.floats(min_value=-8.0, max_value=8.0).filter(lambda x: abs(x) > 1e-3))
-    @settings(max_examples=15, deadline=None)
-    def test_homogeneity_in_f(self, lam):
-        f = random_field(SMALL, 4.0, "scalar", seed=70)
-        g = random_field(SMALL, 4.0, "scalar", seed=71)
-        base = commutator_bessel_product(f, g, 1.5)
-        scaled = commutator_bessel_product(ScalarField(SMALL, lam * f.coeffs), g, 1.5)
-        # K is a difference of two terms each about |lam| times its size, so
-        # rounding is measured against the field's scale, not each coefficient
-        atol = 1e-14 * np.max(np.abs(lam * base.coeffs))
-        assert np.allclose(scaled.coeffs, lam * base.coeffs, rtol=1e-12, atol=atol)
-
-    def test_homogeneity_in_g(self):
-        f = random_field(SMALL, 4.0, "scalar", seed=72)
-        g = random_field(SMALL, 4.0, "scalar", seed=73)
-        base = commutator_bessel_product(f, g, 1.5)
-        scaled = commutator_bessel_product(f, ScalarField(SMALL, -3.0 * g.coeffs), 1.5)
-        assert np.allclose(scaled.coeffs, -3.0 * base.coeffs, rtol=1e-12, atol=1e-15)
-
-    def test_additivity_in_f(self):
-        f1 = random_field(SMALL, 4.0, "scalar", seed=74)
-        f2 = random_field(SMALL, 4.0, "scalar", seed=75)
-        g = random_field(SMALL, 4.0, "scalar", seed=76)
-        k1 = commutator_bessel_product(f1, g, 2.0)
-        k2 = commutator_bessel_product(f2, g, 2.0)
-        ksum = commutator_bessel_product(ScalarField(SMALL, f1.coeffs + f2.coeffs), g, 2.0)
-        assert np.allclose(ksum.coeffs, k1.coeffs + k2.coeffs, rtol=1e-12, atol=1e-15)
-
-    def test_constant_f_gives_zero_commutator(self):
-        c = np.zeros(SMALL.shape, dtype=complex)
-        c[0, 0] = 2.0
-        f = ScalarField(SMALL, c)
-        g = random_field(SMALL, 4.0, "scalar", seed=77)
-        k = commutator_bessel_product(f, g, 2.0)
-        assert hs_norm(k, 0.0) <= 1e-12 * hs_norm(g, 2.0)
