@@ -78,14 +78,14 @@ def main(argv=None) -> None:
         parser.error("calls and repeats must be >= 1")
 
     run = materialize(load_config(args.config))
-    state, noise = on_alias_free_grid(run.initial, run.noise)
+    state = on_alias_free_grid(run.initial, run.noise)
     grid, dt = state.v.grid, run.stepper.dt
-    sampler = noise.sampler(rng_for_run(run.master_seed, 0))
+    sampler = run.noise.sampler(rng_for_run(run.master_seed, 0))
     sn = sampler.sample_step(dt)
-    plan = StepPlan(grid, run.params, dt, noise)
+    plan = StepPlan(grid, run.params, dt, run.noise)
 
     def take_step():
-        step(state, run.params, noise, sn, dt, plan)
+        step(state, run.params, run.noise, sn, dt, plan)
 
     with np.errstate(over="ignore", invalid="ignore"):
         seconds = {

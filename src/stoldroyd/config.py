@@ -11,7 +11,7 @@ Every float must be finite; other numeric bounds are NOT checked here: they
 live with the objects that own them (grid, parameters, noise, stepper,
 monitor), and ``materialize`` builds all of those up front so a bad value
 fails before any run starts, with the owning module's message (which names
-the field and its bound).
+the field and its bound).  The noise model holds configs only, on no grid.
 ``draw_initial`` is the one rule for random initial data: the config's
 (``build_initial``) and each randomized ensemble member's.
 """
@@ -27,13 +27,7 @@ import numpy as np
 
 from .dynamics import FlowState, PhysicalParams
 from .monitor import MonitorConfig
-from .noise import (
-    JumpConfig,
-    JumpOperator,
-    SigmaInstance,
-    WienerQConfig,
-    rng_for_run,
-)
+from .noise import JumpConfig, WienerQConfig, noise_catalogue, rng_for_run
 from .spectral import SpectralGrid, hs_norm, make_grid, random_field, truncate
 from .stepping import NoiseModel, StepperConfig
 
@@ -229,22 +223,22 @@ def build_grid(cfg: RunConfig) -> SpectralGrid:
 
 def build_noise(cfg: RunConfig, grid: SpectralGrid) -> NoiseModel:
     """Channels switch off at zero, and only there: j_modes for the velocity noise, c_h for
-    the stress noise, jump_rate for the jumps; other values meet the channel's checks."""
-    wiener = sigma = jump = None
+    the stress noise, jump_rate for the jumps; other values meet the channel's checks, and
+    the noise basis must fit `grid`'s dealias box."""
+    wiener = jump = None
     try:
         if cfg.j_modes != 0:
             wiener = WienerQConfig(lambda0=cfg.lambda0, J=cfg.j_modes, decay=cfg.decay)
-            sigma = SigmaInstance(grid, wiener, c0=cfg.c0, c1=cfg.c1)
+            noise_catalogue(grid.dim, wiener.J).check_grid(grid)
     except ValueError as exc:
         raise ValueError(f"j_modes = {cfg.j_modes}: {exc}") from None
     try:
         if cfg.jump_rate != 0.0:
-            jump = JumpOperator(grid, JumpConfig(rate=cfg.jump_rate, z_min=cfg.z_min,
-                                                 z_max=cfg.z_max, gamma_kind=cfg.gamma_kind,
-                                                 gamma0=cfg.gamma0))
+            jump = JumpConfig(rate=cfg.jump_rate, z_min=cfg.z_min, z_max=cfg.z_max,
+                              gamma_kind=cfg.gamma_kind, gamma0=cfg.gamma0)
     except ValueError as exc:
         raise ValueError(f"jump_rate = {cfg.jump_rate!r}: {exc}") from None
-    return NoiseModel(wiener=wiener, sigma=sigma, c_h=cfg.c_h, jump=jump)
+    return NoiseModel(wiener=wiener, c0=cfg.c0, c1=cfg.c1, c_h=cfg.c_h, jump=jump)
 
 
 def draw_initial(grid: SpectralGrid, alpha: float, rng: np.random.Generator, v_norm: float,

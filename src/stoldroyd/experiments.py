@@ -291,8 +291,8 @@ def refinement_single_path(
     """Lockstep all cutoffs through one shared noise path.
 
     Every cutoff gets its own grid, the smallest alias-free one for its
-    cutoff (`on_alias_free_grid`), and ``noise`` rebuilt on it, so the shared
-    Wiener/jump draws are projected per cutoff exactly as the dynamics are.
+    cutoff (`on_alias_free_grid`), where its trajectory's `StepPlan` places ``noise``:
+    the shared Wiener/jump draws are projected per cutoff exactly as the dynamics are.
     The path must suit ``stepper``, whose n_steps are taken.  The cutoffs'
     trajectories are zipped row by row; differences are accumulated for
     successive cutoff pairs, on the higher cutoff's grid of each pair, at
@@ -308,9 +308,9 @@ def refinement_single_path(
     draws = _replayed_draws(noise_path, stepper, noise.signature(initial_v.grid))
     paths = []
     for c, cut_draws in zip(cutoffs, itertools.tee(draws, len(cutoffs))):
-        state, model = on_alias_free_grid(
+        state = on_alias_free_grid(
             FlowState(0.0, truncate(initial_v, c), truncate(initial_tau, c)), noise, c)
-        states = trajectory(state, params, model, cut_draws, stepper.dt)
+        states = trajectory(state, params, noise, cut_draws, stepper.dt)
         paths.append(energy_records(states, s, params, stepper.dt))
 
     sup_v, sup_tau, grad_int = ([0.0] * (len(cutoffs) - 1) for _ in range(3))

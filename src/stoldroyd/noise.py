@@ -12,27 +12,28 @@
   smoothing multiplier kappa_hat = (1+|xi|^2)^(-1), compensated exactly in
   closed form.
 
-The noise basis is indexed by j, never by grid resolution, so one recorded
-path can drive runs at different spectral cutoffs (the coupling behind the
-refinement experiments).  Increments are recorded raw (unscaled by the
-eigenvalues) and reproduce bitwise through save/load.
+Nothing here holds a grid: the basis is indexed by j, never by grid resolution,
+and a path's `stepping.StepPlan` places it and kappa on the grid it steps on, so
+one recorded path can drive runs at different spectral cutoffs (the coupling
+behind the refinement experiments).  Increments are recorded raw (unscaled by
+the eigenvalues) and reproduce bitwise through save/load.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralGrid, VectorField
+from .spectral import SpectralGrid
 
 __all__ = [
     "WienerQConfig",
-    "VelocityNoiseBasis",
-    "SigmaInstance",
+    "NoiseCatalogue",
+    "noise_catalogue",
     "JumpConfig",
-    "JumpOperator",
     "StepNoise",
     "NoiseSampler",
     "NoisePath",
@@ -108,104 +109,56 @@ def _polarizations(kv: tuple[int, ...]) -> list[np.ndarray]:
     return [p1, p2]
 
 
-class VelocityNoiseBasis:
-    """Catalogue of J divergence-free unit-RMS fields e_j and the matching
-    smoothed scalar profiles phi_j.
+@dataclass(frozen=True)
+class NoiseCatalogue:
+    """The J divergence-free unit-RMS fields e_j and the matching smoothed
+    scalar profiles phi_j, as coefficients on no grid (`noise_catalogue`).
 
     e_j = sqrt(2) * p * cos(k_j . x) or sin(k_j . x), with p a unit
     polarization perpendicular to k_j: each field occupies the +-k_j mode
     pair, has physical RMS exactly 1, and is identical on every grid that
     contains the pair.  phi_j drops the polarization and weighs the profile by
-    (1 + |k_j|^2)^(-1) so the multiplicative channel is smoothing.  The basis
-    holds each field's wavevector, polarization and held coefficients;
-    `SigmaInstance` forms the fields from them.
+    (1 + |k_j|^2)^(-1) so the multiplicative channel is smoothing.  A grid
+    stores the `held` coefficients, those with k_d >= 0.  Arrays are read-only.
     """
 
-    def __init__(self, grid: SpectralGrid, J: int):
-        entries = []  # (k tuple, polarization vector, kind 0=cos 1=sin)
-        per_k = 2 * (grid.dim - 1)  # polarizations times {cos, sin}
-        n_k = (J + per_k - 1) // per_k
-        for kv in _halfspace_wavevectors(grid.dim, n_k):
-            for p in _polarizations(kv):
-                entries.append((kv, p, 0))
-                entries.append((kv, p, 1))
-        entries = entries[:J]
-        # largest per-axis |k| of the catalogue
-        self.kmax = max(max(abs(c) for c in kv) for kv, _, _ in entries)
+    k: np.ndarray  # (J, dim) wavevectors
+    p: np.ndarray  # (J, dim) polarizations
+    kind: np.ndarray  # (J,) 0 = cos, 1 = sin
+    smooth: np.ndarray  # (J,) phi_j's weight sqrt(2) / (1 + |k_j|^2)
+    held: np.ndarray  # (n, dim) wavevector of each held coefficient
+    j: np.ndarray  # (n,) basis index of each held coefficient
+    entries: np.ndarray  # ((dim + 1) n,) a unit weight's e_j rows, then phi_j's, at each
+    kmax: int  # largest per-axis |k|
+
+    def check_grid(self, grid: SpectralGrid) -> None:
         if self.kmax > grid.dealias_kmax:
-            raise ValueError(
-                f"noise basis needs modes up to |k|={self.kmax}, beyond the "
-                f"dealias cutoff {grid.dealias_kmax} of this grid"
-            )
-        self.grid = grid
-        self.J = J
-        self.k = np.array([kv for kv, _, _ in entries], dtype=np.int64)  # (J, dim)
-        self.p = np.array([p for _, p, _ in entries])  # (J, dim)
-        self.kind = np.array([kind for _, _, kind in entries], dtype=np.int64)
-        # the +-k coefficients, (2, J), of which the grid holds those with
-        # k_d >= 0; cos(kx) has (1/2, 1/2) at +-k, sin(kx) (-i/2, +i/2)
-        pm = np.stack([self.k, -self.k])
-        held = pm[..., -1] >= 0
-        self._j = np.nonzero(held)[1]  # basis index of each held coefficient
-        self._index = np.ravel_multi_index(tuple((pm[held] % grid.shape).T), grid.shape)
-        self._index_by_component = (np.arange(grid.dim)[:, np.newaxis] * math.prod(grid.shape)
-                                    + self._index).ravel()
-        self._coef = np.where(self.kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))[held]
-        self._p = self.p[self._j].T  # the polarization of each held coefficient, (dim, held)
-        self._smooth = math.sqrt(2.0) / (1.0 + np.sum(self.k ** 2, axis=1).astype(float))
+            raise ValueError(f"noise basis needs modes up to |k|={self.kmax}, beyond the "
+                             f"dealias cutoff {grid.dealias_kmax} of this grid")
 
 
-# ---------------------------------------------------------------------------
-# affine velocity diffusion
-# ---------------------------------------------------------------------------
-
-class SigmaInstance:
-    """sigma(v) e_j = c0 * e_j + c1 * (phi_j * v).
-
-    Affine in v: with w_j = sqrt(lambda_j) dW_j, the full increment
-    sum_j w_j sigma(v) e_j is c0 * sum_j w_j e_j + c1 * Phi v with the single
-    profile Phi = sum_j w_j phi_j, so one product covers every j.  Both parts
-    are linear in dW, so the instance keeps, per grid, the J columns
-    c0 sqrt(lambda_j) e_j stacked over c1 sqrt(lambda_j) phi_j, at the few
-    modes where some column is nonzero, formed from the basis's held
-    coefficients.  `parts` gives the two pieces;
-    `stepping.step` forms the product in the drift's physical-space pass.
-    """
-
-    def __init__(self, grid: SpectralGrid, wiener: WienerQConfig, c0: float, c1: float):
-        self.grid = grid
-        self.wiener = wiener
-        self.c0 = float(c0)
-        self.c1 = float(c1)
-        self.basis = b = VelocityNoiseBasis(grid, wiener.J)
-        # a unit weight's entries at each held coefficient, flat in the (d + 1) box rows
-        # (e_j's d components, then phi_j), added into zeros in index order
-        phi = grid.dim * math.prod(grid.shape)  # phi's row
-        flat = np.r_[b._index_by_component, phi + b._index]
-        column = np.zeros(phi + math.prod(grid.shape), dtype=np.intp)  # of each held entry
-        column[flat] = 1
-        index = np.flatnonzero(column)
-        column[index] = np.arange(index.size)
-        table = np.zeros((wiener.J, index.size), dtype=np.complex128)
-        np.add.at(table, (np.tile(b._j, grid.dim + 1), column[flat]),
-                  np.r_[(math.sqrt(2.0) * b._coef * b._p).ravel(), b._smooth[b._j] * b._coef])
-        amplitude = np.where(index < phi, self.c0, self.c1)
-        columns = np.sqrt(wiener.eigenvalues)[:, np.newaxis] * amplitude * table
-        kept = np.any(columns, axis=0)
-        self._index, self._columns = index[kept], columns[:, kept]
-
-    def on(self, grid: SpectralGrid) -> "SigmaInstance":
-        return SigmaInstance(grid, self.wiener, self.c0, self.c1)
-
-    def parts(self, dw1: np.ndarray, out=None) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Coefficients of c0 * sum_j w_j e_j and of c1 * Phi, the multiplier
-        of v; None for a part whose amplitude is 0.  Both come from one
-        product of dW1 with the kept columns, summed in j order without BLAS
-        (whose bits could depend on its thread count), put at the kept modes of
-        `out`, (d + 1) box rows zero elsewhere (one path's), or of fresh zeros."""
-        out = np.zeros((self.grid.dim + 1,) + self.grid.shape, complex) if out is None else out
-        out.put(self._index, np.add.reduce(dw1[:, np.newaxis] * self._columns, axis=0))
-        return (None if self.c0 == 0.0 else out[:-1], None if self.c1 == 0.0 else out[-1])
+@functools.lru_cache(maxsize=None)
+def noise_catalogue(dim: int, J: int) -> NoiseCatalogue:
+    """The catalogue of the first J fields in `dim` dimensions, built once."""
+    per_k = 2 * (dim - 1)  # polarizations times {cos, sin}
+    entries = [(kv, p, kind) for kv in _halfspace_wavevectors(dim, -(-J // per_k))
+               for p in _polarizations(kv) for kind in (0, 1)][:J]
+    k, p, kind = (np.array(column, dtype=dtype)
+                  for column, dtype in zip(zip(*entries), (np.int64, float, np.int64)))
+    # the +-k coefficients, (2, J), of which a grid holds those with k_d >= 0;
+    # cos(kx) has (1/2, 1/2) at +-k, sin(kx) (-i/2, +i/2)
+    pm = np.stack([k, -k])
+    held = pm[..., -1] >= 0
+    j = np.nonzero(held)[1]
+    coef = np.where(kind == 0, 0.5 + 0.0j, np.array([[-0.5j], [0.5j]]))[held]
+    smooth = math.sqrt(2.0) / (1.0 + np.sum(k ** 2, axis=1).astype(float))
+    catalogue = NoiseCatalogue(
+        k=k, p=p, kind=kind, smooth=smooth, held=pm[held], j=j,
+        entries=np.r_[(math.sqrt(2.0) * coef * p[j].T).ravel(), smooth[j] * coef],
+        kmax=int(np.max(np.abs(k))))
+    for shared in (k, p, kind, smooth, catalogue.held, j, catalogue.entries):
+        shared.flags.writeable = False
+    return catalogue
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +195,6 @@ class JumpConfig:
         if self.gamma_kind == "constant":
             return self.gamma0
         return self.gamma0 * 0.5 * (self.z_min + self.z_max)
-
-
-class JumpOperator:
-    """G(v, z) = gamma(z) * (kappa * v) with kappa_hat = (1+|xi|^2)^(-1)."""
-
-    def __init__(self, grid: SpectralGrid, config: JumpConfig):
-        self.grid = grid
-        self.config = config
-        self._kappa = 1.0 / (1.0 + grid.xi_sq)
-        # the compensator integral_Z G(v, z) lambda(dz) = rate * gamma_bar * (kappa * v)
-        self.multiplier = config.rate * config.gamma_bar * self._kappa
-
-    def on(self, grid: SpectralGrid) -> "JumpOperator":
-        return JumpOperator(grid, self.config)
-
-    def jump_increment(self, v: VectorField, z: float) -> VectorField:
-        return VectorField(self.grid, self.config.gamma(z) * self._kappa * v.coeffs)
 
 
 # ---------------------------------------------------------------------------

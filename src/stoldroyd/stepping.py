@@ -19,7 +19,9 @@ One step, in order:
 
 Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
-path can drive runs at different spectral cutoffs.
+path can drive runs at different spectral cutoffs.  The `NoiseModel` holds
+the channels' configs on no grid; a path's `StepPlan` places them on the
+grid it steps on: sigma's kept columns from the noise catalogue, and kappa.
 
 `trajectory`, a lazy generator of states, is the one loop that steps a path:
 `simulate` stops one by the monitor's stop rule on its `energy_records`, and
@@ -41,12 +43,11 @@ from .dynamics import FlowState, PhysicalParams, explicit_terms
 from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, _stop_event, energy_records
 from .noise import (
     JumpConfig,
-    JumpOperator,
     NoisePath,
     NoiseSampler,
-    SigmaInstance,
     StepNoise,
     WienerQConfig,
+    noise_catalogue,
 )
 from .spectral import (
     SpectralGrid,
@@ -94,44 +95,38 @@ class StepperConfig:
         return self.n_steps * self.dt
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
-    """The channels actually driving a run; None switches a channel off, and so
-    does c_h = 0 for the stress noise S(tau) = c_h tau."""
+    """The channels actually driving a run, on no grid: the Q-Wiener ladder with
+    sigma's amplitudes c0 and c1, the stress noise S(tau) = c_h tau and the jumps.
+    None switches a channel off, and so does c_h = 0 for the stress noise."""
 
     wiener: WienerQConfig | None = None
-    sigma: SigmaInstance | None = None
+    c0: float = 0.0
+    c1: float = 0.0
     c_h: float = 0.0
-    jump: JumpOperator | None = None
+    jump: JumpConfig | None = None
 
     @property
     def J(self) -> int:
         return self.wiener.J if self.wiener is not None else 0
 
     def sampler(self, rng: np.random.Generator) -> NoiseSampler:
-        jump_config = self.jump.config if self.jump is not None else JumpConfig(rate=0.0)
-        return NoiseSampler(self.J, jump_config, rng)
+        return NoiseSampler(self.J, self.jump or JumpConfig(rate=0.0), rng)
 
     def signature(self, grid: SpectralGrid) -> tuple:
         return (grid.dim, float(grid.box_length), self.J)
 
-    def on(self, grid: SpectralGrid) -> "NoiseModel":
-        """The same channels on `grid`: sigma and the jumps rebuilt, c_h kept."""
-        sigma, jump = (None if ch is None else ch.on(grid) for ch in (self.sigma, self.jump))
-        return NoiseModel(self.wiener, sigma, self.c_h, jump)
 
-
-def on_alias_free_grid(
-    state: FlowState, noise: NoiseModel, n: float | None = None
-) -> tuple[FlowState, NoiseModel]:
-    """`state` and `noise` on the smallest grid on which the cutoff-n system
-    (n defaults to the state grid's radius) is the Galerkin system of the
-    state's grid: `alias_free_modes` sized for the noise basis.
+def on_alias_free_grid(state: FlowState, noise: NoiseModel, n: float | None = None) -> FlowState:
+    """`state` on the smallest grid on which the cutoff-n system (n defaults to
+    the state grid's radius) is the Galerkin system of the state's grid:
+    `alias_free_modes` sized for the noise basis.
 
     The state's grid size is kept for a state with mass outside the ball
     |xi| <= n, whose products a smaller grid would alias.  Without `n`, a
-    grid whose size does not change returns the inputs themselves; with it,
-    the cutoff always gets a grid object of its own.
+    grid whose size does not change returns the state itself; with it, the
+    cutoff always gets a grid object of its own.
     """
     host = state.v.grid
     radius = host.truncation_radius if n is None else n
@@ -139,26 +134,60 @@ def on_alias_free_grid(
     outside_ball = any(np.any(f.coeffs[..., outside]) for f in (state.v, state.tau))
     modes = host.modes_per_axis
     if not outside_ball:
-        kmax = noise.sigma.basis.kmax if noise.sigma is not None else 0
+        kmax = noise_catalogue(host.dim, noise.J).kmax if noise.wiener is not None else 0
         modes = alias_free_modes(host, radius, kmax)
     if n is None and modes == host.modes_per_axis:
-        return state, noise
+        return state
     grid = make_grid(host.dim, modes, host.box_length, radius)
-    return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid)), noise.on(grid)
+    return FlowState(state.t, relayout(state.v, grid), relayout(state.tau, grid))
 
 
 class StepPlan:
-    """What every step of one path reuses: `damping`, ball_mask / (1 + nu dt |xi|^2);
-    `keep`, v's factor 1 - dt * the compensator's multiplier (None without jumps); `parts`,
-    sigma's rows, zeroed once (None without sigma); `scratch`, rows for keep v and theta tau;
-    and the drift pass's rows with the views and transform calls its `_Work` keeps."""
+    """What every step of one path reuses, the noise placed on its grid included:
+    `damping`, ball_mask / (1 + nu dt |xi|^2); the jumps' `kappa`, 1 / (1 + |xi|^2), and
+    `keep`, v's factor 1 - dt rate gamma_bar kappa; sigma's `rows`, zeroed once, and the
+    `columns` put at their flat `index`; `scratch`, rows for keep v and theta tau; and
+    the drift pass's rows with the views and transform calls its `_Work` keeps.
+
+    sigma(v) e_j = c0 e_j + c1 phi_j v is affine in v, so sum_j w_j sigma(v) e_j, with
+    w_j = sqrt(lambda_j) dW_j, is c0 sum_j w_j e_j + c1 Phi v, Phi = sum_j w_j phi_j.
+    The columns are c0 sqrt(lambda_j) e_j over c1 sqrt(lambda_j) phi_j, at the modes
+    where one is nonzero, placed from the noise catalogue's held coefficients."""
 
     def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float, noise: NoiseModel):
         self.damping = grid.ball_mask / (1.0 + params.nu * dt * grid.xi_sq)
-        self.keep = None if noise.jump is None else 1.0 - dt * noise.jump.multiplier
-        self.parts = None if noise.sigma is None else np.zeros((grid.dim + 1, *grid.shape), complex)
+        self.kappa = self.keep = None
+        if noise.jump is not None:
+            self.kappa = 1.0 / (1.0 + grid.xi_sq)
+            self.keep = 1.0 - dt * (noise.jump.rate * noise.jump.gamma_bar * self.kappa)
+        self.rows = self.index = self.columns = self.additive = self.profile = None
+        if noise.wiener is not None:
+            catalogue = noise_catalogue(grid.dim, noise.J)
+            catalogue.check_grid(grid)
+            # a unit weight's entries at each held coefficient, flat in the (d + 1) box rows
+            # (e_j's d components, then phi_j), added into zeros in index order
+            size = math.prod(grid.shape)
+            held = np.ravel_multi_index(tuple((catalogue.held % grid.shape).T), grid.shape)
+            flat = (np.arange(grid.dim + 1)[:, np.newaxis] * size + held).ravel()
+            index, column = np.unique(flat, return_inverse=True)
+            table = np.zeros((noise.J, index.size), dtype=np.complex128)
+            np.add.at(table, (np.tile(catalogue.j, grid.dim + 1), column), catalogue.entries)
+            amplitude = np.where(index < grid.dim * size, noise.c0, noise.c1)
+            columns = np.sqrt(noise.wiener.eigenvalues)[:, np.newaxis] * amplitude * table
+            kept = np.any(columns, axis=0)
+            self.index, self.columns = index[kept], columns[:, kept]
+            self.rows = np.zeros((grid.dim + 1, *grid.shape), dtype=np.complex128)
+            self.additive = None if noise.c0 == 0.0 else self.rows[:-1]
+            self.profile = None if noise.c1 == 0.0 else self.rows[-1]
         self.scratch = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
         self.workspace = functools.lru_cache(maxsize=1)(grid.workspace)
+
+    def sigma_parts(self, dw1: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """c0 * sum_j w_j e_j and c1 * Phi, in `rows` (None at amplitude 0): one product
+        of dW1 with the columns, summed in j order without BLAS (whose bits could depend
+        on its thread count), put at `index`; the next call overwrites them."""
+        self.rows.put(self.index, np.add.reduce(dw1[:, np.newaxis] * self.columns, axis=0))
+        return self.additive, self.profile
 
 
 def step(
@@ -172,13 +201,13 @@ def step(
     """Advance one step (update order: module docstring); without a `plan`, build one.
     Every per-mode factor of v and tau is applied here.  `simulate` and refine step under
     `np.errstate(over="ignore", invalid="ignore")`; a bare caller owns its error state."""
-    grid, sigma, c_h = state.v.grid, noise.sigma, noise.c_h
+    grid, c_h = state.v.grid, noise.c_h
     plan = StepPlan(grid, params, dt, noise) if plan is None else plan
-    additive, profile = sigma.parts(sn.dw1, plan.parts) if sigma is not None else (None, None)
+    additive, profile = plan.sigma_parts(sn.dw1) if plan.rows is not None else (None, None)
     # both drifts are this step's own fresh arrays, so each product is formed in place
     v_star, sd, prod = explicit_terms(state, params, profile, plan.workspace)
     v_star *= dt
-    v_star += state.v.coeffs if noise.jump is None else np.multiply(
+    v_star += state.v.coeffs if plan.keep is None else np.multiply(
         state.v.coeffs, plan.keep, out=plan.scratch[0])
     for part in (additive, prod):
         if part is not None:
@@ -186,7 +215,7 @@ def step(
     v_star *= plan.damping
     if noise.jump is not None:
         for _, z in sn.jumps:
-            v_star += noise.jump.jump_increment(VectorField(grid, v_star), z).coeffs
+            v_star += (noise.jump.gamma(z) * plan.kappa) * v_star
     v_new = leray_project(VectorField(grid, v_star))
 
     # entries (i, j) and (j, i) get the same arithmetic: tau stays symmetric bit for bit
@@ -278,7 +307,7 @@ def simulate(
     zero outside the ball.
     """
     host = initial.v.grid
-    initial, noise = on_alias_free_grid(initial, noise)
+    initial = on_alias_free_grid(initial, noise)
     signature = noise.signature(host)
     if noise_path is not None:
         draws = _replayed_draws(noise_path, stepper, signature)

@@ -22,8 +22,6 @@ from stoldroyd.experiments import inequality_suite, refinement_study, run_ensemb
 from stoldroyd.monitor import MonitorConfig
 from stoldroyd.noise import (
     JumpConfig,
-    JumpOperator,
-    SigmaInstance,
     WienerQConfig,
     rng_for_run,
 )
@@ -183,8 +181,8 @@ def test_criterion_5_compensated_jump_martingale():
     standard errors of its initial value for at least 95% of the ball."""
     v0 = _ball_field("vector", 7, alpha=3.0)
     params = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
-    noise = NoiseModel(jump=JumpOperator(DESK, JumpConfig(
-        rate=20.0, z_min=0.0, z_max=1.0, gamma_kind="linear", gamma0=0.4)))
+    noise = NoiseModel(jump=JumpConfig(
+        rate=20.0, z_min=0.0, z_max=1.0, gamma_kind="linear", gamma0=0.4))
     stepper = StepperConfig(dt=1e-3, horizon=0.1)
 
     n_paths = 500
@@ -221,9 +219,9 @@ def test_criterion_6_galerkin_refinement_decay():
     w = WienerQConfig(lambda0=0.05, J=8)
     noise = NoiseModel(
         wiener=w,
-        sigma=SigmaInstance(base, w, c0=0.3, c1=0.1),
+        c0=0.3, c1=0.1,
         c_h=0.2,
-        jump=JumpOperator(base, JumpConfig(rate=1.0, gamma_kind="constant", gamma0=0.05)),
+        jump=JumpConfig(rate=1.0, gamma_kind="constant", gamma0=0.05),
     )
 
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
@@ -249,9 +247,9 @@ def test_criterion_7_survival_monotonicity():
     w = WienerQConfig(lambda0=0.1, J=8)
     noise = NoiseModel(
         wiener=w,
-        sigma=SigmaInstance(DESK, w, c0=0.5, c1=0.2),
+        c0=0.5, c1=0.2,
         c_h=0.3,
-        jump=JumpOperator(DESK, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
+        jump=JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1),
     )
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
     stepper = StepperConfig(dt=1e-3, horizon=0.12)
@@ -333,9 +331,9 @@ def test_criterion_8_reproducibility(tmp_path):
     w = WienerQConfig(lambda0=0.1, J=8)
     noise = NoiseModel(
         wiener=w,
-        sigma=SigmaInstance(DESK, w, c0=0.5, c1=0.2),
+        c0=0.5, c1=0.2,
         c_h=0.3,
-        jump=JumpOperator(DESK, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1)),
+        jump=JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.1),
     )
     params = PhysicalParams(nu=0.5, a=0.2, b=0.5, mu1=1.0, mu2=1.0)
     initial = FlowState(0.0, _normalized(_ball_field("vector", 31), 0.6, 2.0),

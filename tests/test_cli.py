@@ -387,7 +387,7 @@ def test_only_zero_switches_a_noise_channel_off(key, negative, owner_error, tmp_
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / value)]) == code
     assert f"config error: {key} = {negative}: {owner_error}" in capsys.readouterr().err
     off = materialize(load_config(cfg)).noise
-    channel = (off.wiener, off.sigma) if key == "j_modes" else (off.jump,)
+    channel = (off.wiener,) if key == "j_modes" else (off.jump,)
     assert channel == (None,) * len(channel)
 
 

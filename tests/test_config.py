@@ -201,13 +201,13 @@ class TestBuilders:
 
     def test_noise_channels_switch_off_at_zero(self):
         off = build_noise(parse_config(MINIMAL), build_grid(parse_config(MINIMAL)))
-        assert off.wiener is None and off.sigma is None
+        assert off.wiener is None and (off.c0, off.c1) == (0.0, 0.0)
         assert off.c_h == 0.0 and off.jump is None
         cfg = parse_config(FULL)
         on = build_noise(cfg, build_grid(cfg))
-        assert on.wiener is not None and on.sigma is not None
+        assert on.wiener is not None and (on.c0, on.c1) == (cfg.c0, cfg.c1)
         assert on.c_h == 0.15 and on.jump is not None
-        assert on.jump.config.gamma_kind == "linear"
+        assert on.jump.gamma_kind == "linear"
 
     def test_initial_data_norms_match_scales(self):
         cfg = parse_config(FULL)

@@ -6,7 +6,7 @@ import pytest
 
 from stoldroyd import dynamics, spectral
 from stoldroyd.dynamics import FlowState, PhysicalParams, advect_vector, explicit_terms
-from stoldroyd.noise import SigmaInstance, WienerQConfig
+from stoldroyd.noise import WienerQConfig
 from stoldroyd.spectral import (
     TensorField,
     VectorField,
@@ -56,6 +56,12 @@ def pass_deformation(v):
     """D(v) as the pass forms it: the linear pass's stress output at mu2 = 1."""
     unit = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=1.0, nonlinear=False)
     return pass_stress(v, zero_state(v.grid).tau, unit)
+
+
+def noise_plan(grid, params=PARAMS):
+    """A plan on `grid` placing the velocity noise J = 4, c0 = 0.3, c1 = 0.2."""
+    noise = NoiseModel(wiener=WienerQConfig(lambda0=0.1, J=4), c0=0.3, c1=0.2)
+    return StepPlan(grid, params, 1e-3, noise)
 
 
 def divergence_rows(xi, tau_hat):
@@ -390,8 +396,7 @@ class TestSymmetricStressRows:
         v = truncate(random_field(grid, 4.0, "vector", seed=33), n)
         tau = truncate(random_field(grid, 4.0, "tensor", seed=34), n)
         assert oracles.equals_its_transpose(tau.coeffs)
-        wiener = WienerQConfig(lambda0=0.1, J=4)
-        profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]
+        profile = noise_plan(grid).sigma_parts(np.full(4, 0.03))[1]
         rows = []
         inner = spectral.SpectralGrid.inverse
         monkeypatch.setattr(spectral.SpectralGrid, "inverse",
@@ -411,8 +416,7 @@ class TestLinearPassWithAProfile:
         grid = make_grid(dim, M, 2 * math.pi, n)
         v = truncate(random_field(grid, 4.0, "vector", seed=35), n)
         tau = truncate(random_field(grid, 4.0, "tensor", seed=36), n)
-        wiener = WienerQConfig(lambda0=0.1, J=4)
-        profile = SigmaInstance(grid, wiener, c0=0.3, c1=0.2).parts(np.full(4, 0.03))[1]
+        profile = noise_plan(grid).sigma_parts(np.full(4, 0.03))[1]
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
         vel = params.mu1 * divergence_rows(grid.xi, tau.coeffs)
         stress = params.mu2 * oracles.deformation_modes(grid.xi, v.coeffs)  # no relaxation
@@ -439,8 +443,7 @@ class TestPassViewsPerWorkspace:
         fresh buffers (the grid's workspace), bitwise."""
         grid = make_grid(dim, M, 2 * math.pi, n)
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
-        sigma = SigmaInstance(grid, WienerQConfig(lambda0=0.1, J=4), c0=0.3, c1=0.2)
-        plan = StepPlan(grid, params, 1e-3, NoiseModel())
+        plan = noise_plan(grid, params)
         works = []
 
         def workspace(*sizes):
@@ -452,7 +455,7 @@ class TestPassViewsPerWorkspace:
         for k in range(3):
             state = FlowState(0.0, ball_field("vector", 40 + k, grid),
                               ball_field("tensor", 50 + k, grid))
-            profile = sigma.parts(np.full(4, 0.01 * (k + 1)))[1] if with_profile else None
+            profile = plan.sigma_parts(np.full(4, 0.01 * (k + 1)))[1] if with_profile else None
             got = explicit_terms(state, params, profile, workspace)
             want = explicit_terms(state, params, profile, grid.workspace)
             assert got[0].tobytes() == want[0].tobytes()

@@ -23,14 +23,7 @@ from stoldroyd.experiments import (
     run_ensemble,
     wilson_interval,
 )
-from stoldroyd.noise import (
-    JumpConfig,
-    JumpOperator,
-    NoisePath,
-    SigmaInstance,
-    WienerQConfig,
-    rng_for_run,
-)
+from stoldroyd.noise import JumpConfig, NoisePath, WienerQConfig, noise_catalogue, rng_for_run
 from stoldroyd.spectral import (
     ScalarField,
     TensorField,
@@ -60,13 +53,13 @@ def ball_state(seed_v, seed_tau, scale=1.0, grid=GRID):
     )
 
 
-def light_noise(grid=GRID):
-    wiener = WienerQConfig(lambda0=0.02, J=4)
+def light_noise():
     return NoiseModel(
-        wiener=wiener,
-        sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1),
+        wiener=WienerQConfig(lambda0=0.02, J=4),
+        c0=0.2,
+        c1=0.1,
         c_h=0.1,
-        jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05)),
+        jump=JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05),
     )
 
 
@@ -216,7 +209,7 @@ class TestRunEnsemble:
         once folded.  Every member steps on a grid of its own (the alias-free
         grid is smaller than GRID), so anything kept per grid grows with n_runs."""
         state, noise = ball_state(3, 4), light_noise()
-        assert on_alias_free_grid(state, noise)[0].v.grid.modes_per_axis < GRID.modes_per_axis
+        assert on_alias_free_grid(state, noise).v.grid.modes_per_axis < GRID.modes_per_axis
 
         def peak(n_runs):
             run = dict(threshold=1e3, deltas=[1e-3], n_runs=n_runs, master_seed=5,
@@ -276,16 +269,6 @@ class TestRunEnsemble:
                    for lo, hi in zip(res.wilson_low, res.wilson_high))
 
 
-def refine_noise(grid):
-    wiener = WienerQConfig(lambda0=0.02, J=4)
-    return NoiseModel(
-        wiener=wiener,
-        sigma=SigmaInstance(grid, wiener, c0=0.2, c1=0.1),
-        c_h=0.1,
-        jump=JumpOperator(grid, JumpConfig(rate=2.0, gamma_kind="constant", gamma0=0.05)),
-    )
-
-
 def recorded_path(model, grid, dt, n_steps, seed=21, signature=None):
     sampler = model.sampler(rng_for_run(seed, 0))
     steps = [sampler.sample_step(dt) for _ in range(n_steps)]
@@ -313,13 +296,13 @@ class TestRefinement:
         it = truncate(random_field(base, 6.0, "tensor", seed=2), 16)
         stepper = StepperConfig(dt=1e-3, horizon=1e-2)
         with pytest.raises(ValueError, match="strictly increasing"):
-            refinement_study(iv, it, PARAMS, stepper, [16.0, 8.0], refine_noise(base),
+            refinement_study(iv, it, PARAMS, stepper, [16.0, 8.0], light_noise(),
                              threshold=1e6, n_paths=1, master_seed=0)
         with pytest.raises(ValueError, match="at least two"):
-            refinement_study(iv, it, PARAMS, stepper, [8.0], refine_noise(base),
+            refinement_study(iv, it, PARAMS, stepper, [8.0], light_noise(),
                              threshold=1e6, n_paths=1, master_seed=0)
         with pytest.raises(ValueError, match="n_paths"):
-            refinement_study(iv, it, PARAMS, stepper, [8.0, 16.0], refine_noise(base),
+            refinement_study(iv, it, PARAMS, stepper, [8.0, 16.0], light_noise(),
                              threshold=1e6, n_paths=0, master_seed=0)
 
     def test_matching_cutoffs_give_exactly_zero(self):
@@ -327,9 +310,9 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        path = recorded_path(refine_noise(base), base, stepper.dt, stepper.n_steps)
+        path = recorded_path(light_noise(), base, stepper.dt, stepper.n_steps)
         stats, window = refinement_single_path(
-            iv, it, PARAMS, stepper, [8.0, 8.0], path, refine_noise(base),
+            iv, it, PARAMS, stepper, [8.0, 8.0], path, light_noise(),
             threshold=1e6)
         (sup_v, sup_tau, grad_int), = stats
         assert sup_v == 0.0 and sup_tau == 0.0 and grad_int == 0.0
@@ -343,10 +326,10 @@ class TestRefinement:
         iv = truncate(random_field(base, 6.0, "vector", seed=11), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=12), 16)
         stepper = StepperConfig(dt=1e-3, horizon=6e-3)
-        path = recorded_path(refine_noise(base), base, stepper.dt, 10)
+        path = recorded_path(light_noise(), base, stepper.dt, 10)
         trajectories = record_steps(monkeypatch)
         _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0, 16.0], path,
-                                           refine_noise(base), threshold=1e6)
+                                           light_noise(), threshold=1e6)
         assert window == stepper.actual_horizon
         sizes = {c: traj[0].v.grid.modes_per_axis for c, traj in trajectories.items()}
         assert sizes == {4.0: 14, 8.0: 26, 16.0: 48}
@@ -355,7 +338,7 @@ class TestRefinement:
             host = make_grid(2, 48, 2 * math.pi, c)
             state = FlowState(0.0, VectorField(host, truncate(iv, c).coeffs),
                               TensorField(host, truncate(it, c).coeffs))
-            noise = refine_noise(host)
+            noise = light_noise()
             for i, reduced in enumerate(traj):
                 state = step(state, PARAMS, noise, path.step_noise(i), stepper.dt)
                 for got, want in ((reduced.v, state.v), (reduced.tau, state.tau)):
@@ -372,14 +355,14 @@ class TestRefinement:
         it = truncate(random_field(base, 6.0, "tensor", seed=16), 16)
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
         cutoffs = [4.0, 8.0, 16.0]
-        path = recorded_path(refine_noise(base), base, stepper.dt, stepper.n_steps)
+        path = recorded_path(light_noise(), base, stepper.dt, stepper.n_steps)
         trajectories = record_steps(monkeypatch)
         stats, _ = refinement_single_path(iv, it, PARAMS, stepper, cutoffs, path,
-                                          refine_noise(base), threshold=1e6)
+                                          light_noise(), threshold=1e6)
         rows = []  # each cutoff's states, at t = 0 and after every step
         for c in cutoffs:
-            start, _ = on_alias_free_grid(FlowState(0.0, truncate(iv, c), truncate(it, c)),
-                                          refine_noise(base), c)
+            start = on_alias_free_grid(FlowState(0.0, truncate(iv, c), truncate(it, c)),
+                                       light_noise(), c)
             rows.append([start] + trajectories[c])
         for p, (sup_v, sup_tau, grad_int) in enumerate(stats):
             want = [0.0, 0.0, 0.0]
@@ -401,9 +384,8 @@ class TestRefinement:
         iv = truncate(random_field(base, 6.0, "vector", seed=15), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=16), 16)
         stepper = StepperConfig(dt=1e-3, horizon=2e-3)
-        wiener = WienerQConfig(lambda0=0.02, J=81)
-        model = NoiseModel(wiener=wiener, sigma=SigmaInstance(base, wiener, c0=0.2, c1=0.1))
-        assert model.sigma.basis.kmax == 5
+        model = NoiseModel(wiener=WienerQConfig(lambda0=0.02, J=81), c0=0.2, c1=0.1)
+        assert noise_catalogue(2, model.J).kmax == 5
         path = recorded_path(model, base, stepper.dt, stepper.n_steps)
         trajectories = record_steps(monkeypatch)
         _, window = refinement_single_path(iv, it, PARAMS, stepper, [4.0, 8.0], path, model,
@@ -417,7 +399,7 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        model = refine_noise(base)
+        model = light_noise()
         bad_paths = {
             "dt": recorded_path(model, base, 2e-3, 10),
             "basis": recorded_path(model, base, 1e-3, 10, signature=(2, 2 * math.pi, 3)),
@@ -436,12 +418,12 @@ class TestRefinement:
         it = truncate(random_field(base, 5.0, "tensor", seed=6), 3.0)
         params = PhysicalParams(nu=0.4, a=0.3, b=0.2, mu1=1.0, mu2=1.0, nonlinear=False)
 
-        wiener = WienerQConfig(lambda0=0.05, J=2)  # only |k| = 1 modes
         confined = NoiseModel(
-            wiener=wiener,
-            sigma=SigmaInstance(base, wiener, c0=0.3, c1=0.0),
+            wiener=WienerQConfig(lambda0=0.05, J=2),  # only |k| = 1 modes
+            c0=0.3,
+            c1=0.0,
             c_h=0.2,
-            jump=JumpOperator(base, JumpConfig(rate=5.0, gamma_kind="linear", gamma0=0.3)),
+            jump=JumpConfig(rate=5.0, gamma_kind="linear", gamma0=0.3),
         )
         res = refinement_study(iv, it, params, StepperConfig(dt=1e-3, horizon=1e-2),
                                [4.0, 8.0], confined,
@@ -456,7 +438,7 @@ class TestRefinement:
         iv = truncate(random_field(base, 6.0, "vector", seed=7), 16)
         it = truncate(random_field(base, 6.0, "tensor", seed=8), 16)
         res = refinement_study(iv, it, PARAMS, StepperConfig(dt=2e-3, horizon=0.04),
-                               [4.0, 8.0, 16.0], refine_noise(base),
+                               [4.0, 8.0, 16.0], light_noise(),
                                threshold=1e6, n_paths=2, master_seed=23)
         assert res.pairs == ((4.0, 8.0), (8.0, 16.0))
         assert res.sup_v[1] < res.sup_v[0]
@@ -470,7 +452,7 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=9), 10)
         it = truncate(random_field(base, 5.0, "tensor", seed=10), 10)
         res = refinement_study(iv, it, PARAMS, StepperConfig(dt=1e-3, horizon=1e-2),
-                               [4.0, 8.0], refine_noise(base),
+                               [4.0, 8.0], light_noise(),
                                threshold=1e-12, n_paths=1, master_seed=24)
         assert res.window_ends == (0.0,)
         shell = truncate(iv, 8.0).coeffs - truncate(iv, 4.0).coeffs
@@ -485,7 +467,7 @@ class TestRefinement:
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
         stepper = StepperConfig(dt=1e-3, horizon=2e-2)
-        model = refine_noise(base)
+        model = light_noise()
         path = recorded_path(model, base, stepper.dt, stepper.n_steps)
         initial = FlowState(0.0, VectorField(base, iv.coeffs),
                             TensorField(base, it.coeffs))
@@ -609,7 +591,7 @@ class TestSummaries:
         iv = truncate(random_field(base, 5.0, "vector", seed=21), 8)
         it = truncate(random_field(base, 5.0, "tensor", seed=22), 8)
         ref = refinement_study(iv, it, PARAMS, StepperConfig(dt=1e-3, horizon=2e-3),
-                               [4.0, 8.0], refine_noise(base),
+                               [4.0, 8.0], light_noise(),
                                threshold=1e6, n_paths=1, master_seed=42)
         ref_blob = json.loads(json.dumps(ref.to_dict()))
         assert ref_blob["schema"] == "refine/1"

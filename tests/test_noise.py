@@ -1,27 +1,31 @@
-"""Noise channels: Q-Wiener basis, affine diffusion, stress noise, jumps, replay."""
+"""Noise channels: the Q-Wiener catalogue and its placement on a plan's grid,
+affine diffusion, stress noise, jumps, replay."""
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stoldroyd
 from stoldroyd.dynamics import FlowState, PhysicalParams
 from stoldroyd.noise import (
     JumpConfig,
-    JumpOperator,
     NoisePath,
     NoiseSampler,
-    SigmaInstance,
     StepNoise,
-    VelocityNoiseBasis,
     WienerQConfig,
     _halfspace_wavevectors,
     load_noise_path,
+    noise_catalogue,
     rng_for_run,
     save_noise_path,
 )
 from stoldroyd.spectral import (
     ScalarField,
+    SpectralGrid,
     TensorField,
     VectorField,
     bessel,
@@ -33,7 +37,7 @@ from stoldroyd.spectral import (
     make_grid,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, step
+from stoldroyd.stepping import NoiseModel, StepPlan, step
 
 import oracles
 
@@ -46,19 +50,29 @@ def ball_vector(seed, grid=GRID):
     return truncate(random_field(grid, 4.0, "vector", seed=seed), grid.truncation_radius)
 
 
-def basis_fields(basis, weights):
-    """sum_j weights[j] e_j and sum_j weights[j] phi_j on the basis's grid, from
-    the dense oracle over all modes, kept to the grid's box."""
-    grid = basis.grid
-    velocity, profile = oracles.noise_basis_modes(basis.k, basis.p, basis.kind, weights,
+def basis_fields(grid, J, weights):
+    """sum_j weights[j] e_j and sum_j weights[j] phi_j of the (dim, J) catalogue
+    on `grid`, from the dense oracle over all modes, kept to the grid's box."""
+    cat = noise_catalogue(grid.dim, J)
+    velocity, profile = oracles.noise_basis_modes(cat.k, cat.p, cat.kind, weights,
                                                   grid.modes_per_axis)
     return (VectorField(grid, oracles.box_from_full(velocity, grid.dim)),
             ScalarField(grid, oracles.box_from_full(profile, grid.dim)))
 
 
-def basis_field(basis, j):
-    """e_j and phi_j on the basis's grid."""
-    return basis_fields(basis, np.eye(basis.J)[j])
+def basis_field(grid, J, j):
+    """e_j and phi_j on `grid`."""
+    return basis_fields(grid, J, np.eye(J)[j])
+
+
+def sigma_model(c0, c1, wiener=WIENER):
+    """Only the velocity noise on, at amplitudes c0 and c1."""
+    return NoiseModel(wiener=wiener, c0=c0, c1=c1)
+
+
+def sigma_plan(c0, c1, wiener=WIENER, grid=GRID):
+    """A plan on `grid` that places the velocity noise at amplitudes c0 and c1."""
+    return StepPlan(grid, NOISE_ONLY, 1e-3, sigma_model(c0, c1, wiener))
 
 
 class TestWienerQConfig:
@@ -75,18 +89,16 @@ class TestWienerQConfig:
             WienerQConfig(lambda0=1.0, J=4, decay=1.0)
 
 
-class TestVelocityNoiseBasis:
+class TestNoiseCatalogue:
     def test_unit_rms_divergence_free_hermitian(self):
-        basis = VelocityNoiseBasis(GRID, 8)
         for j in range(8):
-            e = basis_field(basis, j)[0]
+            e = basis_field(GRID, 8, j)[0]
             assert hs_norm(e, 0.0) == pytest.approx(1.0, rel=1e-12)
             assert divergence_defect(e) <= 1e-12
             assert hermitian_defect(e) <= 1e-14
 
     def test_orthonormal_family(self):
-        basis = VelocityNoiseBasis(GRID, 8)
-        fields = [basis_field(basis, j)[0] for j in range(8)]
+        fields = [basis_field(GRID, 8, j)[0] for j in range(8)]
         from stoldroyd.spectral import l2_inner
 
         for i in range(8):
@@ -95,26 +107,46 @@ class TestVelocityNoiseBasis:
                 assert l2_inner(fields[i], fields[j]) == pytest.approx(want, abs=1e-13)
 
     def test_enumeration_deterministic_and_low_mode_first(self):
-        b1 = VelocityNoiseBasis(GRID, 12)
-        b2 = VelocityNoiseBasis(make_grid(2, 32, 2 * math.pi, 8), 12)
-        assert np.array_equal(b1.k, b2.k)
-        assert np.array_equal(b1.kind, b2.kind)
-        assert list(np.sum(b1.k ** 2, axis=1)) == sorted(np.sum(b1.k ** 2, axis=1))
+        """One catalogue per (dim, J), a shorter one the start of a longer one."""
+        cat = noise_catalogue(2, 12)
+        assert noise_catalogue(2, 12) is cat
+        short = noise_catalogue(2, 8)
+        for name in ("k", "p", "kind", "smooth"):
+            assert np.array_equal(getattr(short, name), getattr(cat, name)[:8]), name
+        assert list(np.sum(cat.k ** 2, axis=1)) == sorted(np.sum(cat.k ** 2, axis=1))
+
+    def test_arrays_are_read_only_and_hold_no_grid(self):
+        cat = noise_catalogue(3, 12)
+        for name in ("k", "p", "kind", "smooth", "held", "j", "entries"):
+            array = getattr(cat, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert cat.kmax == int(np.max(np.abs(cat.k)))
+        assert not any(isinstance(v, SpectralGrid) for v in vars(cat).values())
+
+    def test_built_on_first_use_not_at_import(self):
+        """Importing the package and its command line builds no catalogue."""
+        code = ("import stoldroyd.cli, stoldroyd.noise as n; "
+                "assert n.noise_catalogue.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(stoldroyd.__file__))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_3d_polarizations_orthogonal(self):
-        g3 = make_grid(3, 16, 2 * math.pi, 4)
-        basis = VelocityNoiseBasis(g3, 8)
+        cat = noise_catalogue(3, 8)
         for j in range(8):
-            kv = basis.k[j].astype(float)
-            assert abs(basis.p[j] @ kv) <= 1e-12
-            assert np.linalg.norm(basis.p[j]) == pytest.approx(1.0, rel=1e-12)
+            kv = cat.k[j].astype(float)
+            assert abs(cat.p[j] @ kv) <= 1e-12
+            assert np.linalg.norm(cat.p[j]) == pytest.approx(1.0, rel=1e-12)
 
     def test_profile_smoothing_weights(self):
-        basis = VelocityNoiseBasis(GRID, 4)
-        phi = basis_field(basis, 0)[1]
-        k = tuple(basis.k[0])
+        phi = basis_field(GRID, 4, 0)[1]
+        cat = noise_catalogue(2, 4)
+        k = tuple(cat.k[0])
         want = math.sqrt(2.0) / (1.0 + sum(c * c for c in k)) * 0.5
         assert phi.coeffs[k] == pytest.approx(want, rel=1e-14)
+        assert 0.5 * cat.smooth[0] == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("dim, top, radius", [(2, 99, 12), (3, 364, 8)])
     def test_wavevectors_match_brute_force(self, dim, top, radius):
@@ -129,23 +161,26 @@ class TestVelocityNoiseBasis:
             assert _halfspace_wavevectors(dim, count) == ks[:count], count
 
     def test_basis_too_wide_for_grid_rejected(self):
+        """A box that cannot hold the catalogue raises, in the check and in a plan."""
         tiny = make_grid(2, 8, 2 * math.pi, 2)
         with pytest.raises(ValueError, match="dealias cutoff"):
-            VelocityNoiseBasis(tiny, 40)
+            noise_catalogue(2, 40).check_grid(tiny)
+        with pytest.raises(ValueError, match="noise basis needs modes up to"):
+            sigma_plan(1.0, 0.0, WienerQConfig(lambda0=1.0, J=40), tiny)
 
 
 class TestSampleIncrement:
     @staticmethod
-    def increment(sampler, sigma, dt):
+    def increment(sampler, plan, dt):
         """One step's dW_j and the field sum_j sqrt(lambda_j) dW_j e_j, sigma's
         additive part at c0 = 1."""
         dw1 = sampler.sample_step(dt).dw1
-        return dw1, VectorField(GRID, sigma.parts(dw1)[0])
+        return dw1, VectorField(GRID, plan.sigma_parts(dw1)[0].copy())
 
     def test_zero_dt_gives_zero(self):
-        sigma = SigmaInstance(GRID, WIENER, c0=1.0, c1=0.0)
+        plan = sigma_plan(1.0, 0.0)
         sampler = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng_for_run(1, 0))
-        dw1, field = self.increment(sampler, sigma, 0.0)
+        dw1, field = self.increment(sampler, plan, 0.0)
         assert np.all(dw1 == 0)
         assert np.all(field.coeffs == 0)
 
@@ -168,115 +203,115 @@ class TestSampleIncrement:
         """E ||sum sqrt(lambda_j) dW_j e_j||^2_{L2} = dt * sum lambda_j."""
         dt = 0.1
         n = 4000
-        sigma = SigmaInstance(GRID, WIENER, c0=1.0, c1=0.0)
+        plan = sigma_plan(1.0, 0.0)
         rng = rng_for_run(13, 0)
         sampler = NoiseSampler(WIENER.J, JumpConfig(rate=0.0), rng)
         sq = np.empty(n)
         for i in range(n):
-            _, field = self.increment(sampler, sigma, dt)
+            _, field = self.increment(sampler, plan, dt)
             sq[i] = hs_norm(field, 0.0) ** 2
         want = dt * float(np.sum(WIENER.eigenvalues))
         se = float(np.std(sq, ddof=1) / math.sqrt(n))
         assert abs(float(np.mean(sq)) - want) <= 3 * se
 
 
-def noise_step(sigma, v, dw):
-    """Velocity after one step from (v, tau = 0) with only the velocity noise
-    `sigma` acting (none for None); drift and viscosity are off."""
+def noise_step(model, v, dw):
+    """Velocity after one step from (v, tau = 0) with only the velocity noise of
+    `model` acting; drift and viscosity are off."""
     tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex))
-    model = NoiseModel() if sigma is None else NoiseModel(wiener=sigma.wiener, sigma=sigma)
     sn = StepNoise(dw1=np.asarray(dw, dtype=float), dw2=0.0, jumps=())
     return step(FlowState(0.0, v, tau), NOISE_ONLY, model, sn, 1e-3).v.coeffs
 
 
-def noise_increment(sigma, v, dw):
+def noise_increment(model, v, dw):
     """What the velocity noise adds to one step from v."""
-    return noise_step(sigma, v, dw) - noise_step(sigma, v, np.zeros(sigma.wiener.J))
+    return noise_step(model, v, dw) - noise_step(model, v, np.zeros(model.J))
 
 
-class TestSigmaInstance:
+class TestSigmaPlacement:
+    """A `StepPlan` places the catalogue's held coefficients on its grid: sigma's
+    kept modes and columns, and the rows its parts fill."""
+
     def test_zero_amplitudes_zero_output(self):
         """c0 = c1 = 0 leaves the step exactly as without the channel."""
-        sigma = SigmaInstance(GRID, WIENER, c0=0.0, c1=0.0)
         dw = np.ones(WIENER.J)
-        assert sigma.parts(dw) == (None, None)
+        assert sigma_plan(0.0, 0.0).sigma_parts(dw) == (None, None)
         v = ball_vector(1)
-        assert np.array_equal(noise_step(sigma, v, dw), noise_step(None, v, dw))
+        assert np.array_equal(noise_step(sigma_model(0.0, 0.0), v, dw),
+                              noise_step(NoiseModel(), v, dw))
 
     @pytest.mark.parametrize("dim, M, J", [(2, 16, 8), (2, 32, 81), (3, 12, 12), (3, 14, 3)])
     def test_parts_equal_the_basis_sums(self, dim, M, J):
-        """Each part, one product of dW1 with the columns kept per grid, equals the
+        """Each part, one product of dW1 with the columns a plan keeps, equals the
         dense sum over the basis within 1e-15 of its largest coefficient: the
         columns are summed in another order.  Several entries share a mode here: cos
         and sin of one k, 3D's two polarizations, and in 2D the -k of a k on
-        the zero plane.  Two calls share no memory."""
+        the zero plane.  Two plans share no memory."""
         grid = make_grid(dim, M, 2 * math.pi)
         wiener = WienerQConfig(lambda0=0.7, J=J)
-        sigma = SigmaInstance(grid, wiener, c0=0.6, c1=1.3)
+        plan = sigma_plan(0.6, 1.3, wiener, grid)
         dw1 = rng_for_run(91, J).standard_normal(J)
         w = np.sqrt(wiener.eigenvalues) * dw1
-        additive, profile = sigma.parts(dw1)
-        velocity, phi = basis_fields(sigma.basis, 0.6 * w)[0], basis_fields(sigma.basis, 1.3 * w)[1]
+        additive, profile = plan.sigma_parts(dw1)
+        velocity, phi = basis_fields(grid, J, 0.6 * w)[0], basis_fields(grid, J, 1.3 * w)[1]
         for got, want in ((additive, velocity.coeffs), (profile, phi.coeffs)):
             assert got.shape == want.shape and np.any(want)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        again = sigma.parts(dw1)
+        again = sigma_plan(0.6, 1.3, wiener, grid).sigma_parts(dw1)
         for a in (additive, profile):
             assert not any(np.shares_memory(a, b) for b in again)
-        assert SigmaInstance(grid, wiener, c0=0.0, c1=1.3).parts(dw1)[0] is None
-        assert SigmaInstance(grid, wiener, c0=0.6, c1=0.0).parts(dw1)[1] is None
+        assert sigma_plan(0.0, 1.3, wiener, grid).sigma_parts(dw1)[0] is None
+        assert sigma_plan(0.6, 0.0, wiener, grid).sigma_parts(dw1)[1] is None
 
     @pytest.mark.parametrize("J", [3, 8, 12, 81])
     @pytest.mark.parametrize("dim, M", [(2, 16), (2, 26), (2, 50), (2, 96), (3, 12), (3, 14)])
     def test_kept_columns_equal_the_dense_construction(self, dim, M, J):
-        """The kept modes and columns, formed from the basis's held coefficients,
-        equal bit for bit those of the J box-sized fields c0 sqrt(lambda_j) e_j
-        over c1 sqrt(lambda_j) phi_j and their nonzero modes, also where several
-        entries share a mode, for an amplitude below zero or at zero."""
+        """The kept modes and columns, placed from the catalogue's held
+        coefficients, equal bit for bit those of the J box-sized fields
+        c0 sqrt(lambda_j) e_j over c1 sqrt(lambda_j) phi_j and their nonzero
+        modes, also where several entries share a mode, for an amplitude below
+        zero or at zero."""
         grid = make_grid(dim, M, 2 * math.pi)
         wiener = WienerQConfig(lambda0=0.7, J=J)
-        basis = VelocityNoiseBasis(grid, J)
-        units = [basis_field(basis, j) for j in range(J)]
+        units = [basis_field(grid, J, j) for j in range(J)]
         for c0, c1 in ((0.6, 1.3), (-0.6, 0.0), (0.0, -1.3)):
-            sigma = SigmaInstance(grid, wiener, c0=c0, c1=c1)
+            plan = sigma_plan(c0, c1, wiener, grid)
             columns = np.stack([np.concatenate([c0 * s * e.coeffs, c1 * s * phi.coeffs[np.newaxis]])
                                 for s, (e, phi) in zip(np.sqrt(wiener.eigenvalues), units)])
             columns = columns.reshape(J, -1)
             index = np.flatnonzero(np.any(columns, axis=0))
-            assert sigma._index.tobytes() == index.tobytes()
-            assert sigma._columns.shape == (J, index.size)
-            assert sigma._columns.tobytes() == columns[:, index].tobytes()
+            assert plan.index.tobytes() == index.tobytes()
+            assert plan.columns.shape == (J, index.size)
+            assert plan.columns.tobytes() == columns[:, index].tobytes()
 
-    def test_parts_into_a_plans_rows_equal_fresh_parts(self):
-        """Rows zeroed once take every later call's parts: `parts` writes only
-        its kept modes, so each call equals one into fresh zeros, bitwise."""
-        sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
-        rows = np.zeros((GRID.dim + 1,) + GRID.shape, dtype=np.complex128)
+    def test_parts_into_a_plans_rows_equal_a_fresh_plans(self):
+        """Rows zeroed once take every later call's parts: `sigma_parts` writes
+        only its kept modes, so each call equals a fresh plan's first, bitwise."""
+        plan = sigma_plan(0.5, 0.8)
         rng = rng_for_run(9, 0)
         for _ in range(3):
             dw = rng.standard_normal(WIENER.J)
-            got, want = sigma.parts(dw, rows), sigma.parts(dw)
-            assert all(np.shares_memory(part, rows) for part in got)
+            got, want = plan.sigma_parts(dw), sigma_plan(0.5, 0.8).sigma_parts(dw)
+            assert all(np.shares_memory(part, plan.rows) for part in got)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     def test_additive_only_ignores_velocity(self):
         """With c1 = 0 no product is formed: the step adds exactly c0 Sigma."""
-        sigma = SigmaInstance(GRID, WIENER, c0=0.7, c1=0.0)
         dw = rng_for_run(2, 0).standard_normal(WIENER.J)
-        additive, profile = sigma.parts(dw)
+        additive, profile = sigma_plan(0.7, 0.0).sigma_parts(dw)
         assert profile is None
         for seed in (2, 3):
             v = ball_vector(seed)
             want = leray_project(truncate(VectorField(GRID, v.coeffs + additive),
                                           GRID.truncation_radius)).coeffs
-            assert np.array_equal(noise_step(sigma, v, dw), want)
+            assert np.array_equal(noise_step(sigma_model(0.7, 0.0), v, dw), want)
 
     def test_output_divergence_free_and_truncated(self):
-        sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
+        model = sigma_model(0.5, 0.8)
         dw = rng_for_run(4, 0).standard_normal(WIENER.J)
         v = ball_vector(5)
-        out = VectorField(GRID, noise_step(sigma, v, dw))
-        inc = noise_increment(sigma, v, dw)
+        out = VectorField(GRID, noise_step(model, v, dw))
+        inc = noise_increment(model, v, dw)
         outside = ~np.broadcast_to(GRID.ball_mask, inc.shape)
         assert divergence_defect(out) <= 1e-12
         assert np.all(out.coeffs[outside] == 0)
@@ -285,25 +320,25 @@ class TestSigmaInstance:
 
     def test_affine_difference_is_linear_part(self):
         """increment(v1) - increment(v2) is the multiplicative part of v1 - v2."""
-        sigma = SigmaInstance(GRID, WIENER, c0=0.5, c1=0.8)
+        model = sigma_model(0.5, 0.8)
         dw = rng_for_run(6, 0).standard_normal(WIENER.J)
         v1, v2 = ball_vector(6), ball_vector(7)
-        lhs = noise_increment(sigma, v1, dw) - noise_increment(sigma, v2, dw)
+        lhs = noise_increment(model, v1, dw) - noise_increment(model, v2, dw)
         xi, dealias, ball = oracles.full_geometry(2, 64, GRID.truncation_radius)
+        profile = sigma_plan(0.5, 0.8).sigma_parts(dw)[1]
         rhs = oracles.box_from_full(oracles.sigma_increment(
-            xi, dealias, ball, 0.0, oracles.full_from_box(sigma.parts(dw)[1], 2, 64),
+            xi, dealias, ball, 0.0, oracles.full_from_box(profile, 2, 64),
             oracles.full_from_box(v1.coeffs - v2.coeffs, 2, 64)), 2)
         scale = np.max(np.abs(lhs)) + np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
     def test_multiplicative_scaling_exact_for_powers_of_two(self):
-        sigma = SigmaInstance(GRID, WIENER, c0=0.0, c1=1.3)
+        model = sigma_model(0.0, 1.3)
         dw = rng_for_run(8, 0).standard_normal(WIENER.J)
         v = ball_vector(8)
-        base = noise_step(sigma, v, dw)
-        doubled = noise_step(sigma, VectorField(GRID, 2.0 * v.coeffs), dw)
+        base = noise_step(model, v, dw)
+        doubled = noise_step(model, VectorField(GRID, 2.0 * v.coeffs), dw)
         assert np.array_equal(doubled, 2.0 * base)
-
 
 class TestJumps:
     def test_validation(self):
@@ -369,12 +404,14 @@ class TestJumps:
             assert got.dw2 == dw2 and got.jumps == jumps
 
     def test_compensator_constant_gamma(self):
-        """The compensator rate * gamma_bar * (kappa * v) is the multiplier times v."""
+        """The compensator rate * gamma_bar * (kappa * v) is rate * gamma_bar times the
+        plan's kappa times v, and v's factor `keep` is 1 - dt times it, bitwise."""
         cfg = JumpConfig(rate=2.5, gamma_kind="constant", gamma0=0.3)
-        op = JumpOperator(GRID, cfg)
+        plan = StepPlan(GRID, NOISE_ONLY, 1e-3, NoiseModel(jump=cfg))
         v = ball_vector(21)
         want = 2.5 * 0.3 * bessel(v, -2.0).coeffs
-        assert np.allclose(op.multiplier * v.coeffs, want, rtol=1e-14, atol=0)
+        assert np.allclose(2.5 * 0.3 * plan.kappa * v.coeffs, want, rtol=1e-14, atol=0)
+        assert plan.keep.tobytes() == (1.0 - 1e-3 * (2.5 * 0.3 * plan.kappa)).tobytes()
 
     def test_jump_count_mean(self):
         """Mean count over many steps sits within 3 standard errors of rate*dt."""
@@ -385,10 +422,11 @@ class TestJumps:
         assert abs(counts.mean() - rate * dt) <= 3 * se
 
     def test_jump_increment_smooths_and_preserves_divfree(self):
+        """A jump adds gamma(z) * kappa * v, kappa the plan's."""
         cfg = JumpConfig(rate=1.0, gamma_kind="linear", gamma0=2.0)
-        op = JumpOperator(GRID, cfg)
+        plan = StepPlan(GRID, NOISE_ONLY, 1e-3, NoiseModel(jump=cfg))
         v = ball_vector(23)
-        inc = op.jump_increment(v, z=0.5)
+        inc = VectorField(GRID, (cfg.gamma(0.5) * plan.kappa) * v.coeffs)
         assert divergence_defect(inc) <= 1e-12
         # kappa damps high modes more than low ones
         assert hs_norm(inc, 1.0) <= 2.0 * 0.5 * hs_norm(v, 1.0)

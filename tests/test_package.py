@@ -93,7 +93,7 @@ def test_a_field_is_its_grid_and_coefficients():
     for cls in (spectral.ScalarField, spectral.VectorField, spectral.TensorField):
         assert [f.name for f in dataclasses.fields(cls)] == ["grid", "coeffs"]
     assert [f.name for f in dataclasses.fields(stepping.NoiseModel)] == [
-        "wiener", "sigma", "c_h", "jump"]
+        "wiener", "c0", "c1", "c_h", "jump"]
     flags = ("symmetric", "div_free")
     assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr in flags) == []
     assert _sites(lambda node: isinstance(node, ast.keyword) and node.arg in flags) == []
