@@ -8,7 +8,8 @@ Builds the run from an INI config as `stoldroyd simulate` does
 (`stepping.on_alias_free_grid`).  Each figure is the minimum over
 ``--repeats`` of the mean over ``--calls`` calls, after one warm-up call:
 
-* ``step_us``: `stepping.step` from the initial state with one `StepPlan`;
+* ``step_us``: `stepping.step` from the initial state with one `StepPlan`,
+  as `stepping.trajectory` steps a path;
 * ``energy_us``: `monitor.energy` of the initial state;
 * ``sample_step_us``: `NoiseSampler.sample_step`;
 * ``transform_pair_us``: the time one step spends in the grid's inverse and
@@ -85,7 +86,7 @@ def main(argv=None) -> None:
     plan = StepPlan(grid, run.params, dt, run.noise)
 
     def take_step():
-        step(state, run.params, run.noise, sn, dt, plan)
+        step(state, sn, plan)
 
     with np.errstate(over="ignore", invalid="ignore"):
         seconds = {

@@ -4,18 +4,17 @@ with the size of the initial data.
 
 Builds the run from an INI config, the file `stoldroyd ensemble` takes
 (`config.materialize`, which builds the grid, parameters, noise model,
-stepper, monitor and initial data), and runs paired ensembles from its initial data at full and at
-half amplitude.  Both use the same master seed, so run k sees the same noise
-in both.  Prints the survival estimates with Wilson intervals at each of the
-config's `[ensemble]` deltas.  The half-amplitude curve should sit at or
+stepper, monitor and initial data), and runs paired ensembles from its initial
+data at full and at half amplitude, each member in-process, as `stoldroyd
+ensemble` runs them.  Both use the same master seed, so run k sees the same
+noise in both.  Prints the survival estimates with Wilson intervals at each of
+the config's `[ensemble]` deltas.  The half-amplitude curve should sit at or
 above the full one everywhere.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from stoldroyd.config import load_config, materialize
@@ -44,12 +43,8 @@ def main(argv=None) -> None:
     parser.add_argument("--runs", type=int, help="ensemble members per curve "
                                                  "(default: the config's n_runs)")
     parser.add_argument("--seed", type=int, help="master seed (default: the config's)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers (1, the default, runs members in-process)")
     parser.add_argument("--out", help="optional JSON file for both curves")
     args = parser.parse_args(argv)
-    if args.threads < 1:  # as `stoldroyd ensemble`: exit 2
-        parser.error(f"threads must be >= 1, got {args.threads}")
 
     cfg = load_config(args.config)
     run = materialize(cfg, args.seed)
@@ -65,15 +60,11 @@ def main(argv=None) -> None:
     )
 
     curves = {}
-    # at 1 thread the members run in-process, as `stoldroyd ensemble` runs them
-    with ThreadPoolExecutor(args.threads) if args.threads > 1 else contextlib.nullcontext() as pool:
-        if pool is not None:
-            kwargs["map_over_runs"] = pool.map
-        for label, initial in [("full amplitude", run.initial),
-                               ("half amplitude", halved(run.initial))]:
-            result = run_ensemble(initial, run.params, run.noise, run.stepper, **kwargs)
-            print_curve(label, result)
-            curves[label] = result.to_dict()
+    for label, initial in [("full amplitude", run.initial),
+                           ("half amplitude", halved(run.initial))]:
+        result = run_ensemble(initial, run.params, run.noise, run.stepper, **kwargs)
+        print_curve(label, result)
+        curves[label] = result.to_dict()
 
     full = curves["full amplitude"]["survival"]
     half = curves["half amplitude"]["survival"]

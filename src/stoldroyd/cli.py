@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import (
     RunConfig,
@@ -133,24 +132,19 @@ def cmd_ensemble(args) -> int:
         write_energy_csv(records, buffer, comments + [f"run_index = {index}"])
         _write_text(os.path.join(runs_dir, f"run_{index:04d}.csv"), buffer.getvalue())
 
-    kwargs = dict(
-        threshold=run.monitor.threshold,
-        deltas=cfg.ensemble_deltas,
-        n_runs=n_runs,
-        master_seed=run.master_seed,
-        s=run.monitor.s,
-        randomize_initial=cfg.ensemble_randomize_initial,
-        init_alpha=cfg.init_alpha,
-        init_s=cfg.s,
-        csv_sink=sink,
-    )
     try:
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                result = run_ensemble(run.initial, run.params, run.noise, run.stepper,
-                                      map_over_runs=pool.map, **kwargs)
-        else:
-            result = run_ensemble(run.initial, run.params, run.noise, run.stepper, **kwargs)
+        result = run_ensemble(
+            run.initial, run.params, run.noise, run.stepper,
+            threshold=run.monitor.threshold,
+            deltas=cfg.ensemble_deltas,
+            n_runs=n_runs,
+            master_seed=run.master_seed,
+            s=run.monitor.s,
+            randomize_initial=cfg.ensemble_randomize_initial,
+            init_alpha=cfg.init_alpha,
+            init_s=cfg.s,
+            csv_sink=sink,
+        )
     except ValueError as exc:
         raise _CommandError(2, f"config error: {exc}") from None
 
@@ -233,15 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True, runs=None, members=False):
+    def common(p, needs_out=True, runs=None):
         p.add_argument("--config", help="INI configuration file")
         p.add_argument("--out", help="output directory" if needs_out else
                        "optional output directory for the JSON report")
         if runs is not None:  # only the commands that read it offer --runs
             p.add_argument("--runs", type=int, default=None, help=f"override the number of {runs}")
         p.add_argument("--threads", type=int, default=1,
-                       help="parallel workers for ensemble members" if members else
-                       "accepted and ignored: this command runs no ensemble members")
+                       help="accepted and ignored (must be >= 1): every command runs "
+                            "in-process")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed, overriding the config")
         p.set_defaults(parser=p)  # the parser that reports this command's stray arguments
@@ -251,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_ens = sub.add_parser("ensemble", help="estimate the stopping-time survival curve")
-    common(p_ens, runs="runs", members=True)
+    common(p_ens, runs="runs")
     p_ens.set_defaults(handler=cmd_ensemble)
 
     p_ref = sub.add_parser("refine", help="compare truncation cutoffs under common noise")

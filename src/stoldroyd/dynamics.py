@@ -16,9 +16,10 @@ transform, which keeps the dealias box, and one ball mask bring them back
 (the transforms are dense DFT products over the box's modes alone).
 tau is symmetric (`stepping.trajectory` checks a path's initial tau), so it
 sends only its d(d+1)/2 distinct components.  The velocity terms stay
-unprojected, so the integrator projects its whole update once.  The pass's
-views are cut once per workspace (`_PassViews`), so a path's warm steps hand
-the transforms the same arrays, whose kept calls they replay.
+unprojected, so the integrator projects its whole update once.  A pass runs
+in the buffers of a `DriftPass`, built once per path (a path's `StepPlan`
+holds it; plan once, run every step), so a path's warm steps hand the
+transforms the same arrays, whose kept calls they replay.
 
 The pass is the package's one home of these terms: the couplings, Q and the
 noise product have no operator of their own, and `experiments.inequality_suite`
@@ -28,14 +29,15 @@ acceptance gate, which the pass, transporting v by itself, cannot form.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (
+    SpectralGrid,
     TensorField,
     VectorField,
+    _Work,
     _check_same_grid,
     gradient_vector,
     pointwise_matmul,
@@ -45,6 +47,7 @@ from .spectral import (
 __all__ = [
     "PhysicalParams",
     "FlowState",
+    "DriftPass",
     "advect_vector",
     "explicit_terms",
 ]
@@ -117,28 +120,32 @@ def advect_vector(v: VectorField, u: VectorField) -> VectorField:
                        * grid.ball_mask)
 
 
-@functools.lru_cache(maxsize=None)
-def _tau_rows(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct components of a symmetric tau that a pass sends, as flat indices
-    a d + b with a <= b, and each component's row among them."""
-    ta, tb = np.triu_indices(d)
-    row = np.empty((d, d), dtype=np.int64)
-    row[tb, ta] = row[ta, tb] = np.arange(ta.size)  # the upper triangle written last
-    flat = ta * d + tb
-    for shared in (flat, row):  # cached: every pass reads the same arrays
-        shared.flags.writeable = False
-    return flat, row
+class DriftPass:
+    """The buffers of one `kind` of pass, (nonlinear, profile): with the quadratic terms or
+    without, with the noise product's profile row or without, on `grid`'s size.  Built
+    once per path, it holds its coefficient rows, samples and transform `work`, and its
+    views of them, cut once: `rows` field rows, `grads` of them with gradients, tau's
+    component rows `row`; a pass without gradients gives its fields arrays of their own."""
 
-
-class _PassViews:
-    """A pass's views of its workspace (`SpectralGrid.workspace`'s buffers), cut once and kept
-    as its `_Work.views`: `rows` field rows, `grads` of them with gradients, `p` profile (phi)
-    rows, tau's component rows `row`; a pass without gradients gives its fields arrays of
-    their own."""
-
-    def __init__(self, grid, rows, grads, p, row, buf, samples, work):
-        d, shape, points, n_in = grid.dim, grid.shape, grid.points, rows + p
-        full, n = d + d * (d + 1) // 2, n_in + grads * d  # n: sample rows of the inverse
+    def __init__(self, grid: SpectralGrid, nonlinear: bool, profile: bool):
+        d, shape, points, p = grid.dim, grid.shape, grid.points, int(profile)
+        self.grid, self.kind = grid, (nonlinear, bool(profile))
+        # the fields [v, tau], whose gradients the couplings read before any transform;
+        # tau sends its distinct components a <= b (flat a d + b), row[a, b] = row[b, a]
+        ta, tb = np.triu_indices(d)
+        self.row = row = np.empty((d, d), dtype=np.int64)
+        row[tb, ta] = row[ta, tb] = np.arange(ta.size)  # the upper triangle written last
+        self.flat = flat = ta * d + tb
+        full = d + flat.size
+        # one inverse of [v, tau, profile], returning the gradients of [v, tau] too, or of
+        # [v, profile]; one forward of the products, which take sample rows of their own
+        rows, grads = (full, full) if nonlinear else (d, 0)
+        self.grads = grads
+        n_in, extra = rows + p, (rows if nonlinear else 0) + p * d
+        n = n_in + grads * d  # sample rows of the inverse
+        buf = np.empty((max(n_in, extra),) + shape, dtype=np.complex128)
+        samples = np.empty((n + extra,) + points)
+        self.work = work = _Work(grid, max(n_in, extra) + d * grads)
         fields = buf[:full] if grads else np.empty((full,) + shape, np.complex128)
         # the gradients, and rows to gather a full tau into: work rows no transform reaches
         spare = np.ndarray((full + d, d) + shape, np.complex128, work.buffer if grads else None)
@@ -146,7 +153,7 @@ class _PassViews:
         self.grad, self.gather, self.grad_vt = spare[:full], spare[full:], spare[:d].swapaxes(0, 1)
         self.div = (row.T + d, np.arange(d)[:, np.newaxis])  # grad's rows d_b tau_ab, [b, a]
         self.coeffs_v, self.coeffs_phi, self.coeffs = buf[:d], buf[rows:n_in], buf[:n_in]
-        self.phys, self.out, self.nl = samples[:n], samples[n:], buf[:len(samples) - n]
+        self.phys, self.out, self.nl = samples[:n], samples[n:], buf[:extra]
         self.phys_v, self.phys_tau, self.phys_phi = samples[:d], samples[d:rows], samples[rows:n_in]
         self.out_rows, self.out_tau, self.prod = self.out[:rows], self.out[d:rows], self.out[-d:]
         self.nl_v, self.nl_tau, self.nl_prod = self.nl[:d], self.nl[d:rows], self.nl[-d:]
@@ -159,7 +166,7 @@ class _PassViews:
 
 
 def explicit_terms(
-    state: FlowState, params: PhysicalParams, profile, workspace
+    state: FlowState, params: PhysicalParams, profile: np.ndarray | None, drift: DriftPass
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Coefficients of the unprojected nonstiff velocity drift, the stress drift's gradient
     part, and the noise product.  Velocity: -(v.grad)v + mu1 div(tau); nu Laplacian(v) is
@@ -167,22 +174,16 @@ def explicit_terms(
     relaxation -a tau, a multiple of tau, is left to the integrator.  The noise product is v
     times the scalar field `profile` (None without one).  Quadratic terms and the product
     are cut to the spectral ball.  tau must be symmetric: the pass reads only its distinct
-    components.  The pass's buffers come from `workspace(rows, grads, extra)`, as
-    `SpectralGrid.workspace` returns them, its views kept with them; the noise product is a
-    view, valid until the next pass."""
-    grid, d = state.v.grid, state.v.grid.dim
-    nonlinear, p = params.nonlinear, int(profile is not None)  # p: rows the profile adds
-    # the fields [v, tau], whose gradients the couplings read before any transform;
-    # tau takes one row per distinct component, row[a, b] = row[b, a]
-    flat, row = _tau_rows(d)
-    full = d + flat.size
-    # one inverse of [v, tau, profile], returning the gradients of [v, tau] too, or of
-    # [v, profile]; one forward of the products, which take sample rows of their own
-    rows, grads = (full, full) if nonlinear else (d, 0)
-    buf, samples, work = workspace(rows + p, grads, (rows if nonlinear else 0) + p * d)
-    if work.views is None:
-        work.views = _PassViews(grid, rows, grads, p, row, buf, samples, work)
-    w = work.views
+    components.  The pass runs in `drift`'s buffers, so the noise product is a view, valid
+    until its next run; ValueError if `drift` is of another kind or grid size."""
+    grid, d, w = state.v.grid, state.v.grid.dim, drift
+    nonlinear, p = params.nonlinear, profile is not None
+    if w.kind != (nonlinear, p):
+        raise ValueError(f"a drift pass of kind {w.kind} (nonlinear, profile) cannot form "
+                         f"the terms of kind {(nonlinear, p)}")
+    if (w.grid.points, w.grid.box_length) != (grid.points, grid.box_length):
+        raise ValueError("the drift pass was built on another grid")
+    flat, row = w.flat, w.row
     np.copyto(w.v_rows, state.v.coeffs)
     state.tau.coeffs.reshape((d * d,) + grid.shape).take(flat, 0, w.tau_rows, "wrap")
     np.multiply(grid.ixi, w.fields, out=w.grad)
@@ -199,7 +200,7 @@ def explicit_terms(
         np.copyto(w.coeffs_v, state.v.coeffs)
     if p:
         np.copyto(w.coeffs_phi, profile)
-    grid.inverse(w.coeffs, grads, out=w.phys, work=work)
+    grid.inverse(w.coeffs, w.grads, out=w.phys, work=w.work)
     if nonlinear:
         pointwise_transport(w.phys_v, w.pgrad, out=w.out_rows)
         # Q symmetrized before tau's transport is added; take's mode="wrap" leaves `out` unbuffered
@@ -208,7 +209,7 @@ def explicit_terms(
     if p:
         np.multiply(w.phys_phi, w.phys_v, out=w.prod)
     # the coefficient and work rows are spent: the forward transform reuses them
-    nl = grid.forward(w.out, out=w.nl, work=work)
+    nl = grid.forward(w.out, out=w.nl, work=w.work)
     nl *= grid.ball_mask
     if nonlinear:
         vel -= w.nl_v

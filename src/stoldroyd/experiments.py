@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import draw_initial
-from .dynamics import FlowState, PhysicalParams, explicit_terms
-from .monitor import MonitorConfig, detect_stop, energy_records
+from .dynamics import DriftPass, FlowState, PhysicalParams, explicit_terms
+from .monitor import MonitorConfig, energy_records, stop_event
 from .noise import NoisePath, rng_for_run
 from .spectral import (
     SpectralGrid,
@@ -297,8 +297,8 @@ def refinement_single_path(
     trajectories are zipped row by row; differences are accumulated for
     successive cutoff pairs, on the higher cutoff's grid of each pair, at
     every row in [0, window].  The window closes at the horizon or at the first
-    row in which `detect_stop` fires for any cutoff (E_N above
-    ``threshold``, or divergence: a non-finite record or E_N above
+    row in which `stop_event`, the rule `simulate` stops by, fires for any cutoff
+    (E_N above ``threshold``, or divergence: a non-finite record or E_N above
     `monitor.DIVERGENCE_CAP`), and the closing comparison is kept.
 
     Returns per-pair (sup_t L2 v-difference, sup_t L2 tau-difference,
@@ -329,7 +329,7 @@ def refinement_single_path(
                 sup_v[p] = max(sup_v[p], _l2_of(grid, dv))
                 sup_tau[p] = max(sup_tau[p], _l2_of(grid, _difference(hi.tau, lo.tau)))
                 diffs.append((grid, dv))
-            if detect_stop(records, threshold) is not None:
+            if any(stop_event(rec, threshold) is not None for rec in records):
                 window_end = states[0].t
                 break
 
@@ -364,6 +364,7 @@ def refinement_study(
         raise ValueError(f"cutoffs must be strictly increasing, got {cuts}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    MonitorConfig(threshold=threshold, s=s)  # validates the threshold, as `run_ensemble` does
 
     signature = noise.signature(initial_v.grid)
     per_path, windows = [], []
@@ -437,18 +438,18 @@ def _relative_inner_defect(value: float, scale: float) -> float:
     return abs(value) / scale if scale > 0.0 else abs(value)
 
 
-def _profile_commutator(phi: np.ndarray, u: VectorField, s: float, workspace) -> np.ndarray:
+def _profile_commutator(phi: np.ndarray, u: VectorField, s: float, drift: DriftPass) -> np.ndarray:
     """K(phi, u) = J^s(phi u) - phi J^s u for a scalar profile phi (coefficients),
-    each product the drift pass's profile product: phi u cut to the ball, from a
-    linear pass (`explicit_terms` with ``nonlinear=False``) on `workspace`."""
+    each product the drift pass's profile product: phi u cut to the ball, from `drift`,
+    a linear pass with a profile (`explicit_terms` with ``nonlinear=False``)."""
     grid = u.grid
     product_only = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0, nonlinear=False)
     no_tau = TensorField(grid, np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128))
     lift = (1.0 + grid.xi_sq) ** (s / 2.0)  # J^s
 
-    def product(w: np.ndarray) -> np.ndarray:  # a view into the workspace
+    def product(w: np.ndarray) -> np.ndarray:  # a view into the pass's rows
         return explicit_terms(FlowState(0.0, VectorField(grid, w), no_tau), product_only, phi,
-                              workspace)[2]
+                              drift)[2]
 
     lifted = lift * product(u.coeffs)  # a new array, formed before the next pass
     return lifted - product(lift * u.coeffs)
@@ -476,14 +477,17 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
       product the pass's profile product (`_profile_commutator`), the one
       dealiased scalar-times-field product a step forms.
 
-    The passes run on workspaces kept per pass kind for the suite's length.
+    The suite builds its three passes once: quadratic, linear, and linear with
+    a profile.
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     grid = make_grid(2, 64, 2 * math.pi, 16)
     rng = rng_for_run(master_seed, 0)
     ball = grid.truncation_radius
-    workspace = functools.lru_cache(maxsize=None)(grid.workspace)
+    quad_pass = DriftPass(grid, nonlinear=True, profile=False)
+    linear_pass = DriftPass(grid, nonlinear=False, profile=False)
+    phi_pass = DriftPass(grid, nonlinear=False, profile=True)  # `_profile_commutator`'s
     quadratic = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.0, mu2=0.0)
     coupling_only = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=0.7, mu2=0.9, nonlinear=False)
 
@@ -515,11 +519,11 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
         bump("leray_divergence", divergence_defect(proj))
 
         lifted = truncate(bessel(random_field(grid, 4.0, "vector", rng=rng), s), ball)
-        vel, stress, _ = explicit_terms(FlowState(0.0, lifted, tau), quadratic, None, workspace)
+        vel, stress, _ = explicit_terms(FlowState(0.0, lifted, tau), quadratic, None, quad_pass)
         pairing("transport_orthogonality", vel, lifted)
         pairing("corotational_cancellation", stress, tau)
 
-        vel, stress, _ = explicit_terms(FlowState(0.0, v, tau), coupling_only, None, workspace)
+        vel, stress, _ = explicit_terms(FlowState(0.0, v, tau), coupling_only, None, linear_pass)
         coupling = (l2_inner(VectorField(grid, vel), v) / coupling_only.mu1
                     + l2_inner(TensorField(grid, stress), tau) / coupling_only.mu2)
         coupling_scale = hs_norm(tau, 0.0) * hs_norm(gradient_vector(v), 0.0)
@@ -545,12 +549,12 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
         bump("interpolation", max(0.0, (hs_norm(f, s_mid) - interp_bound) / interp_bound))
 
         u2 = truncate(random_field(grid, 4.0, "vector", rng=rng), ball)
-        comm = _profile_commutator(f.coeffs, v, s, workspace)
-        lhs = _profile_commutator(f.coeffs, VectorField(grid, v.coeffs + u2.coeffs), s, workspace)
-        rhs = comm + _profile_commutator(f.coeffs, u2, s, workspace)
+        comm = _profile_commutator(f.coeffs, v, s, phi_pass)
+        lhs = _profile_commutator(f.coeffs, VectorField(grid, v.coeffs + u2.coeffs), s, phi_pass)
+        rhs = comm + _profile_commutator(f.coeffs, u2, s, phi_pass)
         bump("commutator_additivity", _l2_of(grid, lhs - rhs) / _l2_of(grid, rhs))
         lam = 3.7
-        homog = _profile_commutator(lam * f.coeffs, v, s, workspace)
+        homog = _profile_commutator(lam * f.coeffs, v, s, phi_pass)
         bump("commutator_homogeneity",
              _l2_of(grid, homog - lam * comm) / (abs(lam) * _l2_of(grid, comm)))
 

@@ -30,7 +30,7 @@ __all__ = [
     "StoppingEvent",
     "energy",
     "energy_records",
-    "detect_stop",
+    "stop_event",
     "CSV_COLUMNS",
     "write_energy_csv",
 ]
@@ -122,20 +122,15 @@ def energy_records(
         yield state, rec
 
 
-def _stop_event(rec: EnergyRecord, threshold: float) -> StoppingEvent | None:
-    """The stop rule for one record: divergence dominates where both fire."""
+def stop_event(rec: EnergyRecord, threshold: float) -> StoppingEvent | None:
+    """The stop rule, record by record: the event `rec` breaks the run with, divergence
+    dominating where both fire; None if the run goes on.  `simulate` stops at the first
+    record that breaks it, and refine closes its window at the first row that holds one."""
     if not rec.finite or rec.e_n > DIVERGENCE_CAP:
         return StoppingEvent(kind="divergence", t_stop=rec.t, e_n=rec.e_n)
     if rec.e_n > threshold:  # strict: equality survives
         return StoppingEvent(kind="threshold_N", t_stop=rec.t, e_n=rec.e_n)
     return None
-
-
-def detect_stop(records: Sequence[EnergyRecord], threshold: float) -> StoppingEvent | None:
-    """First record breaking the run (`_stop_event`); None: survival throughout."""
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
-    return next(filter(None, (_stop_event(rec, threshold) for rec in records)), None)
 
 
 def write_energy_csv(records: Iterable[EnergyRecord], stream: TextIO,

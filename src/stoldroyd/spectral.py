@@ -116,15 +116,6 @@ class SpectralGrid:
         """Largest per-axis integer |k| kept by the 2/3 rule."""
         return self.modes_per_axis // 3
 
-    def workspace(self, rows: int, grads: int = 0, extra: int = 0) -> tuple:
-        """Buffers for `inverse(coeffs, grads, out=samples[:rows + grads * dim], work=work)`
-        and `forward` of up to max(rows, extra) rows into the coefficient rows: those rows,
-        the samples with `extra` more, and a `_Work` (a bound: pages never cut stay untouched)."""
-        n, (B, H) = max(rows, extra) + self.dim * grads, self.shape[-2:]
-        coeffs = np.empty((max(rows, extra),) + self.shape, dtype=np.complex128)
-        work = _Work(2 * H * n * (self.modes_per_axis + B) ** (self.dim - 1))
-        return coeffs, np.empty((rows + grads * self.dim + extra,) + self.points), work
-
     def inverse(self, coeffs: np.ndarray, grads: int = 0, out: np.ndarray | None = None,
                 work: _Work | None = None) -> np.ndarray:
         """Real samples of the rows of `coeffs`, then of the d derivatives of each of its
@@ -136,7 +127,7 @@ class SpectralGrid:
         same planes.  Intermediates go in `work` if given; a call on the same `coeffs` and
         `out` objects as the last one through it replays that call's kept list."""
         d, M = self.dim, self.modes_per_axis
-        kept = (work := work or _Work(0)).inverse
+        kept = (work := work or _Work(self)).inverse
         if kept[0] is not coeffs or kept[1] is not out or kept[2] != grads:
             c = coeffs.reshape((-1,) + self.shape)
             n, planes = len(c), M ** (d - 1)
@@ -168,7 +159,7 @@ class SpectralGrid:
         whose sums `_unfold` turns into the coefficients at k and -k (intermediates in `work`;
         a call on the same `samples` and `out` objects as the last one replays its list)."""
         d, M = self.dim, self.modes_per_axis
-        kept = (work := work or _Work(0)).forward
+        kept = (work := work or _Work(self)).forward
         if kept[0] is not samples or kept[1] is not out:
             x, lead = np.ascontiguousarray(samples), samples.shape[:samples.ndim - d]
             out = np.empty(lead + self.shape, dtype=np.complex128) if out is None else out
@@ -187,14 +178,17 @@ class SpectralGrid:
 
 
 class _Work:
-    """The pair's flat work buffer, and the calls of its last inverse and forward, kept with the
-    arrays they read and write, and replayed while those same objects (by identity; kept, no
-    other array takes their ids) come back: a path's steps transform the same views, so a warm
-    call only runs its list.  `views`: what a caller cuts from the buffers once (the pass's)."""
+    """The pair's flat work buffer, sized for transforms of up to `rows` rows (the rows an
+    inverse returns, gradients included) on `grid` (a bound: pages never cut stay untouched),
+    and the calls of its last inverse and forward, kept with the arrays they read and write,
+    and replayed while those same objects (by identity; kept, no other array takes their ids)
+    come back: a path's steps transform the same rows of their drift pass (`dynamics.DriftPass`,
+    which owns one), so a warm call only runs its list."""
 
-    def __init__(self, size: int):
-        self.buffer, self.start = np.empty(size), 0
-        self.inverse, self.forward, self.views = (None, None, 0, []), (None, None, []), None
+    def __init__(self, grid: SpectralGrid, rows: int = 0):
+        B, H = grid.shape[-2:]
+        self.buffer = np.empty(2 * H * rows * (grid.modes_per_axis + B) ** (grid.dim - 1))
+        self.start, self.inverse, self.forward = 0, (None, None, 0, []), (None, None, [])
 
     def region(self, shape: tuple, first: int = 0) -> np.ndarray:
         """The next complex array cut from the buffer after `start` (fresh past its end),

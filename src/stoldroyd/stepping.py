@@ -20,27 +20,29 @@ One step, in order:
 Everything stochastic comes through a `StepNoise`, so a recorded `NoisePath`
 re-fed to the same configuration reproduces the trajectory bitwise, and one
 path can drive runs at different spectral cutoffs.  The `NoiseModel` holds
-the channels' configs on no grid; a path's `StepPlan` places them on the
-grid it steps on: sigma's kept columns from the noise catalogue, and kappa.
+the channels' configs on no grid.  Everything else a step reads is its path's
+`StepPlan`, `step(state, sn, plan)`: the parameters, dt and noise model, the
+noise placed on the grid the path steps on (sigma's kept columns from the
+noise catalogue, and kappa), and the drift pass that owns its buffers.
 
 `trajectory`, a lazy generator of states, is the one loop that steps a path:
-`simulate` stops one by the monitor's stop rule on its `energy_records`, and
-refine zips several in lockstep over the same draws.  States hold the dealias
+`simulate` stops one at the first of its `energy_records` that `monitor.stop_event`
+breaks, and refine zips several in lockstep over the same draws and closes its
+window by the same rule.  States hold the dealias
 box |k_a| <= K with k_d >= 0.  Each trajectory builds one `StepPlan` for all its
 steps and shares it with no other path, so paths on one grid may run on
 threads; its states own their arrays.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowState, PhysicalParams, explicit_terms
-from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, _stop_event, energy_records
+from .dynamics import DriftPass, FlowState, PhysicalParams, explicit_terms
+from .monitor import EnergyRecord, MonitorConfig, StoppingEvent, energy_records, stop_event
 from .noise import (
     JumpConfig,
     NoisePath,
@@ -143,11 +145,14 @@ def on_alias_free_grid(state: FlowState, noise: NoiseModel, n: float | None = No
 
 
 class StepPlan:
-    """What every step of one path reuses, the noise placed on its grid included:
-    `damping`, ball_mask / (1 + nu dt |xi|^2); the jumps' `kappa`, 1 / (1 + |xi|^2), and
-    `keep`, v's factor 1 - dt rate gamma_bar kappa; sigma's `rows`, zeroed once, and the
+    """Everything one path's steps read, built once (plan once, run every step): the
+    path's `params`, `dt` and `noise`, and what those place on its grid: `damping`,
+    ball_mask / (1 + nu dt |xi|^2); the jumps' `kappa`, 1 / (1 + |xi|^2), and `keep`,
+    v's factor 1 - dt rate gamma_bar kappa; sigma's `rows`, zeroed once, and the
     `columns` put at their flat `index`; `scratch`, rows for keep v and theta tau; and
-    the drift pass's rows with the views and transform calls its `_Work` keeps.
+    `drift`, the path's `DriftPass`, whose buffers and kept transform calls every step
+    reuses.  A plan serves one path: two paths stepping one plan would overwrite each
+    other's pass.
 
     sigma(v) e_j = c0 e_j + c1 phi_j v is affine in v, so sum_j w_j sigma(v) e_j, with
     w_j = sqrt(lambda_j) dW_j, is c0 sum_j w_j e_j + c1 Phi v, Phi = sum_j w_j phi_j.
@@ -155,6 +160,7 @@ class StepPlan:
     where one is nonzero, placed from the noise catalogue's held coefficients."""
 
     def __init__(self, grid: SpectralGrid, params: PhysicalParams, dt: float, noise: NoiseModel):
+        self.params, self.dt, self.noise = params, dt, noise
         self.damping = grid.ball_mask / (1.0 + params.nu * dt * grid.xi_sq)
         self.kappa = self.keep = None
         if noise.jump is not None:
@@ -180,7 +186,7 @@ class StepPlan:
             self.additive = None if noise.c0 == 0.0 else self.rows[:-1]
             self.profile = None if noise.c1 == 0.0 else self.rows[-1]
         self.scratch = np.empty((grid.dim,) * 2 + grid.shape, dtype=np.complex128)
-        self.workspace = functools.lru_cache(maxsize=1)(grid.workspace)
+        self.drift = DriftPass(grid, params.nonlinear, self.profile is not None)
 
     def sigma_parts(self, dw1: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
         """c0 * sum_j w_j e_j and c1 * Phi, in `rows` (None at amplitude 0): one product
@@ -190,22 +196,15 @@ class StepPlan:
         return self.additive, self.profile
 
 
-def step(
-    state: FlowState,
-    params: PhysicalParams,
-    noise: NoiseModel,
-    sn: StepNoise,
-    dt: float,
-    plan: StepPlan | None = None,
-) -> FlowState:
-    """Advance one step (update order: module docstring); without a `plan`, build one.
-    Every per-mode factor of v and tau is applied here.  `simulate` and refine step under
-    `np.errstate(over="ignore", invalid="ignore")`; a bare caller owns its error state."""
-    grid, c_h = state.v.grid, noise.c_h
-    plan = StepPlan(grid, params, dt, noise) if plan is None else plan
+def step(state: FlowState, sn: StepNoise, plan: StepPlan) -> FlowState:
+    """Advance one step of `plan`'s path by the draws `sn` (update order: module
+    docstring).  Every per-mode factor of v and tau is applied here.  `simulate` and refine
+    step under `np.errstate(over="ignore", invalid="ignore")`; a bare caller owns its error
+    state."""
+    grid, params, dt, noise = state.v.grid, plan.params, plan.dt, plan.noise
     additive, profile = plan.sigma_parts(sn.dw1) if plan.rows is not None else (None, None)
     # both drifts are this step's own fresh arrays, so each product is formed in place
-    v_star, sd, prod = explicit_terms(state, params, profile, plan.workspace)
+    v_star, sd, prod = explicit_terms(state, params, profile, plan.drift)
     v_star *= dt
     v_star += state.v.coeffs if plan.keep is None else np.multiply(
         state.v.coeffs, plan.keep, out=plan.scratch[0])
@@ -219,6 +218,7 @@ def step(
     v_new = leray_project(VectorField(grid, v_star))
 
     # entries (i, j) and (j, i) get the same arithmetic: tau stays symmetric bit for bit
+    c_h = noise.c_h
     theta = 1.0 + c_h * sn.dw2 + dt * (0.5 * c_h * c_h - params.a)
     tau_c = np.multiply(sd, dt, out=sd)
     tau_c += np.multiply(state.tau.coeffs, theta, out=plan.scratch)
@@ -248,7 +248,7 @@ def trajectory(
     yield state
     plan = StepPlan(state.v.grid, params, dt, noise)
     for sn in noise_steps:
-        state = step(state, params, noise, sn, dt, plan)
+        state = step(state, sn, plan)
         yield state
 
 
@@ -325,7 +325,7 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run stops on its records
         for state, rec in energy_records(states, monitor.s, params, stepper.dt):
             records.append(rec)
-            event = _stop_event(rec, monitor.threshold)
+            event = stop_event(rec, monitor.threshold)
             if event is not None:
                 break
     if event is None:

@@ -1,12 +1,19 @@
 """The drift pass: deformation/vorticity, the Q form, advection, couplings."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stoldroyd import dynamics, spectral
-from stoldroyd.dynamics import FlowState, PhysicalParams, advect_vector, explicit_terms
-from stoldroyd.noise import WienerQConfig
+from stoldroyd import dynamics, spectral, stepping
+from stoldroyd.dynamics import (
+    DriftPass,
+    FlowState,
+    PhysicalParams,
+    advect_vector,
+    explicit_terms,
+)
+from stoldroyd.noise import StepNoise, WienerQConfig
 from stoldroyd.spectral import (
     TensorField,
     VectorField,
@@ -20,7 +27,7 @@ from stoldroyd.spectral import (
     symmetry_defect,
     truncate,
 )
-from stoldroyd.stepping import NoiseModel, StepPlan
+from stoldroyd.stepping import NoiseModel, StepPlan, trajectory
 
 import oracles
 
@@ -36,11 +43,16 @@ def ball_field(kind, seed, grid=GRID, alpha=4.0):
     return truncate(f, grid.truncation_radius)
 
 
+def pass_for(grid, params, profile=None):
+    """A fresh drift pass on `grid` of the kind `params` and `profile` run."""
+    return DriftPass(grid, params.nonlinear, profile is not None)
+
+
 def drift(state, params):
     """Leray-projected nonstiff velocity drift and the stress drift: the pass's
     gradient part with the relaxation -a tau, which the step applies, added."""
     grid = state.v.grid
-    vel, stress, _ = explicit_terms(state, params, None, grid.workspace)
+    vel, stress, _ = explicit_terms(state, params, None, pass_for(grid, params))
     return (leray_project(VectorField(grid, vel)),
             TensorField(grid, stress - params.a * state.tau.coeffs))
 
@@ -49,7 +61,7 @@ def pass_stress(v, tau, params):
     """The pass's stress output with the quadratic terms on, tau's transport
     and Q(tau, grad v) among them, as a field."""
     return TensorField(v.grid, explicit_terms(FlowState(0.0, v, tau), params, None,
-                                              v.grid.workspace)[1])
+                                              pass_for(v.grid, params))[1])
 
 
 def pass_deformation(v):
@@ -205,10 +217,11 @@ class TestAdvection:
     def test_pass_self_advection_is_skew(self, grid):
         """((v.grad)v, v) = 0 on the pass's velocity output with mu1 = mu2 = 0."""
         params = PhysicalParams(nu=0.1, a=0.0, b=0.3, mu1=0.0, mu2=0.0)
+        quadratic = pass_for(grid, params)
         for seed in range(10):
             v = ball_field("vector", seed + 250, grid)
             tau = ball_field("tensor", seed + 260, grid)
-            vel, _, _ = explicit_terms(FlowState(0.0, v, tau), params, None, grid.workspace)
+            vel, _, _ = explicit_terms(FlowState(0.0, v, tau), params, None, quadratic)
             adv = VectorField(grid, vel)
             assert abs(l2_inner(adv, v)) <= 1e-10 * hs_norm(adv, 0.0) * hs_norm(v, 0.0)
 
@@ -272,10 +285,11 @@ class TestVelocityDrift:
         """(div tau, v) + (D(v), tau) = 0: the linear pass's couplings mu1 div(tau)
         and mu2 D(v) do no net work."""
         linear = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=False)
+        linear_pass = pass_for(grid, linear)
         for seed in range(10):
             v = ball_field("vector", seed + 300, grid)
             tau = ball_field("tensor", seed + 400, grid)
-            vel, stress, _ = explicit_terms(FlowState(0.0, v, tau), linear, None, grid.workspace)
+            vel, stress, _ = explicit_terms(FlowState(0.0, v, tau), linear, None, linear_pass)
             total = (l2_inner(VectorField(grid, vel), v) / linear.mu1
                      + l2_inner(TensorField(grid, stress), tau) / linear.mu2)
             scale = hs_norm(tau, 1.0) * hs_norm(v, 1.0)
@@ -290,7 +304,7 @@ class TestVelocityDrift:
         c[:, :, k[0], k[1]] = A
         unit = PhysicalParams(nu=0.0, a=0.0, b=0.0, mu1=1.0, mu2=0.0, nonlinear=False)
         vel, _, _ = explicit_terms(FlowState(0.0, zero_state().v, TensorField(GRID, c)), unit,
-                                   None, GRID.workspace)
+                                   None, pass_for(GRID, unit))
         got = oracles.divergence_modes(GRID.xi, vel)[k]
         want = oracles.double_divergence_single_mode(np.array(k, float), A)
         assert got == pytest.approx(want, rel=1e-14)
@@ -402,7 +416,7 @@ class TestSymmetricStressRows:
         monkeypatch.setattr(spectral.SpectralGrid, "inverse",
                             lambda g, c, *a, **k: rows.append(len(c)) or inner(g, c, *a, **k))
         _, stress, _ = dynamics.explicit_terms(FlowState(0.0, v, tau), PARAMS, profile,
-                                               grid.workspace)
+                                               pass_for(grid, PARAMS, profile))
         assert rows == [dim + dim * (dim + 1) // 2 + 1]
         assert oracles.equals_its_transpose(stress)
 
@@ -411,8 +425,8 @@ class TestLinearPassWithAProfile:
     @pytest.mark.parametrize("dim, M, n", [(2, 24, 6.0), (3, 14, 3.0), (3, 20, 5.0), (3, 26, 6.0)])
     def test_linear_pass_equals_the_operators_bitwise(self, dim, M, n):
         """The linear pass with a noise profile sends only [v, profile] through
-        the transforms.  With the grid's workspace and with a plan's, its
-        outputs equal the per-term oracles, summed in the same order, bitwise."""
+        the transforms.  On a fresh pass and on a plan's, run twice, its outputs
+        equal the per-term oracles, summed in the same order, bitwise."""
         grid = make_grid(dim, M, 2 * math.pi, n)
         v = truncate(random_field(grid, 4.0, "vector", seed=35), n)
         tau = truncate(random_field(grid, 4.0, "tensor", seed=36), n)
@@ -421,51 +435,86 @@ class TestLinearPassWithAProfile:
         vel = params.mu1 * divergence_rows(grid.xi, tau.coeffs)
         stress = params.mu2 * oracles.deformation_modes(grid.xi, v.coeffs)  # no relaxation
         prod = grid.forward(grid.inverse(profile) * grid.inverse(v.coeffs)) * grid.ball_mask
-        plan = StepPlan(grid, params, 1e-3, NoiseModel())
-        for workspace in (grid.workspace, plan.workspace, plan.workspace):
+        plan = noise_plan(grid, params)
+        for drift in (pass_for(grid, params, profile), plan.drift, plan.drift):
             got_vel, got_stress, got_prod = explicit_terms(
-                FlowState(0.0, v, tau), params, profile, workspace)
+                FlowState(0.0, v, tau), params, profile, drift)
             assert np.array_equal(got_vel, vel)
             assert np.array_equal(got_stress, stress)
             assert oracles.equals_its_transpose(got_stress)
             assert np.array_equal(got_prod, prod)
 
 
-
-class TestPassViewsPerWorkspace:
+class TestOnePassPerPath:
     @pytest.mark.parametrize("dim, M, n", [(2, 16, 5.0), (3, 14, 3.0)])
     @pytest.mark.parametrize("nonlinear", [True, False])
     @pytest.mark.parametrize("with_profile", [True, False])
-    def test_plan_pass_cuts_its_views_once_and_equals_fresh_buffers(self, dim, M, n, nonlinear,
-                                                                    with_profile):
-        """Through a plan's workspace, the pass cuts its views once and replays
-        its transform calls on later states; every output equals the pass on
-        fresh buffers (the grid's workspace), bitwise."""
+    def test_trajectory_builds_one_pass_that_replays_its_first_lists(
+            self, monkeypatch, dim, M, n, nonlinear, with_profile):
+        """A trajectory's plan builds one `DriftPass`, and every step runs it: after
+        3 steps its `_Work` still replays the lists the first step kept, and each
+        step's outputs equal a fresh pass's on the same state, bitwise."""
         grid = make_grid(dim, M, 2 * math.pi, n)
         params = PhysicalParams(nu=0.1, a=0.5, b=0.3, mu1=0.7, mu2=0.9, nonlinear=nonlinear)
-        plan = noise_plan(grid, params)
-        works = []
+        noise = NoiseModel(wiener=WienerQConfig(lambda0=0.1, J=4), c0=0.3, c1=0.2) \
+            if with_profile else NoiseModel()
+        built, seen = [], []
 
-        def workspace(*sizes):
-            buffers = plan.workspace(*sizes)
-            works.append(buffers[2])
-            return buffers
+        def built_pass(*args):
+            built.append(DriftPass(*args))
+            return built[-1]
 
-        seen = []
-        for k in range(3):
-            state = FlowState(0.0, ball_field("vector", 40 + k, grid),
-                              ball_field("tensor", 50 + k, grid))
-            profile = plan.sigma_parts(np.full(4, 0.01 * (k + 1)))[1] if with_profile else None
-            got = explicit_terms(state, params, profile, workspace)
-            want = explicit_terms(state, params, profile, grid.workspace)
+        def checked_terms(state, params, profile, drift):
+            got = explicit_terms(state, params, profile, drift)
+            want = explicit_terms(state, params, profile, pass_for(grid, params, profile))
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
             assert oracles.equals_its_transpose(got[1])
-            assert (got[2] is None) == (want[2] is None) == (profile is None)
-            if profile is not None:
+            assert (got[2] is None) == (want[2] is None) == (not with_profile)
+            if with_profile:
                 assert got[2].tobytes() == want[2].tobytes()
-            seen.append((works[-1].views, works[-1].inverse[-1], works[-1].forward[-1]))
-        # every pass shares the first one's views and lists (a linear pass without a
-        # profile makes no transform: its lists stay the empty ones)
+            seen.append((drift, drift.work.inverse[-1], drift.work.forward[-1]))
+            return got
+
+        monkeypatch.setattr(stepping, "DriftPass", built_pass)
+        monkeypatch.setattr(stepping, "explicit_terms", checked_terms)
+        state = FlowState(0.0, ball_field("vector", 40, grid), ball_field("tensor", 50, grid))
+        draws = [StepNoise(dw1=np.full(noise.J, 0.01 * (k + 1)), dw2=0.0, jumps=())
+                 for k in range(3)]
+        states = list(trajectory(state, params, noise, draws, 1e-3))
+        assert len(states) == 4 and len(built) == 1 and len(seen) == 3
+        # every step runs the one pass on the first step's lists (a linear pass without
+        # a profile makes no transform: its lists stay the empty ones)
+        assert seen[0][0] is built[0]
+        assert (len(seen[0][1]) > 0) == (len(seen[0][2]) > 0) == (nonlinear or with_profile)
         for later in seen[1:]:
             assert all(a is b for a, b in zip(seen[0], later))
+
+
+class TestPassKind:
+    def test_explicit_terms_refuses_a_pass_of_another_kind_or_grid(self):
+        """A pass runs only the kind it was built for (nonlinear or not, with or
+        without a profile), on a grid of its shape, samples and box length;
+        a pass built on an equal grid object runs."""
+        grid = make_grid(2, 16, 2 * math.pi, 5.0)
+        state = FlowState(0.0, ball_field("vector", 70, grid), ball_field("tensor", 71, grid))
+        profile = noise_plan(grid).sigma_parts(np.full(4, 0.03))[1]
+        kinds = [(nonlinear, p) for nonlinear in (True, False) for p in (None, profile)]
+        for nonlinear, p in kinds:
+            params = replace(PARAMS, nonlinear=nonlinear)
+            want = explicit_terms(state, params, p, pass_for(grid, params, p))
+            equal = make_grid(2, 16, 2 * math.pi, 5.0)
+            got = explicit_terms(state, params, p, pass_for(equal, params, p))
+            assert got[0].tobytes() == want[0].tobytes()
+            for other, q in kinds:
+                if (other, q is None) != (nonlinear, p is None):
+                    with pytest.raises(ValueError, match="drift pass of kind"):
+                        explicit_terms(state, params, p, DriftPass(grid, other, q is not None))
+        others = (make_grid(2, 24, 2 * math.pi, 5.0), make_grid(2, 16, 4 * math.pi, 2.0))
+        narrow = make_grid(2, 12, 2 * math.pi, 3.0)  # 12 and 14 modes: one box shape
+        pairs = [(state, g) for g in others] + [(
+            FlowState(0.0, ball_field("vector", 72, narrow), ball_field("tensor", 73, narrow)),
+            make_grid(2, 14, 2 * math.pi, 3.0))]
+        for st, other in pairs:
+            with pytest.raises(ValueError, match="another grid"):
+                explicit_terms(st, PARAMS, None, DriftPass(other, True, False))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stoldroyd import dynamics, experiments, stepping
 from stoldroyd.config import draw_initial
-from stoldroyd.dynamics import FlowState, PhysicalParams
+from stoldroyd.dynamics import DriftPass, FlowState, PhysicalParams
 from stoldroyd.experiments import (
     EXACT_TOLERANCE,
     inequality_suite,
@@ -35,7 +35,14 @@ from stoldroyd.spectral import (
     truncate,
 )
 from stoldroyd.monitor import MonitorConfig
-from stoldroyd.stepping import NoiseModel, StepperConfig, on_alias_free_grid, simulate, step
+from stoldroyd.stepping import (
+    NoiseModel,
+    StepPlan,
+    StepperConfig,
+    on_alias_free_grid,
+    simulate,
+    step,
+)
 
 import oracles
 
@@ -305,6 +312,19 @@ class TestRefinement:
             refinement_study(iv, it, PARAMS, stepper, [8.0, 16.0], light_noise(),
                              threshold=1e6, n_paths=0, master_seed=0)
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_threshold_not_above_zero_is_rejected_before_any_path(self, monkeypatch, threshold):
+        """As `run_ensemble` does, the study builds a `MonitorConfig`, so a
+        threshold of 0 or below raises its ValueError before any path runs."""
+        base = make_grid(2, 32, 2 * math.pi, 8)
+        iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
+        it = truncate(random_field(base, 5.0, "tensor", seed=4), 8)
+        monkeypatch.setattr(experiments, "refinement_single_path",
+                            lambda *args, **kwargs: pytest.fail("a path ran"))
+        with pytest.raises(ValueError, match=f"threshold must be positive, got {threshold}"):
+            refinement_study(iv, it, PARAMS, StepperConfig(dt=1e-3, horizon=1e-2), [4.0, 8.0],
+                             light_noise(), threshold=threshold, n_paths=1, master_seed=0)
+
     def test_matching_cutoffs_give_exactly_zero(self):
         base = make_grid(2, 32, 2 * math.pi, 8)
         iv = truncate(random_field(base, 5.0, "vector", seed=3), 8)
@@ -338,9 +358,9 @@ class TestRefinement:
             host = make_grid(2, 48, 2 * math.pi, c)
             state = FlowState(0.0, VectorField(host, truncate(iv, c).coeffs),
                               TensorField(host, truncate(it, c).coeffs))
-            noise = light_noise()
+            plan = StepPlan(host, PARAMS, stepper.dt, light_noise())
             for i, reduced in enumerate(traj):
-                state = step(state, PARAMS, noise, path.step_noise(i), stepper.dt)
+                state = step(state, path.step_noise(i), plan)
                 for got, want in ((reduced.v, state.v), (reduced.tau, state.tau)):
                     embedded = relayout(got, host).coeffs
                     assert np.max(np.abs(embedded - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
@@ -540,7 +560,8 @@ class TestProfileCommutator:
 
     @staticmethod
     def commutator(phi, u, s):
-        return experiments._profile_commutator(phi.coeffs, u, s, GRID.workspace)
+        return experiments._profile_commutator(phi.coeffs, u, s,
+                                               DriftPass(GRID, nonlinear=False, profile=True))
 
     @given(lam=st.floats(min_value=-8.0, max_value=8.0).filter(lambda x: abs(x) > 1e-3))
     @settings(max_examples=15, deadline=None)

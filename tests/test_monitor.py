@@ -11,9 +11,9 @@ from stoldroyd.monitor import (
     CSV_COLUMNS,
     EnergyRecord,
     MonitorConfig,
-    detect_stop,
     energy,
     energy_records,
+    stop_event,
     write_energy_csv,
 )
 from stoldroyd.spectral import (
@@ -38,6 +38,12 @@ def make_record(t, e_n, finite=True):
     val = e_n if finite else float("nan")
     return EnergyRecord(t=t, v_hs2=val, tau_hs2=0.0, gradv_hs2=0.0, cum_diss=0.0,
                         e_n=val, sym_defect=0.0)
+
+
+def first_stop(records, threshold):
+    """The event of the first record `stop_event` stops at, as `simulate`
+    applies the rule record by record; None: survival throughout."""
+    return next(filter(None, (stop_event(rec, threshold) for rec in records)), None)
 
 
 def zero_state():
@@ -196,31 +202,31 @@ class TestSymmetryColumn:
         assert len(calls) == (0 if name in ("symmetric", "zero") else 1)
 
 
-class TestDetectStop:
+class TestStopEvent:
     def test_zero_trajectory_survives(self):
         records = [make_record(0.001 * k, 0.0) for k in range(100)]
-        assert detect_stop(records, 1.0) is None
+        assert first_stop(records, 1.0) is None
 
     def test_monotone_crossing(self):
         dt = 0.001
         records = [make_record(dt * k, 0.1 * k) for k in range(100)]
-        evt = detect_stop(records, 0.55)
+        evt = first_stop(records, 0.55)
         assert evt is not None and evt.kind == "threshold_N"
         assert evt.t_stop == pytest.approx(6 * dt)  # first sample with 0.1k > 0.55
 
     def test_equality_is_not_a_crossing(self):
         records = [make_record(0.0, 1.0), make_record(0.1, 1.0)]
-        assert detect_stop(records, 1.0) is None
+        assert first_stop(records, 1.0) is None
 
     def test_nan_is_divergence(self):
         records = [make_record(0.0, 0.5), make_record(0.1, 0.0, finite=False)]
-        evt = detect_stop(records, 10.0)
+        evt = first_stop(records, 10.0)
         assert evt.kind == "divergence"
         assert evt.t_stop == 0.1
 
     def test_cap_is_divergence_even_above_threshold(self):
         records = [make_record(0.0, 5e12)]
-        evt = detect_stop(records, 1.0)
+        evt = first_stop(records, 1.0)
         assert evt.kind == "divergence"
 
     def test_monotone_in_threshold(self):
@@ -229,7 +235,7 @@ class TestDetectStop:
         records = [make_record(0.01 * k, float(v)) for k, v in enumerate(e)]
 
         def t_stop(n):
-            evt = detect_stop(records, n)
+            evt = first_stop(records, n)
             return evt.t_stop if evt else float("inf")
 
         thresholds = sorted(rng.uniform(0.0, e[-1] * 1.2, size=20))
@@ -238,7 +244,7 @@ class TestDetectStop:
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError, match="threshold"):
-            detect_stop([], 0.0)
+            MonitorConfig(threshold=0.0)
         with pytest.raises(ValueError, match="threshold"):
             MonitorConfig(threshold=-1.0)
 

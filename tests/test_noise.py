@@ -220,7 +220,7 @@ def noise_step(model, v, dw):
     `model` acting; drift and viscosity are off."""
     tau = TensorField(GRID, np.zeros((2, 2) + GRID.shape, dtype=complex))
     sn = StepNoise(dw1=np.asarray(dw, dtype=float), dw2=0.0, jumps=())
-    return step(FlowState(0.0, v, tau), NOISE_ONLY, model, sn, 1e-3).v.coeffs
+    return step(FlowState(0.0, v, tau), sn, StepPlan(GRID, NOISE_ONLY, 1e-3, model)).v.coeffs
 
 
 def noise_increment(model, v, dw):

@@ -3,7 +3,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
 
 from stoldroyd.cli import main as cli_main
 
@@ -73,28 +72,12 @@ def test_survival_study_full_curve_matches_ensemble_command(tmp_path):
     assert all(h >= f for h, f in zip(half["survival"], full["survival"]))
 
 
-@pytest.mark.parametrize("threads", ["0", "-5"])
-def test_survival_study_thread_count_below_one_exits_2(threads, tmp_path, capsys):
-    """As `stoldroyd ensemble` does, the script refuses --threads below 1."""
-    config = tmp_path / "run.ini"
-    config.write_text(CONFIG)
-    with pytest.raises(SystemExit) as stop:
-        load_script().main(["--config", str(config), "--threads", threads])
-    assert stop.value.code == 2
-    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
-
-
-def test_survival_study_one_thread_runs_members_in_process(tmp_path, monkeypatch):
-    """The default of 1 starts no pool: both ensembles map their members in-process."""
+def test_survival_study_runs_members_in_process(tmp_path, monkeypatch):
+    """Both ensembles map their members in-process, with the serial `map`."""
     config = tmp_path / "run.ini"
     config.write_text(CONFIG)
     script = load_script()
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
     maps, ensemble = [], script.run_ensemble
-    monkeypatch.setattr(script, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(script, "run_ensemble", lambda *args, **kwargs: maps.append(
         kwargs.get("map_over_runs", map)) or ensemble(*args, **kwargs))
     script.main(["--config", str(config)])

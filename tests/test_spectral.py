@@ -43,6 +43,14 @@ def product(f, g):
     return type(g)(grid, grid.forward(grid.inverse(f.coeffs) * grid.inverse(g.coeffs)))
 
 
+def work_buffers(grid, rows, grads=0):
+    """Coefficient rows, the samples of their inverse with the gradients of its
+    first `grads` rows, and a `_Work` sized for that inverse."""
+    n = rows + grads * grid.dim
+    return (np.empty((rows,) + grid.shape, dtype=np.complex128),
+            np.empty((n,) + grid.points), spectral._Work(grid, n))
+
+
 def single_mode(grid, k, amplitude=1.0, rank=0):
     """Field with exactly one nonzero stored coefficient.  Off the zero plane
     k_d = 0 that is the real field with amplitude at k and its conjugate at
@@ -525,7 +533,7 @@ class TestHalfLayout:
             half = np.fft.rfft(x, axis=-1, norm="forward")[..., :K + 1]
             return oracles.box_from_full(np.fft.fftn(half, axes=lead, norm="forward"), dim)
 
-        coeffs, samples, work = box.workspace(dim)
+        coeffs, samples, work = work_buffers(box, dim)
         rng = np.random.default_rng(88)
         for seed in (86, 87):
             c = random_field(box, 2.0, "vector", seed=seed).coeffs
@@ -546,13 +554,13 @@ class TestHalfLayout:
         rng = np.random.default_rng(89)
         c = np.stack([random_field(box, 2.0, "scalar", rng=rng).coeffs for _ in range(16)])
         x = rng.standard_normal((16,) + box.points)
-        coeffs, samples, work = box.workspace(16)
+        coeffs, samples, work = work_buffers(box, 16)
         reused = box.inverse(c, out=samples, work=work), box.forward(x, out=coeffs, work=work)
         for got_x, got_c in ((box.inverse(c), box.forward(x)), reused):
             for r in range(16):
                 assert got_x[r].tobytes() == box.inverse(c[r]).tobytes()
                 assert got_c[r].tobytes() == box.forward(x[r]).tobytes()
-        _, samples, work = box.workspace(16, 16)
+        _, samples, work = work_buffers(box, 16, 16)
         for got in (box.inverse(c, 16), box.inverse(c, 16, out=samples, work=work)):
             grads = got[16:].reshape((16, dim) + box.points)
             for r in range(16):
@@ -569,7 +577,7 @@ class TestHalfLayout:
         axes, strided samples) is read afresh on every call."""
         box = make_grid(dim, M, 2 * math.pi, 4.0)
         rng = np.random.default_rng(91)
-        coeffs, samples, work = box.workspace(3, 2)
+        coeffs, samples, work = work_buffers(box, 3, 2)
         pair = (("inverse", coeffs, samples[:3 + 2 * dim], partial(box.inverse, grads=2)),
                 ("forward", samples[:3], coeffs, box.forward))
         for name, inp, out, transform in pair:
@@ -597,12 +605,12 @@ class TestHalfLayout:
         """`inverse(c, grads)` returns the samples of every row of c, bitwise
         as without gradients, then d_a of each of the first `grads` rows, within
         1e-14 of the largest value of the inverse of the rows i xi_a c, with a
-        workspace and without one."""
+        work buffer and without one."""
         box = make_grid(dim, M, 2 * math.pi, 4.0)
         rng = np.random.default_rng(90)
         c = np.stack([random_field(box, 2.0, "scalar", rng=rng).coeffs for _ in range(5)])
         want = box.inverse((box.ixi * c[:3, np.newaxis]).reshape((3 * dim,) + box.shape))
-        _, samples, work = box.workspace(5, 3)
+        _, samples, work = work_buffers(box, 5, 3)
         for got in (box.inverse(c, 3), box.inverse(c, 3, out=samples, work=work)):
             assert got.shape == (5 + 3 * dim,) + box.points
             assert got[:5].tobytes() == box.inverse(c).tobytes()

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from stoldroyd.config import materialize, parse_config
-from stoldroyd.dynamics import FlowState, PhysicalParams, explicit_terms
+from stoldroyd.dynamics import DriftPass, FlowState, PhysicalParams, explicit_terms
 from stoldroyd.experiments import refinement_study
-from stoldroyd.monitor import MonitorConfig, StoppingEvent, detect_stop, energy
+from stoldroyd.monitor import MonitorConfig, StoppingEvent, energy, stop_event
 from stoldroyd.noise import (
     JumpConfig,
     NoisePath,
@@ -168,9 +168,9 @@ class TestJumpHandling:
         _, tau0 = zero_fields()
         dt = 0.01
         sn = StepNoise(dw1=np.zeros(0), dw2=0.0, jumps=((0.002, 0.5), (0.007, -0.25)))
-        out = step(FlowState(0.0, v0, tau0), params, noise, sn, dt)
-
         plan = StepPlan(GRID, params, dt, noise)
+        out = step(FlowState(0.0, v0, tau0), sn, plan)
+
         v1 = v0.coeffs * plan.keep  # v's own factor, 1 here: gamma_bar = 0
         vf = VectorField(GRID, v1)
         for z in (0.5, -0.25):
@@ -188,9 +188,9 @@ class TestJumpHandling:
         state = FlowState(0.0, truncate(random_field(GRID, 4.0, "vector", seed=8), 16),
                           truncate(random_field(GRID, 4.0, "tensor", seed=9), 16))
         dt = 0.01
-        out = step(state, params, NoiseModel(jump=cfg),
-                   StepNoise(dw1=np.zeros(0), dw2=0.0, jumps=()), dt)
-        vel, _, _ = explicit_terms(state, params, None, GRID.workspace)
+        out = step(state, StepNoise(dw1=np.zeros(0), dw2=0.0, jumps=()),
+                   StepPlan(GRID, params, dt, NoiseModel(jump=cfg)))
+        vel, _, _ = explicit_terms(state, params, None, DriftPass(GRID, True, False))
         keep = 1.0 - dt * (cfg.rate * cfg.gamma_bar * (1.0 / (1.0 + GRID.xi_sq)))
         v_star = (vel * dt + state.v.coeffs * keep) * (
             GRID.ball_mask / (1.0 + params.nu * dt * GRID.xi_sq))
@@ -372,7 +372,7 @@ master_seed = 424242
 """
 
 
-# traced allocation peak of one plan-less desk step plus its energy record
+# traced allocation peak of one desk step on a fresh plan plus its energy record
 # (README config): 1,981,688 B measured, bound 3 % above it
 DESK_STEP_PEAK_BYTES = 2_041_000
 
@@ -410,7 +410,8 @@ class TestTransformBudget:
         first 5 too.
         The step projects its velocity update once."""
         run, sn = desk_step_inputs()
-        state, model = on_alias_free_grid(run.initial, run.noise), run.noise
+        state = on_alias_free_grid(run.initial, run.noise)
+        plan = StepPlan(state.v.grid, run.params, run.stepper.dt, run.noise)
         assert state.v.coeffs.shape == (2, 33, 17)
         assert state.tau.coeffs.shape == (2, 2, 33, 17)
         assert oracles.equals_its_transpose(state.tau.coeffs)
@@ -431,7 +432,7 @@ class TestTransformBudget:
             if module is not None and module.__name__.startswith("stoldroyd") \
                     and getattr(module, "leray_project", None) is leray_project:
                 monkeypatch.setattr(module, "leray_project", counted_projection)
-        out = step(state, run.params, model, sn, run.stepper.dt)
+        out = step(state, sn, plan)
         assert out.v.grid is state.v.grid and np.all(np.isfinite(out.v.coeffs))
         assert calls == [("inverse", (6, 33, 17)), ("forward", (7, 50, 50))]
         assert len(projections) == 1
@@ -439,11 +440,15 @@ class TestTransformBudget:
     def test_desk_step_and_energy_stay_within_memory_budget(self):
         """Allocation sizes are deterministic, so the traced peak is too."""
         run, sn = desk_step_inputs()
-        out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)  # first-call allocations
+
+        def fresh_plan_step():
+            return step(run.initial, sn, StepPlan(run.grid, run.params, run.stepper.dt, run.noise))
+
+        out = fresh_plan_step()  # first-call allocations
         energy(out, run.monitor.s, run.params, 0.0)
         tracemalloc.start()
         try:
-            out = step(run.initial, run.params, run.noise, sn, run.stepper.dt)
+            out = fresh_plan_step()
             energy(out, run.monitor.s, run.params, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -460,11 +465,11 @@ class TestTransformBudget:
         _, sn = desk_step_inputs()
         plan = StepPlan(run.grid, run.params, run.stepper.dt, run.noise)
         for _ in range(2):
-            out = step(run.initial, run.params, run.noise, sn, run.stepper.dt, plan)
+            out = step(run.initial, sn, plan)
         del out
         tracemalloc.start()
         try:
-            out = step(run.initial, run.params, run.noise, sn, run.stepper.dt, plan)
+            out = step(run.initial, sn, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -482,7 +487,7 @@ class TestTransformBudget:
 
         def velocity_after(dw1):
             sn = StepNoise(dw1=dw1, dw2=0.02, jumps=())
-            return step(run.initial, params, noise, sn, run.stepper.dt).v.coeffs
+            return step(run.initial, sn, StepPlan(grid, params, run.stepper.dt, noise)).v.coeffs
 
         got = velocity_after(dw) - velocity_after(np.zeros(wiener.J))
         additive, profile = StepPlan(grid, params, run.stepper.dt, noise).sigma_parts(dw)
@@ -502,13 +507,14 @@ def host_loop(initial, params, noise, stepper, monitor, rng):
     sampler = noise.sampler(rng)
     records = [energy(initial, monitor.s, params, 0.0)]
     state, steps, cum_diss = initial, [], 0.0
-    event = detect_stop(records, monitor.threshold)
+    plan = StepPlan(initial.v.grid, params, stepper.dt, noise)
+    event = stop_event(records[-1], monitor.threshold)
     while event is None and len(steps) < stepper.n_steps:
         steps.append(sampler.sample_step(stepper.dt))
         cum_diss += stepper.dt * records[-1].gradv_hs2
-        state = step(state, params, noise, steps[-1], stepper.dt)
+        state = step(state, steps[-1], plan)
         records.append(energy(state, monitor.s, params, cum_diss))
-        event = detect_stop(records[-1:], monitor.threshold)
+        event = stop_event(records[-1], monitor.threshold)
     if event is None:
         event = StoppingEvent("horizon", stepper.actual_horizon, records[-1].e_n)
     return records, event, state, steps
@@ -590,7 +596,7 @@ class TestHalfLayoutStep:
         for k in range(3):
             sn = StepNoise(dw1=np.full(4, 0.03 * (k + 1)), dw2=0.02 * (-1) ** k,
                            jumps=((0.0004, 0.5),) if k != 1 else ())
-            got = step(state, params, noise, sn, 1e-3)
+            got = step(state, sn, StepPlan(box, params, 1e-3, noise))
             assert got.v.coeffs.shape[1:] == (2 * K + 1,) * (dim - 1) + (K + 1,)
             for g, w in zip((got.v, got.tau), full_spectrum_step(state, params, noise, sn, 1e-3)):
                 assert np.max(np.abs(g.coeffs - w)) <= 1e-13 * np.max(np.abs(w))
@@ -631,14 +637,14 @@ class TestStepPlan:
     every step; none of that may change a bit or leak between paths."""
 
     @pytest.mark.parametrize("case", ["identity", "linear", "linear_3d"])
-    def test_trajectory_equals_plan_less_steps(self, case):
-        """Each state equals repeated `step` calls without a plan, bitwise,
-        and owns its arrays: no two states share memory."""
+    def test_trajectory_equals_steps_on_fresh_plans(self, case):
+        """Each state equals repeated `step` calls, each on a fresh plan,
+        bitwise, and owns its arrays: no two states share memory."""
         state, noise, params = plan_inputs(case)
         draws = sampled(noise, 80)
         want = [state]
         for sn in draws:
-            want.append(step(want[-1], params, noise, sn, 1e-3))
+            want.append(step(want[-1], sn, StepPlan(state.v.grid, params, 1e-3, noise)))
         got = list(trajectory(state, params, noise, draws, 1e-3))
         assert_same_states(got, want)
         assert oracles.equals_its_transpose(got[-1].tau.coeffs)
