@@ -24,19 +24,19 @@ from .dynamics import DriftPass, FlowState, PhysicalParams, explicit_terms
 from .monitor import MonitorConfig, energy_records, stop_event
 from .noise import NoisePath, rng_for_run
 from .spectral import (
-    SpectralGrid,
     TensorField,
     VectorField,
     _shared_blocks,
-    _sq_amplitude,
     bessel,
     divergence_defect,
     gradient_vector,
     hs_norm,
+    hs_weights,
     l2_inner,
     leray_project,
     make_grid,
     random_field,
+    sq_mode_sum,
     truncate,
 )
 from .stepping import (
@@ -258,15 +258,6 @@ class RefinementResult:
         }
 
 
-def _l2_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
-    """L2 norm of coefficients on `grid` (`hs_norm` at s = 0)."""
-    return math.sqrt(float(_sq_amplitude(grid, coeffs).sum()))
-
-
-def _grad_sq_of(grid: SpectralGrid, coeffs: np.ndarray) -> float:
-    return float(np.sum(grid.xi_sq * _sq_amplitude(grid, coeffs)))
-
-
 def _difference(hi, lo) -> np.ndarray:
     """hi - lo on hi's grid, whose box holds lo's modes: lo's blocks subtracted
     from a copy of hi, bitwise hi minus lo embedded."""
@@ -306,29 +297,26 @@ def refinement_single_path(
     end time.
     """
     draws = _replayed_draws(noise_path, stepper, noise.signature(initial_v.grid))
-    paths = []
+    paths, l2 = [], []  # l2: each cutoff grid's L2 weights, a pair's on its higher cutoff's
     for c, cut_draws in zip(cutoffs, itertools.tee(draws, len(cutoffs))):
         state = on_alias_free_grid(
             FlowState(0.0, truncate(initial_v, c), truncate(initial_tau, c)), noise, c)
+        l2.append(hs_weights(state.v.grid, 0.0))
         states = trajectory(state, params, noise, cut_draws, stepper.dt)
         paths.append(energy_records(states, s, params, stepper.dt))
 
-    sup_v, sup_tau, grad_int = ([0.0] * (len(cutoffs) - 1) for _ in range(3))
-    diffs = []
+    sup_v, sup_tau, grad_int, grad_sq = ([0.0] * (len(cutoffs) - 1) for _ in range(4))
     window_end = stepper.actual_horizon
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging row closes the window
         for row in zip(*paths):
             states, records = zip(*row)
             del row  # else zip's cached row tuple keeps an older row's states alive
-            # left-endpoint quadrature: the previous row's differences
-            for p, (grid, dv) in enumerate(diffs):
-                grad_int[p] += stepper.dt * _grad_sq_of(grid, dv)
-            diffs = []
             for p, (lo, hi) in enumerate(zip(states, states[1:])):
-                grid, dv = hi.v.grid, _difference(hi.v, lo.v)
-                sup_v[p] = max(sup_v[p], _l2_of(grid, dv))
-                sup_tau[p] = max(sup_tau[p], _l2_of(grid, _difference(hi.tau, lo.tau)))
-                diffs.append((grid, dv))
+                grad_int[p] += stepper.dt * grad_sq[p]  # left endpoint: the previous row's
+                v_sq, grad_sq[p] = sq_mode_sum(_difference(hi.v, lo.v), l2[p + 1], grad=True)
+                sup_v[p] = max(sup_v[p], math.sqrt(v_sq))
+                tau_sq = sq_mode_sum(_difference(hi.tau, lo.tau), l2[p + 1])
+                sup_tau[p] = max(sup_tau[p], math.sqrt(tau_sq))
             if any(stop_event(rec, threshold) is not None for rec in records):
                 window_end = states[0].t
                 break
@@ -498,6 +486,11 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
         "commutator_additivity", "commutator_homogeneity",
     ), 0.0)
 
+    l2 = hs_weights(grid, 0.0)
+
+    def l2_norm(coeffs: np.ndarray) -> float:
+        return math.sqrt(sq_mode_sum(coeffs, l2))
+
     def bump(name: str, value: float) -> None:
         if value > checks[name]:
             checks[name] = value
@@ -533,11 +526,11 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
         cut = truncate(f, n_cut)
         bump("truncation_contraction", max(0.0, (hs_norm(cut, s) - full) / full))
         bump("truncation_idempotence",
-             _l2_of(grid, truncate(cut, n_cut).coeffs - cut.coeffs) / hs_norm(f, 0.0))
+             l2_norm(truncate(cut, n_cut).coeffs - cut.coeffs) / hs_norm(f, 0.0))
         composed = truncate(truncate(f, n_cut), m_cut)
         direct = truncate(f, min(n_cut, m_cut))
         bump("truncation_composition",
-             _l2_of(grid, composed.coeffs - direct.coeffs) / hs_norm(f, 0.0))
+             l2_norm(composed.coeffs - direct.coeffs) / hs_norm(f, 0.0))
         # Tail mass via Pythagoras: the cut and its complement are orthogonal.
         tail = math.sqrt(max(hs_norm(f, s) ** 2 - hs_norm(cut, s) ** 2, 0.0))
         decay_bound = (1.0 + n_cut * n_cut) ** -1.0 * hs_norm(f, s + 2.0)
@@ -552,11 +545,11 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
         comm = _profile_commutator(f.coeffs, v, s, phi_pass)
         lhs = _profile_commutator(f.coeffs, VectorField(grid, v.coeffs + u2.coeffs), s, phi_pass)
         rhs = comm + _profile_commutator(f.coeffs, u2, s, phi_pass)
-        bump("commutator_additivity", _l2_of(grid, lhs - rhs) / _l2_of(grid, rhs))
+        bump("commutator_additivity", l2_norm(lhs - rhs) / l2_norm(rhs))
         lam = 3.7
         homog = _profile_commutator(lam * f.coeffs, v, s, phi_pass)
         bump("commutator_homogeneity",
-             _l2_of(grid, homog - lam * comm) / (abs(lam) * _l2_of(grid, comm)))
+             l2_norm(homog - lam * comm) / (abs(lam) * l2_norm(comm)))
 
     passed = all(value <= EXACT_TOLERANCE for value in checks.values())
     return InequalityReport(

@@ -10,8 +10,11 @@ the explicit placement of the gradient term in the stepping loop).  The first
 sample time with E_N strictly above the threshold N is the stopping time; it
 is resolved to one step.  NaN/Inf or E_N beyond a hard cap is recorded as a
 separate `divergence` event so blow-up statistics never conflate numerical
-overflow with a genuine threshold crossing.  A record is one weighted reduction
-per field, and its symmetry column skips the formula where it reads exactly 0.0.
+overflow with a genuine threshold crossing.  A record is one `spectral.sq_mode_sum`
+per field, the package's one squared mode sum, on weights built once per grid
+(`spectral.hs_weights`), so a column has the bits of the same sum taken by
+`hs_norm`, refine or verify; its symmetry column skips the formula where it reads
+exactly 0.0.
 """
 from __future__ import annotations
 
@@ -19,10 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
-import numpy as np
-
 from .dynamics import FlowState, PhysicalParams
-from .spectral import SpectralGrid, symmetry_defect
+from .spectral import hs_weights, sq_mode_sum, symmetry_defect
 
 __all__ = [
     "MonitorConfig",
@@ -76,30 +77,16 @@ class StoppingEvent:
     e_n: float
 
 
-def _weights(grid: SpectralGrid, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(1+|xi|^2)^s times the plane weight, a power of two, so folding it in moves
-    no bit of a product; and the rows 1 and |xi|^2."""
-    w = ((1.0 + grid.xi_sq) ** s * grid.weight).ravel()
-    return w, np.stack((np.ones_like(w), grid.xi_sq.ravel()))
-
-
-def _amplitude(coeffs: np.ndarray, rows: int) -> np.ndarray:
-    """re^2 + im^2 per mode, summed over `rows` component rows as `_sq_amplitude` sums."""
-    a = coeffs.real ** 2
-    a += coeffs.imag ** 2
-    return np.add.reduce(a.reshape(rows, -1), 0)
-
-
 def energy(state: FlowState, s: float, params: PhysicalParams, cum_diss: float = 0.0,
            w: tuple | None = None) -> EnergyRecord:
     """One energy sample; `cum_diss` is the dissipation integral accumulated so far
-    by the caller's quadrature, `w` the grid's `_weights` if known.  One reduction
-    of v's weighted amplitude against the rows 1 and |xi|^2 gives v_hs2 and
-    gradv_hs2 = ||grad v||_{H^s}^2, each with the bits of its own `.sum()`."""
-    grid, v, tau = state.v.grid, state.v.coeffs, state.tau.coeffs
-    w, rows = _weights(grid, s) if w is None else w
-    v_hs2, gradv_hs2 = np.add.reduce(rows * (w * _amplitude(v, grid.dim)), 1).tolist()
-    tau_hs2 = float(np.add.reduce(w * _amplitude(tau, grid.dim ** 2)))
+    by the caller's quadrature, `w` the grid's `hs_weights` if known.  One
+    `sq_mode_sum` of v gives v_hs2 and gradv_hs2 = ||grad v||_{H^s}^2, one of tau
+    gives tau_hs2."""
+    tau = state.tau.coeffs
+    w = hs_weights(state.v.grid, s) if w is None else w
+    v_hs2, gradv_hs2 = sq_mode_sum(state.v.coeffs, w, grad=True)
+    tau_hs2 = sq_mode_sum(tau, w)
     e_n = params.mu2 * v_hs2 + params.mu1 * tau_hs2 + 2.0 * params.mu2 * params.nu * cum_diss
     # equal finite bits make every difference +0.0, so the formula would read 0.0
     symmetric = math.isfinite(tau_hs2) and tau.tobytes() == tau.swapaxes(0, 1).tobytes()
@@ -116,7 +103,7 @@ def energy_records(
     grid = w = None
     for state in states:
         if state.v.grid is not grid:  # the weights, once per grid
-            grid, w = state.v.grid, _weights(state.v.grid, s)
+            grid, w = state.v.grid, hs_weights(state.v.grid, s)
         rec = energy(state, s, params, cum_diss + dt * gradv_hs2, w)
         cum_diss, gradv_hs2 = rec.cum_diss, rec.gradv_hs2
         yield state, rec

@@ -28,6 +28,11 @@ The module's operators on coefficients are exact multipliers (gradient, Bessel
 lift, cutoff, Leray projection), norms and defects.  It forms no product of
 fields: `dynamics` forms them from the pointwise products below, a step's all in
 one pass through the pair (`explicit_terms`).
+
+Every energy and norm the package reports (the monitor's E_N columns, `hs_norm`,
+`symmetry_defect`, refine's and verify's L2 rows) is the one squared mode sum
+`sq_mode_sum`, whose bits rule makes one quantity equal wherever it is taken; no
+other module squares a coefficient array.
 """
 from __future__ import annotations
 
@@ -47,6 +52,8 @@ __all__ = [
     "make_grid",
     "alias_free_modes",
     "relayout",
+    "hs_weights",
+    "sq_mode_sum",
     "hs_norm",
     "hs_inner",
     "l2_inner",
@@ -72,9 +79,9 @@ class SpectralGrid:
     """Fourier discretization of the periodic box [0, L)^dim.
 
     Stores the dealias box |k_a| <= K = M // 3 with k_d >= 0 and precomputes
-    its integer mode indices, wavevectors, i xi, |xi|^2 (and its zero-free
-    copy, the Leray denominator), the |xi| <= n cutoff mask and the plane
-    weight.  Instances are immutable and shared freely between fields.
+    its wavevectors, i xi, |xi|^2 (and its zero-free copy, the Leray
+    denominator), the |xi| <= n cutoff mask and the plane weight.
+    Instances are immutable and shared freely between fields.
     """
 
     dim: int
@@ -82,7 +89,6 @@ class SpectralGrid:
     box_length: float
     truncation_radius: float
     # derived arrays (filled in by make_grid)
-    k_int: np.ndarray = dc_field(repr=False, default=None)
     xi: np.ndarray = dc_field(repr=False, default=None)
     ixi: np.ndarray = dc_field(repr=False, default=None)  # 1j * xi, the gradient multiplier
     xi_sq: np.ndarray = dc_field(repr=False, default=None)
@@ -329,13 +335,11 @@ def make_grid(
         )
 
     grid = SpectralGrid(dim, M, float(box_length), float(truncation_radius))
-    k_int = _mode_indices(grid.runs)
     weight = np.where(np.arange(grid.dealias_kmax + 1) == 0, 1.0, 2.0)
-    xi = (2 * math.pi / box_length) * k_int.astype(np.float64)
+    xi = (2 * math.pi / box_length) * _mode_indices(grid.runs).astype(np.float64)
     xi_sq = np.sum(xi * xi, axis=0)
     return replace(
         grid,
-        k_int=k_int,
         xi=xi,
         ixi=1j * xi,
         xi_sq=xi_sq,
@@ -409,12 +413,24 @@ def _check_same_grid(f: Field, g: Field) -> None:
 # norms and multipliers
 # ---------------------------------------------------------------------------
 
-def _sq_amplitude(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """|coefficients|^2 summed over component axes, times the plane weight
-    -> array over modes whose sum is the mean square of the samples."""
+def hs_weights(grid: SpectralGrid, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """`sq_mode_sum`'s weights on `grid`, flat over its modes, built once per grid by
+    the caller (nothing caches them): (1+|xi|^2)^s times the plane weight, a power of
+    two, so folding it in moves no bit of a product; and the rows 1 and |xi|^2."""
+    w = ((1.0 + grid.xi_sq) ** s * grid.weight).ravel()
+    return w, np.stack((np.ones_like(w), grid.xi_sq.ravel()))
+
+
+def sq_mode_sum(coeffs: np.ndarray, weights: tuple, grad: bool = False) -> float | list:
+    """sum_xi w |c_hat|^2 on `hs_weights`; with `grad`, [that, sum_xi |xi|^2 w |c_hat|^2]
+    from one reduction of the same amplitude against the rows 1 and |xi|^2.  The bits
+    rule: re^2 + im^2 summed over the component rows in order, times w, then one
+    pairwise `np.add.reduce` over the flat modes."""
+    w, rows = weights
     a = coeffs.real ** 2
     a += coeffs.imag ** 2
-    return a.sum(axis=tuple(range(a.ndim - grid.dim))) * grid.weight
+    a = w * np.add.reduce(a.reshape(-1, len(w)), 0)
+    return np.add.reduce(rows * a, 1).tolist() if grad else float(np.add.reduce(a))
 
 
 def hs_norm(f: Field, s: float) -> float:
@@ -423,8 +439,7 @@ def hs_norm(f: Field, s: float) -> float:
     Negative s is allowed.  Components of vector/tensor fields are summed
     (Frobenius convention).
     """
-    w = (1.0 + f.grid.xi_sq) ** s
-    return float(np.sqrt(np.sum(w * _sq_amplitude(f.grid, f.coeffs))))
+    return math.sqrt(sq_mode_sum(f.coeffs, hs_weights(f.grid, s)))
 
 
 def hs_inner(f: Field, g: Field, s: float) -> float:
@@ -502,12 +517,12 @@ def hermitian_defect(f: Field) -> float:
 
 def symmetry_defect(tau: TensorField) -> float:
     """Relative L2 asymmetry ||tau - tau^T|| / ||tau|| (0 for the zero field)."""
-    norm_sq = float(_sq_amplitude(tau.grid, tau.coeffs).sum())
+    w = hs_weights(tau.grid, 0.0)
+    norm_sq = sq_mode_sum(tau.coeffs, w)
     if norm_sq == 0:
         return 0.0
-    diff = tau.coeffs - np.swapaxes(tau.coeffs, 0, 1)
-    diff_sq = tau.grid.weight * (diff.real ** 2 + diff.imag ** 2)
-    return float(np.sqrt(np.sum(diff_sq)) / np.sqrt(norm_sq))
+    diff_sq = sq_mode_sum(tau.coeffs - np.swapaxes(tau.coeffs, 0, 1), w)
+    return math.sqrt(diff_sq) / math.sqrt(norm_sq)
 
 
 # ---------------------------------------------------------------------------

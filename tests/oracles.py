@@ -28,6 +28,18 @@ def rms_norm_components(values: np.ndarray, grid_dim: int) -> float:
     return float(np.sqrt(mean_sq.sum()))
 
 
+def weighted_grad_sq(xi_sq: np.ndarray, weight: np.ndarray, c: np.ndarray) -> float:
+    """sum over modes of |xi|^2 w |c|^2 for coefficients `c` with leading component
+    axes, `weight` the per-mode plane weight w broadcasting over the modes:
+    re^2 + im^2 added over the components one after another, then one sum."""
+    c = np.asarray(c)
+    rows = (c.real ** 2 + c.imag ** 2).reshape((-1,) + xi_sq.shape)
+    amp = rows[0]
+    for row in rows[1:]:
+        amp = amp + row
+    return float(np.sum(xi_sq * (weight * amp)))
+
+
 def l2_inner_physical(f: np.ndarray, g: np.ndarray, grid_dim: int) -> float:
     """Physical-space L2 inner product with mean (not sum) quadrature."""
     prod = np.conj(np.asarray(f)) * np.asarray(g)

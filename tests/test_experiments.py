@@ -365,16 +365,19 @@ class TestRefinement:
                     embedded = relayout(got, host).coeffs
                     assert np.max(np.abs(embedded - want.coeffs)) <= 1e-12 * np.max(np.abs(want.coeffs))
 
-    def test_pair_differences_equal_embed_then_subtract_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("dim, modes, cutoffs", [(2, 48, [4.0, 8.0, 16.0]),
+                                                     (3, 26, [4.0, 8.0])])
+    def test_pair_differences_equal_embed_then_subtract_bitwise(self, monkeypatch, dim, modes,
+                                                                cutoffs):
         """Each pair's difference subtracts the lower cutoff's box blocks from
         a copy of the higher cutoff's box; its sup and integral values equal,
         bitwise, those of the lower state embedded by `relayout` and then
-        subtracted."""
-        base = make_grid(2, 48, 2 * math.pi, 16)
-        iv = truncate(random_field(base, 6.0, "vector", seed=15), 16)
-        it = truncate(random_field(base, 6.0, "tensor", seed=16), 16)
+        subtracted: L2 norms by `hs_norm` at s = 0, the gradient sum by the
+        oracle's own sum (the 3D cutoffs step on 14 and 26 modes)."""
+        base = make_grid(dim, modes, 2 * math.pi, cutoffs[-1])
+        iv = truncate(random_field(base, 6.0, "vector", seed=15), cutoffs[-1])
+        it = truncate(random_field(base, 6.0, "tensor", seed=16), cutoffs[-1])
         stepper = StepperConfig(dt=1e-3, horizon=5e-3)
-        cutoffs = [4.0, 8.0, 16.0]
         path = recorded_path(light_noise(), base, stepper.dt, stepper.n_steps)
         trajectories = record_steps(monkeypatch)
         stats, _ = refinement_single_path(iv, it, PARAMS, stepper, cutoffs, path,
@@ -391,10 +394,10 @@ class TestRefinement:
                 assert grid.shape != lo.v.grid.shape
                 dv = hi.v.coeffs - relayout(lo.v, grid).coeffs
                 dtau = hi.tau.coeffs - relayout(lo.tau, grid).coeffs
-                want[0] = max(want[0], experiments._l2_of(grid, dv))
-                want[1] = max(want[1], experiments._l2_of(grid, dtau))
+                want[0] = max(want[0], hs_norm(VectorField(grid, dv), 0.0))
+                want[1] = max(want[1], hs_norm(TensorField(grid, dtau), 0.0))
                 if i < stepper.n_steps:  # left endpoint
-                    want[2] += stepper.dt * experiments._grad_sq_of(grid, dv)
+                    want[2] += stepper.dt * oracles.weighted_grad_sq(grid.xi_sq, grid.weight, dv)
             assert [sup_v, sup_tau, grad_int] == want and min(want) > 0.0
 
     def test_wide_noise_basis_widens_small_cutoff_grid(self, monkeypatch):

@@ -99,15 +99,18 @@ class TestEnergy:
 
 
 class TestEnergyRecords:
-    def test_records_equal_per_record_energy_bitwise(self):
+    @pytest.mark.parametrize("dim, host_modes, small_modes, radius",
+                             [(2, 64, 50, 16), (3, 26, 14, 4)])
+    def test_records_equal_per_record_energy_bitwise(self, dim, host_modes, small_modes, radius):
         """The weight (1+|xi|^2)^s is formed once per grid; the records equal
         `energy` called per state with the left-endpoint dissipation sum,
-        bitwise, across a change of grid too."""
-        small = make_grid(2, 50, 2 * math.pi, 16)
+        bitwise, across a change of grid too, in 2D and 3D."""
+        host = make_grid(dim, host_modes, 2 * math.pi, radius)
+        small = make_grid(dim, small_modes, 2 * math.pi, radius)
         states = []
-        for seed, grid in ((40, GRID), (42, GRID), (44, small), (46, small)):
-            v = truncate(random_field(GRID, 4.0, "vector", seed=seed), 16)
-            tau = truncate(random_field(GRID, 4.0, "tensor", seed=seed + 1), 16)
+        for seed, grid in ((40, host), (42, host), (44, small), (46, small)):
+            v = truncate(random_field(host, 4.0, "vector", seed=seed), radius)
+            tau = truncate(random_field(host, 4.0, "tensor", seed=seed + 1), radius)
             states.append(FlowState(0.01 * seed, relayout(v, grid), relayout(tau, grid)))
         cum_diss, dt = 0.0, 0.01
         for (state, rec), want_state in zip(energy_records(iter(states), 1.5, PARAMS, dt), states):
@@ -119,8 +122,9 @@ class TestEnergyRecords:
         """Five states on two grids: `energy_records` builds the weights twice,
         once for each grid, in the order the grids appear."""
         built = []
-        inner = monitor._weights
-        monkeypatch.setattr(monitor, "_weights", lambda grid, s: built.append(grid) or inner(grid, s))
+        inner = monitor.hs_weights
+        monkeypatch.setattr(monitor, "hs_weights",
+                            lambda grid, s: built.append(grid) or inner(grid, s))
         small = make_grid(2, 50, 2 * math.pi, 16)
         v = truncate(random_field(GRID, 4.0, "vector", seed=50), 16)
         tau = truncate(random_field(GRID, 4.0, "tensor", seed=51), 16)

@@ -73,6 +73,23 @@ def test_no_fft_in_the_package_and_dft_factors_only_in_the_grid():
     assert set(products) == {("stoldroyd.spectral", name) for name in pair}
 
 
+def test_only_spectral_squares_a_coefficient_array():
+    """One squared mode sum: every energy and norm reads `spectral.sq_mode_sum`, so
+    no other package module squares a coefficient array (`.real` or `.imag` raised
+    to a power, `np.square`, `abs(...)` raised to a power)."""
+    def squares(node):
+        if isinstance(node, ast.Attribute) and node.attr == "square":
+            return True
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+            return False
+        base = node.left
+        if isinstance(base, ast.Call):
+            return "abs" in (getattr(base.func, "id", None), getattr(base.func, "attr", None))
+        return isinstance(base, ast.Attribute) and base.attr in ("real", "imag")
+
+    assert [site for site in _sites(squares) if site[0] != "stoldroyd.spectral"] == []
+
+
 def test_every_grid_stores_the_dealias_box_with_no_layout_switch():
     """One coefficient layout: `make_grid` takes no layout parameter,
     `SpectralGrid` has no `box` or `dealias_mask` field, and no package
