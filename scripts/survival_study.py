@@ -54,9 +54,7 @@ def main(argv=None) -> None:
         n_runs=args.runs if args.runs is not None else cfg.ensemble_n_runs,
         master_seed=run.master_seed,
         s=run.monitor.s,
-        randomize_initial=cfg.ensemble_randomize_initial,
-        init_alpha=cfg.init_alpha,
-        init_s=cfg.s,
+        member_data=(cfg.init_alpha, cfg.s) if cfg.ensemble_randomize_initial else None,
     )
 
     curves = {}

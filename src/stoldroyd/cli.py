@@ -25,12 +25,7 @@ from .config import (
     load_config,
     materialize,
 )
-from .experiments import (
-    EXACT_TOLERANCE,
-    inequality_suite,
-    refinement_study,
-    run_ensemble,
-)
+from .experiments import inequality_suite, refinement_study, run_ensemble
 from .monitor import write_energy_csv
 from .noise import rng_for_run, save_noise_path
 from .stepping import simulate
@@ -79,8 +74,15 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _provenance(cfg: RunConfig, master_seed: int) -> list[str]:
-    return [f"config_hash = {config_hash(cfg)}", f"master_seed = {master_seed}"]
+def _provenance(cfg: RunConfig, master_seed: int) -> dict:
+    """The keys every output file leads with: JSON keys, or CSV header comments."""
+    return {"config_hash": config_hash(cfg), "master_seed": master_seed}
+
+
+def _write_csv(path: str, records, comments: dict) -> None:
+    buffer = io.StringIO()
+    write_energy_csv(records, buffer, [f"{key} = {value}" for key, value in comments.items()])
+    _write_text(path, buffer.getvalue())
 
 
 def cmd_simulate(args) -> int:
@@ -88,19 +90,12 @@ def cmd_simulate(args) -> int:
     _ensure_outdir(args.out)
     result = simulate(run.initial, run.params, run.noise, run.stepper, run.monitor,
                       rng=rng_for_run(run.master_seed, 0))
-    comments = _provenance(cfg, run.master_seed) + ["command = simulate"]
-    buffer = io.StringIO()
-    write_energy_csv(result.records, buffer, comments)
-    _write_text(os.path.join(args.out, "energy.csv"), buffer.getvalue())
+    provenance = _provenance(cfg, run.master_seed)
+    _write_csv(os.path.join(args.out, "energy.csv"), result.records,
+               {**provenance, "command": "simulate"})
     _write_json(os.path.join(args.out, "event.json"), {
-        "schema": "event/1",
-        "config_hash": config_hash(cfg),
-        "master_seed": run.master_seed,
-        "kind": result.event.kind,
-        "t_stop": result.event.t_stop,
-        "e_n": result.event.e_n,
-        "n_records": len(result.records),
-    })
+        "schema": "event/1", **provenance, **vars(result.event),
+        "n_records": len(result.records)})
     if result.noise_path is not None:
         noise_file = os.path.join(args.out, "noise.npz")
         try:
@@ -108,11 +103,7 @@ def cmd_simulate(args) -> int:
         except OSError as exc:
             raise _CommandError(3, f"cannot write {noise_file}: {exc}") from None
         _write_json(os.path.join(args.out, "noise.meta.json"), {
-            "schema": "noisemeta/1",
-            "config_hash": config_hash(cfg),
-            "master_seed": run.master_seed,
-            "n_steps": result.noise_path.n_steps,
-        })
+            "schema": "noisemeta/1", **provenance, "n_steps": result.noise_path.n_steps})
     print(f"event={result.event.kind} t_stop={result.event.t_stop!r} "
           f"e_n={result.event.e_n!r} records={len(result.records)}")
     print(f"wrote {os.path.join(args.out, 'energy.csv')}")
@@ -125,12 +116,11 @@ def cmd_ensemble(args) -> int:
     n_runs = args.runs if args.runs is not None else cfg.ensemble_n_runs
     runs_dir = os.path.join(args.out, "runs")
     _ensure_outdir(runs_dir)
-    comments = _provenance(cfg, run.master_seed)
+    provenance = _provenance(cfg, run.master_seed)
 
     def sink(index, records):
-        buffer = io.StringIO()
-        write_energy_csv(records, buffer, comments + [f"run_index = {index}"])
-        _write_text(os.path.join(runs_dir, f"run_{index:04d}.csv"), buffer.getvalue())
+        _write_csv(os.path.join(runs_dir, f"run_{index:04d}.csv"), records,
+                   {**provenance, "run_index": index})
 
     try:
         result = run_ensemble(
@@ -140,17 +130,13 @@ def cmd_ensemble(args) -> int:
             n_runs=n_runs,
             master_seed=run.master_seed,
             s=run.monitor.s,
-            randomize_initial=cfg.ensemble_randomize_initial,
-            init_alpha=cfg.init_alpha,
-            init_s=cfg.s,
+            member_data=(cfg.init_alpha, cfg.s) if cfg.ensemble_randomize_initial else None,
             csv_sink=sink,
         )
     except ValueError as exc:
         raise _CommandError(2, f"config error: {exc}") from None
 
-    payload = {"config_hash": config_hash(cfg), "master_seed": run.master_seed}
-    payload.update(result.to_dict())
-    _write_json(os.path.join(args.out, "ensemble.json"), payload)
+    _write_json(os.path.join(args.out, "ensemble.json"), provenance | result.to_dict())
     for delta, p_hat, low, high in zip(result.deltas, result.survival,
                                        result.wilson_low, result.wilson_high):
         print(f"delta={delta:g} survival={p_hat:.4f} wilson=[{low:.4f}, {high:.4f}]")
@@ -177,9 +163,8 @@ def cmd_refine(args) -> int:
         )
     except ValueError as exc:
         raise _CommandError(2, f"config error: {exc}") from None
-    payload = {"config_hash": config_hash(cfg), "master_seed": run.master_seed}
-    payload.update(result.to_dict())
-    _write_json(os.path.join(args.out, "refine.json"), payload)
+    _write_json(os.path.join(args.out, "refine.json"),
+                _provenance(cfg, run.master_seed) | result.to_dict())
     for (low, high), sup_v, sup_tau in zip(result.pairs, result.sup_v, result.sup_tau):
         print(f"pair ({low:g}, {high:g}): sup|dv|={sup_v:.6e} sup|dtau|={sup_tau:.6e}")
     for i in range(1, len(result.pairs)):
@@ -209,10 +194,10 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise _CommandError(2, f"config error: {exc}") from None
     for name, violation in report.max_violation.items():
-        verdict = "PASS" if violation <= EXACT_TOLERANCE else "FAIL"
+        verdict = "PASS" if violation <= report.tolerance else "FAIL"
         print(f"{verdict}  {name:28s} max violation {violation:.3e}")
     print(f"suite {'PASSED' if report.passed else 'FAILED'} "
-          f"({report.trials} trials, tolerance {EXACT_TOLERANCE:g})")
+          f"({report.trials} trials, tolerance {report.tolerance:g})")
     if args.out is not None:
         _ensure_outdir(args.out)
         _write_json(os.path.join(args.out, "verify.json"), report.to_dict())

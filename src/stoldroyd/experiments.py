@@ -6,8 +6,8 @@ ensemble always sees ``rng_for_run(master_seed, run_index)`` no matter how the
 runs are scheduled, so aggregation is a plain fold over run index and the
 results are invariant under execution order.
 
-All result objects carry a ``to_dict`` method emitting a schema-versioned,
-JSON-ready summary; file writing is the caller's business.
+Every result object's ``to_dict`` is its schema tag followed by its own fields
+in declaration order, JSON-ready; file writing is the caller's business.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -80,27 +80,17 @@ class EnsembleResult:
 
     n_runs: int
     threshold: float
+    master_seed: int
     deltas: tuple[float, ...]
     survival: tuple[float, ...]
     wilson_low: tuple[float, ...]
     wilson_high: tuple[float, ...]
     n_divergences: int
     rho: tuple[float, ...]
-    master_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "ensemble/1",
-            "n_runs": self.n_runs,
-            "threshold": self.threshold,
-            "master_seed": self.master_seed,
-            "deltas": list(self.deltas),
-            "survival": list(self.survival),
-            "wilson_low": list(self.wilson_low),
-            "wilson_high": list(self.wilson_high),
-            "n_divergences": self.n_divergences,
-            "rho": [r if math.isfinite(r) else None for r in self.rho],
-        }
+        return {"schema": "ensemble/1", **asdict(self),
+                "rho": [r if math.isfinite(r) else None for r in self.rho]}
 
 
 def _ensemble_member(
@@ -111,18 +101,17 @@ def _ensemble_member(
     stepper: StepperConfig,
     monitor: MonitorConfig,
     master_seed: int,
-    randomize_initial: bool,
-    init_alpha: float,
-    init_s: float,
+    member_data: tuple[float, float] | None,
 ) -> tuple[float, bool, list]:
     """One seeded run; returns (stopping time, diverged flag, energy records)."""
     rng = rng_for_run(master_seed, run_index)
     state = initial
-    if randomize_initial:
+    if member_data is not None:
         # Fresh data drawn before any noise so the stream stays aligned
         # across ensembles that share a master seed.
-        state = draw_initial(initial.v.grid, init_alpha, rng, hs_norm(initial.v, init_s),
-                             hs_norm(initial.tau, init_s), init_s, initial.t)
+        alpha, s = member_data
+        state = draw_initial(initial.v.grid, alpha, rng, hs_norm(initial.v, s),
+                             hs_norm(initial.tau, s), s, initial.t)
     result = simulate(state, params, noise, stepper, monitor, rng=rng)
     if result.event.kind == "horizon":
         return (math.inf, False, result.records)
@@ -140,9 +129,7 @@ def run_ensemble(
     n_runs: int,
     master_seed: int,
     s: float = 2.0,
-    randomize_initial: bool = False,
-    init_alpha: float = 4.0,
-    init_s: float | None = None,
+    member_data: tuple[float, float] | None = None,
     map_over_runs: Callable = map,
     csv_sink: Callable[[int, list], None] | None = None,
 ) -> EnsembleResult:
@@ -156,8 +143,9 @@ def run_ensemble(
     order either way.  ``csv_sink`` (if given) receives each run's energy
     records as that run is folded, so with the serial ``map`` run i is written
     before run i + 1 starts; only the stopping times and divergence flags are
-    kept.  With ``randomize_initial`` each member draws data of decay ``init_alpha``
-    at the template's H^init_s norms (``init_s``, the config's ``[params] s``, or ``s``)."""
+    kept.  With ``member_data`` = (alpha, s') each member draws data of decay alpha at
+    the template's H^s' norms by `config.draw_initial`; without it every member starts
+    from ``initial``."""
     if n_runs < 30:
         raise ValueError(f"n_runs must be >= 30 for ensemble statistics, got {n_runs}")
     grid_deltas = tuple(sorted(float(d) for d in deltas))
@@ -177,8 +165,7 @@ def run_ensemble(
     # the member looks up `simulate` in this module at call time
     member = functools.partial(_ensemble_member, initial=initial, params=params, noise=noise,
                                stepper=stepper, monitor=monitor, master_seed=master_seed,
-                               randomize_initial=randomize_initial, init_alpha=init_alpha,
-                               init_s=s if init_s is None else init_s)
+                               member_data=member_data)
     outcomes = map_over_runs(member, range(n_runs))
     rho, n_div = [], 0
     for idx, (t_stop, diverged, records) in enumerate(outcomes):
@@ -200,13 +187,13 @@ def run_ensemble(
     return EnsembleResult(
         n_runs=n_runs,
         threshold=threshold,
+        master_seed=master_seed,
         deltas=grid_deltas,
         survival=tuple(survival),
         wilson_low=tuple(lows),
         wilson_high=tuple(highs),
         n_divergences=n_div,
         rho=tuple(rho),
-        master_seed=master_seed,
     )
 
 
@@ -230,6 +217,7 @@ class RefinementResult:
     cutoffs: tuple[float, ...]
     pairs: tuple[tuple[float, float], ...]
     n_paths: int
+    master_seed: int
     sup_v: tuple[float, ...]
     sup_tau: tuple[float, ...]
     grad_integral: tuple[float, ...]
@@ -238,24 +226,9 @@ class RefinementResult:
     grad_integral_paths: tuple[tuple[float, ...], ...]
     window_ends: tuple[float, ...]
     decay_rate: float | None
-    master_seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "refine/1",
-            "cutoffs": list(self.cutoffs),
-            "pairs": [list(p) for p in self.pairs],
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-            "sup_v": list(self.sup_v),
-            "sup_tau": list(self.sup_tau),
-            "grad_integral": list(self.grad_integral),
-            "sup_v_paths": [list(p) for p in self.sup_v_paths],
-            "sup_tau_paths": [list(p) for p in self.sup_tau_paths],
-            "grad_integral_paths": [list(p) for p in self.grad_integral_paths],
-            "window_ends": list(self.window_ends),
-            "decay_rate": self.decay_rate,
-        }
+        return {"schema": "refine/1", **asdict(self)}
 
 
 def _difference(hi, lo) -> np.ndarray:
@@ -382,6 +355,7 @@ def refinement_study(
         cutoffs=cuts,
         pairs=tuple(zip(cuts, cuts[1:])),
         n_paths=n_paths,
+        master_seed=master_seed,
         sup_v=mean_v,
         sup_tau=mean_tau,
         grad_integral=mean_grad,
@@ -390,7 +364,6 @@ def refinement_study(
         grad_integral_paths=tuple(per_pair_grad),
         window_ends=tuple(windows),
         decay_rate=decay_rate,
-        master_seed=master_seed,
     )
 
 
@@ -402,24 +375,17 @@ def refinement_study(
 class InequalityReport:
     """Max relative violation of each exact spectral fact over the trials.
 
-    ``passed`` means every entry of ``max_violation`` is at most
-    EXACT_TOLERANCE.
+    ``passed`` means every entry of ``max_violation`` is at most ``tolerance``.
     """
 
     master_seed: int
     trials: int
+    tolerance: float
     passed: bool
     max_violation: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "verify/3",
-            "master_seed": self.master_seed,
-            "trials": self.trials,
-            "tolerance": EXACT_TOLERANCE,
-            "passed": self.passed,
-            "max_violation": dict(self.max_violation),
-        }
+        return {"schema": "verify/3", **asdict(self)}
 
 
 def _relative_inner_defect(value: float, scale: float) -> float:
@@ -555,6 +521,7 @@ def inequality_suite(master_seed: int, trials: int = 100, *, s: float = 2.0) -> 
     return InequalityReport(
         master_seed=master_seed,
         trials=trials,
+        tolerance=EXACT_TOLERANCE,
         passed=passed,
         max_violation=checks,
     )

@@ -55,7 +55,6 @@ __all__ = [
     "hs_weights",
     "sq_mode_sum",
     "hs_norm",
-    "hs_inner",
     "l2_inner",
     "bessel",
     "truncate",
@@ -442,16 +441,12 @@ def hs_norm(f: Field, s: float) -> float:
     return math.sqrt(sq_mode_sum(f.coeffs, hs_weights(f.grid, s)))
 
 
-def hs_inner(f: Field, g: Field, s: float) -> float:
-    """H^s inner product; real part (exact for real-valued fields)."""
-    _check_same_grid(f, g)
-    w = (1.0 + f.grid.xi_sq) ** s * f.grid.weight
-    prod = np.conj(f.coeffs) * g.coeffs
-    return float(np.real(np.sum(w * prod.sum(axis=tuple(range(prod.ndim - f.grid.dim))))))
-
-
 def l2_inner(f: Field, g: Field) -> float:
-    return hs_inner(f, g, 0.0)
+    """L^2 inner product; real part (exact for real-valued fields)."""
+    _check_same_grid(f, g)
+    prod = np.conj(f.coeffs) * g.coeffs
+    rows = prod.sum(axis=tuple(range(prod.ndim - f.grid.dim)))  # components summed
+    return float(np.real(np.sum(f.grid.weight * rows)))
 
 
 def bessel(f: Field, r: float) -> Field:

@@ -30,8 +30,7 @@ noise catalogue, and kappa), and the drift pass that owns its buffers.
 breaks, and refine zips several in lockstep over the same draws and closes its
 window by the same rule.  States hold the dealias
 box |k_a| <= K with k_d >= 0.  Each trajectory builds one `StepPlan` for all its
-steps and shares it with no other path, so paths on one grid may run on
-threads; its states own their arrays.
+steps: a plan serves one path, whose states own their arrays.
 """
 from __future__ import annotations
 

@@ -78,6 +78,20 @@ DIVERGENT_EVENT = """{
 """
 
 
+# Each JSON file's keys in the order written: the provenance, the schema tag, then the
+# record's own fields in declaration order (event.json's are pinned by DIVERGENT_EVENT).
+JSON_KEYS = {
+    "ensemble.json": ["config_hash", "master_seed", "schema", "n_runs", "threshold", "deltas",
+                      "survival", "wilson_low", "wilson_high", "n_divergences", "rho"],
+    "refine.json": ["config_hash", "master_seed", "schema", "cutoffs", "pairs", "n_paths",
+                    "sup_v", "sup_tau", "grad_integral", "sup_v_paths", "sup_tau_paths",
+                    "grad_integral_paths", "window_ends", "decay_rate"],
+    "noise.meta.json": ["schema", "config_hash", "master_seed", "n_steps"],
+    "verify.json": ["schema", "master_seed", "trials", "tolerance", "passed",
+                    "max_violation"],
+}
+
+
 def divergent_config(scale="1000.0"):
     """BASE_CONFIG's data at `scale` (2000x the base scale by default), past the
     divergence cap before t = 0.05."""
@@ -400,6 +414,19 @@ def test_refused_flag_prints_the_subcommand_usage(command, config_file, tmp_path
     assert capsys.readouterr().err.startswith(f"usage: stoldroyd {command} ")
 
 
+def test_json_outputs_keep_their_key_order(tmp_path):
+    """simulate (recording noise), ensemble and refine write their JSON keys in the
+    pinned order; verify's is checked where the suite runs."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(BASE_CONFIG.replace("dt = 0.001", "record_noise = true\ndt = 0.001"),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("simulate", "ensemble", "refine"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("ensemble.json", "refine.json", "noise.meta.json"):
+        assert list(json.loads((out / name).read_text())) == JSON_KEYS[name], name
+
+
 class TestVerify:
     def test_default_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "report"
@@ -409,8 +436,7 @@ class TestVerify:
         assert "FAIL" not in captured.splitlines()[0]
         assert "fitted constant" not in captured
         report = json.loads((out / "verify.json").read_text())
-        assert set(report) == {"schema", "master_seed", "trials", "tolerance", "passed",
-                               "max_violation"}
+        assert list(report) == JSON_KEYS["verify.json"]
         assert report["schema"] == "verify/3"
         assert report["passed"] is True
 

@@ -152,8 +152,8 @@ class TestRunEnsemble:
                              StepperConfig(dt=1e-3, horizon=5e-3), **kwargs)
         assert recording == plain
 
-    @pytest.mark.parametrize("randomize_initial", [False, True])
-    def test_member_tasks_survive_a_pickle_round_trip(self, randomize_initial, monkeypatch):
+    @pytest.mark.parametrize("member_data", [None, (4.0, 2.0)])
+    def test_member_tasks_survive_a_pickle_round_trip(self, member_data, monkeypatch):
         """Each task `run_ensemble` maps, sent with its run index and its
         result through a pickle round trip (as a process pool would), gives
         the serial result; members still call `simulate` through this
@@ -166,7 +166,7 @@ class TestRunEnsemble:
         state = ball_state(3, 4)
         e0 = hs_norm(state.v, 2.0) ** 2 + hs_norm(state.tau, 2.0) ** 2
         kwargs = dict(threshold=1.003 * e0, deltas=[1e-3, 3e-3], n_runs=30, master_seed=5,
-                      randomize_initial=randomize_initial)
+                      member_data=member_data)
         stepper = StepperConfig(dt=1e-3, horizon=4e-3)
         serial = run_ensemble(state, PARAMS, light_noise(), stepper, **kwargs)
         assert 0.0 < serial.survival[-1] < serial.survival[0] < 1.0  # some members stop
@@ -180,18 +180,18 @@ class TestRunEnsemble:
 
     def test_randomized_member_draws_its_data_by_the_config_rule(self, monkeypatch):
         """A randomized member starts from `draw_initial` on its own stream,
-        at the template's time, with the template's H^s norms at the
-        monitor's s."""
+        at the template's time, with the template's H^s norms at member_data's
+        s, not the monitor's."""
         template = FlowState(0.25, ball_state(9, 10).v, ball_state(9, 10, scale=0.5).tau)
         starts = []
         monkeypatch.setattr(experiments, "simulate",
                             lambda state, *a, **kw: starts.append(state) or simulate(state, *a, **kw))
         run_ensemble(template, PARAMS, NoiseModel(), StepperConfig(dt=1e-3, horizon=2e-3),
                      threshold=1e3, deltas=[1e-3], n_runs=30, master_seed=11, s=1.5,
-                     randomize_initial=True, init_alpha=6.0)
+                     member_data=(6.0, 2.0))
         for index in (0, 29):
-            want = draw_initial(GRID, 6.0, rng_for_run(11, index), hs_norm(template.v, 1.5),
-                                hs_norm(template.tau, 1.5), 1.5, 0.25)
+            want = draw_initial(GRID, 6.0, rng_for_run(11, index), hs_norm(template.v, 2.0),
+                                hs_norm(template.tau, 2.0), 2.0, 0.25)
             got = starts[index]
             assert got.t == 0.25
             assert np.array_equal(got.v.coeffs, want.v.coeffs)
@@ -253,10 +253,10 @@ class TestRunEnsemble:
         stepper = StepperConfig(dt=1e-3, horizon=2e-3)
         below = run_ensemble(template, PARAMS, NoiseModel(), stepper,
                              threshold=0.999 * e0, deltas=[1e-3], n_runs=30,
-                             master_seed=11, randomize_initial=True)
+                             master_seed=11, member_data=(4.0, 2.0))
         above = run_ensemble(template, PARAMS, NoiseModel(), stepper,
                              threshold=1.5 * e0, deltas=[1e-3], n_runs=30,
-                             master_seed=11, randomize_initial=True)
+                             master_seed=11, member_data=(4.0, 2.0))
         assert below.survival == (0.0,)
         assert all(r == 0.0 for r in below.rho)
         assert above.survival == (1.0,)

@@ -130,3 +130,19 @@ def test_step_budget_prints_positive_warm_minima(tmp_path, capsys):
     assert set(report) == set(parts) | {"modes_per_axis", "shape"}
     assert all(report[name] > 0 for name in parts)
     assert report["modes_per_axis"] == 16 and report["shape"] == [11, 6]
+
+
+def test_output_digests_find_the_repo_identical_to_itself(tmp_path, capsys):
+    """The repo against itself, one workload at one seed, tiny scale: every output
+    file, the verify report's too, is written on both sides and none differs."""
+    path = SCRIPT.parent / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    root = str(SCRIPT.parent.parent)
+    assert module.main(["--parent", root, "--change", root, "--work", str(tmp_path),
+                        "--workloads", "desk_simulate", "--seeds", "11", "--scale", "tiny"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "5 parent and 5 change files, 0 not identical"]
+    assert module.compare({"a": "1", "b": "2"}, {"b": "3", "c": "4"}) == [
+        "only in parent: a", "differs: b", "only in change: c"]
